@@ -60,13 +60,6 @@ def mm_lambda(eta, p):
     return 2.0 * eta / p
 
 
-def reported_lambda(eta, p, epsilon):
-    """Nominal lambda under the eta = lambda * eps^(p-2) bookkeeping convention."""
-    if p == 2:
-        return eta
-    return eta * epsilon ** (2.0 - p)
-
-
 def golub_kahan(G, d, ell, reorthogonalize=True):
     """ell steps of Golub-Kahan bidiagonalization of G with starting vector d.
 
@@ -123,47 +116,51 @@ def golub_kahan(G, d, ell, reorthogonalize=True):
     return us[:, :k + 1], B, vs[:, :k], breakdown
 
 
-class GksState:
-    """Growing orthonormal basis V with cached products G V and L V.
+def _column_buffer(a, capacity):
+    """Column-major (rows x capacity) buffer whose leading columns hold a."""
+    buf = np.zeros((a.shape[0], capacity), order="F")
+    buf[:, :a.shape[1]] = a
+    return buf
 
-    Also holds thin QR factors of G V and of the currently weighted P L V.
-    The weighted factor is rebuilt when the weights change and updated
-    incrementally when only new columns arrived.
+
+class _GrowingQr:
+    """Thin QR factors Q (m x rank) and R (rank x k) of a growing column set.
+
+    The factors live in preallocated buffers and are read through the views
+    ``q`` and ``r``; rank < k only once Q spans all of R^m. An R-only
+    factorization (``with_q=False``) has ``q`` None and takes no new columns.
     """
 
-    def __init__(self, v, gv, lv, breakdown=False):
-        self.v = v
-        self.gv = gv
-        self.lv = lv
-        self.breakdown = breakdown
-        self.q_g, self.r_g = np.linalg.qr(gv)
-        self.weights = None
-        self.q_l = None
-        self.r_l = None
+    def __init__(self, a, capacity, with_q=True):
+        if with_q:
+            q, r = np.linalg.qr(a)
+            self._q = _column_buffer(q, capacity)
+        else:
+            r = np.linalg.qr(a, mode="r")
+            self._q = None
+        self.rank, self.k = r.shape
+        self._r = np.zeros((capacity, capacity), order="F")
+        self._r[:self.rank, :self.k] = r
 
     @property
-    def k(self) -> int:
-        return self.v.shape[1]
+    def q(self):
+        return None if self._q is None else self._q[:, :self.rank]
 
-    def set_weights(self, w):
-        """Refresh the QR of diag(sqrt(w)) L V for the given majorant weights."""
-        w = np.asarray(w, dtype=float)
-        sqrt_w = np.sqrt(w)
-        if (self.weights is not None and self.weights.shape == w.shape
-                and np.array_equal(self.weights, w)
-                and self.q_l is not None):
-            # weights unchanged: append any new cached columns incrementally
-            while self.r_l.shape[1] < self.k:
-                j = self.r_l.shape[1]
-                self._append_qr("l", sqrt_w * self.lv[:, j])
-        else:
-            wlv = sqrt_w[:, None] * self.lv
-            self.q_l, self.r_l = np.linalg.qr(wlv)
-            self.weights = w.copy()
+    @property
+    def r(self):
+        return self._r[:self.rank, :self.k]
 
-    def _append_qr(self, which, col):
-        q = self.q_g if which == "g" else self.q_l
-        r = self.r_g if which == "g" else self.r_l
+    def reserve(self, capacity):
+        """Move the factors into buffers with room for ``capacity`` columns."""
+        r = self.r
+        self._r = np.zeros((capacity, capacity), order="F")
+        self._r[:self.rank, :self.k] = r
+        if self._q is not None:
+            self._q = _column_buffer(self.q, capacity)
+
+    def append(self, col):
+        """Extend the factors by one column; the buffers must have room."""
+        q = self.q
         s = q.T @ col
         resid = col - q @ s
         # one reorthogonalization pass keeps the factors near machine precision
@@ -171,36 +168,125 @@ class GksState:
         resid -= q @ s2
         s += s2
         rho = np.linalg.norm(resid)
-        rows, k = r.shape
-        if q.shape[1] < q.shape[0] and rho > 1e-15 * max(np.linalg.norm(col), 1.0):
-            q_new = np.hstack([q, (resid / rho)[:, None]])
-            r_new = np.zeros((rows + 1, k + 1))
-            r_new[:rows, :k] = r
-            r_new[:rows, k] = s
-            r_new[rows, k] = rho
+        self._r[:self.rank, self.k] = s
+        if self.rank < q.shape[0] and rho > 1e-15 * max(np.linalg.norm(col), 1.0):
+            self._q[:, self.rank] = resid / rho
+            self._r[self.rank, self.k] = rho
+            self.rank += 1
+        # otherwise Q already spans the column space and the new column only
+        # extends the triangular factor
+        self.k += 1
+
+
+class GksState:
+    """Growing orthonormal basis V with cached products G V and L V.
+
+    Also holds thin QR factors of G V and of the currently weighted P L V.
+    All of them live in column-major buffers with room for ``capacity``
+    columns, which double when a column arrives at a full buffer; ``v``,
+    ``gv``, ``lv`` and the factors are views of the filled part.
+
+    The weighted factor is rebuilt when the weights change, as R only, since
+    the projected problem reads R alone. Q_L is formed the first time the
+    same weights come back, and from then on new columns are appended
+    incrementally.
+    """
+
+    def __init__(self, v, gv, lv, breakdown=False, capacity=None):
+        self._k = v.shape[1]
+        capacity = max(capacity or 0, self._k, 1)
+        self._v = _column_buffer(v, capacity)
+        self._gv = _column_buffer(gv, capacity)
+        self._lv = None if lv is None else _column_buffer(lv, capacity)
+        self.breakdown = breakdown
+        self._qr_g = _GrowingQr(gv, capacity)
+        self._qr_l = None
+        self.weights = None
+
+    @property
+    def k(self) -> int:
+        return self._k
+
+    @property
+    def capacity(self) -> int:
+        return self._v.shape[1]
+
+    @property
+    def v(self):
+        return self._v[:, :self._k]
+
+    @property
+    def gv(self):
+        return self._gv[:, :self._k]
+
+    @property
+    def lv(self):
+        return None if self._lv is None else self._lv[:, :self._k]
+
+    @property
+    def q_g(self):
+        return self._qr_g.q
+
+    @property
+    def r_g(self):
+        return self._qr_g.r
+
+    @property
+    def q_l(self):
+        return None if self._qr_l is None else self._qr_l.q
+
+    @property
+    def r_l(self):
+        return None if self._qr_l is None else self._qr_l.r
+
+    def set_weights(self, w):
+        """Refresh the QR of diag(sqrt(w)) L V for the given majorant weights."""
+        w = np.asarray(w, dtype=float)
+        if (self.weights is not None and self.weights.shape == w.shape
+                and np.array_equal(self.weights, w)):
+            # a factor with Q_L is kept in step by append_direction; an
+            # R-only one that missed columns is refactored once with Q_L so
+            # that later columns are appended incrementally
+            if self._qr_l.k == self.k:
+                return
+            with_q = True
         else:
-            # the orthogonal factor already spans the column space; the new
-            # column only extends the triangular factor
-            q_new = q
-            r_new = np.zeros((rows, k + 1))
-            r_new[:, :k] = r
-            r_new[:, k] = s
-        if which == "g":
-            self.q_g, self.r_g = q_new, r_new
-        else:
-            self.q_l, self.r_l = q_new, r_new
+            # new weights discard the old factor; the projected problem
+            # reads R_L alone
+            with_q = False
+            self.weights = w.copy()
+        self._qr_l = _GrowingQr(np.sqrt(w)[:, None] * self.lv, self.capacity,
+                                with_q)
 
     def append_direction(self, v_new, gv_new, lv_new):
-        self.v = np.hstack([self.v, v_new[:, None]])
-        self.gv = np.hstack([self.gv, gv_new[:, None]])
-        self.lv = np.hstack([self.lv, lv_new[:, None]])
-        self._append_qr("g", gv_new)
-        if self.q_l is not None and self.weights is not None:
-            self._append_qr("l", np.sqrt(self.weights) * lv_new)
+        if self._k == self.capacity:
+            self._reserve(2 * self.capacity)
+        k = self._k
+        self._v[:, k] = v_new
+        self._gv[:, k] = gv_new
+        self._lv[:, k] = lv_new
+        self._k = k + 1
+        self._qr_g.append(gv_new)
+        # an R-only weighted factor is rebuilt by the next set_weights, so
+        # only a factor with Q_L is extended
+        if self._qr_l is not None and self._qr_l.q is not None:
+            self._qr_l.append(np.sqrt(self.weights) * lv_new)
+
+    def _reserve(self, capacity):
+        self._v = _column_buffer(self.v, capacity)
+        self._gv = _column_buffer(self.gv, capacity)
+        self._lv = _column_buffer(self.lv, capacity)
+        self._qr_g.reserve(capacity)
+        if self._qr_l is not None:
+            self._qr_l.reserve(capacity)
 
 
-def init_gks(G, d, ell, L=None, reorthogonalize=True) -> GksState:
-    """Seed the solution subspace with ell Golub-Kahan steps on (G, d)."""
+def init_gks(G, d, ell, L=None, reorthogonalize=True,
+             capacity=None) -> GksState:
+    """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
+
+    ``capacity`` preallocates room for that many basis columns.
+    """
     G = _as_operator(G)
     _, _, v, breakdown = golub_kahan(G, d, ell, reorthogonalize)
     if v.shape[1] == 0:
@@ -210,7 +296,7 @@ def init_gks(G, d, ell, L=None, reorthogonalize=True) -> GksState:
     if L is not None:
         L = as_regularizer(L, G.n)
         lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
-    return GksState(v, gv, lv, breakdown)
+    return GksState(v, gv, lv, breakdown, capacity)
 
 
 def project_and_solve(state: GksState, eta, dhat):
@@ -231,18 +317,21 @@ def project_and_solve(state: GksState, eta, dhat):
 
 
 def expand_subspace(state: GksState, z, eta, weights, G, L, d,
-                    grad_scale=None, reorthogonalize=True):
+                    grad_scale=None, reorthogonalize=True, gvz=None, lvz=None):
     """Enlarge the basis with the normalized majorant gradient at x = V z.
 
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
-    reorthogonalized against V and normalized. Returns False without
+    reorthogonalized against V and normalized. ``gvz`` and ``lvz`` are
+    G V z and L V z when the caller already holds them. Returns False without
     expanding when the gradient is negligible (stationarity on the current
     weights).
     """
     G = _as_operator(G)
     L = as_regularizer(L, G.n)
-    gvz = state.gv @ z
-    lvz = state.lv @ z
+    if gvz is None:
+        gvz = state.gv @ z
+    if lvz is None:
+        lvz = state.lv @ z
     r = G.adjoint_apply(gvz - d) + eta * L.adjoint_apply(weights * lvz)
     if grad_scale is None:
         grad_scale = np.linalg.norm(G.adjoint_apply(d))
@@ -250,15 +339,17 @@ def expand_subspace(state: GksState, z, eta, weights, G, L, d,
     if np.linalg.norm(r) <= floor:
         return False
     if reorthogonalize:
+        v = state.v
         norm_before = np.linalg.norm(r)
-        r = r - state.v @ (state.v.T @ r)
+        r = r - v @ (v.T @ r)
         # repeat the pass when cancellation ate more than 1/sqrt(2) of the norm
         if np.linalg.norm(r) < norm_before / np.sqrt(2.0):
-            r = r - state.v @ (state.v.T @ r)
+            r = r - v @ (v.T @ r)
     nr = np.linalg.norm(r)
     if nr <= floor:
         return False
-    state.append_direction(r / nr, G.apply(r / nr), L.apply(r / nr))
+    v_new = r / nr
+    state.append_direction(v_new, G.apply(v_new), L.apply(v_new))
     return True
 
 
@@ -318,17 +409,18 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
                            converged=True, subspace_dim=0)
 
     ell = min(cfg.subspace_dim, min(G.m, G.n))
-    state = init_gks(G, d, ell, L, cfg.reorthogonalize)
+    state = init_gks(G, d, ell, L, cfg.reorthogonalize,
+                     capacity=ell + cfg.max_iters)
     grad_scale = np.linalg.norm(G.adjoint_apply(d))
 
     x = np.zeros(G.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    u = L.apply(x)
     objectives = []
     etas = []
     converged = False
     iterations = 0
 
     for it in range(cfg.max_iters):
-        u = L.apply(x)
         w = majorant_weights(u, cfg.p, eps)
         state.set_weights(w)
         dhat = state.q_g.T @ d
@@ -338,18 +430,22 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
             eta = select_eta(state.r_g, state.r_l, dhat, cfg.gcv).eta
         z = project_and_solve(state, eta, dhat)
         x_new = state.v @ z
+        # x_new = V z, so G x_new and L x_new come from the cached products
+        gvz = state.gv @ z
+        lvz = state.lv @ z
         iterations = it + 1
         etas.append(eta)
-        objectives.append(objective_value(x_new, G, d, L,
+        objectives.append(objective_value(z, state.gv, d, state.lv,
                                           mm_lambda(eta, cfg.p), cfg.p, eps))
         dx = np.linalg.norm(x_new - x)
         ref = np.linalg.norm(x)
         x = x_new
+        u = lvz
         if ref > 0 and dx <= cfg.tol * ref:
             converged = True
             break
         expand_subspace(state, z, eta, w, G, L, d, grad_scale,
-                        cfg.reorthogonalize)
+                        cfg.reorthogonalize, gvz=gvz, lvz=lvz)
     return MmgksResult(x=x, objectives=objectives, etas=etas,
                        iterations=iterations, converged=converged,
                        subspace_dim=state.k)

@@ -17,7 +17,7 @@ products and one diagonal inverse appear.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -100,12 +100,7 @@ def tik_solve(G, L, lam, d, method="dense", mmgks_config=None):
     L = as_regularizer(L, G.n)
     d = np.asarray(d, dtype=float)
     if method == "gks":
-        base = mmgks_config or MmgksConfig()
-        cfg = MmgksConfig(p=2.0, epsilon=base.epsilon,
-                          subspace_dim=base.subspace_dim,
-                          max_iters=base.max_iters, tol=base.tol,
-                          eta=lam, gcv=base.gcv,
-                          reorthogonalize=base.reorthogonalize)
+        cfg = replace(mmgks_config or MmgksConfig(), p=2.0, eta=lam)
         return mmgks_solve(G, L, d, cfg).x
     if method != "dense":
         raise ValueError("method must be 'dense' or 'gks'")
@@ -268,11 +263,6 @@ class VarproConfig:
                            subspace_dim=self.subspace_dim,
                            max_iters=self.inner_iters, tol=self.inner_tol,
                            eta=eta, gcv=GcvConfig(omega=self.omega))
-
-    def replace(self, **changes) -> "VarproConfig":
-        kwargs = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        kwargs.update(changes)
-        return VarproConfig(**kwargs)
 
 
 def _dense_gcv_lambda(gsvd: StackGsvd, d, omega, grid=None):
@@ -494,12 +484,12 @@ def genvarpro_solve(problem, lam, config: VarproConfig):
     changes = {"p": 2.0}
     if lam is not None:
         changes.update(lam_mode="fixed", lam=float(lam))
-    return _varpro_engine(problem, config.replace(**changes))
+    return _varpro_engine(problem, replace(config, **changes))
 
 
 def lp_varpro_solve(problem, config: VarproConfig):
     """Variable projection with lp regularization; p = 2 reduces to genvarpro."""
-    return _varpro_engine(problem, config.replace())
+    return _varpro_engine(problem, replace(config))
 
 
 def gn_nls_solve(problem, config: VarproConfig, x0=None):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,58 @@ class TestProjectAndSolve:
         state.set_weights(np.ones(4))
         with pytest.raises(ValueError, match="null space"):
             project_and_solve(state, 1.0, np.zeros(2))
+
+
+class TestGksStateBuffers:
+    @pytest.mark.parametrize("m", [40, 8])
+    def test_growth_past_capacity(self, m):
+        # m = 8 < k also covers the factor whose Q spans all of R^m
+        rng = np.random.default_rng(13)
+        G = rng.standard_normal((m, 30))
+        ld = first_derivative_1d(30).toarray()
+        basis, _ = np.linalg.qr(rng.standard_normal((30, 20)))
+        gv = np.column_stack([G @ basis[:, j] for j in range(20)])
+        lv = np.column_stack([ld @ basis[:, j] for j in range(20)])
+        state = GksState(basis[:, :2], gv[:, :2], lv[:, :2])
+        initial_capacity = state.capacity
+        for j in range(2, 20):
+            state.append_direction(basis[:, j], gv[:, j], lv[:, j])
+        assert state.k == 20 and state.capacity > initial_capacity
+        np.testing.assert_array_equal(state.v, basis)
+        np.testing.assert_array_equal(state.gv, gv)
+        np.testing.assert_array_equal(state.lv, lv)
+        np.testing.assert_allclose(state.v.T @ state.v, np.eye(20),
+                                   atol=1e-12)
+        np.testing.assert_allclose(state.q_g @ state.r_g, state.gv,
+                                   atol=1e-12)
+        rank = state.q_g.shape[1]
+        assert rank == min(m, 20)
+        np.testing.assert_allclose(state.q_g.T @ state.q_g, np.eye(rank),
+                                   atol=1e-12)
+
+    def test_weighted_factor_after_reweighting_and_growth(self):
+        rng = np.random.default_rng(14)
+        G = rng.standard_normal((25, 18))
+        L = MatrixRegularizer(first_derivative_1d(18))
+        d = rng.standard_normal(25)
+        state = init_gks(G, d, 4, L)
+        w1 = rng.uniform(0.5, 2.0, L.q)
+        w2 = rng.uniform(0.5, 2.0, L.q)
+        state.set_weights(w1)
+        state.set_weights(w2)
+        wlv = np.sqrt(w2)[:, None] * state.lv
+        np.testing.assert_allclose(state.r_l.T @ state.r_l, wlv.T @ wlv,
+                                   rtol=1e-12, atol=1e-12)
+        # same weights from here on: the factor takes the appended columns
+        for _ in range(5):
+            z = project_and_solve(state, 0.1, state.q_g.T @ d)
+            assert expand_subspace(state, z, 0.1, w2, G, L, d)
+            state.set_weights(w2)
+        assert state.k == 9
+        wlv = np.sqrt(w2)[:, None] * state.lv
+        np.testing.assert_allclose(state.q_l @ state.r_l, wlv, atol=1e-12)
+        np.testing.assert_allclose(state.q_l.T @ state.q_l, np.eye(9),
+                                   atol=1e-12)
 
 
 class TestExpandSubspace:
@@ -309,6 +363,41 @@ class TestMmgksSolve:
                 break
             gram = state.v.T @ state.v
             assert np.abs(gram - np.eye(state.k)).max() <= 1e-8
+
+    def test_objectives_match_full_operators(self):
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=5)
+        G = prob.operator(prob.y_true)
+        L = MatrixRegularizer(first_derivative_1d(48))
+        p, eps = 1.0, 1e-2
+        cfg = MmgksConfig(p=p, epsilon=eps, subspace_dim=6, max_iters=8,
+                          tol=1e-16)
+        res = mmgks_solve(G, L, prob.d, cfg)
+        assert res.iterations == 8
+        for i in range(res.iterations):
+            # the run stopped after i + 1 iterations returns iterate i
+            x_i = mmgks_solve(G, L, prob.d,
+                              replace(cfg, max_iters=i + 1)).x
+            full = objective_value(x_i, G, prob.d, L,
+                                   mm_lambda(res.etas[i], p), p, eps)
+            assert res.objectives[i] == pytest.approx(full, rel=1e-10)
+
+    def test_one_forward_apply_per_iteration(self):
+        class CountingOperator(MatrixOperator):
+            applies = 0
+
+            def apply(self, x):
+                self.applies += 1
+                return super().apply(x)
+
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=6)
+        G = CountingOperator(prob.operator(prob.y_true).dense())
+        ell = 5
+        cfg = MmgksConfig(p=1.0, epsilon=1e-2, subspace_dim=ell,
+                          max_iters=12, tol=1e-16)
+        res = mmgks_solve(G, MatrixRegularizer(first_derivative_1d(48)),
+                          prob.d, cfg)
+        assert res.iterations == 12
+        assert G.applies <= 2 * ell + res.iterations
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
