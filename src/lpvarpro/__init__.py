@@ -14,7 +14,7 @@ from .mmgks import (GksState, MmgksConfig, MmgksResult, expand_subspace,
 from .operators import (ConvBoundary, GaussianBlur1D, GaussianPsfBlur2D,
                         MatrixOperator, ParamOperator, PsfParams,
                         build_toeplitz_1d, conv2d_apply, gaussian_kernel_1d,
-                        psf_gaussian_2d, psf_param_gradients, reduced_jacobian)
+                        psf_gaussian_2d, psf_param_gradients)
 from .problems import (ProblemInstance, add_noise, builtin_image,
                        load_instance, make_1d_problem,
                        make_blind_deconv_problem, piecewise_signal,

@@ -92,6 +92,11 @@ class GcvConfig:
         if not 0.0 < self.grid_min < self.grid_max:
             raise ValueError("invalid eta search bounds")
 
+    def grid(self):
+        """The logarithmic eta grid that the search scans before refining."""
+        return np.logspace(np.log10(self.grid_min), np.log10(self.grid_max),
+                           self.grid_points)
+
 
 def _gcv_terms(gsvd: GsvdPair, dhat):
     dtil = gsvd.x_g.T @ np.asarray(dhat, dtype=float)
@@ -143,8 +148,7 @@ def select_eta(r_g, r_l, dhat, config: GcvConfig | None = None) -> EtaSelection:
     """
     cfg = config or GcvConfig()
     pair = gsvd_pair(r_g, r_l)
-    grid = np.logspace(np.log10(cfg.grid_min), np.log10(cfg.grid_max),
-                       cfg.grid_points)
+    grid = cfg.grid()
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = _gcv_curve(pair, dhat, grid, cfg.omega)
     finite = np.isfinite(vals)

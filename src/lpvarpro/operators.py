@@ -275,8 +275,8 @@ class ParamOperator:
     """A linear map G(y) with per-parameter derivative actions.
 
     Subclasses provide ``apply``, ``adjoint_apply``, ``derivative_apply`` and
-    ``derivative_adjoint_apply`` plus ``with_params`` to re-instantiate the
-    same family at new parameters.
+    ``derivative_adjoint_apply``. An instance holds one parameter value;
+    ``ProblemInstance.operator`` builds the family at new parameters.
     """
 
     m: int
@@ -299,9 +299,6 @@ class ParamOperator:
 
     def derivative_adjoint_apply(self, j, v) -> np.ndarray:
         """Action of (dG/dy_j)^T on v."""
-        raise NotImplementedError
-
-    def with_params(self, y) -> "ParamOperator":
         raise NotImplementedError
 
     def dense(self) -> np.ndarray:
@@ -366,10 +363,6 @@ class GaussianBlur1D(ParamOperator):
             raise IndexError("parameter index out of range")
         return self._dg.T @ v
 
-    def with_params(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return GaussianBlur1D(float(y[0]), self.n)
-
     def dense(self):
         return self._g
 
@@ -423,10 +416,6 @@ class GaussianPsfBlur2D(ParamOperator):
     def derivative_adjoint_apply(self, j, v):
         return self._dconv[j].adjoint(self._as_image(v)).ravel()
 
-    def with_params(self, y):
-        return GaussianPsfBlur2D(PsfParams.from_array(y), self.image_shape,
-                                 self.psf_size, self.boundary)
-
     def dense(self):
         if self.n > 4096:
             raise ValueError("dense assembly is limited to images up to 64x64")
@@ -450,20 +439,3 @@ class GaussianPsfBlur2D(ParamOperator):
                 it += 1
         return cols
 
-
-def reduced_jacobian(params: PsfParams, x, boundary=ConvBoundary.PERIODIC,
-                     psf_size=31):
-    """Columns d(G(y) x)/dy_j = conv(dP/dy_j, x) for the 2D PSF blur.
-
-    ``x`` is a square image (or its flattening); the result is a dense
-    (pixels x 3) matrix.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        n = int(round(np.sqrt(x.size)))
-        if n * n != x.size:
-            raise ValueError("flattened input must be a square image")
-        x = x.reshape(n, n)
-    grads = psf_param_gradients(params, (psf_size, psf_size))
-    cols = [conv2d_apply(g, x, boundary).ravel() for g in grads]
-    return np.column_stack(cols)

@@ -1,17 +1,19 @@
 """Outer nonlinear solvers for separable inverse problems.
 
-Three Gauss-Newton flavors over the blur parameters y:
+Two outer loops over the blur parameters y:
 
 * ``gn_nls_solve``: joint GN on (x, y) for the stacked Tikhonov residual.
-* ``genvarpro_solve``: variable projection for p = 2; x is eliminated by a
-  regularized linear solve and y follows a GN step on the projected residual.
-* ``lp_varpro_solve``: the lp extension; x comes from the majorize-minimize
-  subspace solver, the regularizer is reweighted per outer iteration, and the
-  projected-residual Jacobian uses the weighted pair.
+* ``lp_varpro_solve``: variable projection with lp regularization
+  (``genvarpro_solve`` is its p = 2 entry point). One engine serves every p
+  and lambda mode: each outer step eliminates x by one inner solve at the
+  operator G(y) built when y was accepted (a dense Tikhonov solve at p = 2
+  on small problems, the majorize-minimize subspace solver otherwise), then
+  takes a Gauss-Newton step on the projected residual of the reweighted pair.
 
-The projected-residual Jacobian comes in three variants (full, half, reduced)
-evaluated through the GSVD of the stacked pair so that only matrix-vector
-products and one diagonal inverse appear.
+The projected-residual Jacobian comes in three variants (full, half, reduced).
+Full and half are evaluated through the thin GSVD of the stacked pair so that
+only matrix-vector products and one diagonal inverse appear; at p = 2 the
+dense GCV of the inner solve and the Jacobian share that GSVD.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .gcv import GcvConfig
+from .gcv import GcvConfig, _golden_min
 from .metrics import ConvergenceRow, rre
 from .mmgks import (MmgksConfig, _as_operator, majorant_weights, mmgks_solve)
 from .regularizers import as_regularizer
@@ -87,23 +89,17 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
     return StackGsvd(u=u, t=t, w=w, r=r, c=c, s2=np.maximum(0.0, 1.0 - c**2))
 
 
-def tik_solve(G, L, lam, d, method="dense", mmgks_config=None):
-    """Minimize ||G x - d||^2 + lam ||L x||^2.
+def tik_solve(G, L, lam, d):
+    """Minimize ||G x - d||^2 + lam ||L x||^2 densely.
 
-    ``method='dense'`` solves the stacked least-squares problem by QR and is
-    meant for problems up to a few thousand unknowns; ``method='gks'``
-    delegates to the subspace solver with p = 2 and fixed eta = lam.
+    Solves the stacked least-squares problem; meant for problems up to a few
+    thousand unknowns.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     G = _as_operator(G)
     L = as_regularizer(L, G.n)
     d = np.asarray(d, dtype=float)
-    if method == "gks":
-        cfg = replace(mmgks_config or MmgksConfig(), p=2.0, eta=lam)
-        return mmgks_solve(G, L, d, cfg).x
-    if method != "dense":
-        raise ValueError("method must be 'dense' or 'gks'")
     g_dense = G.dense()
     if lam == 0.0:
         stacked = g_dense
@@ -127,20 +123,18 @@ def _check_dense_feasible(op):
             f"the reduced Jacobian instead")
 
 
-def jacobian_half(op, x, lam, L, gsvd=None, l_dense=None):
+def jacobian_half(op, x, lam, L, gsvd=None):
     """Projected-residual Jacobian keeping only the projection term.
 
     Column j is -A_j where A_j projects the derivative of the prediction,
     i.e. the derivative of y' -> P_perp(y) ([d; 0] - G_L(y') x) with the
-    projector and x frozen at the current y.
+    projector and x frozen at the current y. ``gsvd`` is the thin GSVD of
+    {G, L}; it is formed here when not given.
     """
     _check_dense_feasible(op)
-    L = as_regularizer(L, op.n)
-    if l_dense is None:
-        l_dense = L.dense()
     if gsvd is None:
-        gsvd = thin_gsvd(op.dense(), l_dense)
-    m, q, rpar = op.m, l_dense.shape[0], op.r
+        gsvd = thin_gsvd(op.dense(), as_regularizer(L, op.n).dense())
+    m, q, rpar = op.m, gsvd.t.shape[0], op.r
     den = gsvd.c**2 + lam * gsvd.s2
     cols = np.zeros((m + q, rpar))
     for j in range(rpar):
@@ -151,19 +145,17 @@ def jacobian_half(op, x, lam, L, gsvd=None, l_dense=None):
     return cols
 
 
-def jacobian_full(op, x, lam, L, d, gsvd=None, l_dense=None):
+def jacobian_full(op, x, lam, L, d, gsvd=None):
     """Projected-residual Jacobian with both terms, columns -A_j - B_j.
 
     This is the exact derivative of y -> [d; 0] - G_L(y) x(y) with x(y) the
-    regularized solution, evaluated through the GSVD of the pair.
+    regularized solution, evaluated through the GSVD of the pair (formed
+    here when ``gsvd`` is not given).
     """
     _check_dense_feasible(op)
-    L = as_regularizer(L, op.n)
-    if l_dense is None:
-        l_dense = L.dense()
     if gsvd is None:
-        gsvd = thin_gsvd(op.dense(), l_dense)
-    cols = jacobian_half(op, x, lam, L, gsvd=gsvd, l_dense=l_dense)
+        gsvd = thin_gsvd(op.dense(), as_regularizer(L, op.n).dense())
+    cols = jacobian_half(op, x, lam, L, gsvd=gsvd)
     m = op.m
     den = gsvd.c**2 + lam * gsvd.s2
     misfit = op.apply(np.asarray(x, dtype=float)) - np.asarray(d, dtype=float)
@@ -197,10 +189,19 @@ class RunRecord:
     converged: bool = False
     stop_reason: str = ""
 
-    def add_row(self, iteration, func_value, grad_norm, rre_y, rre_x, eta,
-                wall_time):
+    def add_iteration(self, iteration, x, y, func_value, grad_norm, eta,
+                      wall_time, x_true=None, y_true=None):
+        """Append one outer iteration: the new y, its row and the best iterate.
+
+        The errors against ``x_true``/``y_true`` are NaN when the truth is
+        absent, and the best iterate is then left to the caller. Returns the
+        appended row.
+        """
+        rre_x = rre(x, x_true) if x_true is not None else np.nan
+        rre_y = rre(y, y_true) if y_true is not None else np.nan
         base_f = self.func_values[0] if self.func_values else func_value
         base_g = self.grad_norms[0] if self.grad_norms else grad_norm
+        self.ys.append(y.copy())
         self.func_values.append(func_value)
         self.grad_norms.append(grad_norm)
         self.etas.append(eta)
@@ -209,6 +210,11 @@ class RunRecord:
             rel_func_value=func_value / base_f if base_f else np.nan,
             rel_grad_norm=grad_norm / base_g if base_g else np.nan,
             rre_y=rre_y, rre_x=rre_x, eta=eta, wall_time=wall_time))
+        if x_true is not None and rre_x < self.best_rre_x:
+            self.best_rre_x = rre_x
+            self.best_iteration = iteration
+            self.best_x = x.copy()
+        return self.rows[-1]
 
     @property
     def rre_x_series(self):
@@ -230,11 +236,18 @@ class VarproConfig:
     step_tol: float = 1e-6
     p: float = 2.0
     epsilon: float = 1e-2
-    inner: str = "auto"                 # 'dense', 'gks' or 'auto'
+    inner: str = "auto"                 # 'dense' (p = 2 only), 'gks' or 'auto'
     inner_iters: int = 30
     inner_tol: float = 1e-4
     subspace_dim: int = 10
     lam_mode: str = "gcv"               # 'fixed', 'gcv' or 'sweep-oracle'
+    # lam is the regularization weight lambda of lam_mode 'fixed' (the
+    # 'sweep-oracle' mode tries each lambda of sweep_grid). Every inner solve
+    # runs at the normal-equations weight eta = lambda * epsilon**(p - 2) of
+    # ||G x - d||^2 + eta ||W^(1/2) L x||^2 with majorant weights W, so
+    # eta = lambda at p = 2. GCV selects eta itself, and RunRecord.etas holds
+    # eta in every mode. mmgks.mm_lambda (2 eta / p) only weights the
+    # objective that the inner solver records.
     lam: float | None = None
     sweep_grid: np.ndarray | None = None
     omega: float = 1.0
@@ -248,6 +261,13 @@ class VarproConfig:
             raise ValueError("step_tol must be positive")
         if not 0.0 < self.p <= 2.0:
             raise ValueError("p must lie in (0, 2]")
+        if self.inner not in ("dense", "gks", "auto"):
+            raise ValueError("inner must be 'dense', 'gks' or 'auto'")
+        if self.inner == "dense" and self.p != 2.0:
+            raise ValueError("the dense inner solve is Tikhonov and needs p = 2")
+        if self.lam_mode not in ("fixed", "gcv", "sweep-oracle"):
+            raise ValueError(
+                "lam_mode must be 'fixed', 'gcv' or 'sweep-oracle'")
         if self.lam_mode == "fixed" and self.lam is None:
             raise ValueError("fixed lambda mode needs a lambda value")
         if isinstance(self.variant, str):
@@ -265,7 +285,7 @@ class VarproConfig:
                            eta=eta, gcv=GcvConfig(omega=self.omega))
 
 
-def _dense_gcv_lambda(gsvd: StackGsvd, d, omega, grid=None):
+def _dense_gcv_lambda(gsvd: StackGsvd, d, gcv: GcvConfig):
     """GCV on the full (unprojected) pair via its thin GSVD filters."""
     d = np.asarray(d, dtype=float)
     dtil = gsvd.u.T @ d
@@ -274,97 +294,69 @@ def _dense_gcv_lambda(gsvd: StackGsvd, d, omega, grid=None):
 
     def value(lam):
         f = gsvd.c**2 / (gsvd.c**2 + lam * gsvd.s2)
-        den = (m - omega * f.sum()) ** 2
+        den = (m - gcv.omega * f.sum()) ** 2
         return m * (outside + float(((1 - f) ** 2 * dtil**2).sum())) / den
 
-    grid = np.logspace(-12, 4, 200) if grid is None else grid
+    grid = gcv.grid()
     vals = np.array([value(g) for g in grid])
     i = int(np.argmin(vals))
-    a = np.log(grid[max(i - 1, 0)])
-    b = np.log(grid[min(i + 1, len(grid) - 1)])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = value(np.exp(c)), value(np.exp(e))
-    while (b - a) > 1e-4:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = value(np.exp(c))
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = value(np.exp(e))
-    return float(np.exp(c if fc < fe else e))
+    lam, _ = _golden_min(value, np.log(grid[max(i - 1, 0)]),
+                         np.log(grid[min(i + 1, grid.size - 1)]),
+                         gcv.refine_tol)
+    return lam
 
 
 def _use_dense(problem_n, cfg: VarproConfig):
-    if cfg.inner == "dense":
-        return True
-    if cfg.inner == "gks":
+    """Whether the inner solve is the dense Tikhonov solve (p = 2 only)."""
+    if cfg.p != 2.0 or cfg.inner == "gks":
         return False
-    return problem_n <= DENSE_LIMIT
+    return cfg.inner == "dense" or problem_n <= DENSE_LIMIT
 
 
 def _inner_solve(op, L, d, cfg: VarproConfig, x_true):
-    """Solve for x at the current parameters; returns (x, eta_effective, lam)."""
+    """Solve for x at the current parameters.
+
+    Returns ``(x, eta, gsvd)`` with eta the weight of the solve and gsvd the
+    thin GSVD of {G, L} when the dense GCV formed one, else None.
+    """
     dense = _use_dense(op.n, cfg)
-    if cfg.p == 2.0:
-        if cfg.lam_mode == "fixed":
-            lam = float(cfg.lam)
-            x = tik_solve(op, L, lam, d, "dense" if dense else "gks",
-                          cfg.mmgks_config())
-            return x, lam, lam
-        if cfg.lam_mode == "gcv":
-            if dense:
-                gsvd = thin_gsvd(op.dense(), L.dense())
-                lam = _dense_gcv_lambda(gsvd, d, cfg.omega)
-                x = tik_solve(op, L, lam, d, "dense")
-                return x, lam, lam
-            res = mmgks_solve(op, L, d, cfg.mmgks_config())
-            lam = res.etas[-1] if res.etas else np.nan
-            return res.x, lam, lam
-        if cfg.lam_mode == "sweep-oracle":
-            if x_true is None:
-                raise ValueError("sweep-oracle lambda mode needs x_true")
-            best = None
-            for lam in cfg.resolved_sweep_grid():
-                x = tik_solve(op, L, lam, d, "dense" if dense else "gks",
-                              cfg.mmgks_config())
-                err = rre(x, x_true)
-                if best is None or err < best[0]:
-                    best = (err, lam, x)
-            return best[2], best[1], best[1]
-        raise ValueError(f"unknown lambda mode {cfg.lam_mode!r}")
-    # p != 2: the inner solve is the majorize-minimize subspace iteration
-    if cfg.lam_mode == "fixed":
-        eta = float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0)
-        res = mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta))
-        return res.x, eta, float(cfg.lam)
     if cfg.lam_mode == "gcv":
+        if dense:
+            gsvd = thin_gsvd(op.dense(), L.dense())
+            eta = _dense_gcv_lambda(gsvd, d, GcvConfig(omega=cfg.omega))
+            return tik_solve(op, L, eta, d), eta, gsvd
         res = mmgks_solve(op, L, d, cfg.mmgks_config())
-        eta = res.etas[-1] if res.etas else np.nan
-        return res.x, eta, eta * cfg.epsilon ** (2.0 - cfg.p)
-    if cfg.lam_mode == "sweep-oracle":
-        if x_true is None:
-            raise ValueError("sweep-oracle lambda mode needs x_true")
-        best = None
-        for lam in cfg.resolved_sweep_grid():
-            eta = lam * cfg.epsilon ** (cfg.p - 2.0)
-            res = mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta))
-            err = rre(res.x, x_true)
-            if best is None or err < best[0]:
-                best = (err, eta, lam, res.x)
-        return best[3], best[1], best[2]
-    raise ValueError(f"unknown lambda mode {cfg.lam_mode!r}")
+        return res.x, (res.etas[-1] if res.etas else np.nan), None
+
+    scale = cfg.epsilon ** (cfg.p - 2.0)
+
+    def solve(lam):
+        eta = lam * scale
+        if dense:
+            return tik_solve(op, L, eta, d), eta
+        return mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta)).x, eta
+
+    if cfg.lam_mode == "fixed":
+        x, eta = solve(float(cfg.lam))
+    else:
+        x, eta = min((solve(lam) for lam in cfg.resolved_sweep_grid()),
+                     key=lambda cand: rre(cand[0], x_true))
+    return x, eta, None
 
 
-def _valid_params(problem, y):
+def _truth(problem):
+    """(x_true, y_true) of the problem as flat float arrays, None if absent."""
+    return tuple(None if v is None else np.asarray(v, dtype=float).ravel()
+                 for v in (getattr(problem, "x_true", None),
+                           getattr(problem, "y_true", None)))
+
+
+def _operator_at(problem, y):
+    """G(y), or None when y lies outside the parameter domain."""
     try:
-        problem.operator(y)
-        return True
+        return problem.operator(y)
     except (ValueError, IndexError):
-        return False
+        return None
 
 
 def _stacked_residual(op, L, x, d, eta, p, eps_eff):
@@ -373,7 +365,7 @@ def _stacked_residual(op, L, x, d, eta, p, eps_eff):
     sqrt_w = np.sqrt(w)
     r_data = op.apply(x) - d
     f_hat = np.concatenate([r_data, np.sqrt(eta) * (sqrt_w * u)])
-    return r_data, f_hat, u, sqrt_w
+    return r_data, f_hat, sqrt_w
 
 
 def _varpro_engine(problem, cfg: VarproConfig):
@@ -381,12 +373,9 @@ def _varpro_engine(problem, cfg: VarproConfig):
     if cfg.y0 is None:
         raise ValueError("config must provide the initial parameter vector y0")
     d = np.asarray(problem.d, dtype=float).ravel()
-    x_true = getattr(problem, "x_true", None)
-    y_true = getattr(problem, "y_true", None)
-    if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float).ravel()
-    if y_true is not None:
-        y_true = np.asarray(y_true, dtype=float).ravel()
+    x_true, y_true = _truth(problem)
+    if cfg.lam_mode == "sweep-oracle" and x_true is None:
+        raise ValueError("sweep-oracle lambda mode needs x_true")
 
     y = np.asarray(cfg.y0, dtype=float).copy()
     op = problem.operator(y)
@@ -399,70 +388,66 @@ def _varpro_engine(problem, cfg: VarproConfig):
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        op = problem.operator(y)
-        x, eta, lam = _inner_solve(op, L, d, cfg, x_true)
-        r_data, f_hat, u, sqrt_w = _stacked_residual(op, L, x, d, eta,
-                                                     cfg.p, eps_eff)
+        x, eta, gsvd = _inner_solve(op, L, d, cfg, x_true)
+        r_data, f_hat, sqrt_w = _stacked_residual(op, L, x, d, eta, cfg.p,
+                                                  eps_eff)
 
         if cfg.variant is JacobianVariant.REDUCED:
             jac = jacobian_reduced(op, x)
             step, *_ = np.linalg.lstsq(jac, -r_data, rcond=None)
             grad_norm = float(np.linalg.norm(jac.T @ r_data))
         else:
-            l_hat = sqrt_w[:, None] * L.dense()
-            gsvd = thin_gsvd(op.dense(), l_hat)
+            # a GSVD from the inner solve exists only at p = 2, where the
+            # weights are exactly 1 and the weighted pair is {G, L} itself
+            if gsvd is None:
+                gsvd = thin_gsvd(op.dense(), sqrt_w[:, None] * L.dense())
             if cfg.variant is JacobianVariant.FULL:
-                jac = jacobian_full(op, x, eta, L, d, gsvd=gsvd,
-                                    l_dense=l_hat)
+                jac = jacobian_full(op, x, eta, L, d, gsvd=gsvd)
             else:
-                jac = jacobian_half(op, x, eta, L, gsvd=gsvd, l_dense=l_hat)
+                jac = jacobian_half(op, x, eta, L, gsvd=gsvd)
             step, *_ = np.linalg.lstsq(jac, f_hat, rcond=None)
             grad_norm = float(np.linalg.norm(jac.T @ f_hat))
 
         # keep the parameters inside the valid domain; damping additionally
-        # guards an increasing residual when enabled
+        # guards an increasing residual when enabled. The operator built to
+        # check y_new serves the next outer step.
         halvings = 0
         y_new = y + step
-        while not _valid_params(problem, y_new) and halvings < cfg.max_halvings:
+        op_new = _operator_at(problem, y_new)
+        while op_new is None and halvings < cfg.max_halvings:
             step = step / 2.0
             y_new = y + step
             halvings += 1
-        if not _valid_params(problem, y_new):
+            op_new = _operator_at(problem, y_new)
+        if op_new is None:
             raise SolverError(
                 f"parameter update left the valid domain at iteration {it}",
                 record)
         if cfg.damping:
             phi0 = float(f_hat @ f_hat)
             while halvings < cfg.max_halvings:
-                op_try = problem.operator(y_new)
-                x_try, eta_try, _ = _inner_solve(op_try, L, d, cfg, x_true)
-                _, f_try, _, _ = _stacked_residual(op_try, L, x_try, d,
-                                                   eta_try, cfg.p, eps_eff)
+                x_try, eta_try, _ = _inner_solve(op_new, L, d, cfg, x_true)
+                _, f_try, _ = _stacked_residual(op_new, L, x_try, d,
+                                                eta_try, cfg.p, eps_eff)
                 if float(f_try @ f_try) <= phi0:
                     break
                 step = step / 2.0
                 y_new = y + step
                 halvings += 1
+                op_new = problem.operator(y_new)
 
-        y = y_new
-        wall = time.perf_counter() - t0
-        rre_x_val = rre(x, x_true) if x_true is not None else np.nan
-        rre_y_val = rre(y, y_true) if y_true is not None else np.nan
-        record.ys.append(y.copy())
-        record.add_row(it, float(f_hat @ f_hat), grad_norm, rre_y_val,
-                       rre_x_val, eta, wall)
+        y, op = y_new, op_new
+        row = record.add_iteration(it, x, y, float(f_hat @ f_hat), grad_norm,
+                                   eta, time.perf_counter() - t0,
+                                   x_true, y_true)
         if cfg.keep_iterates:
             record.x_snapshots[it] = x.copy()
-        if x_true is not None and rre_x_val < record.best_rre_x:
-            record.best_rre_x = rre_x_val
-            record.best_iteration = it
-            record.best_x = x.copy()
 
-        if y_true is not None and np.isfinite(rre_y0) and rre_y0 > 0 \
-                and rre_y_val > cfg.divergence_factor * rre_y0:
+        if np.isfinite(rre_y0) and rre_y0 > 0 \
+                and row.rre_y > cfg.divergence_factor * rre_y0:
             raise SolverError(
                 f"parameter iteration diverged: RRE(y) grew to "
-                f"{rre_y_val:.3g} from {rre_y0:.3g}", record)
+                f"{row.rre_y:.3g} from {rre_y0:.3g}", record)
         if np.linalg.norm(step) <= cfg.step_tol * max(np.linalg.norm(y), 1e-30):
             record.converged = True
             record.stop_reason = "step tolerance"
@@ -471,7 +456,7 @@ def _varpro_engine(problem, cfg: VarproConfig):
         record.stop_reason = "max iterations"
     if record.best_x is None and x is not None:
         record.best_x = x.copy()
-        record.best_iteration = record.rows[-1].iteration if record.rows else 0
+        record.best_iteration = record.rows[-1].iteration
     return x, y, record
 
 
@@ -506,12 +491,7 @@ def gn_nls_solve(problem, config: VarproConfig, x0=None):
         raise ValueError("gn_nls_solve requires a fixed lambda")
     lam = float(cfg.lam)
     d = np.asarray(problem.d, dtype=float).ravel()
-    x_true = getattr(problem, "x_true", None)
-    y_true = getattr(problem, "y_true", None)
-    if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float).ravel()
-    if y_true is not None:
-        y_true = np.asarray(y_true, dtype=float).ravel()
+    x_true, y_true = _truth(problem)
 
     y = np.asarray(cfg.y0, dtype=float).copy()
     op = problem.operator(y)
@@ -525,7 +505,6 @@ def gn_nls_solve(problem, config: VarproConfig, x0=None):
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        op = problem.operator(y)
         resid = np.concatenate([op.apply(x) - d, np.sqrt(lam) * L.apply(x)])
         jac = np.zeros((op.m + L.q, op.n + op.r))
         jac[:op.m, :op.n] = op.dense()
@@ -541,11 +520,11 @@ def gn_nls_solve(problem, config: VarproConfig, x0=None):
         while True:
             x_new = x + step[:op.n]
             y_new = y + step[op.n:]
-            if _valid_params(problem, y_new):
+            op_new = _operator_at(problem, y_new)
+            if op_new is not None:
                 if not cfg.damping:
                     break
-                op_try = problem.operator(y_new)
-                r_try = np.concatenate([op_try.apply(x_new) - d,
+                r_try = np.concatenate([op_new.apply(x_new) - d,
                                         np.sqrt(lam) * L.apply(x_new)])
                 if float(r_try @ r_try) <= phi0:
                     break
@@ -554,17 +533,11 @@ def gn_nls_solve(problem, config: VarproConfig, x0=None):
                     "damped step failed to reduce the residual", record)
             step = step / 2.0
             halvings += 1
-        x, y = x_new, y_new
+        x, y, op = x_new, y_new, op_new
         wall = time.perf_counter() - t0
         grad_norm = float(np.linalg.norm(jac.T @ resid))
-        rre_x_val = rre(x, x_true) if x_true is not None else np.nan
-        rre_y_val = rre(y, y_true) if y_true is not None else np.nan
-        record.ys.append(y.copy())
-        record.add_row(it, phi0, grad_norm, rre_y_val, rre_x_val, lam, wall)
-        if x_true is not None and rre_x_val < record.best_rre_x:
-            record.best_rre_x = rre_x_val
-            record.best_iteration = it
-            record.best_x = x.copy()
+        record.add_iteration(it, x, y, phi0, grad_norm, lam, wall,
+                             x_true, y_true)
         if np.linalg.norm(step) <= cfg.step_tol * max(
                 np.linalg.norm(np.concatenate([x, y])), 1e-30):
             record.converged = True

@@ -5,7 +5,8 @@ from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, PsfParams,
                                 build_toeplitz_1d, conv2d_apply,
                                 gaussian_kernel_1d, psf_gaussian_2d,
-                                psf_param_gradients, reduced_jacobian)
+                                psf_param_gradients)
+from lpvarpro.varpro import jacobian_reduced
 
 BOUNDARIES = [ConvBoundary.ZERO, ConvBoundary.PERIODIC, ConvBoundary.REFLEXIVE]
 
@@ -256,7 +257,9 @@ class TestReducedJacobian:
         rng = np.random.default_rng(6)
         params = PsfParams(1.5, 2.0, 1.0)
         x = rng.random((16, 16))
-        jac = reduced_jacobian(params, x, ConvBoundary.PERIODIC, psf_size=9)
+        jac = jacobian_reduced(
+            GaussianPsfBlur2D(params, (16, 16), 9, ConvBoundary.PERIODIC),
+            x.ravel())
         y0 = params.as_array()
         h = 1e-5
         for j in range(3):
@@ -270,8 +273,9 @@ class TestReducedJacobian:
             assert np.linalg.norm(jac[:, j] - fd) < 1e-5 * denom
 
     def test_zero_input_gives_zero_jacobian(self):
-        jac = reduced_jacobian(PsfParams(1.5, 2.0, 1.0), np.zeros((8, 8)),
-                               psf_size=5)
+        jac = jacobian_reduced(
+            GaussianPsfBlur2D(PsfParams(1.5, 2.0, 1.0), (8, 8), 5,
+                              ConvBoundary.PERIODIC), np.zeros(64))
         assert np.all(jac == 0.0)
 
     def test_scalar_family_column_equals_x(self):
@@ -295,7 +299,6 @@ class TestReducedJacobian:
             def derivative_apply(self, j, x):
                 return np.asarray(x, float).copy()
 
-        from lpvarpro.varpro import jacobian_reduced
         rng = np.random.default_rng(8)
         x = rng.standard_normal(9)
         jac = jacobian_reduced(ScaledIdentity(2.5, 9), x)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lpvarpro.mmgks import majorant_weights
+from lpvarpro import varpro
+from lpvarpro.mmgks import MmgksConfig, majorant_weights, mmgks_solve
 from lpvarpro.operators import (ConvBoundary, GaussianPsfBlur2D,
                                 ParamOperator, PsfParams)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
@@ -20,7 +23,7 @@ def stacked_pinv(g_dense, l_dense, lam):
 
 def projected_residual(op, L, lam, d):
     """[d; 0] - G_L x(y) with x(y) the regularized solution (dense path)."""
-    x = tik_solve(op, L, lam, d, "dense")
+    x = tik_solve(op, L, lam, d)
     g = op.dense()
     l_dense = L.dense()
     top = d - g @ x
@@ -68,10 +71,9 @@ class TestTikSolve:
         op = prob.operator(prob.y_true)
         L = IdentityRegularizer(48)
         lam = 1e-2
-        from lpvarpro.mmgks import MmgksConfig
-        x_gks = tik_solve(op, L, lam, prob.d, "gks",
-                          MmgksConfig(max_iters=80, tol=1e-13))
-        x_dense = tik_solve(op, L, lam, prob.d, "dense")
+        x_gks = mmgks_solve(op, L, prob.d, MmgksConfig(
+            p=2.0, eta=lam, max_iters=80, tol=1e-13)).x
+        x_dense = tik_solve(op, L, lam, prob.d)
         assert np.linalg.norm(x_gks - x_dense) <= 1e-6 * np.linalg.norm(x_dense)
 
     def test_rank_deficient_raises(self):
@@ -397,3 +399,65 @@ class TestLpVarpro:
 
         fd = fd_jacobian(resid, y0, h=1e-6)
         assert np.linalg.norm(jac - fd) <= 1e-4 * np.linalg.norm(fd)
+
+
+class TestVarproConfig:
+    def test_rejects_unknown_inner(self):
+        with pytest.raises(ValueError):
+            VarproConfig(y0=np.array([2.0]), inner="qr")
+
+    def test_rejects_unknown_lam_mode(self):
+        with pytest.raises(ValueError):
+            VarproConfig(y0=np.array([2.0]), lam_mode="lcurve")
+
+    def test_rejects_dense_inner_below_p_two(self):
+        with pytest.raises(ValueError):
+            VarproConfig(y0=np.array([2.0]), inner="dense", p=1.0)
+
+
+class TestEngineWork:
+    def test_one_dense_gsvd_per_outer_step(self, monkeypatch):
+        # the dense GCV and the full Jacobian share the GSVD of {G, L}
+        calls = []
+        thin_gsvd_orig = varpro.thin_gsvd
+
+        def counting(*args):
+            calls.append(1)
+            return thin_gsvd_orig(*args)
+
+        monkeypatch.setattr(varpro, "thin_gsvd", counting)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        cfg = VarproConfig(y0=np.array([2.5]), variant="full",
+                           regularizer=first_derivative_1d(32), max_iters=4,
+                           lam_mode="gcv", inner="dense")
+        _, _, record = lp_varpro_solve(prob, cfg)
+        assert len(record.rows) == 4
+        assert len(calls) == len(record.rows)
+
+    def test_one_operator_build_per_accepted_step(self, monkeypatch):
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=4)
+        calls = []
+        operator_orig = prob.operator
+
+        def counting(y):
+            calls.append(1)
+            return operator_orig(y)
+
+        monkeypatch.setattr(prob, "operator", counting)
+        cfg = VarproConfig(y0=np.array([2.4]), max_iters=5,
+                           lam_mode="fixed", lam=1e-3)
+        _, _, record = lp_varpro_solve(prob, cfg)
+        assert len(record.rows) == 5
+        assert len(calls) == 1 + len(record.rows)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_one_point_sweep_equals_fixed_lambda(self, p):
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=2)
+        base = VarproConfig(y0=np.array([2.4]), p=p, max_iters=3,
+                            inner_iters=20)
+        x_fix, y_fix, _ = lp_varpro_solve(
+            prob, replace(base, lam_mode="fixed", lam=1e-3))
+        x_sw, y_sw, _ = lp_varpro_solve(
+            prob, replace(base, lam_mode="sweep-oracle", sweep_grid=[1e-3]))
+        assert x_fix.tobytes() == x_sw.tobytes()
+        assert y_fix.tobytes() == y_sw.tobytes()
