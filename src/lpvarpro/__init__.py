@@ -6,7 +6,8 @@ Gauss-Newton loops over the forward-operator parameters, and ships 1D and 2D
 Gaussian-blur test problems to drive them.
 """
 
-from .gcv import GcvConfig, GsvdPair, gcv_value, gsvd_pair, select_eta
+from .gcv import (GcvConfig, RankDeficiencyError, StackGsvd, gcv_value,
+                  select_eta, thin_gsvd)
 from .metrics import ConvergenceRow, relative_series, rre
 from .mmgks import (GksState, MmgksConfig, MmgksResult, expand_subspace,
                     golub_kahan, init_gks, majorant_weights, mmgks_solve,
@@ -26,6 +27,6 @@ from .regularizers import (FrameletRegularizer, IdentityRegularizer,
 from .varpro import (JacobianVariant, RunRecord, SolverError, VarproConfig,
                      genvarpro_solve, gn_nls_solve, jacobian_full,
                      jacobian_half, jacobian_reduced, lp_varpro_solve,
-                     thin_gsvd, tik_solve)
+                     tik_solve)
 
 __version__ = "0.1.0"

@@ -1,10 +1,14 @@
-"""Regularization-parameter selection by weighted GCV on projected problems.
+"""Thin GSVD of a stacked pair and GCV selection of the Tikhonov weight.
 
-The projected factors are small upper-triangular pairs (R_G, R_L); their GSVD
-turns the GCV quotient into scalar arithmetic on the generalized spectra. The
-GSVD itself is built from a QR of the stacked pair followed by a CS
-decomposition, which keeps both orthogonal factors accurate even when some
-generalized values are tiny.
+``thin_gsvd`` factors a pair {G, L} once: a QR of the stack [G; L] = Q R, a
+rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q give
+G = U diag(c) W^T R and L = T W^T R with T = Q_L W. Every Tikhonov quantity
+then reads the generalized spectra c and s2 = 1 - c^2 without dividing by a
+small generalized value: the weighted GCV quotient is scalar arithmetic on
+c, s2 and U^T d, and the regularized solution is one triangular solve. The
+dense outer Jacobians factor the full pair {G, L}; the inner MMGKS solver
+factors its small projected pair (R_G, R_L) once per iteration and hands the
+factorization to both ``select_eta`` and the projected solve.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cossin
+from scipy.linalg import solve_triangular
 
 
-class RankDeficiencyError(ValueError):
-    """Stacked pair [R_G; R_L] is numerically rank deficient.
+class RankDeficiencyError(np.linalg.LinAlgError):
+    """Stacked pair [G; L] is numerically rank deficient.
 
     This violates the null-space condition N(G^T G) inter N(L^T L) = {0}
     required for the regularized problem to have a unique solution.
@@ -24,56 +28,55 @@ class RankDeficiencyError(ValueError):
 
 
 @dataclass
-class GsvdPair:
-    """GSVD factors of a square pair: R_G = X_G diag(sg) Y^T, R_L = X_L diag(sl) Y^T."""
+class StackGsvd:
+    """Thin GSVD of a stacked pair {G, L}.
 
-    x_g: np.ndarray
-    x_l: np.ndarray
-    y: np.ndarray
-    sigma_g: np.ndarray
-    sigma_l: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.sigma_g.size
-
-
-def gsvd_pair(r_g, r_l, rank_tol=None) -> GsvdPair:
-    """GSVD of a square matrix pair sharing the right factor Y.
-
-    Both inputs must be k x k (upper triangular in the intended use, though
-    this is not required). Raises :class:`RankDeficiencyError` when the
-    stacked pair loses full column rank.
+    G = U diag(c) Z^T and L = T Z^T with Z^T = W^T R, where ``u`` has
+    orthonormal columns, ``c`` and ``s2 = 1 - c^2`` hold the generalized
+    spectra, and ``t`` equals X_L diag(s), so no division by small
+    generalized values ever occurs. A G with m < n rows gives an m x m ``u``
+    and an n x m ``w``: the other n - m directions have c = 0 and enter no
+    regularized solution, but ``solve_z`` needs m >= n.
     """
-    r_g = np.asarray(r_g, dtype=float)
-    r_l = np.asarray(r_l, dtype=float)
-    k = r_g.shape[0]
-    if r_g.shape != (k, k) or r_l.shape[1] != k or r_l.shape[0] > k:
-        raise ValueError("gsvd_pair expects a square R_G and an R_L with "
-                         "matching columns and at most as many rows")
-    if r_l.shape[0] < k:
-        # a short regularizer factor acts like one padded with zero rows
-        r_l = np.vstack([r_l, np.zeros((k - r_l.shape[0], k))])
-    stack = np.vstack([r_g, r_l])
-    if rank_tol is None:
-        rank_tol = 2 * k * np.finfo(float).eps
-    svals = np.linalg.svd(stack, compute_uv=False)
-    if svals[-1] <= rank_tol * svals[0]:
-        raise RankDeficiencyError(
-            "stacked pair [R_G; R_L] is rank deficient; the null-space "
-            "condition of the regularized normal equations is violated")
+
+    u: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    c: np.ndarray
+    s2: np.ndarray
+
+    def solve_z(self, vec):
+        """Apply Z^{-1} = W^T R^{-T} to a vector."""
+        return self.w.T @ solve_triangular(self.r.T, vec, lower=True)
+
+
+def thin_gsvd(g_dense, l_dense) -> StackGsvd:
+    """Thin GSVD of the pair {G, L} via QR of the stack and an SVD of the top.
+
+    Raises :class:`RankDeficiencyError` when the stack loses full column
+    rank. A stack with fewer rows than columns is padded with zero rows of L,
+    so that R is square and the rank test sees every column.
+    """
+    g_dense = np.asarray(g_dense, dtype=float)
+    l_dense = np.asarray(l_dense, dtype=float)
+    m, n = g_dense.shape
+    short = n - m - l_dense.shape[0]
+    if short > 0:
+        l_dense = np.vstack([l_dense, np.zeros((short, n))])
+    stack = np.vstack([g_dense, l_dense])
     q, r = np.linalg.qr(stack)
-    q_full, _ = np.linalg.qr(q, mode="complete")
-    q_square = np.hstack([q, q_full[:, k:]])
-    (u1, u2), theta, (v1h, _) = cossin(q_square, p=k, q=k, separate=True)
-    c = np.cos(theta)
-    s = np.sin(theta)
-    # LAPACK convention gives Q[:k] = u1 diag(c) v1h, Q[k:] = +/- u2 diag(s) v1h
-    if (np.abs(q[k:] - (u2 * s) @ v1h).max()
-            > np.abs(q[k:] + (u2 * s) @ v1h).max()):
-        u2 = -u2
-    y = r.T @ v1h.T
-    return GsvdPair(x_g=u1, x_l=u2, y=y, sigma_g=c, sigma_l=s)
+    svals = np.linalg.svd(r, compute_uv=False)
+    if svals[-1] <= 2 * n * np.finfo(float).eps * svals[0]:
+        raise RankDeficiencyError(
+            "stacked pair [G; L] is rank deficient: G and L share a null "
+            "space, so the regularized solution is not unique")
+    q1, q2 = q[:m], q[m:]
+    u, c, wt = np.linalg.svd(q1, full_matrices=False)
+    c = np.clip(c, 0.0, 1.0)
+    w = wt.T
+    t = q2 @ w
+    return StackGsvd(u=u, t=t, w=w, r=r, c=c, s2=np.maximum(0.0, 1.0 - c**2))
 
 
 @dataclass
@@ -98,38 +101,43 @@ class GcvConfig:
                            self.grid_points)
 
 
-def _gcv_terms(gsvd: GsvdPair, dhat):
-    dtil = gsvd.x_g.T @ np.asarray(dhat, dtype=float)
-    return dtil, gsvd.sigma_g**2, gsvd.sigma_l**2
+class _GcvQuotient:
+    """Weighted GCV quotient of a factored Tikhonov problem, a function of eta.
+
+    Numerator: k * sum_i (1 - f_i)^2 (U^T dhat)_i^2 with Tikhonov filters
+    f_i = c_i^2 / (c_i^2 + eta s2_i); denominator: (k - omega sum_i f_i)^2,
+    where k is the length of dhat. The terms that do not depend on eta are
+    formed once.
+    """
+
+    def __init__(self, gsvd: StackGsvd, dhat, omega):
+        self.c2 = gsvd.c**2
+        self.s2 = gsvd.s2
+        self.dtil2 = (gsvd.u.T @ np.asarray(dhat, dtype=float)) ** 2
+        self.k = gsvd.u.shape[0]
+        self.omega = omega
+
+    def parts(self, eta):
+        """Numerator and denominator at eta, a scalar or an array."""
+        f = self.c2 / (self.c2 + np.multiply.outer(eta, self.s2))
+        return (self.k * ((1.0 - f) ** 2 @ self.dtil2),
+                (self.k - self.omega * f.sum(axis=-1)) ** 2)
+
+    def __call__(self, eta):
+        num, denom = self.parts(eta)
+        if denom == 0.0:
+            raise ZeroDivisionError("GCV denominator vanished")
+        return float(num / denom)
 
 
-def gcv_value(gsvd: GsvdPair, dhat, eta, omega=1.0):
-    """Weighted GCV quotient at eta for the projected pair.
+def gcv_value(gsvd: StackGsvd, dhat, eta, omega=1.0):
+    """Weighted GCV quotient at eta of min ||G z - dhat||^2 + eta ||L z||^2.
 
-    Numerator: k * sum_i (1 - f_i)^2 (X_G^T dhat)_i^2 with Tikhonov filters
-    f_i = sg_i^2 / (sg_i^2 + eta sl_i^2); denominator: (k - omega sum_i f_i)^2.
+    ``gsvd`` is the thin GSVD of the pair {G, L}.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    dtil, c2, s2 = _gcv_terms(gsvd, dhat)
-    f = c2 / (c2 + eta * s2)
-    k = gsvd.k
-    denom = (k - omega * f.sum()) ** 2
-    if denom == 0.0:
-        raise ZeroDivisionError("GCV denominator vanished")
-    num = k * float(((1.0 - f) ** 2 * dtil**2).sum())
-    return num / denom
-
-
-def _gcv_curve(gsvd: GsvdPair, dhat, etas, omega):
-    """Vectorized gcv_value over an array of eta values."""
-    dtil, c2, s2 = _gcv_terms(gsvd, dhat)
-    etas = np.asarray(etas, dtype=float)
-    f = c2[None, :] / (c2[None, :] + etas[:, None] * s2[None, :])
-    k = gsvd.k
-    num = k * ((1.0 - f) ** 2 @ dtil**2)
-    denom = (k - omega * f.sum(axis=1)) ** 2
-    return num / denom
+    return _GcvQuotient(gsvd, dhat, omega)(eta)
 
 
 @dataclass
@@ -139,18 +147,20 @@ class EtaSelection:
     degenerate: bool = False
 
 
-def select_eta(r_g, r_l, dhat, config: GcvConfig | None = None) -> EtaSelection:
+def select_eta(gsvd: StackGsvd, dhat, config: GcvConfig | None = None
+               ) -> EtaSelection:
     """Minimize the GCV quotient over eta: log grid scan plus golden refinement.
 
-    Returns the selected eta; a flat curve (all grid values equal to within
-    1e-15 relative) is reported with ``degenerate=True`` and the grid
-    midpoint.
+    ``gsvd`` is the thin GSVD of the pair. Returns the selected eta; a flat
+    curve (all grid values equal to within 1e-15 relative) is reported with
+    ``degenerate=True`` and the grid midpoint.
     """
     cfg = config or GcvConfig()
-    pair = gsvd_pair(r_g, r_l)
+    quotient = _GcvQuotient(gsvd, dhat, cfg.omega)
     grid = cfg.grid()
+    num, denom = quotient.parts(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _gcv_curve(pair, dhat, grid, cfg.omega)
+        vals = num / denom
     finite = np.isfinite(vals)
     if not finite.any():
         raise ZeroDivisionError("GCV denominator vanished on the whole grid")
@@ -162,8 +172,7 @@ def select_eta(r_g, r_l, dhat, config: GcvConfig | None = None) -> EtaSelection:
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    eta, val = _golden_min(lambda e: gcv_value(pair, dhat, e, cfg.omega),
-                           np.log(lo), np.log(hi), cfg.refine_tol)
+    eta, val = _golden_min(quotient, np.log(lo), np.log(hi), cfg.refine_tol)
     return EtaSelection(eta=eta, value=val)
 
 

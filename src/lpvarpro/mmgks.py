@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .gcv import GcvConfig, select_eta
+from .gcv import GcvConfig, StackGsvd, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
 from .regularizers import Regularizer, as_regularizer
 
@@ -299,21 +300,17 @@ def init_gks(G, d, ell, L=None, reorthogonalize=True,
     return GksState(v, gv, lv, breakdown, capacity)
 
 
-def project_and_solve(state: GksState, eta, dhat):
-    """Solve the projected Tikhonov problem min ||[R_G; sqrt(eta) R_L] z - [dhat; 0]||."""
+def project_and_solve(gsvd: StackGsvd, eta, dhat):
+    """Solve min_z ||R_G z - dhat||^2 + eta ||R_L z||^2 on the projected pair.
+
+    ``gsvd`` is the thin GSVD of (R_G, R_L): with R_G = U diag(c) W^T R and
+    R_L = T W^T R, the solution is z = R^-1 W (c / (c^2 + eta s2) * U^T dhat),
+    one triangular solve.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    k = state.r_g.shape[1]
-    stacked = np.vstack([state.r_g, np.sqrt(eta) * state.r_l])
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if svals[-1] <= 2 * k * np.finfo(float).eps * svals[0]:
-        raise ValueError(
-            "projected system is singular: G and the weighted L share a "
-            "null space on the current subspace")
-    rhs = np.concatenate([np.asarray(dhat, dtype=float),
-                          np.zeros(state.r_l.shape[0])])
-    z, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    return z
+    coeffs = gsvd.c / (gsvd.c**2 + eta * gsvd.s2) * (gsvd.u.T @ dhat)
+    return solve_triangular(gsvd.r, gsvd.w @ coeffs)
 
 
 def expand_subspace(state: GksState, z, eta, weights, G, L, d,
@@ -388,11 +385,12 @@ class MmgksResult:
 def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
     """Run the majorize-minimize subspace iteration.
 
-    Per iteration: weights from the current iterate, QR of the weighted pair,
-    eta fixed or by GCV on the projected factors, projected Tikhonov solve,
-    then subspace expansion with the majorant gradient. When expansion stalls
-    the reweighting continues on the fixed subspace. Stops on ``max_iters`` or
-    a relative change below ``tol``.
+    Per iteration: weights from the current iterate, QR of the weighted
+    L V, one thin GSVD of the projected pair (R_G, R_L) that both the GCV
+    choice of eta (unless eta is fixed) and the projected Tikhonov solve
+    read, then subspace expansion with the majorant gradient. When expansion
+    stalls the reweighting continues on the fixed subspace. Stops on
+    ``max_iters`` or a relative change below ``tol``.
 
     The recorded objective uses the lp weight coupled to eta through the
     tangent-majorant construction, so it is non-increasing for fixed eta.
@@ -424,19 +422,23 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
         w = majorant_weights(u, cfg.p, eps)
         state.set_weights(w)
         dhat = state.q_g.T @ d
+        gsvd = thin_gsvd(state.r_g, state.r_l)
         if cfg.eta is not None:
             eta = float(cfg.eta)
         else:
-            eta = select_eta(state.r_g, state.r_l, dhat, cfg.gcv).eta
-        z = project_and_solve(state, eta, dhat)
+            eta = select_eta(gsvd, dhat, cfg.gcv).eta
+        z = project_and_solve(gsvd, eta, dhat)
         x_new = state.v @ z
-        # x_new = V z, so G x_new and L x_new come from the cached products
+        # x_new = V z, so G x_new and L x_new come from the cached products;
+        # the objective reads them as the one-column operators [G V z] and
+        # [L V z] applied to the coefficient 1
         gvz = state.gv @ z
         lvz = state.lv @ z
         iterations = it + 1
         etas.append(eta)
-        objectives.append(objective_value(z, state.gv, d, state.lv,
-                                          mm_lambda(eta, cfg.p), cfg.p, eps))
+        objectives.append(objective_value(np.ones(1), gvz[:, None], d,
+                                          lvz[:, None], mm_lambda(eta, cfg.p),
+                                          cfg.p, eps))
         dx = np.linalg.norm(x_new - x)
         ref = np.linalg.norm(x)
         x = x_new

@@ -94,6 +94,7 @@ class KroneckerSumRegularizer(Regularizer):
     def __init__(self, stencil, n, tag):
         self.n1 = int(n)
         self.d = stencil
+        self.dt = stencil.T
         self.rows = stencil.shape[0]
         self.n = self.n1 * self.n1
         self.q = self.rows * self.n1
@@ -101,12 +102,12 @@ class KroneckerSumRegularizer(Regularizer):
 
     def apply(self, x):
         X = np.asarray(x, dtype=float).reshape(self.n1, self.n1)
-        return (self.d @ X).ravel() + np.asarray(X @ self.d.T).ravel()
+        return (self.d @ X).ravel() + (self.d @ X.T).T.ravel()
 
     def adjoint_apply(self, u):
         U1 = np.asarray(u, dtype=float).reshape(self.rows, self.n1)
         U2 = np.asarray(u, dtype=float).reshape(self.n1, self.rows)
-        return np.asarray(self.d.T @ U1).ravel() + np.asarray(U2 @ self.d).ravel()
+        return (self.dt @ U1).ravel() + (self.dt @ U2.T).T.ravel()
 
     def dense(self):
         d = self.d.toarray()

@@ -11,9 +11,11 @@ Two outer loops over the blur parameters y:
   takes a Gauss-Newton step on the projected residual of the reweighted pair.
 
 The projected-residual Jacobian comes in three variants (full, half, reduced).
-Full and half are evaluated through the thin GSVD of the stacked pair so that
-only matrix-vector products and one diagonal inverse appear; at p = 2 the
-dense GCV of the inner solve and the Jacobian share that GSVD.
+Full and half are evaluated through the thin GSVD of the stacked pair
+(``gcv.thin_gsvd``, the same routine that factors the projected pair in each
+MMGKS inner iteration) so that only matrix-vector products and one diagonal
+inverse appear; at p = 2 the dense GCV of the inner solve and the Jacobian
+share that GSVD.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .gcv import GcvConfig, _golden_min
+from .gcv import GcvConfig, StackGsvd, _golden_min, thin_gsvd
 from .metrics import ConvergenceRow, rre
 from .mmgks import (MmgksConfig, _as_operator, majorant_weights, mmgks_solve)
 from .regularizers import as_regularizer
@@ -46,47 +47,6 @@ class JacobianVariant(Enum):
 
 
 DENSE_LIMIT = 4096
-
-
-@dataclass
-class StackGsvd:
-    """Thin GSVD of a stacked pair {G, L}.
-
-    G = U diag(c) Z^T and L = T Z^T with Z^T = W^T R, where ``u`` (m x n) has
-    orthonormal columns, ``c`` and ``s2 = 1 - c^2`` hold the generalized
-    spectra, and ``t`` (q x n) equals X_L diag(s), so no division by small
-    generalized values ever occurs.
-    """
-
-    u: np.ndarray
-    t: np.ndarray
-    w: np.ndarray
-    r: np.ndarray
-    c: np.ndarray
-    s2: np.ndarray
-
-    def solve_z(self, vec):
-        """Apply Z^{-1} = W^T R^{-T} to a vector."""
-        return self.w.T @ solve_triangular(self.r.T, vec, lower=True)
-
-
-def thin_gsvd(g_dense, l_dense) -> StackGsvd:
-    """Thin GSVD of the pair {G, L} via QR of the stack and an SVD of the top."""
-    g_dense = np.asarray(g_dense, dtype=float)
-    l_dense = np.asarray(l_dense, dtype=float)
-    m, n = g_dense.shape
-    stack = np.vstack([g_dense, l_dense])
-    q, r = np.linalg.qr(stack)
-    svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] <= 2 * n * np.finfo(float).eps * svals[0]:
-        raise np.linalg.LinAlgError(
-            "stacked pair {G, L} is rank deficient; cannot form its GSVD")
-    q1, q2 = q[:m], q[m:]
-    u, c, wt = np.linalg.svd(q1, full_matrices=False)
-    c = np.clip(c, 0.0, 1.0)
-    w = wt.T
-    t = q2 @ w
-    return StackGsvd(u=u, t=t, w=w, r=r, c=c, s2=np.maximum(0.0, 1.0 - c**2))
 
 
 def tik_solve(G, L, lam, d):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpvarpro.gcv import (EtaSelection, GcvConfig, RankDeficiencyError,
-                          gcv_value, gsvd_pair, select_eta)
+                          gcv_value, select_eta, thin_gsvd)
 
 
 def dense_projected_gcv(r_g, r_l, dhat, eta, omega=1.0):
@@ -24,34 +24,36 @@ def random_pair(rng, k):
 
 
 class TestGsvdPair:
+    """thin_gsvd of a small pair, as the MMGKS inner iteration factors it."""
+
     def test_identity_pair(self):
-        pair = gsvd_pair(np.eye(4), np.eye(4))
-        np.testing.assert_allclose(pair.sigma_g**2 + pair.sigma_l**2,
-                                   np.ones(4), atol=1e-14)
-        recon_g = pair.x_g * pair.sigma_g @ pair.y.T
-        recon_l = pair.x_l * pair.sigma_l @ pair.y.T
-        np.testing.assert_allclose(recon_g, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(recon_l, np.eye(4), atol=1e-12)
+        gsvd = thin_gsvd(np.eye(4), np.eye(4))
+        np.testing.assert_allclose(gsvd.c**2 + gsvd.s2, np.ones(4), atol=1e-14)
+        zt = gsvd.w.T @ gsvd.r
+        np.testing.assert_allclose(gsvd.u * gsvd.c @ zt, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(gsvd.t @ zt, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 6, 12])
     def test_reconstruction_and_orthogonality(self, k):
         rng = np.random.default_rng(k)
         r_g, r_l = random_pair(rng, k)
-        pair = gsvd_pair(r_g, r_l)
+        gsvd = thin_gsvd(r_g, r_l)
         scale_g = max(np.abs(r_g).max(), 1.0)
         scale_l = max(np.abs(r_l).max(), 1.0)
-        assert np.abs(pair.x_g * pair.sigma_g @ pair.y.T - r_g).max() \
-            <= 1e-10 * scale_g
-        assert np.abs(pair.x_l * pair.sigma_l @ pair.y.T - r_l).max() \
-            <= 1e-10 * scale_l
-        assert np.abs(pair.x_g.T @ pair.x_g - np.eye(k)).max() <= 1e-12
-        assert np.abs(pair.x_l.T @ pair.x_l - np.eye(k)).max() <= 1e-12
+        zt = gsvd.w.T @ gsvd.r
+        assert np.abs(gsvd.u * gsvd.c @ zt - r_g).max() <= 1e-10 * scale_g
+        assert np.abs(gsvd.t @ zt - r_l).max() <= 1e-10 * scale_l
+        np.testing.assert_allclose(gsvd.c**2 + gsvd.s2, np.ones(k), atol=1e-14)
+        assert np.abs(gsvd.u.T @ gsvd.u - np.eye(k)).max() <= 1e-12
+        assert np.abs(gsvd.w.T @ gsvd.w - np.eye(k)).max() <= 1e-12
+        # T = X_L diag(s) with orthonormal X_L
+        assert np.abs(gsvd.t.T @ gsvd.t - np.diag(gsvd.s2)).max() <= 1e-12
 
     def test_diagonal_pair_gives_diagonal_ratios(self):
         dg = np.diag([3.0, 2.0, 0.5])
         dl = np.diag([1.0, 4.0, 1.0])
-        pair = gsvd_pair(dg, dl)
-        ratios = sorted(pair.sigma_g / pair.sigma_l)
+        gsvd = thin_gsvd(dg, dl)
+        ratios = sorted(gsvd.c / np.sqrt(gsvd.s2))
         np.testing.assert_allclose(ratios, sorted([3.0, 0.5, 0.5]), rtol=1e-12)
 
     def test_rank_deficient_pair_raises(self):
@@ -60,7 +62,22 @@ class TestGsvdPair:
         r_l = np.zeros((3, 3))
         r_l[1, 1] = 1.0
         with pytest.raises(RankDeficiencyError):
-            gsvd_pair(r_g, r_l)
+            thin_gsvd(r_g, r_l)
+
+    def test_short_stack_is_padded_and_tested(self):
+        # [R_G; R_L] with fewer rows than columns cannot have full column
+        # rank; without the zero padding R would be 2 x 3 and its two
+        # singular values would pass the rank test
+        with pytest.raises(RankDeficiencyError):
+            thin_gsvd(np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
+
+    def test_dense_route_raises_the_same_type(self):
+        g = np.eye(4)
+        g[3, 3] = 0.0
+        l_mat = np.eye(4)[:2]
+        with pytest.raises(RankDeficiencyError, match="null space"):
+            thin_gsvd(g, l_mat)
+        assert issubclass(RankDeficiencyError, np.linalg.LinAlgError)
 
 
 class TestGcvValue:
@@ -70,49 +87,49 @@ class TestGcvValue:
         rng = np.random.default_rng(10 * k)
         r_g, r_l = random_pair(rng, k)
         dhat = rng.standard_normal(k)
-        pair = gsvd_pair(r_g, r_l)
+        gsvd = thin_gsvd(r_g, r_l)
         for eta in (1e-2, 1e-1, 1.0, 50.0):
-            mine = gcv_value(pair, dhat, eta, omega)
+            mine = gcv_value(gsvd, dhat, eta, omega)
             dense = dense_projected_gcv(r_g, r_l, dhat, eta, omega)
             assert abs(mine - dense) <= 1e-10 * abs(dense)
         # at tiny eta the dense residual cancels catastrophically, so the
         # oracle itself only carries ~10 digits
-        mine = gcv_value(pair, dhat, 1e-6, omega)
+        mine = gcv_value(gsvd, dhat, 1e-6, omega)
         dense = dense_projected_gcv(r_g, r_l, dhat, 1e-6, omega)
         assert abs(mine - dense) <= 1e-8 * abs(dense)
 
     def test_unregularized_directions_do_not_enter_numerator(self):
-        # sigma_l = 0 in one direction: its filter is 1 for every eta, so the
+        # s = 0 in one direction: its filter is 1 for every eta, so the
         # numerator only sees the other components
         r_g = np.diag([1.0, 0.5])
         r_l = np.diag([0.0, 1.0])
-        pair = gsvd_pair(r_g, r_l)
+        gsvd = thin_gsvd(r_g, r_l)
         dhat = np.array([7.0, 0.0])
         for eta in (1e-3, 1.0, 1e3):
-            assert gcv_value(pair, dhat, eta) == pytest.approx(0.0, abs=1e-20)
+            assert gcv_value(gsvd, dhat, eta) == pytest.approx(0.0, abs=1e-20)
 
     def test_large_eta_limit(self):
         rng = np.random.default_rng(3)
         r_g, r_l = random_pair(rng, 5)
         r_l += 5 * np.eye(5)            # nonsingular regularizer factor
         dhat = rng.standard_normal(5)
-        pair = gsvd_pair(r_g, r_l)
-        val = gcv_value(pair, dhat, 1e14, omega=1.0)
-        expected = 5 * float(np.linalg.norm(pair.x_g.T @ dhat) ** 2) / 25.0
+        gsvd = thin_gsvd(r_g, r_l)
+        val = gcv_value(gsvd, dhat, 1e14, omega=1.0)
+        expected = 5 * float(np.linalg.norm(gsvd.u.T @ dhat) ** 2) / 25.0
         assert val == pytest.approx(expected, rel=1e-6)
 
     def test_rejects_nonpositive_eta(self):
-        pair = gsvd_pair(np.eye(2), np.eye(2))
+        gsvd = thin_gsvd(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            gcv_value(pair, np.ones(2), 0.0)
+            gcv_value(gsvd, np.ones(2), 0.0)
 
 
 def exhaustive_argmin(r_g, r_l, dhat, omega=1.0, points=10**6):
     """Filter-formula scan over a dense log grid, written independently."""
-    pair = gsvd_pair(r_g, r_l)
-    dtil = pair.x_g.T @ dhat
-    c2 = pair.sigma_g**2
-    s2 = pair.sigma_l**2
+    gsvd = thin_gsvd(r_g, r_l)
+    dtil = gsvd.u.T @ dhat
+    c2 = gsvd.c**2
+    s2 = gsvd.s2
     k = r_g.shape[0]
     best_eta, best_val = None, np.inf
     for chunk in np.array_split(np.logspace(-12, 4, points), 50):
@@ -132,7 +149,7 @@ class TestSelectEta:
             r_g = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
             r_l = np.triu(0.3 * rng.standard_normal((k, k))) + np.eye(k)
             dhat = rng.standard_normal(k)
-            sel = select_eta(r_g, r_l, dhat, GcvConfig())
+            sel = select_eta(thin_gsvd(r_g, r_l), dhat, GcvConfig())
             oracle_eta, oracle_val = exhaustive_argmin(r_g, r_l, dhat,
                                                        points=10**5)
             # same minimizer up to the refinement tolerance plus grid spacing
@@ -143,8 +160,9 @@ class TestSelectEta:
         r_g = np.triu(rng.standard_normal((6, 6))) + 2 * np.eye(6)
         r_l = np.eye(6)
         dhat = rng.standard_normal(6)
-        e1 = select_eta(r_g, r_l, dhat, GcvConfig()).eta
-        e2 = select_eta(r_g, r_l, 37.0 * dhat, GcvConfig()).eta
+        gsvd = thin_gsvd(r_g, r_l)
+        e1 = select_eta(gsvd, dhat, GcvConfig()).eta
+        e2 = select_eta(gsvd, 37.0 * dhat, GcvConfig()).eta
         assert abs(np.log(e1) - np.log(e2)) <= 1e-6
 
     def test_smaller_omega_selects_no_larger_eta(self):
@@ -157,13 +175,15 @@ class TestSelectEta:
         eta_full = exhaustive_argmin(r_g, r_l, dhat, omega=1.0, points=10**5)[0]
         eta_small = exhaustive_argmin(r_g, r_l, dhat, omega=0.5, points=10**5)[0]
         assert eta_small <= eta_full * (1 + 1e-9)
-        sel_full = select_eta(r_g, r_l, dhat, GcvConfig(omega=1.0))
-        sel_small = select_eta(r_g, r_l, dhat, GcvConfig(omega=0.5))
+        gsvd = thin_gsvd(r_g, r_l)
+        sel_full = select_eta(gsvd, dhat, GcvConfig(omega=1.0))
+        sel_small = select_eta(gsvd, dhat, GcvConfig(omega=0.5))
         assert sel_small.eta <= sel_full.eta * (1 + 1e-6)
 
     def test_flat_curve_flagged_degenerate(self):
         # zero projected data: the numerator vanishes identically in eta
-        sel = select_eta(np.eye(3), np.eye(3), np.zeros(3), GcvConfig())
+        sel = select_eta(thin_gsvd(np.eye(3), np.eye(3)), np.zeros(3),
+                         GcvConfig())
         assert isinstance(sel, EtaSelection)
         assert sel.degenerate
 

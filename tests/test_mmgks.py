@@ -1,8 +1,11 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lpvarpro.gcv import thin_gsvd
 from lpvarpro.mmgks import (GksState, MmgksConfig, expand_subspace,
                             golub_kahan, init_gks, majorant_weights, mm_lambda,
                             mmgks_solve, objective_value, project_and_solve)
@@ -10,6 +13,18 @@ from lpvarpro.operators import MatrixOperator
 from lpvarpro.problems import make_1d_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
                                    first_derivative_1d)
+
+
+def projected_solution(state, eta, d):
+    """z of the projected Tikhonov problem on the current factors of state."""
+    return project_and_solve(thin_gsvd(state.r_g, state.r_l), eta,
+                             state.q_g.T @ d)
+
+
+def normal_equations_solution(state, eta, d):
+    """The same z from the assembled projected normal equations."""
+    lhs = state.r_g.T @ state.r_g + eta * state.r_l.T @ state.r_l
+    return np.linalg.solve(lhs, state.r_g.T @ (state.q_g.T @ d))
 
 
 class TestMajorantWeights:
@@ -111,10 +126,9 @@ class TestProjectAndSolve:
         d = rng.standard_normal(20)
         state = self._state(G, L, d, 6)
         eta = 0.37
-        z = project_and_solve(state, eta, state.q_g.T @ d)
-        lhs = state.r_g.T @ state.r_g + eta * state.r_l.T @ state.r_l
-        rhs = state.r_g.T @ (state.q_g.T @ d)
-        np.testing.assert_allclose(z, np.linalg.solve(lhs, rhs), rtol=1e-10)
+        z = projected_solution(state, eta, d)
+        np.testing.assert_allclose(z, normal_equations_solution(state, eta, d),
+                                   rtol=1e-10)
 
     def test_large_eta_shrinks_solution(self):
         rng = np.random.default_rng(5)
@@ -122,7 +136,7 @@ class TestProjectAndSolve:
         L = IdentityRegularizer(15)
         d = rng.standard_normal(20)
         state = self._state(G, L, d, 5)
-        z = project_and_solve(state, 1e14, state.q_g.T @ d)
+        z = projected_solution(state, 1e14, d)
         assert np.linalg.norm(z) <= 1e-10
 
     def test_orthonormal_columns_diagonal_case(self):
@@ -135,9 +149,40 @@ class TestProjectAndSolve:
         state = GksState(v, gv, lv)
         state.set_weights(np.ones(12))
         eta = 0.9
-        z = project_and_solve(state, eta, state.q_g.T @ d)
+        z = projected_solution(state, eta, d)
         expected = (v.T @ (G.T @ d)) / (1.0 + eta)
         np.testing.assert_allclose(z, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("eta", [1e-12, 1e3])
+    def test_matches_dense_normal_equations_at_extreme_eta(self, eta):
+        # 1e-12 is the floor of the GCV grid, where the MMGKS solves of
+        # the 2D p = 1 benchmark problems select eta
+        rng = np.random.default_rng(14)
+        G = rng.standard_normal((20, 15))
+        L = MatrixRegularizer(first_derivative_1d(15))
+        d = rng.standard_normal(20)
+        state = init_gks(G, d, 6, L)
+        state.set_weights(rng.uniform(0.5, 2.0, L.q))
+        z = projected_solution(state, eta, d)
+        np.testing.assert_allclose(z, normal_equations_solution(state, eta, d),
+                                   rtol=1e-10)
+
+    def test_data_factor_with_fewer_rows_than_columns(self):
+        # R_G has fewer rows than the basis has columns once Q_G spans R^m
+        rng = np.random.default_rng(15)
+        G = rng.standard_normal((5, 12))
+        L = MatrixRegularizer(first_derivative_1d(12))
+        d = rng.standard_normal(5)
+        state = init_gks(G, d, 4, L)
+        state.set_weights(np.ones(L.q))
+        for _ in range(4):
+            z = projected_solution(state, 0.3, d)
+            assert expand_subspace(state, z, 0.3, np.ones(L.q), G, L, d)
+            state.set_weights(np.ones(L.q))
+        assert state.r_g.shape == (5, 8)
+        z = projected_solution(state, 0.3, d)
+        np.testing.assert_allclose(z, normal_equations_solution(state, 0.3, d),
+                                   rtol=1e-10)
 
     def test_singular_projected_system_raises(self):
         v = np.eye(4)[:, :2]
@@ -145,7 +190,8 @@ class TestProjectAndSolve:
         state = GksState(v, gv, np.zeros((4, 2)))
         state.set_weights(np.ones(4))
         with pytest.raises(ValueError, match="null space"):
-            project_and_solve(state, 1.0, np.zeros(2))
+            project_and_solve(thin_gsvd(state.r_g, state.r_l), 1.0,
+                              np.zeros(2))
 
 
 class TestGksStateBuffers:
@@ -190,7 +236,7 @@ class TestGksStateBuffers:
                                    rtol=1e-12, atol=1e-12)
         # same weights from here on: the factor takes the appended columns
         for _ in range(5):
-            z = project_and_solve(state, 0.1, state.q_g.T @ d)
+            z = projected_solution(state, 0.1, d)
             assert expand_subspace(state, z, 0.1, w2, G, L, d)
             state.set_weights(w2)
         assert state.k == 9
@@ -210,7 +256,7 @@ class TestExpandSubspace:
         # saturate the subspace so the projected solve is the full-space one
         state = init_gks(G, d, 6, L)
         state.set_weights(np.ones(6))
-        z = project_and_solve(state, eta, state.q_g.T @ d)
+        z = projected_solution(state, eta, d)
         grew = expand_subspace(state, z, eta, np.ones(6), G, L, d)
         assert not grew
 
@@ -221,7 +267,7 @@ class TestExpandSubspace:
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L)
         state.set_weights(np.ones(18))
-        z = project_and_solve(state, 0.1, state.q_g.T @ d)
+        z = projected_solution(state, 0.1, d)
         assert expand_subspace(state, z, 0.1, np.ones(18), G, L, d)
         k = state.k
         assert np.abs(state.v[:, :k - 1].T @ state.v[:, k - 1]).max() <= 1e-10
@@ -233,7 +279,7 @@ class TestExpandSubspace:
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L)
         state.set_weights(np.ones(18))
-        z = project_and_solve(state, 0.1, state.q_g.T @ d)
+        z = projected_solution(state, 0.1, d)
         expand_subspace(state, z, 0.1, np.ones(18), G, L, d)
         q_fresh, r_fresh = np.linalg.qr(state.gv)
         recon_inc = state.q_g @ state.r_g
@@ -358,7 +404,7 @@ class TestMmgksSolve:
         state = init_gks(G, d, 6, L)
         for _ in range(12):
             state.set_weights(np.ones(L.q))
-            z = project_and_solve(state, 1e-3, state.q_g.T @ d)
+            z = projected_solution(state, 1e-3, d)
             if not expand_subspace(state, z, 1e-3, np.ones(L.q), G, L, d):
                 break
             gram = state.v.T @ state.v
@@ -398,6 +444,29 @@ class TestMmgksSolve:
                           prob.d, cfg)
         assert res.iterations == 12
         assert G.applies <= 2 * ell + res.iterations
+
+    def test_one_projected_factorization_per_iteration(self):
+        # GCV and the projected solve read one thin GSVD; neither factors
+        # the projected pair again by least squares or a CS decomposition
+        calls = Counter()
+        counted = ("thin_gsvd", "lstsq", "cossin")
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in counted:
+                calls[frame.f_code.co_name] += 1
+
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=7)
+        G = prob.operator(prob.y_true)
+        L = MatrixRegularizer(first_derivative_1d(48))
+        cfg = MmgksConfig(p=1.0, epsilon=1e-2, subspace_dim=5, max_iters=10,
+                          tol=1e-16)
+        sys.setprofile(profile)
+        try:
+            res = mmgks_solve(G, L, prob.d, cfg)
+        finally:
+            sys.setprofile(None)
+        assert res.iterations == 10
+        assert calls == Counter(thin_gsvd=res.iterations)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,27 @@ class TestDerivative2d:
             np.testing.assert_allclose(L.adjoint_apply(u), dense.T @ u,
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_cached_transpose_keeps_the_arithmetic(self, order):
+        # the operator applies D and its cached transpose only; the results
+        # equal the products with D^T formed on the fly bit for bit
+        rng = np.random.default_rng(order)
+        n = 16
+        L = derivative_2d(order, n)
+        d = L.d
+        x = rng.standard_normal(n * n)
+        u = rng.standard_normal(L.q)
+        X = x.reshape(n, n)
+        ref_apply = (d @ X).ravel() + np.asarray(X @ d.T).ravel()
+        ref_adjoint = (np.asarray(d.T @ u.reshape(-1, n)).ravel()
+                       + np.asarray(u.reshape(n, -1) @ d).ravel())
+        np.testing.assert_array_equal(L.apply(x), ref_apply)
+        np.testing.assert_array_equal(L.adjoint_apply(u), ref_adjoint)
+        dense = L.dense()
+        np.testing.assert_allclose(L.apply(x), dense @ x, atol=1e-12)
+        np.testing.assert_allclose(L.adjoint_apply(u), dense.T @ u,
+                                   atol=1e-12)
+
     def test_vertical_edge_localized(self):
         n = 8
         img = np.zeros((n, n))

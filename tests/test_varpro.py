@@ -9,11 +9,13 @@ from lpvarpro.operators import (ConvBoundary, GaussianPsfBlur2D,
                                 ParamOperator, PsfParams)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
-                                   as_regularizer, first_derivative_1d)
+                                   as_regularizer, derivative_2d,
+                                   first_derivative_1d)
+from lpvarpro.gcv import thin_gsvd
 from lpvarpro.varpro import (JacobianVariant, SolverError, VarproConfig,
                              genvarpro_solve, gn_nls_solve, jacobian_full,
                              jacobian_half, jacobian_reduced, lp_varpro_solve,
-                             thin_gsvd, tik_solve)
+                             tik_solve)
 
 
 def stacked_pinv(g_dense, l_dense, lam):
@@ -379,6 +381,23 @@ class TestLpVarpro:
         assert closest < 0.5 * abs(2.5 - 2.0)
         assert all(eta > 0 for eta in record.etas)
         assert len(record.rows) == len(record.etas)
+
+    def test_satellite16_p1_gcv_answer_pinned(self):
+        # guards the MMGKS inner loop: GCV-selected eta at p = 1 on a 2D
+        # blind-deconvolution problem, errors recorded with the inner loop
+        # that factored the projected pair by a CS decomposition and solved
+        # it by least squares
+        prob = make_blind_deconv_problem("satellite", (4.0, 3.0, 1.5), 0.01,
+                                         0, psf_size=9, size=16)
+        cfg = VarproConfig(y0=np.array([3.0, 2.5, 1.0]), variant="reduced",
+                           regularizer=derivative_2d(1, 16), max_iters=3,
+                           p=1.0, epsilon=1e-2, inner="gks")
+        _, _, record = lp_varpro_solve(prob, cfg)
+        assert len(record.rows) == 3
+        assert record.rows[-1].rre_x == pytest.approx(0.6255292792314721,
+                                                      rel=1e-3)
+        assert record.rows[-1].rre_y == pytest.approx(0.22335127370887636,
+                                                      rel=1e-3)
 
     def test_weighted_pair_jacobian_matches_fd(self):
         # frozen weights: the full Jacobian against the pair {G, P L}
