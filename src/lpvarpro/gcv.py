@@ -5,10 +5,15 @@ rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q give
 G = U diag(c) W^T R and L = T W^T R with T = Q_L W. Every Tikhonov quantity
 then reads the generalized spectra c and s2 = 1 - c^2 without dividing by a
 small generalized value: the weighted GCV quotient is scalar arithmetic on
-c, s2 and U^T d, and the regularized solution is one triangular solve. The
-dense outer Jacobians factor the full pair {G, L}; the inner MMGKS solver
-factors its small projected pair (R_G, R_L) once per iteration and hands the
-factorization to both ``select_eta`` and the projected solve.
+c, s2 and U^T d, and the regularized solution ``StackGsvd.solve`` is one
+triangular solve.
+
+The dense Tikhonov route of the outer solvers and the inner MMGKS solver run
+the same computation at two sizes: the dense route factors the full pair
+{G, L} once per outer step, the MMGKS solver its small projected pair
+(R_G, R_L) once per inner iteration, and each hands its factorization to
+``select_eta`` and to ``StackGsvd.solve`` (the dense route also to the outer
+Jacobians).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ class StackGsvd:
     spectra, and ``t`` equals X_L diag(s), so no division by small
     generalized values ever occurs. A G with m < n rows gives an m x m ``u``
     and an n x m ``w``: the other n - m directions have c = 0 and enter no
-    regularized solution, but ``solve_z`` needs m >= n.
+    regularized solution, but ``solve`` and ``solve_z`` need m >= n.
     """
 
     u: np.ndarray
@@ -45,6 +50,15 @@ class StackGsvd:
     r: np.ndarray
     c: np.ndarray
     s2: np.ndarray
+
+    def filter(self, eta):
+        """Tikhonov filter c / (c^2 + eta s2) of the weight eta."""
+        return self.c / (self.c**2 + eta * self.s2)
+
+    def solve(self, eta, rhs):
+        """Minimizer R^-1 W (filter * U^T rhs) of ||G x - rhs||^2 + eta ||L x||^2."""
+        return solve_triangular(self.r, self.w @ (self.filter(eta)
+                                                  * (self.u.T @ rhs)))
 
     def solve_z(self, vec):
         """Apply Z^{-1} = W^T R^{-T} to a vector."""
@@ -104,30 +118,37 @@ class GcvConfig:
 class _GcvQuotient:
     """Weighted GCV quotient of a factored Tikhonov problem, a function of eta.
 
-    Numerator: k * sum_i (1 - f_i)^2 (U^T dhat)_i^2 with Tikhonov filters
-    f_i = c_i^2 / (c_i^2 + eta s2_i); denominator: (k - omega sum_i f_i)^2,
-    where k is the length of dhat. The terms that do not depend on eta are
-    formed once.
+    Numerator: k * (||dhat - U U^T dhat||^2 + sum_i (1 - f_i)^2 (U^T dhat)_i^2)
+    with influence factors f_i = c_i^2 / (c_i^2 + eta s2_i); denominator:
+    (k - omega sum_i f_i)^2, where k is the length of dhat. The part of dhat
+    outside range(U) is formed only for a tall U: a square U spans R^k, where
+    that part is zero and would be computed from roundoff alone. The terms
+    that do not depend on eta are formed once.
     """
 
     def __init__(self, gsvd: StackGsvd, dhat, omega):
+        dhat = np.asarray(dhat, dtype=float)
+        dtil = gsvd.u.T @ dhat
         self.c2 = gsvd.c**2
         self.s2 = gsvd.s2
-        self.dtil2 = (gsvd.u.T @ np.asarray(dhat, dtype=float)) ** 2
-        self.k = gsvd.u.shape[0]
+        self.dtil2 = dtil**2
+        self.k, width = gsvd.u.shape
+        self.outside = 0.0
+        if self.k > width:
+            outside = dhat - gsvd.u @ dtil
+            self.outside = float(outside @ outside)
         self.omega = omega
 
     def parts(self, eta):
         """Numerator and denominator at eta, a scalar or an array."""
         f = self.c2 / (self.c2 + np.multiply.outer(eta, self.s2))
-        return (self.k * ((1.0 - f) ** 2 @ self.dtil2),
+        return (self.k * (self.outside + (1.0 - f) ** 2 @ self.dtil2),
                 (self.k - self.omega * f.sum(axis=-1)) ** 2)
 
     def __call__(self, eta):
+        """The quotient at a scalar eta; +inf where the denominator vanishes."""
         num, denom = self.parts(eta)
-        if denom == 0.0:
-            raise ZeroDivisionError("GCV denominator vanished")
-        return float(num / denom)
+        return float(num / denom) if denom != 0.0 else np.inf
 
 
 def gcv_value(gsvd: StackGsvd, dhat, eta, omega=1.0):
@@ -137,7 +158,10 @@ def gcv_value(gsvd: StackGsvd, dhat, eta, omega=1.0):
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return _GcvQuotient(gsvd, dhat, omega)(eta)
+    num, denom = _GcvQuotient(gsvd, dhat, omega).parts(eta)
+    if denom == 0.0:
+        raise ZeroDivisionError("GCV denominator vanished")
+    return float(num / denom)
 
 
 @dataclass
@@ -152,8 +176,11 @@ def select_eta(gsvd: StackGsvd, dhat, config: GcvConfig | None = None
     """Minimize the GCV quotient over eta: log grid scan plus golden refinement.
 
     ``gsvd`` is the thin GSVD of the pair. Returns the selected eta; a flat
-    curve (all grid values equal to within 1e-15 relative) is reported with
-    ``degenerate=True`` and the grid midpoint.
+    curve (all finite grid values equal to within 1e-15 relative) or one with
+    no finite grid value is reported with ``degenerate=True`` and the grid
+    midpoint. No value is finite only when every filter is 1 at every grid
+    eta (s2 = 0 up to roundoff), and then the regularized solution does not
+    depend on eta.
     """
     cfg = config or GcvConfig()
     quotient = _GcvQuotient(gsvd, dhat, cfg.omega)
@@ -162,11 +189,9 @@ def select_eta(gsvd: StackGsvd, dhat, config: GcvConfig | None = None
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / denom
     finite = np.isfinite(vals)
-    if not finite.any():
-        raise ZeroDivisionError("GCV denominator vanished on the whole grid")
     vals = np.where(finite, vals, np.inf)
-    vmax = np.abs(vals[finite]).max()
-    if vmax == 0.0 or (vals[finite].max() - vals[finite].min()) <= 1e-15 * vmax:
+    if not finite.any() or (np.ptp(vals[finite])
+                            <= 1e-15 * np.abs(vals[finite]).max()):
         mid = float(np.sqrt(cfg.grid_min * cfg.grid_max))
         return EtaSelection(eta=mid, value=float(vals[0]), degenerate=True)
     i = int(np.argmin(vals))

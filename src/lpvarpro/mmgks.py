@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .gcv import GcvConfig, StackGsvd, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
@@ -61,8 +60,10 @@ def mm_lambda(eta, p):
     return 2.0 * eta / p
 
 
-def golub_kahan(G, d, ell, reorthogonalize=True):
+def golub_kahan(G, d, ell):
     """ell steps of Golub-Kahan bidiagonalization of G with starting vector d.
+
+    Both Lanczos vectors are reorthogonalized against all earlier ones.
 
     Returns (U, B, V, breakdown) with U (m x (k+1)), B ((k+1) x k) lower
     bidiagonal, V (n x k) orthonormal and G V = U B. On breakdown (a zero
@@ -90,7 +91,6 @@ def golub_kahan(G, d, ell, reorthogonalize=True):
         v = G.adjoint_apply(us[:, i])
         if i > 0:
             v -= betas[i] * vs[:, i - 1]
-        if reorthogonalize and i > 0:
             v -= vs[:, :i] @ (vs[:, :i].T @ v)
         alpha = np.linalg.norm(v)
         if alpha <= tiny:
@@ -101,8 +101,7 @@ def golub_kahan(G, d, ell, reorthogonalize=True):
         k = i + 1
 
         u = G.apply(vs[:, i]) - alpha * us[:, i]
-        if reorthogonalize:
-            u -= us[:, :i + 1] @ (us[:, :i + 1].T @ u)
+        u -= us[:, :i + 1] @ (us[:, :i + 1].T @ u)
         beta = np.linalg.norm(u)
         if beta <= tiny:
             breakdown = True
@@ -282,14 +281,13 @@ class GksState:
             self._qr_l.reserve(capacity)
 
 
-def init_gks(G, d, ell, L=None, reorthogonalize=True,
-             capacity=None) -> GksState:
+def init_gks(G, d, ell, L=None, capacity=None) -> GksState:
     """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
 
     ``capacity`` preallocates room for that many basis columns.
     """
     G = _as_operator(G)
-    _, _, v, breakdown = golub_kahan(G, d, ell, reorthogonalize)
+    _, _, v, breakdown = golub_kahan(G, d, ell)
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
     gv = np.column_stack([G.apply(v[:, j]) for j in range(v.shape[1])])
@@ -304,17 +302,16 @@ def project_and_solve(gsvd: StackGsvd, eta, dhat):
     """Solve min_z ||R_G z - dhat||^2 + eta ||R_L z||^2 on the projected pair.
 
     ``gsvd`` is the thin GSVD of (R_G, R_L): with R_G = U diag(c) W^T R and
-    R_L = T W^T R, the solution is z = R^-1 W (c / (c^2 + eta s2) * U^T dhat),
-    one triangular solve.
+    R_L = T W^T R, the solution ``gsvd.solve(eta, dhat)`` is one triangular
+    solve.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    coeffs = gsvd.c / (gsvd.c**2 + eta * gsvd.s2) * (gsvd.u.T @ dhat)
-    return solve_triangular(gsvd.r, gsvd.w @ coeffs)
+    return gsvd.solve(eta, dhat)
 
 
 def expand_subspace(state: GksState, z, eta, weights, G, L, d,
-                    grad_scale=None, reorthogonalize=True, gvz=None, lvz=None):
+                    grad_scale=None, gvz=None, lvz=None):
     """Enlarge the basis with the normalized majorant gradient at x = V z.
 
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
@@ -335,13 +332,12 @@ def expand_subspace(state: GksState, z, eta, weights, G, L, d,
     floor = 1e-14 * max(grad_scale, 1.0)
     if np.linalg.norm(r) <= floor:
         return False
-    if reorthogonalize:
-        v = state.v
-        norm_before = np.linalg.norm(r)
+    v = state.v
+    norm_before = np.linalg.norm(r)
+    r = r - v @ (v.T @ r)
+    # repeat the pass when cancellation ate more than 1/sqrt(2) of the norm
+    if np.linalg.norm(r) < norm_before / np.sqrt(2.0):
         r = r - v @ (v.T @ r)
-        # repeat the pass when cancellation ate more than 1/sqrt(2) of the norm
-        if np.linalg.norm(r) < norm_before / np.sqrt(2.0):
-            r = r - v @ (v.T @ r)
     nr = np.linalg.norm(r)
     if nr <= floor:
         return False
@@ -361,7 +357,6 @@ class MmgksConfig:
     tol: float = 1e-6
     eta: float | None = None          # fixed eta; None selects by GCV
     gcv: GcvConfig = field(default_factory=GcvConfig)
-    reorthogonalize: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.p <= 2.0:
@@ -407,8 +402,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
                            converged=True, subspace_dim=0)
 
     ell = min(cfg.subspace_dim, min(G.m, G.n))
-    state = init_gks(G, d, ell, L, cfg.reorthogonalize,
-                     capacity=ell + cfg.max_iters)
+    state = init_gks(G, d, ell, L, capacity=ell + cfg.max_iters)
     grad_scale = np.linalg.norm(G.adjoint_apply(d))
 
     x = np.zeros(G.n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -447,7 +441,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
             converged = True
             break
         expand_subspace(state, z, eta, w, G, L, d, grad_scale,
-                        cfg.reorthogonalize, gvz=gvz, lvz=lvz)
+                        gvz=gvz, lvz=lvz)
     return MmgksResult(x=x, objectives=objectives, etas=etas,
                        iterations=iterations, converged=converged,
                        subspace_dim=state.k)

@@ -10,12 +10,13 @@ Two outer loops over the blur parameters y:
   on small problems, the majorize-minimize subspace solver otherwise), then
   takes a Gauss-Newton step on the projected residual of the reweighted pair.
 
-The projected-residual Jacobian comes in three variants (full, half, reduced).
-Full and half are evaluated through the thin GSVD of the stacked pair
-(``gcv.thin_gsvd``, the same routine that factors the projected pair in each
-MMGKS inner iteration) so that only matrix-vector products and one diagonal
-inverse appear; at p = 2 the dense GCV of the inner solve and the Jacobian
-share that GSVD.
+The dense Tikhonov solve is the MMGKS projected step on the full pair: it
+factors {G, L} once with ``gcv.thin_gsvd``, picks eta with ``gcv.select_eta``
+(in GCV mode) and reads x from ``StackGsvd.solve``, the routines that serve
+each MMGKS inner iteration. The projected-residual Jacobian comes in three
+variants (full, half, reduced). Full and half are evaluated through the same
+thin GSVD of the stacked pair, so that only matrix-vector products and one
+diagonal inverse appear; at p = 2 the inner solve and the Jacobian share it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .gcv import GcvConfig, StackGsvd, _golden_min, thin_gsvd
+from .gcv import GcvConfig, select_eta, thin_gsvd
 from .metrics import ConvergenceRow, rre
 from .mmgks import (MmgksConfig, _as_operator, majorant_weights, mmgks_solve)
 from .regularizers import as_regularizer
@@ -49,30 +50,22 @@ class JacobianVariant(Enum):
 DENSE_LIMIT = 4096
 
 
-def tik_solve(G, L, lam, d):
+def tik_solve(G, L, lam, d, gsvd=None):
     """Minimize ||G x - d||^2 + lam ||L x||^2 densely.
 
-    Solves the stacked least-squares problem; meant for problems up to a few
-    thousand unknowns.
+    Solves through ``gsvd``, the thin GSVD of {G, L}; without it the pair is
+    factored here (G alone at lam = 0). Raises
+    :class:`~lpvarpro.gcv.RankDeficiencyError`, a ``LinAlgError``, when the
+    solution is not unique. Meant for problems up to a few thousand unknowns.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    G = _as_operator(G)
-    L = as_regularizer(L, G.n)
-    d = np.asarray(d, dtype=float)
-    g_dense = G.dense()
-    if lam == 0.0:
-        stacked = g_dense
-        rhs = d
-    else:
-        stacked = np.vstack([g_dense, np.sqrt(lam) * L.dense()])
-        rhs = np.concatenate([d, np.zeros(L.q)])
-    x, _, rank, _ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    if rank < G.n:
-        raise np.linalg.LinAlgError(
-            "stacked operator is rank deficient; the regularized solution "
-            "is not unique")
-    return x
+    if gsvd is None:
+        G = _as_operator(G)
+        l_dense = (np.zeros((0, G.n)) if lam == 0.0
+                   else as_regularizer(L, G.n).dense())
+        gsvd = thin_gsvd(G.dense(), l_dense)
+    return gsvd.solve(lam, np.asarray(d, dtype=float))
 
 
 def _check_dense_feasible(op):
@@ -95,11 +88,11 @@ def jacobian_half(op, x, lam, L, gsvd=None):
     if gsvd is None:
         gsvd = thin_gsvd(op.dense(), as_regularizer(L, op.n).dense())
     m, q, rpar = op.m, gsvd.t.shape[0], op.r
-    den = gsvd.c**2 + lam * gsvd.s2
+    filt = gsvd.filter(lam)
     cols = np.zeros((m + q, rpar))
     for j in range(rpar):
         v = op.derivative_apply(j, np.asarray(x, dtype=float))
-        g = (gsvd.c / den) * (gsvd.u.T @ v)
+        g = filt * (gsvd.u.T @ v)
         cols[:m, j] = gsvd.u @ (gsvd.c * g) - v
         cols[m:, j] = np.sqrt(lam) * (gsvd.t @ g)
     return cols
@@ -117,12 +110,13 @@ def jacobian_full(op, x, lam, L, d, gsvd=None):
         gsvd = thin_gsvd(op.dense(), as_regularizer(L, op.n).dense())
     cols = jacobian_half(op, x, lam, L, gsvd=gsvd)
     m = op.m
+    filt = gsvd.filter(lam)
     den = gsvd.c**2 + lam * gsvd.s2
     misfit = op.apply(np.asarray(x, dtype=float)) - np.asarray(d, dtype=float)
     for j in range(op.r):
         wj = op.derivative_adjoint_apply(j, misfit)
         tvec = gsvd.solve_z(wj)
-        cols[:m, j] += gsvd.u @ ((gsvd.c / den) * tvec)
+        cols[:m, j] += gsvd.u @ (filt * tvec)
         cols[m:, j] += np.sqrt(lam) * (gsvd.t @ (tvec / den))
     return cols
 
@@ -142,7 +136,6 @@ class RunRecord:
     func_values: list = field(default_factory=list)   # ||F||^2 per iteration
     grad_norms: list = field(default_factory=list)
     etas: list = field(default_factory=list)
-    x_snapshots: dict = field(default_factory=dict)
     best_iteration: int = 0
     best_rre_x: float = np.inf
     best_x: np.ndarray | None = None
@@ -213,7 +206,6 @@ class VarproConfig:
     omega: float = 1.0
     damping: bool = False
     max_halvings: int = 10
-    keep_iterates: bool = False
     divergence_factor: float = 10.0
 
     def __post_init__(self):
@@ -245,27 +237,6 @@ class VarproConfig:
                            eta=eta, gcv=GcvConfig(omega=self.omega))
 
 
-def _dense_gcv_lambda(gsvd: StackGsvd, d, gcv: GcvConfig):
-    """GCV on the full (unprojected) pair via its thin GSVD filters."""
-    d = np.asarray(d, dtype=float)
-    dtil = gsvd.u.T @ d
-    outside = max(float(d @ d - dtil @ dtil), 0.0)
-    m = gsvd.u.shape[0]
-
-    def value(lam):
-        f = gsvd.c**2 / (gsvd.c**2 + lam * gsvd.s2)
-        den = (m - gcv.omega * f.sum()) ** 2
-        return m * (outside + float(((1 - f) ** 2 * dtil**2).sum())) / den
-
-    grid = gcv.grid()
-    vals = np.array([value(g) for g in grid])
-    i = int(np.argmin(vals))
-    lam, _ = _golden_min(value, np.log(grid[max(i - 1, 0)]),
-                         np.log(grid[min(i + 1, grid.size - 1)]),
-                         gcv.refine_tol)
-    return lam
-
-
 def _use_dense(problem_n, cfg: VarproConfig):
     """Whether the inner solve is the dense Tikhonov solve (p = 2 only)."""
     if cfg.p != 2.0 or cfg.inner == "gks":
@@ -277,14 +248,14 @@ def _inner_solve(op, L, d, cfg: VarproConfig, x_true):
     """Solve for x at the current parameters.
 
     Returns ``(x, eta, gsvd)`` with eta the weight of the solve and gsvd the
-    thin GSVD of {G, L} when the dense GCV formed one, else None.
+    thin GSVD of {G, L} on the dense route, formed once and read by every
+    solve of the step, else None.
     """
-    dense = _use_dense(op.n, cfg)
+    gsvd = thin_gsvd(op.dense(), L.dense()) if _use_dense(op.n, cfg) else None
     if cfg.lam_mode == "gcv":
-        if dense:
-            gsvd = thin_gsvd(op.dense(), L.dense())
-            eta = _dense_gcv_lambda(gsvd, d, GcvConfig(omega=cfg.omega))
-            return tik_solve(op, L, eta, d), eta, gsvd
+        if gsvd is not None:
+            eta = select_eta(gsvd, d, GcvConfig(omega=cfg.omega)).eta
+            return tik_solve(op, L, eta, d, gsvd), eta, gsvd
         res = mmgks_solve(op, L, d, cfg.mmgks_config())
         return res.x, (res.etas[-1] if res.etas else np.nan), None
 
@@ -292,8 +263,8 @@ def _inner_solve(op, L, d, cfg: VarproConfig, x_true):
 
     def solve(lam):
         eta = lam * scale
-        if dense:
-            return tik_solve(op, L, eta, d), eta
+        if gsvd is not None:
+            return tik_solve(op, L, eta, d, gsvd), eta
         return mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta)).x, eta
 
     if cfg.lam_mode == "fixed":
@@ -301,7 +272,7 @@ def _inner_solve(op, L, d, cfg: VarproConfig, x_true):
     else:
         x, eta = min((solve(lam) for lam in cfg.resolved_sweep_grid()),
                      key=lambda cand: rre(cand[0], x_true))
-    return x, eta, None
+    return x, eta, gsvd
 
 
 def _truth(problem):
@@ -400,8 +371,6 @@ def _varpro_engine(problem, cfg: VarproConfig):
         row = record.add_iteration(it, x, y, float(f_hat @ f_hat), grad_norm,
                                    eta, time.perf_counter() - t0,
                                    x_true, y_true)
-        if cfg.keep_iterates:
-            record.x_snapshots[it] = x.copy()
 
         if np.isfinite(rre_y0) and rre_y0 > 0 \
                 and row.rre_y > cfg.divergence_factor * rre_y0:

@@ -87,16 +87,31 @@ class TestGcvValue:
         rng = np.random.default_rng(10 * k)
         r_g, r_l = random_pair(rng, k)
         dhat = rng.standard_normal(k)
-        gsvd = thin_gsvd(r_g, r_l)
-        for eta in (1e-2, 1e-1, 1.0, 50.0):
-            mine = gcv_value(gsvd, dhat, eta, omega)
-            dense = dense_projected_gcv(r_g, r_l, dhat, eta, omega)
-            assert abs(mine - dense) <= 1e-10 * abs(dense)
-        # at tiny eta the dense residual cancels catastrophically, so the
-        # oracle itself only carries ~10 digits
-        mine = gcv_value(gsvd, dhat, 1e-6, omega)
-        dense = dense_projected_gcv(r_g, r_l, dhat, 1e-6, omega)
-        assert abs(mine - dense) <= 1e-8 * abs(dense)
+        # a tall data factor leaves part of dhat outside range(U), which is
+        # residual at every eta
+        tall_g = np.vstack([r_g, rng.standard_normal((4, k))])
+        tall_dhat = rng.standard_normal(k + 4)
+        for g, data in ((r_g, dhat), (tall_g, tall_dhat)):
+            gsvd = thin_gsvd(g, r_l)
+            for eta in (1e-2, 1e-1, 1.0, 50.0):
+                mine = gcv_value(gsvd, data, eta, omega)
+                dense = dense_projected_gcv(g, r_l, data, eta, omega)
+                assert abs(mine - dense) <= 1e-10 * abs(dense)
+            # at tiny eta the dense residual cancels catastrophically, so the
+            # oracle itself only carries ~10 digits
+            mine = gcv_value(gsvd, data, 1e-6, omega)
+            dense = dense_projected_gcv(g, r_l, data, 1e-6, omega)
+            assert abs(mine - dense) <= 1e-8 * abs(dense)
+        # select_eta minimizes the same tall quotient
+        gsvd = thin_gsvd(tall_g, r_l)
+        sel = select_eta(gsvd, tall_dhat, GcvConfig(omega=omega))
+        grid = GcvConfig().grid()
+        oracle = [dense_projected_gcv(tall_g, r_l, tall_dhat, eta, omega)
+                  for eta in grid]
+        assert sel.value <= min(oracle) * (1 + 1e-8)
+        assert sel.value == pytest.approx(
+            dense_projected_gcv(tall_g, r_l, tall_dhat, sel.eta, omega),
+            rel=1e-8)
 
     def test_unregularized_directions_do_not_enter_numerator(self):
         # s = 0 in one direction: its filter is 1 for every eta, so the
@@ -186,6 +201,24 @@ class TestSelectEta:
                          GcvConfig())
         assert isinstance(sel, EtaSelection)
         assert sel.degenerate
+        # L = 0: every filter is 1, so the quotient is 0/0 at every grid
+        # point and the solution does not depend on eta
+        cfg = GcvConfig()
+        sel = select_eta(thin_gsvd(np.eye(4), np.zeros((4, 4))), np.ones(4),
+                         cfg)
+        assert sel.degenerate
+        assert sel.eta == pytest.approx(np.sqrt(cfg.grid_min * cfg.grid_max))
+
+    def test_refinement_next_to_vanished_denominator(self):
+        # below eta ~ 2e-10 every filter rounds to 1 and the quotient is 0/0;
+        # the grid minimum lies next to that region, so the golden-section
+        # refinement probes points where the denominator vanishes
+        gsvd = thin_gsvd(np.diag([1.0, 1.1, 1.14]),
+                         np.diag([4.8e-4, 5.1e-4, 7e-4]))
+        dhat = np.array([0.34, 0.42, 0.37])
+        sel = select_eta(gsvd, dhat, GcvConfig())
+        assert not sel.degenerate
+        assert sel.value == pytest.approx(gcv_value(gsvd, dhat, sel.eta))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +7,8 @@ import pytest
 
 from lpvarpro import varpro
 from lpvarpro.mmgks import MmgksConfig, majorant_weights, mmgks_solve
-from lpvarpro.operators import (ConvBoundary, GaussianPsfBlur2D,
-                                ParamOperator, PsfParams)
+from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
+                                GaussianPsfBlur2D, ParamOperator, PsfParams)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
                                    as_regularizer, derivative_2d,
@@ -436,22 +438,43 @@ class TestVarproConfig:
 
 class TestEngineWork:
     def test_one_dense_gsvd_per_outer_step(self, monkeypatch):
-        # the dense GCV and the full Jacobian share the GSVD of {G, L}
-        calls = []
+        # the dense inner solve (GCV or fixed lambda) and the full Jacobian
+        # share the GSVD of {G, L}, and G is assembled once for it
+        calls = Counter()
         thin_gsvd_orig = varpro.thin_gsvd
+        dense_orig = GaussianBlur1D.dense
 
-        def counting(*args):
-            calls.append(1)
+        def counting_gsvd(*args):
+            calls["thin_gsvd"] += 1
             return thin_gsvd_orig(*args)
 
-        monkeypatch.setattr(varpro, "thin_gsvd", counting)
+        def counting_dense(op):
+            calls["dense"] += 1
+            return dense_orig(op)
+
+        monkeypatch.setattr(varpro, "thin_gsvd", counting_gsvd)
+        monkeypatch.setattr(GaussianBlur1D, "dense", counting_dense)
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        for lam_mode in ("gcv", "fixed"):
+            calls.clear()
+            cfg = VarproConfig(y0=np.array([2.5]), variant="full",
+                               regularizer=first_derivative_1d(32),
+                               max_iters=4, lam_mode=lam_mode, lam=1e-3,
+                               inner="dense")
+            _, _, record = lp_varpro_solve(prob, cfg)
+            assert len(record.rows) == 4
+            assert calls == Counter(thin_gsvd=4, dense=4), lam_mode
+
+    def test_collapsed_width_emits_no_runtime_warning(self):
+        # FULL drives sigma towards 0, where G = I up to scale, s2 = 0 and
+        # the dense GCV quotient is 0/0 on the whole grid
+        prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
         cfg = VarproConfig(y0=np.array([2.5]), variant="full",
-                           regularizer=first_derivative_1d(32), max_iters=4,
-                           lam_mode="gcv", inner="dense")
-        _, _, record = lp_varpro_solve(prob, cfg)
-        assert len(record.rows) == 4
-        assert len(calls) == len(record.rows)
+                           regularizer=first_derivative_1d(64), max_iters=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, y, _ = lp_varpro_solve(prob, cfg)
+        assert np.isfinite(x).all() and np.isfinite(y).all()
 
     def test_one_operator_build_per_accepted_step(self, monkeypatch):
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=4)
