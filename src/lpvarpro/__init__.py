@@ -1,8 +1,8 @@
 """Solvers for separable nonlinear inverse problems with lp regularization.
 
 The package pairs an inner majorize-minimize subspace solver (with GCV-based
-regularization-parameter selection) with outer variable-projection
-Gauss-Newton loops over the forward-operator parameters, and ships 1D and 2D
+regularization-parameter selection) with an outer variable-projection
+Gauss-Newton loop over the forward-operator parameters, and ships 1D and 2D
 Gaussian-blur test problems to drive them.
 """
 
@@ -25,8 +25,7 @@ from .regularizers import (FrameletRegularizer, IdentityRegularizer,
                            Regularizer, derivative_2d, first_derivative_1d,
                            framelet_analysis_2d, second_derivative_1d)
 from .varpro import (JacobianVariant, RunRecord, SolverError, VarproConfig,
-                     genvarpro_solve, gn_nls_solve, jacobian_full,
-                     jacobian_half, jacobian_reduced, lp_varpro_solve,
-                     tik_solve)
+                     jacobian_full, jacobian_half, jacobian_reduced,
+                     lp_varpro_solve, tik_solve)
 
 __version__ = "0.1.0"

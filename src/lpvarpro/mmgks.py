@@ -192,13 +192,12 @@ class GksState:
     incrementally.
     """
 
-    def __init__(self, v, gv, lv, breakdown=False, capacity=None):
+    def __init__(self, v, gv, lv, capacity=None):
         self._k = v.shape[1]
         capacity = max(capacity or 0, self._k, 1)
         self._v = _column_buffer(v, capacity)
         self._gv = _column_buffer(gv, capacity)
         self._lv = None if lv is None else _column_buffer(lv, capacity)
-        self.breakdown = breakdown
         self._qr_g = _GrowingQr(gv, capacity)
         self._qr_l = None
         self.weights = None
@@ -287,7 +286,7 @@ def init_gks(G, d, ell, L=None, capacity=None) -> GksState:
     ``capacity`` preallocates room for that many basis columns.
     """
     G = _as_operator(G)
-    _, _, v, breakdown = golub_kahan(G, d, ell)
+    _, _, v, _ = golub_kahan(G, d, ell)
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
     gv = np.column_stack([G.apply(v[:, j]) for j in range(v.shape[1])])
@@ -295,7 +294,7 @@ def init_gks(G, d, ell, L=None, capacity=None) -> GksState:
     if L is not None:
         L = as_regularizer(L, G.n)
         lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
-    return GksState(v, gv, lv, breakdown, capacity)
+    return GksState(v, gv, lv, capacity)
 
 
 def project_and_solve(gsvd: StackGsvd, eta, dhat):

@@ -76,7 +76,7 @@ def gaussian_kernel_1d(sigma, offsets):
     sigma : positive float
     offsets : array_like of sample offsets s (pixels)
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     s = np.asarray(offsets, dtype=float)
     return np.exp(-(s**2) / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma**2)
@@ -333,7 +333,7 @@ class GaussianBlur1D(ParamOperator):
     """1D Gaussian Toeplitz blur with zero boundary, parametrized by sigma."""
 
     def __init__(self, sigma, n):
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         if n < 2:
             raise ValueError("n must be at least 2")

@@ -1,14 +1,10 @@
-"""Outer nonlinear solvers for separable inverse problems.
+"""Outer variable-projection solver for separable inverse problems.
 
-Two outer loops over the blur parameters y:
-
-* ``gn_nls_solve``: joint GN on (x, y) for the stacked Tikhonov residual.
-* ``lp_varpro_solve``: variable projection with lp regularization
-  (``genvarpro_solve`` is its p = 2 entry point). One engine serves every p
-  and lambda mode: each outer step eliminates x by one inner solve at the
-  operator G(y) built when y was accepted (a dense Tikhonov solve at p = 2
-  on small problems, the majorize-minimize subspace solver otherwise), then
-  takes a Gauss-Newton step on the projected residual of the reweighted pair.
+``lp_varpro_solve`` is the one outer loop over the blur parameters y, for
+every p and lambda mode: each outer step eliminates x by one inner solve at
+the operator G(y) built when y was accepted (a dense Tikhonov solve at p = 2
+on small problems, the majorize-minimize subspace solver otherwise), then
+takes a Gauss-Newton step on the projected residual of the reweighted pair.
 
 The dense Tikhonov solve is the MMGKS projected step on the full pair: it
 factors {G, L} once with ``gcv.thin_gsvd``, picks eta with ``gcv.select_eta``
@@ -22,7 +18,7 @@ diagonal inverse appear; at p = 2 the inner solve and the Jacobian share it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -136,19 +132,15 @@ class RunRecord:
     func_values: list = field(default_factory=list)   # ||F||^2 per iteration
     grad_norms: list = field(default_factory=list)
     etas: list = field(default_factory=list)
-    best_iteration: int = 0
-    best_rre_x: float = np.inf
-    best_x: np.ndarray | None = None
     converged: bool = False
     stop_reason: str = ""
 
     def add_iteration(self, iteration, x, y, func_value, grad_norm, eta,
                       wall_time, x_true=None, y_true=None):
-        """Append one outer iteration: the new y, its row and the best iterate.
+        """Append one outer iteration: the new y and its row.
 
-        The errors against ``x_true``/``y_true`` are NaN when the truth is
-        absent, and the best iterate is then left to the caller. Returns the
-        appended row.
+        The errors against ``x_true``/``y_true`` are reported only, and are
+        NaN when the truth is absent. Returns the appended row.
         """
         rre_x = rre(x, x_true) if x_true is not None else np.nan
         rre_y = rre(y, y_true) if y_true is not None else np.nan
@@ -163,10 +155,6 @@ class RunRecord:
             rel_func_value=func_value / base_f if base_f else np.nan,
             rel_grad_norm=grad_norm / base_g if base_g else np.nan,
             rre_y=rre_y, rre_x=rre_x, eta=eta, wall_time=wall_time))
-        if x_true is not None and rre_x < self.best_rre_x:
-            self.best_rre_x = rre_x
-            self.best_iteration = iteration
-            self.best_x = x.copy()
         return self.rows[-1]
 
     @property
@@ -180,7 +168,7 @@ class RunRecord:
 
 @dataclass
 class VarproConfig:
-    """Settings shared by the variable-projection outer solvers."""
+    """Settings of the variable-projection outer solver."""
 
     y0: np.ndarray | None = None
     variant: JacobianVariant = JacobianVariant.REDUCED
@@ -193,16 +181,14 @@ class VarproConfig:
     inner_iters: int = 30
     inner_tol: float = 1e-4
     subspace_dim: int = 10
-    lam_mode: str = "gcv"               # 'fixed', 'gcv' or 'sweep-oracle'
-    # lam is the regularization weight lambda of lam_mode 'fixed' (the
-    # 'sweep-oracle' mode tries each lambda of sweep_grid). Every inner solve
-    # runs at the normal-equations weight eta = lambda * epsilon**(p - 2) of
-    # ||G x - d||^2 + eta ||W^(1/2) L x||^2 with majorant weights W, so
-    # eta = lambda at p = 2. GCV selects eta itself, and RunRecord.etas holds
-    # eta in every mode. mmgks.mm_lambda (2 eta / p) only weights the
-    # objective that the inner solver records.
+    lam_mode: str = "gcv"               # 'fixed' or 'gcv'
+    # lam is the regularization weight lambda of lam_mode 'fixed'. Every
+    # inner solve runs at the normal-equations weight
+    # eta = lambda * epsilon**(p - 2) of ||G x - d||^2 + eta ||W^(1/2) L x||^2
+    # with majorant weights W, so eta = lambda at p = 2. GCV selects eta
+    # itself, and RunRecord.etas holds eta in every mode. mmgks.mm_lambda
+    # (2 eta / p) only weights the objective that the inner solver records.
     lam: float | None = None
-    sweep_grid: np.ndarray | None = None
     omega: float = 1.0
     damping: bool = False
     max_halvings: int = 10
@@ -217,18 +203,12 @@ class VarproConfig:
             raise ValueError("inner must be 'dense', 'gks' or 'auto'")
         if self.inner == "dense" and self.p != 2.0:
             raise ValueError("the dense inner solve is Tikhonov and needs p = 2")
-        if self.lam_mode not in ("fixed", "gcv", "sweep-oracle"):
-            raise ValueError(
-                "lam_mode must be 'fixed', 'gcv' or 'sweep-oracle'")
+        if self.lam_mode not in ("fixed", "gcv"):
+            raise ValueError("lam_mode must be 'fixed' or 'gcv'")
         if self.lam_mode == "fixed" and self.lam is None:
             raise ValueError("fixed lambda mode needs a lambda value")
         if isinstance(self.variant, str):
             self.variant = JacobianVariant(self.variant)
-
-    def resolved_sweep_grid(self):
-        if self.sweep_grid is not None:
-            return np.asarray(self.sweep_grid, dtype=float)
-        return np.logspace(-4, 0, 20)
 
     def mmgks_config(self, eta=None):
         return MmgksConfig(p=self.p, epsilon=self.epsilon,
@@ -244,7 +224,7 @@ def _use_dense(problem_n, cfg: VarproConfig):
     return cfg.inner == "dense" or problem_n <= DENSE_LIMIT
 
 
-def _inner_solve(op, L, d, cfg: VarproConfig, x_true):
+def _inner_solve(op, L, d, cfg: VarproConfig):
     """Solve for x at the current parameters.
 
     Returns ``(x, eta, gsvd)`` with eta the weight of the solve and gsvd the
@@ -258,21 +238,10 @@ def _inner_solve(op, L, d, cfg: VarproConfig, x_true):
             return tik_solve(op, L, eta, d, gsvd), eta, gsvd
         res = mmgks_solve(op, L, d, cfg.mmgks_config())
         return res.x, (res.etas[-1] if res.etas else np.nan), None
-
-    scale = cfg.epsilon ** (cfg.p - 2.0)
-
-    def solve(lam):
-        eta = lam * scale
-        if gsvd is not None:
-            return tik_solve(op, L, eta, d, gsvd), eta
-        return mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta)).x, eta
-
-    if cfg.lam_mode == "fixed":
-        x, eta = solve(float(cfg.lam))
-    else:
-        x, eta = min((solve(lam) for lam in cfg.resolved_sweep_grid()),
-                     key=lambda cand: rre(cand[0], x_true))
-    return x, eta, gsvd
+    eta = float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0)
+    if gsvd is not None:
+        return tik_solve(op, L, eta, d, gsvd), eta, gsvd
+    return mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta)).x, eta, None
 
 
 def _truth(problem):
@@ -299,17 +268,23 @@ def _stacked_residual(op, L, x, d, eta, p, eps_eff):
     return r_data, f_hat, sqrt_w
 
 
-def _varpro_engine(problem, cfg: VarproConfig):
-    """Shared outer loop of genvarpro_solve and lp_varpro_solve."""
+def lp_varpro_solve(problem, config: VarproConfig):
+    """Variable projection with lp regularization; returns ``(x, y, record)``.
+
+    A step that leaves the parameter domain or, with damping, raises the
+    residual is halved up to ``max_halvings`` times; when no trial is
+    accepted the solve raises :class:`SolverError` with the partial record.
+    """
+    cfg = config
     if cfg.y0 is None:
         raise ValueError("config must provide the initial parameter vector y0")
     d = np.asarray(problem.d, dtype=float).ravel()
     x_true, y_true = _truth(problem)
-    if cfg.lam_mode == "sweep-oracle" and x_true is None:
-        raise ValueError("sweep-oracle lambda mode needs x_true")
 
     y = np.asarray(cfg.y0, dtype=float).copy()
     op = problem.operator(y)
+    if cfg.variant is not JacobianVariant.REDUCED:
+        _check_dense_feasible(op)
     L = as_regularizer(cfg.regularizer, op.n)
     record = RunRecord()
     record.ys.append(y.copy())
@@ -317,9 +292,15 @@ def _varpro_engine(problem, cfg: VarproConfig):
     eps_eff = 0.0 if cfg.p == 2.0 else cfg.epsilon
     x = None
 
+    def residual_sq(op_try):
+        x_try, eta_try, _ = _inner_solve(op_try, L, d, cfg)
+        _, f_try, _ = _stacked_residual(op_try, L, x_try, d, eta_try, cfg.p,
+                                        eps_eff)
+        return float(f_try @ f_try)
+
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        x, eta, gsvd = _inner_solve(op, L, d, cfg, x_true)
+        x, eta, gsvd = _inner_solve(op, L, d, cfg)
         r_data, f_hat, sqrt_w = _stacked_residual(op, L, x, d, eta, cfg.p,
                                                   eps_eff)
 
@@ -339,38 +320,27 @@ def _varpro_engine(problem, cfg: VarproConfig):
             step, *_ = np.linalg.lstsq(jac, f_hat, rcond=None)
             grad_norm = float(np.linalg.norm(jac.T @ f_hat))
 
-        # keep the parameters inside the valid domain; damping additionally
-        # guards an increasing residual when enabled. The operator built to
-        # check y_new serves the next outer step.
+        # the operator built to check y_new serves the next outer step
+        phi0 = float(f_hat @ f_hat)
         halvings = 0
-        y_new = y + step
-        op_new = _operator_at(problem, y_new)
-        while op_new is None and halvings < cfg.max_halvings:
-            step = step / 2.0
+        while True:
             y_new = y + step
-            halvings += 1
             op_new = _operator_at(problem, y_new)
-        if op_new is None:
-            raise SolverError(
-                f"parameter update left the valid domain at iteration {it}",
-                record)
-        if cfg.damping:
-            phi0 = float(f_hat @ f_hat)
-            while halvings < cfg.max_halvings:
-                x_try, eta_try, _ = _inner_solve(op_new, L, d, cfg, x_true)
-                _, f_try, _ = _stacked_residual(op_new, L, x_try, d,
-                                                eta_try, cfg.p, eps_eff)
-                if float(f_try @ f_try) <= phi0:
-                    break
-                step = step / 2.0
-                y_new = y + step
-                halvings += 1
-                op_new = problem.operator(y_new)
+            if op_new is not None and (not cfg.damping
+                                       or residual_sq(op_new) <= phi0):
+                break
+            if halvings >= cfg.max_halvings:
+                reason = ("left the valid domain" if op_new is None
+                          else "raised the residual")
+                raise SolverError(
+                    f"parameter update {reason} after {halvings} halvings "
+                    f"at iteration {it}", record)
+            step = step / 2.0
+            halvings += 1
 
         y, op = y_new, op_new
-        row = record.add_iteration(it, x, y, float(f_hat @ f_hat), grad_norm,
-                                   eta, time.perf_counter() - t0,
-                                   x_true, y_true)
+        row = record.add_iteration(it, x, y, phi0, grad_norm, eta,
+                                   time.perf_counter() - t0, x_true, y_true)
 
         if np.isfinite(rre_y0) and rre_y0 > 0 \
                 and row.rre_y > cfg.divergence_factor * rre_y0:
@@ -378,97 +348,6 @@ def _varpro_engine(problem, cfg: VarproConfig):
                 f"parameter iteration diverged: RRE(y) grew to "
                 f"{row.rre_y:.3g} from {rre_y0:.3g}", record)
         if np.linalg.norm(step) <= cfg.step_tol * max(np.linalg.norm(y), 1e-30):
-            record.converged = True
-            record.stop_reason = "step tolerance"
-            break
-    else:
-        record.stop_reason = "max iterations"
-    if record.best_x is None and x is not None:
-        record.best_x = x.copy()
-        record.best_iteration = record.rows[-1].iteration
-    return x, y, record
-
-
-def genvarpro_solve(problem, lam, config: VarproConfig):
-    """Variable projection for p = 2.
-
-    ``lam`` fixes the regularization weight; pass None to keep the config's
-    lambda mode (gcv or sweep-oracle).
-    """
-    changes = {"p": 2.0}
-    if lam is not None:
-        changes.update(lam_mode="fixed", lam=float(lam))
-    return _varpro_engine(problem, replace(config, **changes))
-
-
-def lp_varpro_solve(problem, config: VarproConfig):
-    """Variable projection with lp regularization; p = 2 reduces to genvarpro."""
-    return _varpro_engine(problem, replace(config))
-
-
-def gn_nls_solve(problem, config: VarproConfig, x0=None):
-    """Joint Gauss-Newton on (x, y) for the stacked Tikhonov residual.
-
-    Assembles the Jacobian [[G, d(Gx)/dy], [sqrt(lam) L, 0]] densely and takes
-    (optionally damped) steps in the concatenated variable. Meant for small
-    problems.
-    """
-    cfg = config
-    if cfg.y0 is None:
-        raise ValueError("config must provide the initial parameter vector y0")
-    if cfg.lam_mode != "fixed":
-        raise ValueError("gn_nls_solve requires a fixed lambda")
-    lam = float(cfg.lam)
-    d = np.asarray(problem.d, dtype=float).ravel()
-    x_true, y_true = _truth(problem)
-
-    y = np.asarray(cfg.y0, dtype=float).copy()
-    op = problem.operator(y)
-    if op.n > DENSE_LIMIT:
-        raise ValueError("gn_nls_solve assembles dense Jacobians; problem too large")
-    L = as_regularizer(cfg.regularizer, op.n)
-    l_dense = L.dense()
-    x = np.zeros(op.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    record = RunRecord()
-    record.ys.append(y.copy())
-
-    for it in range(1, cfg.max_iters + 1):
-        t0 = time.perf_counter()
-        resid = np.concatenate([op.apply(x) - d, np.sqrt(lam) * L.apply(x)])
-        jac = np.zeros((op.m + L.q, op.n + op.r))
-        jac[:op.m, :op.n] = op.dense()
-        jac[op.m:, :op.n] = np.sqrt(lam) * l_dense
-        jac[:op.m, op.n:] = jacobian_reduced(op, x)
-        step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
-        if not np.all(np.isfinite(step)):
-            raise SolverError("linearized system produced a non-finite step",
-                              record)
-
-        phi0 = float(resid @ resid)
-        halvings = 0
-        while True:
-            x_new = x + step[:op.n]
-            y_new = y + step[op.n:]
-            op_new = _operator_at(problem, y_new)
-            if op_new is not None:
-                if not cfg.damping:
-                    break
-                r_try = np.concatenate([op_new.apply(x_new) - d,
-                                        np.sqrt(lam) * L.apply(x_new)])
-                if float(r_try @ r_try) <= phi0:
-                    break
-            if halvings >= cfg.max_halvings:
-                raise SolverError(
-                    "damped step failed to reduce the residual", record)
-            step = step / 2.0
-            halvings += 1
-        x, y, op = x_new, y_new, op_new
-        wall = time.perf_counter() - t0
-        grad_norm = float(np.linalg.norm(jac.T @ resid))
-        record.add_iteration(it, x, y, phi0, grad_norm, lam, wall,
-                             x_true, y_true)
-        if np.linalg.norm(step) <= cfg.step_tol * max(
-                np.linalg.norm(np.concatenate([x, y])), 1e-30):
             record.converged = True
             record.stop_reason = "step tolerance"
             break

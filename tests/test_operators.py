@@ -57,6 +57,10 @@ class TestGaussianKernel1d:
             gaussian_kernel_1d(0.0, [0])
         with pytest.raises(ValueError):
             gaussian_kernel_1d(-1.0, [0])
+        with pytest.raises(ValueError):
+            gaussian_kernel_1d(np.nan, [0])
+        with pytest.raises(ValueError):
+            GaussianBlur1D(np.nan, 8)
 
 
 class TestToeplitz1d:
