@@ -19,6 +19,7 @@ Jacobians).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -95,19 +96,21 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
 
 @dataclass
 class GcvConfig:
-    """Search settings for the GCV minimization over eta."""
+    """Settings of the GCV minimization over eta.
+
+    Only ``omega``, the weight of the weighted GCV quotient, is settable; the
+    eta grid and the refinement tolerance are fixed class constants.
+    """
 
     omega: float = 1.0
-    grid_min: float = 1e-12
-    grid_max: float = 1e4
-    grid_points: int = 200
-    refine_tol: float = 1e-4
+    grid_min: ClassVar[float] = 1e-12
+    grid_max: ClassVar[float] = 1e4
+    grid_points: ClassVar[int] = 200
+    refine_tol: ClassVar[float] = 1e-4
 
     def __post_init__(self):
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
-        if not 0.0 < self.grid_min < self.grid_max:
-            raise ValueError("invalid eta search bounds")
 
     def grid(self):
         """The logarithmic eta grid that the search scans before refining."""

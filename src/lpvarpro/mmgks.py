@@ -150,14 +150,6 @@ class _GrowingQr:
     def r(self):
         return self._r[:self.rank, :self.k]
 
-    def reserve(self, capacity):
-        """Move the factors into buffers with room for ``capacity`` columns."""
-        r = self.r
-        self._r = np.zeros((capacity, capacity), order="F")
-        self._r[:self.rank, :self.k] = r
-        if self._q is not None:
-            self._q = _column_buffer(self.q, capacity)
-
     def append(self, col):
         """Extend the factors by one column; the buffers must have room."""
         q = self.q
@@ -182,9 +174,9 @@ class GksState:
     """Growing orthonormal basis V with cached products G V and L V.
 
     Also holds thin QR factors of G V and of the currently weighted P L V.
-    All of them live in column-major buffers with room for ``capacity``
-    columns, which double when a column arrives at a full buffer; ``v``,
-    ``gv``, ``lv`` and the factors are views of the filled part.
+    All of them live in column-major buffers sized once for ``capacity``
+    columns, the most the basis will hold; ``v``, ``gv``, ``lv`` and the
+    factors are views of the filled part.
 
     The weighted factor is rebuilt when the weights change, as R only, since
     the projected problem reads R alone. Q_L is formed the first time the
@@ -192,12 +184,11 @@ class GksState:
     incrementally.
     """
 
-    def __init__(self, v, gv, lv, capacity=None):
+    def __init__(self, v, gv, lv, capacity):
         self._k = v.shape[1]
-        capacity = max(capacity or 0, self._k, 1)
         self._v = _column_buffer(v, capacity)
         self._gv = _column_buffer(gv, capacity)
-        self._lv = None if lv is None else _column_buffer(lv, capacity)
+        self._lv = _column_buffer(lv, capacity)
         self._qr_g = _GrowingQr(gv, capacity)
         self._qr_l = None
         self.weights = None
@@ -220,7 +211,7 @@ class GksState:
 
     @property
     def lv(self):
-        return None if self._lv is None else self._lv[:, :self._k]
+        return self._lv[:, :self._k]
 
     @property
     def q_g(self):
@@ -258,8 +249,7 @@ class GksState:
                                 with_q)
 
     def append_direction(self, v_new, gv_new, lv_new):
-        if self._k == self.capacity:
-            self._reserve(2 * self.capacity)
+        """Add one basis column; raises IndexError when the buffers are full."""
         k = self._k
         self._v[:, k] = v_new
         self._gv[:, k] = gv_new
@@ -271,30 +261,21 @@ class GksState:
         if self._qr_l is not None and self._qr_l.q is not None:
             self._qr_l.append(np.sqrt(self.weights) * lv_new)
 
-    def _reserve(self, capacity):
-        self._v = _column_buffer(self.v, capacity)
-        self._gv = _column_buffer(self.gv, capacity)
-        self._lv = _column_buffer(self.lv, capacity)
-        self._qr_g.reserve(capacity)
-        if self._qr_l is not None:
-            self._qr_l.reserve(capacity)
 
-
-def init_gks(G, d, ell, L=None, capacity=None) -> GksState:
+def init_gks(G, d, ell, L, capacity) -> GksState:
     """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
 
-    ``capacity`` preallocates room for that many basis columns.
+    G V = U B holds for the bidiagonalization, so G V is read from U B
+    without applying G again. The state has room for ``capacity`` basis
+    columns.
     """
     G = _as_operator(G)
-    _, _, v, _ = golub_kahan(G, d, ell)
+    u, b, v, _ = golub_kahan(G, d, ell)
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
-    gv = np.column_stack([G.apply(v[:, j]) for j in range(v.shape[1])])
-    lv = None
-    if L is not None:
-        L = as_regularizer(L, G.n)
-        lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
-    return GksState(v, gv, lv, capacity)
+    L = as_regularizer(L, G.n)
+    lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
+    return GksState(v, u @ b, lv, capacity)
 
 
 def project_and_solve(gsvd: StackGsvd, eta, dhat):

@@ -25,6 +25,9 @@ class ConvBoundary(Enum):
     REFLEXIVE = "reflexive"
 
 
+# Dense assembly of an operator or a pair is limited to this many unknowns.
+DENSE_LIMIT = 4096
+
 _PAD_MODE = {
     ConvBoundary.ZERO: "constant",
     ConvBoundary.PERIODIC: "wrap",
@@ -417,16 +420,15 @@ class GaussianPsfBlur2D(ParamOperator):
         return self._dconv[j].adjoint(self._as_image(v)).ravel()
 
     def dense(self):
-        if self.n > 4096:
-            raise ValueError("dense assembly is limited to images up to 64x64")
         return self._dense_from_kernel(self.psf)
 
     def derivative_dense(self, j):
-        if self.n > 4096:
-            raise ValueError("dense assembly is limited to images up to 64x64")
         return self._dense_from_kernel(self.psf_grads[j])
 
     def _dense_from_kernel(self, kernel):
+        if self.n > DENSE_LIMIT:
+            raise ValueError(f"dense assembly is limited to n <= {DENSE_LIMIT} "
+                             f"pixels (got n = {self.n})")
         conv = _CachedConv2D(kernel, self.image_shape, self.boundary)
         cols = np.empty((self.m, self.n))
         e = np.zeros(self.image_shape)

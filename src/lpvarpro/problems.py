@@ -287,8 +287,7 @@ def load_instance(directory) -> ProblemInstance:
     arrays = {}
     for name in ("x_true", "d_true", "d", "noise"):
         arr = read_csv_matrix(os.path.join(directory, f"{name}.csv"))
-        arrays[name] = arr.ravel() if len(shape) == 1 else arr.reshape(shape)
-        arrays[name] = arrays[name].ravel()
+        arrays[name] = arr.reshape(shape).ravel()
     return ProblemInstance(
         family=meta["family"],
         y_true=np.array([float(v) for v in meta["y_true"].split(",")]),

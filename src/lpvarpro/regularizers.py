@@ -18,7 +18,6 @@ class Regularizer:
 
     n: int
     q: int
-    tag: str
 
     def apply(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -32,8 +31,6 @@ class Regularizer:
 
 
 class IdentityRegularizer(Regularizer):
-    tag = "identity"
-
     def __init__(self, n):
         self.n = self.q = int(n)
 
@@ -50,10 +47,9 @@ class IdentityRegularizer(Regularizer):
 class MatrixRegularizer(Regularizer):
     """Wrap an explicit (sparse or dense) matrix."""
 
-    def __init__(self, mat, tag="matrix"):
+    def __init__(self, mat):
         self.mat = mat
         self.q, self.n = mat.shape
-        self.tag = tag
 
     def apply(self, x):
         return np.asarray(self.mat @ np.asarray(x, dtype=float)).ravel()
@@ -91,14 +87,13 @@ class KroneckerSumRegularizer(Regularizer):
     X @ D^T read row-major.
     """
 
-    def __init__(self, stencil, n, tag):
+    def __init__(self, stencil, n):
         self.n1 = int(n)
         self.d = stencil
         self.dt = stencil.T
         self.rows = stencil.shape[0]
         self.n = self.n1 * self.n1
         self.q = self.rows * self.n1
-        self.tag = tag
 
     def apply(self, x):
         X = np.asarray(x, dtype=float).reshape(self.n1, self.n1)
@@ -120,9 +115,9 @@ def derivative_2d(order, n):
     if n < 3:
         raise ValueError("n must be at least 3")
     if order == 1:
-        return KroneckerSumRegularizer(first_derivative_1d(n), n, "d1")
+        return KroneckerSumRegularizer(first_derivative_1d(n), n)
     if order == 2:
-        return KroneckerSumRegularizer(second_derivative_1d(n), n, "d2")
+        return KroneckerSumRegularizer(second_derivative_1d(n), n)
     raise ValueError("order must be 1 or 2")
 
 
@@ -159,8 +154,6 @@ class FrameletRegularizer(Regularizer):
     With ``levels=2`` the low-pass block W0 (x) W0 is re-analyzed recursively,
     which preserves the tight-frame identity W^T W = I.
     """
-
-    tag = "framelet"
 
     def __init__(self, n, levels=1):
         if levels < 1:

@@ -23,9 +23,10 @@ from enum import Enum
 
 import numpy as np
 
-from .gcv import GcvConfig, select_eta, thin_gsvd
+from .gcv import select_eta, thin_gsvd
 from .metrics import ConvergenceRow, rre
 from .mmgks import (MmgksConfig, _as_operator, majorant_weights, mmgks_solve)
+from .operators import DENSE_LIMIT
 from .regularizers import as_regularizer
 
 
@@ -43,7 +44,8 @@ class JacobianVariant(Enum):
     REDUCED = "reduced"
 
 
-DENSE_LIMIT = 4096
+# Halvings of one outer step before the solve gives up on it.
+MAX_HALVINGS = 10
 
 
 def tik_solve(G, L, lam, d, gsvd=None):
@@ -157,14 +159,6 @@ class RunRecord:
             rre_y=rre_y, rre_x=rre_x, eta=eta, wall_time=wall_time))
         return self.rows[-1]
 
-    @property
-    def rre_x_series(self):
-        return [row.rre_x for row in self.rows]
-
-    @property
-    def rre_y_series(self):
-        return [row.rre_y for row in self.rows]
-
 
 @dataclass
 class VarproConfig:
@@ -177,10 +171,10 @@ class VarproConfig:
     step_tol: float = 1e-6
     p: float = 2.0
     epsilon: float = 1e-2
-    inner: str = "auto"                 # 'dense' (p = 2 only), 'gks' or 'auto'
+    # 'auto' solves densely at p = 2 up to DENSE_LIMIT unknowns; 'gks' never
+    inner: str = "auto"
     inner_iters: int = 30
     inner_tol: float = 1e-4
-    subspace_dim: int = 10
     lam_mode: str = "gcv"               # 'fixed' or 'gcv'
     # lam is the regularization weight lambda of lam_mode 'fixed'. Every
     # inner solve runs at the normal-equations weight
@@ -189,9 +183,7 @@ class VarproConfig:
     # itself, and RunRecord.etas holds eta in every mode. mmgks.mm_lambda
     # (2 eta / p) only weights the objective that the inner solver records.
     lam: float | None = None
-    omega: float = 1.0
     damping: bool = False
-    max_halvings: int = 10
     divergence_factor: float = 10.0
 
     def __post_init__(self):
@@ -199,10 +191,8 @@ class VarproConfig:
             raise ValueError("step_tol must be positive")
         if not 0.0 < self.p <= 2.0:
             raise ValueError("p must lie in (0, 2]")
-        if self.inner not in ("dense", "gks", "auto"):
-            raise ValueError("inner must be 'dense', 'gks' or 'auto'")
-        if self.inner == "dense" and self.p != 2.0:
-            raise ValueError("the dense inner solve is Tikhonov and needs p = 2")
+        if self.inner not in ("gks", "auto"):
+            raise ValueError("inner must be 'gks' or 'auto'")
         if self.lam_mode not in ("fixed", "gcv"):
             raise ValueError("lam_mode must be 'fixed' or 'gcv'")
         if self.lam_mode == "fixed" and self.lam is None:
@@ -212,36 +202,41 @@ class VarproConfig:
 
     def mmgks_config(self, eta=None):
         return MmgksConfig(p=self.p, epsilon=self.epsilon,
-                           subspace_dim=self.subspace_dim,
                            max_iters=self.inner_iters, tol=self.inner_tol,
-                           eta=eta, gcv=GcvConfig(omega=self.omega))
+                           eta=eta)
 
 
 def _use_dense(problem_n, cfg: VarproConfig):
     """Whether the inner solve is the dense Tikhonov solve (p = 2 only)."""
-    if cfg.p != 2.0 or cfg.inner == "gks":
-        return False
-    return cfg.inner == "dense" or problem_n <= DENSE_LIMIT
+    return cfg.p == 2.0 and cfg.inner == "auto" and problem_n <= DENSE_LIMIT
 
 
 def _inner_solve(op, L, d, cfg: VarproConfig):
-    """Solve for x at the current parameters.
+    """Solve for x at G = ``op`` and form the stacked residual there.
 
-    Returns ``(x, eta, gsvd)`` with eta the weight of the solve and gsvd the
-    thin GSVD of {G, L} on the dense route, formed once and read by every
-    solve of the step, else None.
+    Returns ``(x, eta, gsvd, r_data, f_hat, sqrt_w)``: eta is the weight of
+    the solve, gsvd the thin GSVD of {G, L} on the dense route (formed once
+    and read by every solve of the step, else None), r_data = G x - d,
+    sqrt_w the square roots of the majorant weights at x and f_hat the
+    stacked residual [r_data; sqrt(eta) sqrt_w L x] of the reweighted pair.
     """
     gsvd = thin_gsvd(op.dense(), L.dense()) if _use_dense(op.n, cfg) else None
-    if cfg.lam_mode == "gcv":
-        if gsvd is not None:
-            eta = select_eta(gsvd, d, GcvConfig(omega=cfg.omega)).eta
-            return tik_solve(op, L, eta, d, gsvd), eta, gsvd
+    if cfg.lam_mode == "gcv" and gsvd is not None:
+        eta = select_eta(gsvd, d).eta
+        x = tik_solve(op, L, eta, d, gsvd)
+    elif cfg.lam_mode == "gcv":
         res = mmgks_solve(op, L, d, cfg.mmgks_config())
-        return res.x, (res.etas[-1] if res.etas else np.nan), None
-    eta = float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0)
-    if gsvd is not None:
-        return tik_solve(op, L, eta, d, gsvd), eta, gsvd
-    return mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta)).x, eta, None
+        x, eta = res.x, (res.etas[-1] if res.etas else np.nan)
+    else:
+        eta = float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0)
+        x = (tik_solve(op, L, eta, d, gsvd) if gsvd is not None
+             else mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta)).x)
+    u = L.apply(x)
+    # at p = 2 the weights are 1 whatever epsilon is
+    sqrt_w = np.sqrt(majorant_weights(u, cfg.p, cfg.epsilon))
+    r_data = op.apply(x) - d
+    f_hat = np.concatenate([r_data, np.sqrt(eta) * (sqrt_w * u)])
+    return x, eta, gsvd, r_data, f_hat, sqrt_w
 
 
 def _truth(problem):
@@ -259,21 +254,14 @@ def _operator_at(problem, y):
         return None
 
 
-def _stacked_residual(op, L, x, d, eta, p, eps_eff):
-    u = L.apply(x)
-    w = majorant_weights(u, p, eps_eff)
-    sqrt_w = np.sqrt(w)
-    r_data = op.apply(x) - d
-    f_hat = np.concatenate([r_data, np.sqrt(eta) * (sqrt_w * u)])
-    return r_data, f_hat, sqrt_w
-
-
 def lp_varpro_solve(problem, config: VarproConfig):
     """Variable projection with lp regularization; returns ``(x, y, record)``.
 
     A step that leaves the parameter domain or, with damping, raises the
-    residual is halved up to ``max_halvings`` times; when no trial is
+    residual is halved up to ``MAX_HALVINGS`` times; when no trial is
     accepted the solve raises :class:`SolverError` with the partial record.
+    With damping, the inner solve of the accepted trial serves the next
+    outer step.
     """
     cfg = config
     if cfg.y0 is None:
@@ -289,20 +277,14 @@ def lp_varpro_solve(problem, config: VarproConfig):
     record = RunRecord()
     record.ys.append(y.copy())
     rre_y0 = rre(y, y_true) if y_true is not None else np.nan
-    eps_eff = 0.0 if cfg.p == 2.0 else cfg.epsilon
     x = None
-
-    def residual_sq(op_try):
-        x_try, eta_try, _ = _inner_solve(op_try, L, d, cfg)
-        _, f_try, _ = _stacked_residual(op_try, L, x_try, d, eta_try, cfg.p,
-                                        eps_eff)
-        return float(f_try @ f_try)
+    solved = None       # the inner solve at op, when a damped trial made it
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        x, eta, gsvd = _inner_solve(op, L, d, cfg)
-        r_data, f_hat, sqrt_w = _stacked_residual(op, L, x, d, eta, cfg.p,
-                                                  eps_eff)
+        if solved is None:
+            solved = _inner_solve(op, L, d, cfg)
+        x, eta, gsvd, r_data, f_hat, sqrt_w = solved
 
         if cfg.variant is JacobianVariant.REDUCED:
             jac = jacobian_reduced(op, x)
@@ -320,16 +302,22 @@ def lp_varpro_solve(problem, config: VarproConfig):
             step, *_ = np.linalg.lstsq(jac, f_hat, rcond=None)
             grad_norm = float(np.linalg.norm(jac.T @ f_hat))
 
-        # the operator built to check y_new serves the next outer step
+        # the operator built to check y_new serves the next outer step, and
+        # so does the inner solve of a damped trial
         phi0 = float(f_hat @ f_hat)
         halvings = 0
         while True:
             y_new = y + step
             op_new = _operator_at(problem, y_new)
-            if op_new is not None and (not cfg.damping
-                                       or residual_sq(op_new) <= phi0):
+            solved = None
+            if op_new is not None and cfg.damping:
+                solved = _inner_solve(op_new, L, d, cfg)
+                f_try = solved[4]
+                if float(f_try @ f_try) <= phi0:
+                    break
+            elif op_new is not None:
                 break
-            if halvings >= cfg.max_halvings:
+            if halvings >= MAX_HALVINGS:
                 reason = ("left the valid domain" if op_new is None
                           else "raised the residual")
                 raise SolverError(

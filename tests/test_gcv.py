@@ -223,5 +223,6 @@ class TestSelectEta:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GcvConfig(omega=0.0)
-        with pytest.raises(ValueError):
-            GcvConfig(grid_min=1.0, grid_max=0.5)
+        # the search grid is fixed
+        with pytest.raises(TypeError):
+            GcvConfig(grid_min=1e-10)

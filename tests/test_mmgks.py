@@ -115,7 +115,7 @@ class TestGolubKahan:
 
 class TestProjectAndSolve:
     def _state(self, G, L, d, ell):
-        state = init_gks(G, d, ell, L)
+        state = init_gks(G, d, ell, L, capacity=ell)
         state.set_weights(np.ones(L.q))
         return state
 
@@ -146,7 +146,7 @@ class TestProjectAndSolve:
         v = np.eye(12)[:, :4]
         gv = G @ v
         lv = v.copy()
-        state = GksState(v, gv, lv)
+        state = GksState(v, gv, lv, capacity=4)
         state.set_weights(np.ones(12))
         eta = 0.9
         z = projected_solution(state, eta, d)
@@ -161,7 +161,7 @@ class TestProjectAndSolve:
         G = rng.standard_normal((20, 15))
         L = MatrixRegularizer(first_derivative_1d(15))
         d = rng.standard_normal(20)
-        state = init_gks(G, d, 6, L)
+        state = init_gks(G, d, 6, L, capacity=6)
         state.set_weights(rng.uniform(0.5, 2.0, L.q))
         z = projected_solution(state, eta, d)
         np.testing.assert_allclose(z, normal_equations_solution(state, eta, d),
@@ -173,7 +173,7 @@ class TestProjectAndSolve:
         G = rng.standard_normal((5, 12))
         L = MatrixRegularizer(first_derivative_1d(12))
         d = rng.standard_normal(5)
-        state = init_gks(G, d, 4, L)
+        state = init_gks(G, d, 4, L, capacity=8)
         state.set_weights(np.ones(L.q))
         for _ in range(4):
             z = projected_solution(state, 0.3, d)
@@ -187,7 +187,7 @@ class TestProjectAndSolve:
     def test_singular_projected_system_raises(self):
         v = np.eye(4)[:, :2]
         gv = np.zeros((4, 2))
-        state = GksState(v, gv, np.zeros((4, 2)))
+        state = GksState(v, gv, np.zeros((4, 2)), capacity=2)
         state.set_weights(np.ones(4))
         with pytest.raises(ValueError, match="null space"):
             project_and_solve(thin_gsvd(state.r_g, state.r_l), 1.0,
@@ -204,11 +204,10 @@ class TestGksStateBuffers:
         basis, _ = np.linalg.qr(rng.standard_normal((30, 20)))
         gv = np.column_stack([G @ basis[:, j] for j in range(20)])
         lv = np.column_stack([ld @ basis[:, j] for j in range(20)])
-        state = GksState(basis[:, :2], gv[:, :2], lv[:, :2])
-        initial_capacity = state.capacity
+        state = GksState(basis[:, :2], gv[:, :2], lv[:, :2], capacity=20)
         for j in range(2, 20):
             state.append_direction(basis[:, j], gv[:, j], lv[:, j])
-        assert state.k == 20 and state.capacity > initial_capacity
+        assert state.k == 20 == state.capacity
         np.testing.assert_array_equal(state.v, basis)
         np.testing.assert_array_equal(state.gv, gv)
         np.testing.assert_array_equal(state.lv, lv)
@@ -220,13 +219,17 @@ class TestGksStateBuffers:
         assert rank == min(m, 20)
         np.testing.assert_allclose(state.q_g.T @ state.q_g, np.eye(rank),
                                    atol=1e-12)
+        # the buffers are sized once: a column past capacity is refused
+        with pytest.raises(IndexError):
+            state.append_direction(basis[:, 0], gv[:, 0], lv[:, 0])
+        assert state.k == 20
 
     def test_weighted_factor_after_reweighting_and_growth(self):
         rng = np.random.default_rng(14)
         G = rng.standard_normal((25, 18))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 4, L)
+        state = init_gks(G, d, 4, L, capacity=9)
         w1 = rng.uniform(0.5, 2.0, L.q)
         w2 = rng.uniform(0.5, 2.0, L.q)
         state.set_weights(w1)
@@ -254,7 +257,7 @@ class TestExpandSubspace:
         d = rng.standard_normal(10)
         eta = 0.5
         # saturate the subspace so the projected solve is the full-space one
-        state = init_gks(G, d, 6, L)
+        state = init_gks(G, d, 6, L, capacity=7)
         state.set_weights(np.ones(6))
         z = projected_solution(state, eta, d)
         grew = expand_subspace(state, z, eta, np.ones(6), G, L, d)
@@ -265,7 +268,7 @@ class TestExpandSubspace:
         G = rng.standard_normal((25, 18))
         L = IdentityRegularizer(18)
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 5, L)
+        state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
         z = projected_solution(state, 0.1, d)
         assert expand_subspace(state, z, 0.1, np.ones(18), G, L, d)
@@ -277,7 +280,7 @@ class TestExpandSubspace:
         G = rng.standard_normal((25, 18))
         L = IdentityRegularizer(18)
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 5, L)
+        state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
         z = projected_solution(state, 0.1, d)
         expand_subspace(state, z, 0.1, np.ones(18), G, L, d)
@@ -401,7 +404,7 @@ class TestMmgksSolve:
         G = prob.operator(prob.y_true)
         L = IdentityRegularizer(48)
         d = prob.d
-        state = init_gks(G, d, 6, L)
+        state = init_gks(G, d, 6, L, capacity=18)
         for _ in range(12):
             state.set_weights(np.ones(L.q))
             z = projected_solution(state, 1e-3, d)
@@ -443,7 +446,7 @@ class TestMmgksSolve:
         res = mmgks_solve(G, MatrixRegularizer(first_derivative_1d(48)),
                           prob.d, cfg)
         assert res.iterations == 12
-        assert G.applies <= 2 * ell + res.iterations
+        assert G.applies <= ell + res.iterations
 
     def test_one_projected_factorization_per_iteration(self):
         # GCV and the projected solve read one thin GSVD; neither factors

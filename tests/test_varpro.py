@@ -379,17 +379,14 @@ class TestLpVarpro:
 
 
 class TestVarproConfig:
-    def test_rejects_unknown_inner(self):
+    @pytest.mark.parametrize("inner", ["qr", "dense"])
+    def test_rejects_unknown_inner(self, inner):
         with pytest.raises(ValueError):
-            VarproConfig(y0=np.array([2.0]), inner="qr")
+            VarproConfig(y0=np.array([2.0]), inner=inner)
 
     def test_rejects_unknown_lam_mode(self):
         with pytest.raises(ValueError):
             VarproConfig(y0=np.array([2.0]), lam_mode="lcurve")
-
-    def test_rejects_dense_inner_below_p_two(self):
-        with pytest.raises(ValueError):
-            VarproConfig(y0=np.array([2.0]), inner="dense", p=1.0)
 
 
 class TestEngineWork:
@@ -416,7 +413,7 @@ class TestEngineWork:
             cfg = VarproConfig(y0=np.array([2.5]), variant="full",
                                regularizer=first_derivative_1d(32),
                                max_iters=4, lam_mode=lam_mode, lam=1e-3,
-                               inner="dense")
+                               inner="auto")
             _, _, record = lp_varpro_solve(prob, cfg)
             assert len(record.rows) == 4
             assert calls == Counter(thin_gsvd=4, dense=4), lam_mode
@@ -448,6 +445,26 @@ class TestEngineWork:
         with pytest.raises(ValueError, match="reduced"):
             lp_varpro_solve(prob, cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("variant", ["reduced", "half"])
+    def test_damped_trial_solve_serves_next_step(self, monkeypatch, variant):
+        # every first trial is accepted here, so each accepted step costs one
+        # inner solve: the trial's, which the next step reads
+        calls = []
+        inner_orig = varpro._inner_solve
+
+        def counting(*args):
+            calls.append(1)
+            return inner_orig(*args)
+
+        monkeypatch.setattr(varpro, "_inner_solve", counting)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
+        cfg = VarproConfig(y0=np.array([2.6]), variant=variant,
+                           regularizer=first_derivative_1d(32), max_iters=12,
+                           lam_mode="fixed", lam=1e-3, damping=True)
+        _, _, record = lp_varpro_solve(prob, cfg)
+        assert len(record.rows) == 12
+        assert len(calls) == 1 + len(record.rows)
 
     def test_one_operator_build_per_accepted_step(self, monkeypatch):
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=4)
