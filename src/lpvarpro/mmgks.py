@@ -383,7 +383,8 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
 
     ell = min(cfg.subspace_dim, min(G.m, G.n))
     state = init_gks(G, d, ell, L, capacity=ell + cfg.max_iters)
-    grad_scale = np.linalg.norm(G.adjoint_apply(d))
+    # G^T d lies in span(V), so ||(G V)^T d|| = ||G^T d||
+    grad_scale = np.linalg.norm(state.gv.T @ d)
 
     x = np.zeros(G.n) if x0 is None else np.asarray(x0, dtype=float).copy()
     u = L.apply(x)

@@ -28,6 +28,21 @@ class ConvBoundary(Enum):
 # Dense assembly of an operator or a pair is limited to this many unknowns.
 DENSE_LIMIT = 4096
 
+
+def _columns(fn, m, n):
+    """Dense m x n matrix of columns fn(e_i), reusing one unit vector e_i."""
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense assembly is limited to n <= {DENSE_LIMIT} "
+                         f"unknowns (got n = {n})")
+    cols = np.empty((m, n))
+    e = np.zeros(n)
+    for i in range(n):
+        e[i] = 1.0
+        cols[:, i] = fn(e)
+        e[i] = 0.0
+    return cols
+
+
 _PAD_MODE = {
     ConvBoundary.ZERO: "constant",
     ConvBoundary.PERIODIC: "wrap",
@@ -306,8 +321,11 @@ class ParamOperator:
 
     def dense(self) -> np.ndarray:
         """Dense matrix representation; intended for small problems."""
-        cols = [self.apply(e) for e in np.eye(self.n)]
-        return np.column_stack(cols)
+        return _columns(self.apply, self.m, self.n)
+
+    def derivative_dense(self, j) -> np.ndarray:
+        """Dense matrix of dG/dy_j; intended for small problems."""
+        return _columns(lambda e: self.derivative_apply(j, e), self.m, self.n)
 
 
 class MatrixOperator(ParamOperator):
@@ -418,26 +436,4 @@ class GaussianPsfBlur2D(ParamOperator):
 
     def derivative_adjoint_apply(self, j, v):
         return self._dconv[j].adjoint(self._as_image(v)).ravel()
-
-    def dense(self):
-        return self._dense_from_kernel(self.psf)
-
-    def derivative_dense(self, j):
-        return self._dense_from_kernel(self.psf_grads[j])
-
-    def _dense_from_kernel(self, kernel):
-        if self.n > DENSE_LIMIT:
-            raise ValueError(f"dense assembly is limited to n <= {DENSE_LIMIT} "
-                             f"pixels (got n = {self.n})")
-        conv = _CachedConv2D(kernel, self.image_shape, self.boundary)
-        cols = np.empty((self.m, self.n))
-        e = np.zeros(self.image_shape)
-        it = 0
-        for i in range(self.image_shape[0]):
-            for jj in range(self.image_shape[1]):
-                e[i, jj] = 1.0
-                cols[:, it] = conv.apply(e).ravel()
-                e[i, jj] = 0.0
-                it += 1
-        return cols
 

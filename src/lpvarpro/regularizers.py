@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from .operators import _columns
+
 
 class Regularizer:
     """Linear map L with input dimension ``n`` and output dimension ``q``."""
@@ -26,8 +28,7 @@ class Regularizer:
         raise NotImplementedError
 
     def dense(self) -> np.ndarray:
-        cols = [self.apply(e) for e in np.eye(self.n)]
-        return np.column_stack(cols)
+        return _columns(self.apply, self.q, self.n)
 
 
 class IdentityRegularizer(Regularizer):

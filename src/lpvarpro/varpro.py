@@ -1,18 +1,19 @@
 """Outer variable-projection solver for separable inverse problems.
 
 ``lp_varpro_solve`` is the one outer loop over the blur parameters y, for
-every p and lambda mode: each outer step eliminates x by one inner solve at
-the operator G(y) built when y was accepted (a dense Tikhonov solve at p = 2
-on small problems, the majorize-minimize subspace solver otherwise), then
-takes a Gauss-Newton step on the projected residual of the reweighted pair.
+every p, with lambda fixed or chosen by GCV (``lam=None``): each outer step
+eliminates x by one inner solve at the operator G(y) built when y was
+accepted (a dense Tikhonov solve at p = 2 on small problems, the
+majorize-minimize subspace solver otherwise), then takes a Gauss-Newton step
+on the projected residual of the reweighted pair.
 
 The dense Tikhonov solve is the MMGKS projected step on the full pair: it
 factors {G, L} once with ``gcv.thin_gsvd``, picks eta with ``gcv.select_eta``
-(in GCV mode) and reads x from ``StackGsvd.solve``, the routines that serve
+(lam=None) and reads x from ``StackGsvd.solve``, the routines that serve
 each MMGKS inner iteration. The projected-residual Jacobian comes in three
-variants (full, half, reduced). Full and half are evaluated through the same
-thin GSVD of the stacked pair, so that only matrix-vector products and one
-diagonal inverse appear; at p = 2 the inner solve and the Jacobian share it.
+variants (full, half, reduced). Full and half differentiate the thin GSVD of
+the reweighted pair that the step holds, with matrix-vector products and one
+diagonal inverse; at p = 2 the inner solve and the Jacobian share it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .regularizers import as_regularizer
 
 
 class SolverError(RuntimeError):
-    """Raised when an outer solve diverges or stalls; carries partial history."""
+    """Raised when no trial of an outer step is accepted; holds the record."""
 
     def __init__(self, message, record=None):
         super().__init__(message)
@@ -66,56 +67,41 @@ def tik_solve(G, L, lam, d, gsvd=None):
     return gsvd.solve(lam, np.asarray(d, dtype=float))
 
 
-def _check_dense_feasible(op):
-    if op.n > DENSE_LIMIT:
-        raise ValueError(
-            f"full/half Jacobians need a dense GSVD of the pair, which is "
-            f"limited to n <= {DENSE_LIMIT} unknowns (got n = {op.n}); use "
-            f"the reduced Jacobian instead")
-
-
-def jacobian_half(op, x, lam, L, gsvd=None):
+def jacobian_half(op, x, eta, gsvd):
     """Projected-residual Jacobian keeping only the projection term.
 
     Column j is -A_j where A_j projects the derivative of the prediction,
     i.e. the derivative of y' -> P_perp(y) ([d; 0] - G_L(y') x) with the
     projector and x frozen at the current y. ``gsvd`` is the thin GSVD of
-    {G, L}; it is formed here when not given.
+    the pair x was solved on at weight ``eta``, {G, W^(1/2) L}.
     """
-    _check_dense_feasible(op)
-    if gsvd is None:
-        gsvd = thin_gsvd(op.dense(), as_regularizer(L, op.n).dense())
     m, q, rpar = op.m, gsvd.t.shape[0], op.r
-    filt = gsvd.filter(lam)
+    filt = gsvd.filter(eta)
     cols = np.zeros((m + q, rpar))
     for j in range(rpar):
         v = op.derivative_apply(j, np.asarray(x, dtype=float))
         g = filt * (gsvd.u.T @ v)
         cols[:m, j] = gsvd.u @ (gsvd.c * g) - v
-        cols[m:, j] = np.sqrt(lam) * (gsvd.t @ g)
+        cols[m:, j] = np.sqrt(eta) * (gsvd.t @ g)
     return cols
 
 
-def jacobian_full(op, x, lam, L, d, gsvd=None):
+def jacobian_full(op, x, eta, gsvd, misfit):
     """Projected-residual Jacobian with both terms, columns -A_j - B_j.
 
     This is the exact derivative of y -> [d; 0] - G_L(y) x(y) with x(y) the
-    regularized solution, evaluated through the GSVD of the pair (formed
-    here when ``gsvd`` is not given).
+    regularized solution, evaluated through ``gsvd`` as in
+    :func:`jacobian_half`; ``misfit`` is G x - d.
     """
-    _check_dense_feasible(op)
-    if gsvd is None:
-        gsvd = thin_gsvd(op.dense(), as_regularizer(L, op.n).dense())
-    cols = jacobian_half(op, x, lam, L, gsvd=gsvd)
+    cols = jacobian_half(op, x, eta, gsvd)
     m = op.m
-    filt = gsvd.filter(lam)
-    den = gsvd.c**2 + lam * gsvd.s2
-    misfit = op.apply(np.asarray(x, dtype=float)) - np.asarray(d, dtype=float)
+    filt = gsvd.filter(eta)
+    den = gsvd.c**2 + eta * gsvd.s2
     for j in range(op.r):
         wj = op.derivative_adjoint_apply(j, misfit)
         tvec = gsvd.solve_z(wj)
         cols[:m, j] += gsvd.u @ (filt * tvec)
-        cols[m:, j] += np.sqrt(lam) * (gsvd.t @ (tvec / den))
+        cols[m:, j] += np.sqrt(eta) * (gsvd.t @ (tvec / den))
     return cols
 
 
@@ -142,7 +128,7 @@ class RunRecord:
         """Append one outer iteration: the new y and its row.
 
         The errors against ``x_true``/``y_true`` are reported only, and are
-        NaN when the truth is absent. Returns the appended row.
+        NaN when the truth is absent.
         """
         rre_x = rre(x, x_true) if x_true is not None else np.nan
         rre_y = rre(y, y_true) if y_true is not None else np.nan
@@ -157,14 +143,13 @@ class RunRecord:
             rel_func_value=func_value / base_f if base_f else np.nan,
             rel_grad_norm=grad_norm / base_g if base_g else np.nan,
             rre_y=rre_y, rre_x=rre_x, eta=eta, wall_time=wall_time))
-        return self.rows[-1]
 
 
 @dataclass
 class VarproConfig:
     """Settings of the variable-projection outer solver."""
 
-    y0: np.ndarray | None = None
+    y0: np.ndarray
     variant: JacobianVariant = JacobianVariant.REDUCED
     regularizer: object = None          # Regularizer, matrix, or None (identity)
     max_iters: int = 30
@@ -175,16 +160,15 @@ class VarproConfig:
     inner: str = "auto"
     inner_iters: int = 30
     inner_tol: float = 1e-4
-    lam_mode: str = "gcv"               # 'fixed' or 'gcv'
-    # lam is the regularization weight lambda of lam_mode 'fixed'. Every
-    # inner solve runs at the normal-equations weight
+    # lam is the fixed regularization weight lambda; None (the default)
+    # selects eta by GCV at every inner solve. A fixed lambda runs every
+    # inner solve at the normal-equations weight
     # eta = lambda * epsilon**(p - 2) of ||G x - d||^2 + eta ||W^(1/2) L x||^2
-    # with majorant weights W, so eta = lambda at p = 2. GCV selects eta
-    # itself, and RunRecord.etas holds eta in every mode. mmgks.mm_lambda
-    # (2 eta / p) only weights the objective that the inner solver records.
+    # with majorant weights W, so eta = lambda at p = 2. RunRecord.etas holds
+    # eta either way. mmgks.mm_lambda (2 eta / p) only weights the objective
+    # that the inner solver records.
     lam: float | None = None
     damping: bool = False
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
         if self.step_tol <= 0:
@@ -193,10 +177,6 @@ class VarproConfig:
             raise ValueError("p must lie in (0, 2]")
         if self.inner not in ("gks", "auto"):
             raise ValueError("inner must be 'gks' or 'auto'")
-        if self.lam_mode not in ("fixed", "gcv"):
-            raise ValueError("lam_mode must be 'fixed' or 'gcv'")
-        if self.lam_mode == "fixed" and self.lam is None:
-            raise ValueError("fixed lambda mode needs a lambda value")
         if isinstance(self.variant, str):
             self.variant = JacobianVariant(self.variant)
 
@@ -220,17 +200,19 @@ def _inner_solve(op, L, d, cfg: VarproConfig):
     sqrt_w the square roots of the majorant weights at x and f_hat the
     stacked residual [r_data; sqrt(eta) sqrt_w L x] of the reweighted pair.
     """
-    gsvd = thin_gsvd(op.dense(), L.dense()) if _use_dense(op.n, cfg) else None
-    if cfg.lam_mode == "gcv" and gsvd is not None:
-        eta = select_eta(gsvd, d).eta
+    eta = (None if cfg.lam is None
+           else float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0))
+    if _use_dense(op.n, cfg):
+        gsvd = thin_gsvd(op.dense(), L.dense())
+        if eta is None:
+            eta = select_eta(gsvd, d).eta
         x = tik_solve(op, L, eta, d, gsvd)
-    elif cfg.lam_mode == "gcv":
-        res = mmgks_solve(op, L, d, cfg.mmgks_config())
-        x, eta = res.x, (res.etas[-1] if res.etas else np.nan)
     else:
-        eta = float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0)
-        x = (tik_solve(op, L, eta, d, gsvd) if gsvd is not None
-             else mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta)).x)
+        gsvd = None
+        res = mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta))
+        x = res.x
+        if eta is None:
+            eta = res.etas[-1] if res.etas else np.nan
     u = L.apply(x)
     # at p = 2 the weights are 1 whatever epsilon is
     sqrt_w = np.sqrt(majorant_weights(u, cfg.p, cfg.epsilon))
@@ -264,19 +246,19 @@ def lp_varpro_solve(problem, config: VarproConfig):
     outer step.
     """
     cfg = config
-    if cfg.y0 is None:
-        raise ValueError("config must provide the initial parameter vector y0")
     d = np.asarray(problem.d, dtype=float).ravel()
     x_true, y_true = _truth(problem)
 
     y = np.asarray(cfg.y0, dtype=float).copy()
     op = problem.operator(y)
-    if cfg.variant is not JacobianVariant.REDUCED:
-        _check_dense_feasible(op)
+    if cfg.variant is not JacobianVariant.REDUCED and op.n > DENSE_LIMIT:
+        raise ValueError(
+            f"full/half Jacobians need a dense GSVD of the pair, which is "
+            f"limited to n <= {DENSE_LIMIT} unknowns (got n = {op.n}); use "
+            f"the reduced Jacobian instead")
     L = as_regularizer(cfg.regularizer, op.n)
     record = RunRecord()
     record.ys.append(y.copy())
-    rre_y0 = rre(y, y_true) if y_true is not None else np.nan
     x = None
     solved = None       # the inner solve at op, when a damped trial made it
 
@@ -296,9 +278,9 @@ def lp_varpro_solve(problem, config: VarproConfig):
             if gsvd is None:
                 gsvd = thin_gsvd(op.dense(), sqrt_w[:, None] * L.dense())
             if cfg.variant is JacobianVariant.FULL:
-                jac = jacobian_full(op, x, eta, L, d, gsvd=gsvd)
+                jac = jacobian_full(op, x, eta, gsvd, r_data)
             else:
-                jac = jacobian_half(op, x, eta, L, gsvd=gsvd)
+                jac = jacobian_half(op, x, eta, gsvd)
             step, *_ = np.linalg.lstsq(jac, f_hat, rcond=None)
             grad_norm = float(np.linalg.norm(jac.T @ f_hat))
 
@@ -327,14 +309,8 @@ def lp_varpro_solve(problem, config: VarproConfig):
             halvings += 1
 
         y, op = y_new, op_new
-        row = record.add_iteration(it, x, y, phi0, grad_norm, eta,
-                                   time.perf_counter() - t0, x_true, y_true)
-
-        if np.isfinite(rre_y0) and rre_y0 > 0 \
-                and row.rre_y > cfg.divergence_factor * rre_y0:
-            raise SolverError(
-                f"parameter iteration diverged: RRE(y) grew to "
-                f"{row.rre_y:.3g} from {rre_y0:.3g}", record)
+        record.add_iteration(it, x, y, phi0, grad_norm, eta,
+                             time.perf_counter() - t0, x_true, y_true)
         if np.linalg.norm(step) <= cfg.step_tol * max(np.linalg.norm(y), 1e-30):
             record.converged = True
             record.stop_reason = "step tolerance"

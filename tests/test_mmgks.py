@@ -448,6 +448,27 @@ class TestMmgksSolve:
         assert res.iterations == 12
         assert G.applies <= ell + res.iterations
 
+    def test_one_adjoint_apply_per_expansion(self):
+        # G^T d is formed once, by the bidiagonalization; the expansion
+        # stall floor reads its norm from the basis
+        class CountingOperator(MatrixOperator):
+            adjoints = 0
+
+            def adjoint_apply(self, v):
+                self.adjoints += 1
+                return super().adjoint_apply(v)
+
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=6)
+        ell = 5
+        L = MatrixRegularizer(first_derivative_1d(48))
+        for tol, converged in ((1e-16, False), (1e-2, True)):
+            G = CountingOperator(prob.operator(prob.y_true).dense())
+            cfg = MmgksConfig(p=1.0, epsilon=1e-2, subspace_dim=ell,
+                              max_iters=40, tol=tol)
+            res = mmgks_solve(G, L, prob.d, cfg)
+            assert res.converged is converged
+            assert G.adjoints == ell + res.iterations - int(res.converged)
+
     def test_one_projected_factorization_per_iteration(self):
         # GCV and the projected solve read one thin GSVD; neither factors
         # the projected pair again by least squares or a CS decomposition

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
+from lpvarpro.operators import (DENSE_LIMIT, ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, PsfParams,
                                 build_toeplitz_1d, conv2d_apply,
                                 gaussian_kernel_1d, psf_gaussian_2d,
@@ -254,6 +254,13 @@ class TestDenseAssembly:
         for j in range(3):
             np.testing.assert_allclose(op.derivative_dense(j) @ x,
                                        op.derivative_apply(j, x), atol=1e-12)
+
+    def test_dense_refused_above_limit(self):
+        op = GaussianPsfBlur2D(PsfParams(1.2, 1.6, 0.6), (65, 65), 5)
+        assert op.n > DENSE_LIMIT
+        for assemble in (op.dense, lambda: op.derivative_dense(0)):
+            with pytest.raises(ValueError, match=f"n <= {DENSE_LIMIT}"):
+                assemble()
 
 
 class TestReducedJacobian:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -12,10 +13,15 @@ from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
                                    as_regularizer, derivative_2d,
                                    first_derivative_1d)
-from lpvarpro.gcv import thin_gsvd
+from lpvarpro.gcv import GcvConfig, thin_gsvd
 from lpvarpro.varpro import (JacobianVariant, SolverError, VarproConfig,
                              jacobian_full, jacobian_half, jacobian_reduced,
                              lp_varpro_solve, tik_solve)
+
+
+def pair_gsvd(op, L):
+    """Thin GSVD of the pair {G, L} that the FULL/HALF Jacobians read."""
+    return thin_gsvd(op.dense(), L.dense())
 
 
 def stacked_pinv(g_dense, l_dense, lam):
@@ -102,7 +108,9 @@ class TestJacobianFull:
         lam = 1e-2
         y0 = prob.y_true * 1.15
         op = prob.operator(y0)
-        jac = jacobian_full(op, tik_solve(op, L, lam, prob.d), lam, L, prob.d)
+        x = tik_solve(op, L, lam, prob.d)
+        jac = jacobian_full(op, x, lam, pair_gsvd(op, L),
+                            op.apply(x) - prob.d)
 
         def resid(y):
             return projected_residual(prob.operator(y), L, lam, prob.d)
@@ -117,8 +125,9 @@ class TestJacobianFull:
         y0 = prob1d.y_true * 1.2
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
-        full = jacobian_full(op, x, lam, L, prob1d.d)
-        half = jacobian_half(op, x, lam, L)
+        gsvd = pair_gsvd(op, L)
+        full = jacobian_full(op, x, lam, gsvd, op.apply(x) - prob1d.d)
+        half = jacobian_half(op, x, lam, gsvd)
         # the transpose (second) term does not vanish in the unregularized limit
         assert np.linalg.norm(full - half) > 1e-6 * np.linalg.norm(full)
 
@@ -129,8 +138,9 @@ class TestJacobianFull:
         y0 = prob1d.y_true * 0.9
         op = prob1d.operator(y0)
         x = np.zeros(prob1d.n)
-        full = jacobian_full(op, x, lam, L, prob1d.d)
-        assert np.all(jacobian_half(op, x, lam, L) == 0.0)
+        gsvd = pair_gsvd(op, L)
+        full = jacobian_full(op, x, lam, gsvd, op.apply(x) - prob1d.d)
+        assert np.all(jacobian_half(op, x, lam, gsvd) == 0.0)
         # oracle: -B_j = (G_L^dagger)^T dG_j^T (G x - d) built densely
         gl, pinv = stacked_pinv(op.dense(), L.dense(), lam)
         misfit = -prob1d.d
@@ -146,8 +156,9 @@ class TestJacobianHalf:
         y0 = prob1d.y_true * 1.1
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
-        full = jacobian_full(op, x, lam, L, prob1d.d)
-        half = jacobian_half(op, x, lam, L)
+        gsvd = pair_gsvd(op, L)
+        full = jacobian_full(op, x, lam, gsvd, op.apply(x) - prob1d.d)
+        half = jacobian_half(op, x, lam, gsvd)
         # oracle: the dropped term, assembled densely
         gl, pinv = stacked_pinv(op.dense(), L.dense(), lam)
         misfit = op.dense() @ x - prob1d.d
@@ -162,7 +173,7 @@ class TestJacobianHalf:
         y0 = prob1d.y_true * 1.15
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
-        half = jacobian_half(op, x, lam, L)
+        half = jacobian_half(op, x, lam, pair_gsvd(op, L))
         gl, pinv = stacked_pinv(op.dense(), L.dense(), lam)
         proj_perp = np.eye(gl.shape[0]) - gl @ pinv
         dstack = np.concatenate([prob1d.d, np.zeros(L.q)])
@@ -185,8 +196,9 @@ class TestJacobianHalf:
         L = IdentityRegularizer(8)
         op = prob.operator(prob.y_true)
         x = tik_solve(op, L, lam, prob.d)
-        full = jacobian_full(op, x, lam, L, prob.d)
-        half = jacobian_half(op, x, lam, L)
+        gsvd = pair_gsvd(op, L)
+        full = jacobian_full(op, x, lam, gsvd, op.apply(x) - prob.d)
+        half = jacobian_half(op, x, lam, gsvd)
         assert np.linalg.norm(full - half) <= 1e-3 * np.linalg.norm(full)
         f_hat = np.concatenate([op.apply(x) - prob.d,
                                 np.sqrt(lam) * L.apply(x)])
@@ -262,7 +274,7 @@ class TestGenVarpro:
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.0, seed=0)
         cfg = VarproConfig(y0=prob.y_true.copy(),
                            variant=JacobianVariant.REDUCED,
-                           max_iters=1, lam_mode="fixed", lam=1e-12)
+                           max_iters=1, lam=1e-12)
         _, y1, _ = lp_varpro_solve(prob, cfg)
         assert np.linalg.norm(y1 - prob.y_true) \
             <= 1e-8 * np.linalg.norm(prob.y_true)
@@ -274,7 +286,7 @@ class TestGenVarpro:
     def test_semiconvergent_trajectory_passes_through_truth(self):
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.001, seed=9)
         cfg = VarproConfig(y0=np.array([2.5]), variant=JacobianVariant.REDUCED,
-                           max_iters=60, lam_mode="fixed", lam=1e-3,
+                           max_iters=60, lam=1e-3,
                            step_tol=1e-12)
         _, y, record = lp_varpro_solve(prob, cfg)
         closest = min(abs(yy[0] - 2.0) for yy in record.ys)
@@ -282,8 +294,7 @@ class TestGenVarpro:
 
     def test_rel_func_value_starts_at_one(self):
         prob = make_1d_problem(n=24, sigma_true=2.0, level=0.01, seed=2)
-        cfg = VarproConfig(y0=np.array([2.3]), max_iters=3,
-                           lam_mode="fixed", lam=1e-3)
+        cfg = VarproConfig(y0=np.array([2.3]), max_iters=3, lam=1e-3)
         _, _, record = lp_varpro_solve(prob, cfg)
         assert record.rows[0].rel_func_value == pytest.approx(1.0)
         assert record.rows[0].rel_grad_norm == pytest.approx(1.0)
@@ -295,7 +306,7 @@ class TestGenVarpro:
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
         cfg = VarproConfig(y0=np.array([2.6]), variant=variant,
                            regularizer=first_derivative_1d(32), max_iters=12,
-                           lam_mode="fixed", lam=1e-3, damping=True)
+                           lam=1e-3, damping=True)
         if variant == "full":
             with pytest.raises(SolverError) as err:
                 lp_varpro_solve(prob, cfg)
@@ -306,23 +317,28 @@ class TestGenVarpro:
         assert len(fv) >= 8
         assert all(fv[i + 1] <= fv[i] for i in range(len(fv) - 1))
 
-    def test_divergence_aborts(self):
+    @pytest.mark.parametrize("lam", [None, 1e-3])
+    def test_solve_reads_no_truth(self, lam):
+        # the same problem without x_true/y_true: the answer does not move
+        # and the record reports the errors as NaN
         prob = make_1d_problem(n=24, sigma_true=2.0, level=0.01, seed=3)
 
-        class Hostile:
+        class Blind:
             d = prob.d
-            x_true = prob.x_true
-            y_true = prob.y_true
 
             def operator(self, y):
                 return prob.operator(y)
 
-        hostile = Hostile()
-        cfg = VarproConfig(y0=np.array([2.05]), max_iters=50,
-                           lam_mode="fixed", lam=1e-3,
-                           divergence_factor=0.001)
-        with pytest.raises(SolverError):
-            lp_varpro_solve(hostile, cfg)
+        cfg = VarproConfig(y0=np.array([2.3]), variant="full",
+                           regularizer=first_derivative_1d(24), max_iters=6,
+                           lam=lam)
+        x, y, record = lp_varpro_solve(prob, cfg)
+        x_b, y_b, record_b = lp_varpro_solve(Blind(), cfg)
+        assert x_b.tobytes() == x.tobytes() and y_b.tobytes() == y.tobytes()
+        assert record_b.etas == record.etas
+        assert np.isfinite(record.rows[-1].rre_y)
+        assert all(np.isnan(r.rre_x) and np.isnan(r.rre_y)
+                   for r in record_b.rows)
 
 
 class TestLpVarpro:
@@ -332,7 +348,7 @@ class TestLpVarpro:
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=5)
         cfg = VarproConfig(y0=np.array([2.5]), p=1.0, epsilon=1e-2,
                            variant=JacobianVariant.REDUCED, max_iters=30,
-                           lam_mode="fixed", lam=1e-5, inner="gks",
+                           lam=1e-5, inner="gks",
                            inner_iters=40, inner_tol=1e-8, step_tol=1e-12)
         _, y, record = lp_varpro_solve(prob, cfg)
         closest = min(abs(yy[0] - 2.0) for yy in record.ys)
@@ -368,8 +384,9 @@ class TestLpVarpro:
         w = majorant_weights(L.apply(x), 1.0, 1e-2)
         l_hat_dense = np.sqrt(w)[:, None] * L.dense()
         l_hat = MatrixRegularizer(l_hat_dense)
-        jac = jacobian_full(op, tik_solve(op, l_hat, eta, prob.d), eta,
-                            l_hat, prob.d)
+        x = tik_solve(op, l_hat, eta, prob.d)
+        jac = jacobian_full(op, x, eta, pair_gsvd(op, l_hat),
+                            op.apply(x) - prob.d)
 
         def resid(y):
             return projected_residual(prob.operator(y), l_hat, eta, prob.d)
@@ -384,9 +401,32 @@ class TestVarproConfig:
         with pytest.raises(ValueError):
             VarproConfig(y0=np.array([2.0]), inner=inner)
 
-    def test_rejects_unknown_lam_mode(self):
-        with pytest.raises(ValueError):
-            VarproConfig(y0=np.array([2.0]), lam_mode="lcurve")
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"y0": np.array([2.0]), "lam_mode": "fixed"},
+        {"y0": np.array([2.0]), "divergence_factor": 1}])
+    def test_rejects_missing_y0_and_removed_fields(self, kwargs):
+        with pytest.raises(TypeError):
+            VarproConfig(**kwargs)
+
+    def test_settable_fields(self):
+        # the whole config surface; a new knob is named and justified here
+        assert [f.name for f in dataclasses.fields(VarproConfig)] == [
+            "y0", "variant", "regularizer", "max_iters", "step_tol", "p",
+            "epsilon", "inner", "inner_iters", "inner_tol", "lam", "damping"]
+        assert [f.name for f in dataclasses.fields(MmgksConfig)] == [
+            "p", "epsilon", "subspace_dim", "max_iters", "tol", "eta", "gcv"]
+        assert [f.name for f in dataclasses.fields(GcvConfig)] == ["omega"]
+
+    def test_fixed_lambda_sets_eta_at_p1(self):
+        # a fixed lambda runs every inner solve at eta = lambda eps^(p - 2)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=2)
+        lam, eps = 1e-5, 1e-2
+        cfg = VarproConfig(y0=np.array([2.5]), p=1.0, epsilon=eps,
+                           regularizer=first_derivative_1d(32), max_iters=3,
+                           lam=lam)
+        _, _, record = lp_varpro_solve(prob, cfg)
+        assert len(record.etas) == 3
+        assert all(eta == lam * eps ** -1.0 for eta in record.etas)
 
 
 class TestEngineWork:
@@ -408,15 +448,14 @@ class TestEngineWork:
         monkeypatch.setattr(varpro, "thin_gsvd", counting_gsvd)
         monkeypatch.setattr(GaussianBlur1D, "dense", counting_dense)
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
-        for lam_mode in ("gcv", "fixed"):
+        for lam in (None, 1e-3):
             calls.clear()
             cfg = VarproConfig(y0=np.array([2.5]), variant="full",
                                regularizer=first_derivative_1d(32),
-                               max_iters=4, lam_mode=lam_mode, lam=1e-3,
-                               inner="auto")
+                               max_iters=4, lam=lam, inner="auto")
             _, _, record = lp_varpro_solve(prob, cfg)
             assert len(record.rows) == 4
-            assert calls == Counter(thin_gsvd=4, dense=4), lam_mode
+            assert calls == Counter(thin_gsvd=4, dense=4), lam
 
     def test_collapsed_width_emits_no_runtime_warning(self):
         # FULL drives sigma towards 0, where G = I up to scale, s2 = 0 and
@@ -461,7 +500,7 @@ class TestEngineWork:
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
         cfg = VarproConfig(y0=np.array([2.6]), variant=variant,
                            regularizer=first_derivative_1d(32), max_iters=12,
-                           lam_mode="fixed", lam=1e-3, damping=True)
+                           lam=1e-3, damping=True)
         _, _, record = lp_varpro_solve(prob, cfg)
         assert len(record.rows) == 12
         assert len(calls) == 1 + len(record.rows)
@@ -476,8 +515,7 @@ class TestEngineWork:
             return operator_orig(y)
 
         monkeypatch.setattr(prob, "operator", counting)
-        cfg = VarproConfig(y0=np.array([2.4]), max_iters=5,
-                           lam_mode="fixed", lam=1e-3)
+        cfg = VarproConfig(y0=np.array([2.4]), max_iters=5, lam=1e-3)
         _, _, record = lp_varpro_solve(prob, cfg)
         assert len(record.rows) == 5
         assert len(calls) == 1 + len(record.rows)
