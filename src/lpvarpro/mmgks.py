@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .gcv import GcvConfig, StackGsvd, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
@@ -128,7 +129,8 @@ class _GrowingQr:
 
     The factors live in preallocated buffers and are read through the views
     ``q`` and ``r``; rank < k only once Q spans all of R^m. An R-only
-    factorization (``with_q=False``) has ``q`` None and takes no new columns.
+    factorization (``with_q=False``) overwrites ``a``, has ``q`` None and
+    takes no new columns.
     """
 
     def __init__(self, a, capacity, with_q=True):
@@ -136,7 +138,14 @@ class _GrowingQr:
             q, r = np.linalg.qr(a)
             self._q = _column_buffer(q, capacity)
         else:
-            r = np.linalg.qr(a, mode="r")
+            # one LAPACK dgeqrf in place on the column-major float64 a, which
+            # needs a row; R is the upper triangle of its leading rows
+            qr, info = a, 0
+            if a.shape[0]:
+                qr, _, _, info = dgeqrf(a, overwrite_a=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+            r = np.triu(qr[:min(a.shape)])
             self._q = None
         self.rank, self.k = r.shape
         self._r = np.zeros((capacity, capacity), order="F")
@@ -245,8 +254,9 @@ class GksState:
             # reads R_L alone
             with_q = False
             self.weights = w.copy()
-        self._qr_l = _GrowingQr(np.sqrt(w)[:, None] * self.lv, self.capacity,
-                                with_q)
+        # a column-major copy, so that an R-only factor may overwrite it
+        wlv = np.multiply(np.sqrt(w)[:, None], self.lv, order="F")
+        self._qr_l = _GrowingQr(wlv, self.capacity, with_q)
 
     def append_direction(self, v_new, gv_new, lv_new):
         """Add one basis column; raises IndexError when the buffers are full."""

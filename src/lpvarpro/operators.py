@@ -4,7 +4,9 @@ The two concrete operators are a 1D Gaussian Toeplitz blur (zero boundary)
 parametrized by sigma, and a 2D anisotropic Gaussian PSF convolution
 parametrized by (sigma1, sigma2, rho). Both expose forward, adjoint and
 per-parameter derivative actions so that outer Gauss-Newton loops can form
-reduced Jacobians from matrix-vector products only.
+reduced Jacobians from matrix-vector products only. Under the default
+PERIODIC boundary the 2D blur is block circulant, so it applies G and G^T
+through the cached 2D FFT eigenvalues of the kernel on the image grid.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ def _columns(fn, m, n):
 
 _PAD_MODE = {
     ConvBoundary.ZERO: "constant",
-    ConvBoundary.PERIODIC: "wrap",
     ConvBoundary.REFLEXIVE: "symmetric",
 }
 
@@ -125,15 +126,21 @@ def _build_toeplitz_1d_dsigma(sigma, n):
 
 
 def _psf_raw_2d(params: PsfParams, size):
-    """Unnormalized Gaussian PSF values on a centered integer grid."""
+    """Unnormalized Gaussian PSF on a centered odd-sized integer grid.
+
+    Returns the values with the grid offsets S, T and the quadratic form
+    quad(S, T) of their exponent, which the gradients read.
+    """
     ks, kt = size
-    s = np.arange(ks, dtype=float) - (ks - 1) / 2.0
-    t = np.arange(kt, dtype=float) - (kt - 1) / 2.0
-    S, T = np.meshgrid(s, t, indexing="ij")
+    if ks % 2 == 0 or kt % 2 == 0:
+        raise ValueError("PSF size must be odd in both dimensions")
+    S, T = np.meshgrid(np.arange(ks) - (ks - 1) / 2.0,
+                       np.arange(kt) - (kt - 1) / 2.0, indexing="ij")
     delta = params.delta
     quad = (params.sigma2**2 * S**2 - 2.0 * params.rho**2 * S * T
             + params.sigma1**2 * T**2)
-    return np.exp(-quad / (2.0 * delta)) / (2.0 * np.pi * np.sqrt(delta))
+    raw = np.exp(-quad / (2.0 * delta)) / (2.0 * np.pi * np.sqrt(delta))
+    return raw, S, T, quad
 
 
 def psf_gaussian_2d(params: PsfParams, size=(31, 31)):
@@ -141,36 +148,8 @@ def psf_gaussian_2d(params: PsfParams, size=(31, 31)):
 
     The raw values are divided by their sum so the entries add to one.
     """
-    ks, kt = size
-    if ks % 2 == 0 or kt % 2 == 0:
-        raise ValueError("PSF size must be odd in both dimensions")
-    raw = _psf_raw_2d(params, size)
+    raw = _psf_raw_2d(params, size)[0]
     return raw / raw.sum()
-
-
-def _psf_raw_gradients_2d(params: PsfParams, size):
-    """Analytic partials of the unnormalized PSF w.r.t. (sigma1, sigma2, rho)."""
-    ks, kt = size
-    s = np.arange(ks, dtype=float) - (ks - 1) / 2.0
-    t = np.arange(kt, dtype=float) - (kt - 1) / 2.0
-    S, T = np.meshgrid(s, t, indexing="ij")
-    s1, s2, rho = params.sigma1, params.sigma2, params.rho
-    delta = params.delta
-    raw = _psf_raw_2d(params, size)
-
-    quad = s2**2 * S**2 - 2.0 * rho**2 * S * T + s1**2 * T**2
-    # d log raw / d theta = -delta_theta/(2 delta) - quad_theta/(2 delta)
-    #                       + quad * delta_theta / (2 delta^2)
-    grads = []
-    for dquad, ddelta in (
-        (2.0 * s1 * T**2, 2.0 * s1 * s2**2),
-        (2.0 * s2 * S**2, 2.0 * s2 * s1**2),
-        (-4.0 * rho * S * T, -4.0 * rho**3),
-    ):
-        dlog = (-ddelta / (2.0 * delta) - dquad / (2.0 * delta)
-                + quad * ddelta / (2.0 * delta**2))
-        grads.append(raw * dlog)
-    return grads
 
 
 def psf_param_gradients(params: PsfParams, size=(31, 31), method="analytic",
@@ -184,34 +163,39 @@ def psf_param_gradients(params: PsfParams, size=(31, 31), method="analytic",
 
     Returns a list of three arrays, each summing to zero.
     """
-    ks, kt = size
-    if ks % 2 == 0 or kt % 2 == 0:
-        raise ValueError("PSF size must be odd in both dimensions")
     if method == "analytic":
-        raw = _psf_raw_2d(params, size)
+        raw, S, T, quad = _psf_raw_2d(params, size)
+        s1, s2, rho = params.sigma1, params.sigma2, params.rho
+        delta = params.delta
         z = raw.sum()
         p = raw / z
         grads = []
-        for draw in _psf_raw_gradients_2d(params, size):
+        # d log raw / d theta = -delta_theta/(2 delta) - quad_theta/(2 delta)
+        #                       + quad * delta_theta / (2 delta^2)
+        for dquad, ddelta in (
+            (2.0 * s1 * T**2, 2.0 * s1 * s2**2),
+            (2.0 * s2 * S**2, 2.0 * s2 * s1**2),
+            (-4.0 * rho * S * T, -4.0 * rho**3),
+        ):
+            draw = raw * (-ddelta / (2.0 * delta) - dquad / (2.0 * delta)
+                          + quad * ddelta / (2.0 * delta**2))
             grads.append(draw / z - p * (draw.sum() / z))
         return grads
     if method == "fd":
         y0 = params.as_array()
+
+        def central(step):
+            pp = psf_gaussian_2d(PsfParams.from_array(y0 + step), size)
+            pm = psf_gaussian_2d(PsfParams.from_array(y0 - step), size)
+            return (pp - pm) / (2.0 * step.sum())
+
         grads = []
-        for j in range(3):
-            h = float(fd_step)
-            for attempt in range(2):
-                try:
-                    yp = y0.copy(); yp[j] += h
-                    ym = y0.copy(); ym[j] -= h
-                    pp = psf_gaussian_2d(PsfParams.from_array(yp), size)
-                    pm = psf_gaussian_2d(PsfParams.from_array(ym), size)
-                    grads.append((pp - pm) / (2.0 * h))
-                    break
-                except ValueError:
-                    if attempt == 1:
-                        raise
-                    h /= 10.0
+        for step in float(fd_step) * np.eye(3):
+            try:
+                grads.append(central(step))
+            except ValueError:
+                # the step left the domain: shrink it once
+                grads.append(central(step / 10.0))
         return grads
     raise ValueError(f"unknown gradient method {method!r}")
 
@@ -219,59 +203,65 @@ def psf_param_gradients(params: PsfParams, size=(31, 31), method="analytic",
 class _CachedConv2D:
     """FFT convolution with a fixed kernel on fixed-size inputs.
 
-    The kernel transform is cached; the three boundary models are realized by
-    padding before a linear 'valid' convolution, which makes the exact adjoint
-    a flipped-kernel convolution followed by folding the pad back.
+    The convolution is circulant on an FFT grid. Its eigenvalues ``kf`` are
+    the transform of the kernel embedded in the grid with its center rolled
+    to the origin, and the adjoint multiplies by their conjugate. PERIODIC
+    convolves on the image grid itself. ZERO and REFLEXIVE pad the image
+    into a grid large enough that nothing wraps into the cropped output, and
+    their adjoint folds the pad back.
     """
 
     def __init__(self, kernel, image_shape, boundary: ConvBoundary):
         kernel = np.asarray(kernel, dtype=float)
-        self.kernel_shape = kernel.shape
-        self.image_shape = image_shape
+        self.image_shape = tuple(image_shape)
         self.boundary = boundary
-        kh, kw = kernel.shape
-        nh, nw = image_shape
-        if kh > nh or kw > nw:
-            raise ValueError("PSF larger than the padded image is not supported")
-        # pad widths chosen so the valid convolution returns the image size
-        self.pad = ((kh - 1 - (kh - 1) // 2, (kh - 1) // 2),
-                    (kw - 1 - (kw - 1) // 2, (kw - 1) // 2))
-        self.full_shape = (nh + kh - 1, nw + kw - 1)
-        self.fshape = tuple(sfft.next_fast_len(s) for s in self.full_shape)
-        self.kf = sfft.rfftn(kernel, self.fshape)
-        self.kf_flip = sfft.rfftn(kernel[::-1, ::-1], self.fshape)
+        (kh, kw), (nh, nw) = kernel.shape, self.image_shape
+        if not (0 < kh <= nh and 0 < kw <= nw):
+            raise ValueError(f"PSF of shape {kernel.shape} must be nonempty "
+                             f"and no larger than the image of shape "
+                             f"{self.image_shape}")
+        # the kernel center, which is also the pad after each axis
+        ch, cw = (kh - 1) // 2, (kw - 1) // 2
+        if boundary is ConvBoundary.PERIODIC:
+            self.pad, self.grid = ((0, 0), (0, 0)), self.image_shape
+        else:
+            self.pad = ((kh - 1 - ch, ch), (kw - 1 - cw, cw))
+            self.grid = (sfft.next_fast_len(nh + kh - 1),
+                         sfft.next_fast_len(nw + kw - 1))
+        embedded = np.zeros(self.grid)
+        embedded[:kh, :kw] = kernel
+        self.kf = sfft.rfftn(np.roll(embedded, (-ch, -cw), axis=(0, 1)))
 
     def apply(self, x):
-        xp = np.pad(x, self.pad, mode=_PAD_MODE[self.boundary])
-        out = sfft.irfftn(sfft.rfftn(xp, self.fshape) * self.kf, self.fshape)
-        kh, kw = self.kernel_shape
-        nh, nw = self.image_shape
-        return out[kh - 1:kh - 1 + nh, kw - 1:kw - 1 + nw]
+        if self.boundary is not ConvBoundary.PERIODIC:
+            x = np.pad(x, self.pad, mode=_PAD_MODE[self.boundary])
+        out = sfft.irfftn(sfft.rfftn(x, self.grid) * self.kf, self.grid)
+        (a, _), (b, _) = self.pad
+        return out[a:a + self.image_shape[0], b:b + self.image_shape[1]]
 
     def adjoint(self, v):
-        # full correlation with the kernel, then fold the padding adjoint
-        out = sfft.irfftn(sfft.rfftn(v, self.fshape) * self.kf_flip, self.fshape)
-        full = out[:self.full_shape[0], :self.full_shape[1]]
-        return _fold_pad(full, self.pad, self.boundary, self.image_shape)
+        if self.boundary is not ConvBoundary.PERIODIC:
+            # the adjoint of the crop puts v back at its offset in the grid
+            v = np.pad(v, [(a, g - a - n) for (a, _), g, n
+                           in zip(self.pad, self.grid, self.image_shape)])
+        out = sfft.irfftn(sfft.rfftn(v, self.grid) * np.conj(self.kf),
+                          self.grid)
+        return (out if self.boundary is ConvBoundary.PERIODIC
+                else _fold_pad(out, self.pad, self.boundary, self.image_shape))
 
 
 def _fold_pad(v, pad, boundary: ConvBoundary, image_shape):
-    """Adjoint of np.pad for the three boundary modes, applied per axis."""
+    """Per-axis adjoint of np.pad (ZERO, REFLEXIVE); reads v up to the pad."""
     for axis in (0, 1):
         a, b = pad[axis]
         n = image_shape[axis]
         v = np.moveaxis(v, axis, 0)
         core = v[a:a + n].copy()
-        if boundary is ConvBoundary.PERIODIC:
-            if a:
-                core[n - a:] += v[:a]
-            if b:
-                core[:b] += v[a + n:]
-        elif boundary is ConvBoundary.REFLEXIVE:
+        if boundary is ConvBoundary.REFLEXIVE:
             if a:
                 core[:a] += v[:a][::-1]
             if b:
-                core[n - b:] += v[a + n:][::-1]
+                core[n - b:] += v[a + n:a + n + b][::-1]
         v = np.moveaxis(core, 0, axis)
     return v
 
@@ -284,8 +274,6 @@ def conv2d_apply(psf, x, boundary=ConvBoundary.PERIODIC):
     """
     psf = np.asarray(psf, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise ValueError("image must be nonempty")
     return _CachedConv2D(psf, x.shape, boundary).apply(x)
 
 

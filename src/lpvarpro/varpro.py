@@ -32,7 +32,7 @@ from .regularizers import as_regularizer
 
 
 class SolverError(RuntimeError):
-    """Raised when no trial of an outer step is accepted; holds the record."""
+    """Outer step not finite or with no accepted trial; holds the record."""
 
     def __init__(self, message, record=None):
         super().__init__(message)
@@ -240,10 +240,10 @@ def lp_varpro_solve(problem, config: VarproConfig):
     """Variable projection with lp regularization; returns ``(x, y, record)``.
 
     A step that leaves the parameter domain or, with damping, raises the
-    residual is halved up to ``MAX_HALVINGS`` times; when no trial is
-    accepted the solve raises :class:`SolverError` with the partial record.
-    With damping, the inner solve of the accepted trial serves the next
-    outer step.
+    residual is halved up to ``MAX_HALVINGS`` times. The solve raises
+    :class:`SolverError` with the partial record when no trial is accepted
+    or a step's Jacobian or residual is not finite. With damping, the inner
+    solve of the accepted trial serves the next outer step.
     """
     cfg = config
     d = np.asarray(problem.d, dtype=float).ravel()
@@ -269,9 +269,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
         x, eta, gsvd, r_data, f_hat, sqrt_w = solved
 
         if cfg.variant is JacobianVariant.REDUCED:
-            jac = jacobian_reduced(op, x)
-            step, *_ = np.linalg.lstsq(jac, -r_data, rcond=None)
-            grad_norm = float(np.linalg.norm(jac.T @ r_data))
+            jac, rhs = jacobian_reduced(op, x), -r_data
         else:
             # a GSVD from the inner solve exists only at p = 2, where the
             # weights are exactly 1 and the weighted pair is {G, L} itself
@@ -281,8 +279,12 @@ def lp_varpro_solve(problem, config: VarproConfig):
                 jac = jacobian_full(op, x, eta, gsvd, r_data)
             else:
                 jac = jacobian_half(op, x, eta, gsvd)
-            step, *_ = np.linalg.lstsq(jac, f_hat, rcond=None)
-            grad_norm = float(np.linalg.norm(jac.T @ f_hat))
+            rhs = f_hat
+        if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
+            raise SolverError(f"non-finite Jacobian or residual at iteration "
+                              f"{it}", record)
+        step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
+        grad_norm = float(np.linalg.norm(jac.T @ rhs))
 
         # the operator built to check y_new serves the next outer step, and
         # so does the inner solve of a damped trial

@@ -248,6 +248,27 @@ class TestGksStateBuffers:
         np.testing.assert_allclose(state.q_l.T @ state.q_l, np.eye(9),
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("q", [60, 4, 0])
+    def test_r_only_factor_matches_qr_and_keeps_products(self, q):
+        # tall (q >> k), short (q < k) and empty weighted L V: the factor is
+        # computed in place, so the cached products must not change
+        rng = np.random.default_rng(15)
+        k = 7
+        basis, _ = np.linalg.qr(rng.standard_normal((20, k)))
+        gv = rng.standard_normal((30, k))
+        lv = rng.standard_normal((q, k))
+        state = GksState(basis, gv, lv, capacity=k + 3)
+        before = [a.tobytes() for a in (state.v, state.gv, state.lv)]
+        for _ in range(2):
+            w = rng.uniform(0.5, 2.0, q)
+            state.set_weights(w)
+            ref = np.linalg.qr(np.sqrt(w)[:, None] * lv, mode="r")
+            assert state.q_l is None and state.r_l.shape == ref.shape
+            np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
+                                       rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max(initial=1))
+        assert [a.tobytes() for a in (state.v, state.gv, state.lv)] == before
+
 
 class TestExpandSubspace:
     def test_declines_at_exact_solution(self):

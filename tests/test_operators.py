@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpvarpro import operators
 from lpvarpro.operators import (DENSE_LIMIT, ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, PsfParams,
                                 build_toeplitz_1d, conv2d_apply,
@@ -199,9 +200,54 @@ class TestConv2dApply:
         out2 = conv2d_apply(x, p, ConvBoundary.PERIODIC)
         np.testing.assert_allclose(out1, out2, atol=1e-12)
 
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("ksize", [(4, 6), (5, 9), (6, 3), (12, 20)])
+    def test_rectangular_matches_nested_loop_oracle(self, bc, ksize):
+        # even and odd kernel sides on a non-square image pin the center
+        # offset on each axis; (12, 20) is as large as the image
+        rng = np.random.default_rng(12)
+        psf = rng.standard_normal(ksize)
+        x = rng.standard_normal((12, 20))
+        np.testing.assert_allclose(conv2d_apply(psf, x, bc),
+                                   conv2d_loop(psf, x, bc), atol=1e-12)
+        conv = operators._CachedConv2D(psf, x.shape, bc)
+        v = rng.standard_normal(x.shape)
+        assert np.sum(conv.apply(x) * v) == pytest.approx(
+            np.sum(x * conv.adjoint(v)), rel=1e-12)
+
+    def test_periodic_transforms_at_image_size(self, monkeypatch):
+        # the periodic blur is circulant on the image grid: every transform
+        # of apply, adjoint and the derivative actions is image-sized
+        op = GaussianPsfBlur2D(PsfParams(3.0, 2.5, 1.0), (64, 64), 31)
+        shapes = []
+        rfftn_orig, irfftn_orig = operators.sfft.rfftn, operators.sfft.irfftn
+
+        def rfftn(x, s=None, *args, **kwargs):
+            shapes.append(tuple(np.shape(x) if s is None else s))
+            return rfftn_orig(x, s, *args, **kwargs)
+
+        def irfftn(x, s=None, *args, **kwargs):
+            out = irfftn_orig(x, s, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(operators.sfft, "rfftn", rfftn)
+        monkeypatch.setattr(operators.sfft, "irfftn", irfftn)
+        x = np.random.default_rng(6).standard_normal(op.n)
+        op.apply(x)
+        op.adjoint_apply(x)
+        op.derivative_apply(1, x)
+        op.derivative_adjoint_apply(2, x)
+        assert shapes == [(64, 64)] * 8
+
     def test_rejects_oversized_kernel(self):
-        with pytest.raises(ValueError):
-            conv2d_apply(np.ones((9, 9)), np.ones((4, 4)), ConvBoundary.ZERO)
+        for bc in BOUNDARIES:
+            for psf in (np.ones((9, 9)), np.ones((0, 3))):
+                with pytest.raises(ValueError, match=r"larger than the image "
+                                                     r"of shape \(4, 4\)"):
+                    conv2d_apply(psf, np.ones((4, 4)), bc)
+            with pytest.raises(ValueError, match="nonempty"):
+                conv2d_apply(np.ones((1, 1)), np.ones((0, 4)), bc)
 
 
 def _adjoint_gap(op, rng, trials=100):

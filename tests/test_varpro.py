@@ -505,6 +505,28 @@ class TestEngineWork:
         assert len(record.rows) == 12
         assert len(calls) == 1 + len(record.rows)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_jacobian_raises_with_record(self, monkeypatch, bad):
+        # without the check lstsq raises a bare LinAlgError and the record
+        # of the steps taken so far is lost
+        calls = []
+        jacobian_orig = varpro.jacobian_reduced
+
+        def poisoned(op, x):
+            calls.append(1)
+            jac = jacobian_orig(op, x)
+            if len(calls) == 2:
+                jac[0, 0] = bad
+            return jac
+
+        monkeypatch.setattr(varpro, "jacobian_reduced", poisoned)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        cfg = VarproConfig(y0=np.array([2.5]), max_iters=5, lam=1e-3)
+        with pytest.raises(SolverError,
+                           match="non-finite.*iteration 2") as err:
+            lp_varpro_solve(prob, cfg)
+        assert len(err.value.record.rows) == 1
+
     def test_one_operator_build_per_accepted_step(self, monkeypatch):
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=4)
         calls = []
