@@ -8,7 +8,7 @@ Gaussian-blur test problems to drive them.
 
 from .gcv import (GcvConfig, RankDeficiencyError, StackGsvd, gcv_value,
                   select_eta, thin_gsvd)
-from .metrics import ConvergenceRow, relative_series, rre
+from .metrics import ConvergenceRow, rre
 from .mmgks import (GksState, MmgksConfig, MmgksResult, expand_subspace,
                     golub_kahan, init_gks, majorant_weights, mmgks_solve,
                     objective_value, project_and_solve)

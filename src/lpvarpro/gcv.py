@@ -157,14 +157,13 @@ class _GcvQuotient:
 def gcv_value(gsvd: StackGsvd, dhat, eta, omega=1.0):
     """Weighted GCV quotient at eta of min ||G z - dhat||^2 + eta ||L z||^2.
 
-    ``gsvd`` is the thin GSVD of the pair {G, L}.
+    ``gsvd`` is the thin GSVD of the pair {G, L}. Where the denominator
+    vanishes (every filter factor is 1 and omega = 1) the value is +inf, as
+    in the refinement of :func:`select_eta`.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    num, denom = _GcvQuotient(gsvd, dhat, omega).parts(eta)
-    if denom == 0.0:
-        raise ZeroDivisionError("GCV denominator vanished")
-    return float(num / denom)
+    return _GcvQuotient(gsvd, dhat, omega)(eta)
 
 
 @dataclass

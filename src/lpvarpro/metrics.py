@@ -17,16 +17,6 @@ def rre(v, v_true):
     return float(np.linalg.norm(v - v_true) / denom)
 
 
-def relative_series(values):
-    """Divide a sequence elementwise by its first entry (so it starts at 1)."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return []
-    if vals[0] == 0.0:
-        raise ValueError("first entry must be nonzero")
-    return [v / vals[0] for v in vals]
-
-
 @dataclass
 class ConvergenceRow:
     """One iteration of solver history, matching the convergence-table columns."""
@@ -38,6 +28,3 @@ class ConvergenceRow:
     rre_x: float
     eta: float
     wall_time: float
-
-    FIELDS = ("iteration", "rel_func_value", "rel_grad_norm",
-              "rre_y", "rre_x", "eta", "wall_time")

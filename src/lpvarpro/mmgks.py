@@ -9,14 +9,15 @@ subspace is seeded by Golub-Kahan bidiagonalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf
 
 from .gcv import GcvConfig, StackGsvd, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
-from .regularizers import Regularizer, as_regularizer
+from .regularizers import as_regularizer
 
 
 def _as_operator(G) -> ParamOperator:
@@ -35,15 +36,13 @@ def majorant_weights(u, p, epsilon):
     return (u**2 + epsilon**2) ** (p / 2.0 - 1.0)
 
 
-def objective_value(x, G, d, L, lam, p, epsilon):
-    """Smoothed objective ||Gx - d||^2 + lam * sum_j (((Lx)_j)^2 + eps^2)^(p/2)."""
+def objective_value(res, u, lam, p, epsilon):
+    """Smoothed objective ||res||^2 + lam * sum_j (u_j^2 + eps^2)^(p/2).
+
+    ``res`` is the data misfit G x - d and ``u`` is L x, both as arrays.
+    """
     if p <= 1 and epsilon <= 0:
         raise ValueError("epsilon > 0 is required for p <= 1")
-    G = _as_operator(G)
-    L = as_regularizer(L, G.n)
-    x = np.asarray(x, dtype=float)
-    res = G.apply(x) - np.asarray(d, dtype=float)
-    u = L.apply(x)
     if epsilon == 0.0:
         phi = np.abs(u) ** p
     else:
@@ -124,36 +123,37 @@ def _column_buffer(a, capacity):
     return buf
 
 
+def _r_factor(a):
+    """Triangular factor R (min(q, k) x k) of the column-major float64 a.
+
+    One LAPACK dgeqrf overwrites ``a`` in place; a factor with no rows skips
+    LAPACK, which rejects lda = 0.
+    """
+    qr, info = a, 0
+    if a.shape[0]:
+        qr, _, _, info = dgeqrf(a, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+    return np.triu(qr[:min(a.shape)])
+
+
 class _GrowingQr:
     """Thin QR factors Q (m x rank) and R (rank x k) of a growing column set.
 
     The factors live in preallocated buffers and are read through the views
-    ``q`` and ``r``; rank < k only once Q spans all of R^m. An R-only
-    factorization (``with_q=False``) overwrites ``a``, has ``q`` None and
-    takes no new columns.
+    ``q`` and ``r``; rank < k only once Q spans all of R^m.
     """
 
-    def __init__(self, a, capacity, with_q=True):
-        if with_q:
-            q, r = np.linalg.qr(a)
-            self._q = _column_buffer(q, capacity)
-        else:
-            # one LAPACK dgeqrf in place on the column-major float64 a, which
-            # needs a row; R is the upper triangle of its leading rows
-            qr, info = a, 0
-            if a.shape[0]:
-                qr, _, _, info = dgeqrf(a, overwrite_a=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
-            r = np.triu(qr[:min(a.shape)])
-            self._q = None
+    def __init__(self, a, capacity):
+        q, r = np.linalg.qr(a)
+        self._q = _column_buffer(q, capacity)
         self.rank, self.k = r.shape
         self._r = np.zeros((capacity, capacity), order="F")
         self._r[:self.rank, :self.k] = r
 
     @property
     def q(self):
-        return None if self._q is None else self._q[:, :self.rank]
+        return self._q[:, :self.rank]
 
     @property
     def r(self):
@@ -182,15 +182,16 @@ class _GrowingQr:
 class GksState:
     """Growing orthonormal basis V with cached products G V and L V.
 
-    Also holds thin QR factors of G V and of the currently weighted P L V.
-    All of them live in column-major buffers sized once for ``capacity``
-    columns, the most the basis will hold; ``v``, ``gv``, ``lv`` and the
-    factors are views of the filled part.
+    Also holds thin QR factors of G V and of the weighted W^(1/2) L V. All of
+    them live in column-major buffers sized once for ``capacity`` columns,
+    the most the basis will hold; ``v``, ``gv``, ``lv`` and the factors are
+    views of the filled part.
 
-    The weighted factor is rebuilt when the weights change, as R only, since
-    the projected problem reads R alone. Q_L is formed the first time the
-    same weights come back, and from then on new columns are appended
-    incrementally.
+    The weighted factor is set by its weights. Unit weights (p = 2) never
+    change, so the first ``set_weights`` with them factors L V with Q_L and
+    ``append_direction`` extends that factor. Any other weights are
+    refactored as R_L alone at every ``set_weights``, since the projected
+    problem reads R_L only; ``q_l`` is then None.
     """
 
     def __init__(self, v, gv, lv, capacity):
@@ -199,8 +200,8 @@ class GksState:
         self._gv = _column_buffer(gv, capacity)
         self._lv = _column_buffer(lv, capacity)
         self._qr_g = _GrowingQr(gv, capacity)
-        self._qr_l = None
-        self.weights = None
+        self._qr_l = None       # the growing factor of L V at unit weights
+        self._r_l = None        # R_L at other weights
 
     @property
     def k(self) -> int:
@@ -236,27 +237,19 @@ class GksState:
 
     @property
     def r_l(self):
-        return None if self._qr_l is None else self._qr_l.r
+        return self._r_l if self._qr_l is None else self._qr_l.r
 
     def set_weights(self, w):
-        """Refresh the QR of diag(sqrt(w)) L V for the given majorant weights."""
+        """Set the factor of diag(sqrt(w)) L V for the majorant weights w."""
         w = np.asarray(w, dtype=float)
-        if (self.weights is not None and self.weights.shape == w.shape
-                and np.array_equal(self.weights, w)):
-            # a factor with Q_L is kept in step by append_direction; an
-            # R-only one that missed columns is refactored once with Q_L so
-            # that later columns are appended incrementally
-            if self._qr_l.k == self.k:
-                return
-            with_q = True
+        if np.all(w == 1.0):
+            if self._qr_l is None:
+                self._qr_l = _GrowingQr(self.lv, self.capacity)
         else:
-            # new weights discard the old factor; the projected problem
-            # reads R_L alone
-            with_q = False
-            self.weights = w.copy()
-        # a column-major copy, so that an R-only factor may overwrite it
-        wlv = np.multiply(np.sqrt(w)[:, None], self.lv, order="F")
-        self._qr_l = _GrowingQr(wlv, self.capacity, with_q)
+            self._qr_l = None
+            # a fresh column-major product, which the factor overwrites
+            self._r_l = _r_factor(np.multiply(np.sqrt(w)[:, None], self.lv,
+                                              order="F"))
 
     def append_direction(self, v_new, gv_new, lv_new):
         """Add one basis column; raises IndexError when the buffers are full."""
@@ -266,10 +259,8 @@ class GksState:
         self._lv[:, k] = lv_new
         self._k = k + 1
         self._qr_g.append(gv_new)
-        # an R-only weighted factor is rebuilt by the next set_weights, so
-        # only a factor with Q_L is extended
-        if self._qr_l is not None and self._qr_l.q is not None:
-            self._qr_l.append(np.sqrt(self.weights) * lv_new)
+        if self._qr_l is not None:
+            self._qr_l.append(lv_new)
 
 
 def init_gks(G, d, ell, L, capacity) -> GksState:
@@ -346,7 +337,8 @@ class MmgksConfig:
     max_iters: int = 100
     tol: float = 1e-6
     eta: float | None = None          # fixed eta; None selects by GCV
-    gcv: GcvConfig = field(default_factory=GcvConfig)
+    # the GCV search of every solve, at omega = 1; not a setting
+    gcv: ClassVar[GcvConfig] = GcvConfig()
 
     def __post_init__(self):
         if not 0.0 < self.p <= 2.0:
@@ -414,15 +406,12 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
             eta = select_eta(gsvd, dhat, cfg.gcv).eta
         z = project_and_solve(gsvd, eta, dhat)
         x_new = state.v @ z
-        # x_new = V z, so G x_new and L x_new come from the cached products;
-        # the objective reads them as the one-column operators [G V z] and
-        # [L V z] applied to the coefficient 1
+        # x_new = V z, so G x_new and L x_new come from the cached products
         gvz = state.gv @ z
         lvz = state.lv @ z
         iterations = it + 1
         etas.append(eta)
-        objectives.append(objective_value(np.ones(1), gvz[:, None], d,
-                                          lvz[:, None], mm_lambda(eta, cfg.p),
+        objectives.append(objective_value(gvz - d, lvz, mm_lambda(eta, cfg.p),
                                           cfg.p, eps))
         dx = np.linalg.norm(x_new - x)
         ref = np.linalg.norm(x)

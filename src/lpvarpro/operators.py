@@ -101,13 +101,6 @@ def gaussian_kernel_1d(sigma, offsets):
     return np.exp(-(s**2) / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma**2)
 
 
-def _gaussian_kernel_1d_dsigma(sigma, offsets):
-    # d/dsigma of gaussian_kernel_1d: g(s) * (s^2/sigma^3 - 1/sigma)
-    s = np.asarray(offsets, dtype=float)
-    g = gaussian_kernel_1d(sigma, s)
-    return g * (s**2 / sigma**3 - 1.0 / sigma)
-
-
 def build_toeplitz_1d(sigma, n):
     """Dense n x n Toeplitz blur matrix from the 1D Gaussian on an integer grid.
 
@@ -117,11 +110,6 @@ def build_toeplitz_1d(sigma, n):
     if n < 2:
         raise ValueError("n must be at least 2")
     col = gaussian_kernel_1d(sigma, np.arange(n))
-    return toeplitz(col)
-
-
-def _build_toeplitz_1d_dsigma(sigma, n):
-    col = _gaussian_kernel_1d_dsigma(sigma, np.arange(n))
     return toeplitz(col)
 
 
@@ -152,52 +140,29 @@ def psf_gaussian_2d(params: PsfParams, size=(31, 31)):
     return raw / raw.sum()
 
 
-def psf_param_gradients(params: PsfParams, size=(31, 31), method="analytic",
-                        fd_step=1e-5):
+def psf_param_gradients(params: PsfParams, size=(31, 31)):
     """Partials of the *normalized* PSF with respect to (sigma1, sigma2, rho).
 
-    ``method='analytic'`` differentiates the closed form through the
-    normalization by the quotient rule. ``method='fd'`` uses central finite
-    differences with step ``fd_step``; if a perturbed parameter set loses
-    positive definiteness the step is shrunk once before giving up.
-
-    Returns a list of three arrays, each summing to zero.
+    The closed form is differentiated through the normalization by the
+    quotient rule. Returns a list of three arrays, each summing to zero.
     """
-    if method == "analytic":
-        raw, S, T, quad = _psf_raw_2d(params, size)
-        s1, s2, rho = params.sigma1, params.sigma2, params.rho
-        delta = params.delta
-        z = raw.sum()
-        p = raw / z
-        grads = []
-        # d log raw / d theta = -delta_theta/(2 delta) - quad_theta/(2 delta)
-        #                       + quad * delta_theta / (2 delta^2)
-        for dquad, ddelta in (
-            (2.0 * s1 * T**2, 2.0 * s1 * s2**2),
-            (2.0 * s2 * S**2, 2.0 * s2 * s1**2),
-            (-4.0 * rho * S * T, -4.0 * rho**3),
-        ):
-            draw = raw * (-ddelta / (2.0 * delta) - dquad / (2.0 * delta)
-                          + quad * ddelta / (2.0 * delta**2))
-            grads.append(draw / z - p * (draw.sum() / z))
-        return grads
-    if method == "fd":
-        y0 = params.as_array()
-
-        def central(step):
-            pp = psf_gaussian_2d(PsfParams.from_array(y0 + step), size)
-            pm = psf_gaussian_2d(PsfParams.from_array(y0 - step), size)
-            return (pp - pm) / (2.0 * step.sum())
-
-        grads = []
-        for step in float(fd_step) * np.eye(3):
-            try:
-                grads.append(central(step))
-            except ValueError:
-                # the step left the domain: shrink it once
-                grads.append(central(step / 10.0))
-        return grads
-    raise ValueError(f"unknown gradient method {method!r}")
+    raw, S, T, quad = _psf_raw_2d(params, size)
+    s1, s2, rho = params.sigma1, params.sigma2, params.rho
+    delta = params.delta
+    z = raw.sum()
+    p = raw / z
+    grads = []
+    # d log raw / d theta = -delta_theta/(2 delta) - quad_theta/(2 delta)
+    #                       + quad * delta_theta / (2 delta^2)
+    for dquad, ddelta in (
+        (2.0 * s1 * T**2, 2.0 * s1 * s2**2),
+        (2.0 * s2 * S**2, 2.0 * s2 * s1**2),
+        (-4.0 * rho * S * T, -4.0 * rho**3),
+    ):
+        draw = raw * (-ddelta / (2.0 * delta) - dquad / (2.0 * delta)
+                      + quad * ddelta / (2.0 * delta**2))
+        grads.append(draw / z - p * (draw.sum() / z))
+    return grads
 
 
 class _CachedConv2D:
@@ -281,17 +246,15 @@ class ParamOperator:
     """A linear map G(y) with per-parameter derivative actions.
 
     Subclasses provide ``apply``, ``adjoint_apply``, ``derivative_apply`` and
-    ``derivative_adjoint_apply``. An instance holds one parameter value;
-    ``ProblemInstance.operator`` builds the family at new parameters.
+    ``derivative_adjoint_apply`` for an m x n map with r parameters. An
+    instance is built at one parameter value, which it does not report: the
+    caller that chose y holds it, and ``ProblemInstance.operator`` builds
+    the family at new parameters.
     """
 
     m: int
     n: int
     r: int
-
-    @property
-    def params(self) -> np.ndarray:
-        raise NotImplementedError
 
     def apply(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -324,10 +287,6 @@ class MatrixOperator(ParamOperator):
         self.m, self.n = self.a.shape
         self.r = 0
 
-    @property
-    def params(self):
-        return np.zeros(0)
-
     def apply(self, x):
         return self.a @ x
 
@@ -349,12 +308,12 @@ class GaussianBlur1D(ParamOperator):
         self.sigma = float(sigma)
         self.m = self.n = int(n)
         self.r = 1
-        self._g = build_toeplitz_1d(self.sigma, self.n)
-        self._dg = _build_toeplitz_1d_dsigma(self.sigma, self.n)
-
-    @property
-    def params(self):
-        return np.array([self.sigma])
+        # one kernel evaluation at offsets 0..n-1 gives G and dG/dsigma,
+        # whose kernel is g(s) (s^2/sigma^3 - 1/sigma)
+        s = np.arange(self.n, dtype=float)
+        g = gaussian_kernel_1d(self.sigma, s)
+        self._g = toeplitz(g)
+        self._dg = toeplitz(g * (s**2 / self.sigma**3 - 1.0 / self.sigma))
 
     def apply(self, x):
         return self._g @ x
@@ -391,10 +350,7 @@ class GaussianPsfBlur2D(ParamOperator):
 
     def __init__(self, params: PsfParams, image_shape, psf_size=31,
                  boundary=ConvBoundary.PERIODIC):
-        if np.isscalar(image_shape):
-            image_shape = (int(image_shape), int(image_shape))
         self.image_shape = tuple(image_shape)
-        self.psf_params = params
         self.psf_size = int(psf_size)
         self.boundary = boundary
         self.m = self.n = int(np.prod(self.image_shape))
@@ -405,10 +361,6 @@ class GaussianPsfBlur2D(ParamOperator):
         self._conv = _CachedConv2D(self.psf, self.image_shape, boundary)
         self._dconv = [_CachedConv2D(g, self.image_shape, boundary)
                        for g in self.psf_grads]
-
-    @property
-    def params(self):
-        return self.psf_params.as_array()
 
     def _as_image(self, x):
         return np.asarray(x, dtype=float).reshape(self.image_shape)

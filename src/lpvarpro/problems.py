@@ -130,6 +130,8 @@ class ProblemInstance:
         """Instantiate the forward operator family at parameters y."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if self.family == "toeplitz1d":
+            if y.shape != (1,):
+                raise ValueError("parameter vector must have length 1")
             return GaussianBlur1D(float(y[0]), self.shape[0])
         if self.family == "psf2d":
             return GaussianPsfBlur2D(PsfParams.from_array(y), self.shape,

@@ -173,12 +173,16 @@ class VarproConfig:
     def __post_init__(self):
         if self.step_tol <= 0:
             raise ValueError("step_tol must be positive")
-        if not 0.0 < self.p <= 2.0:
-            raise ValueError("p must lie in (0, 2]")
+        if self.max_iters < 1 or self.inner_iters < 1:
+            raise ValueError("max_iters and inner_iters must be at least 1")
+        if self.lam is not None and not self.lam > 0:
+            raise ValueError("lam must be positive, or None to select by GCV")
         if self.inner not in ("gks", "auto"):
             raise ValueError("inner must be 'gks' or 'auto'")
         if isinstance(self.variant, str):
             self.variant = JacobianVariant(self.variant)
+        # MmgksConfig checks p and epsilon
+        self.mmgks_config()
 
     def mmgks_config(self, eta=None):
         return MmgksConfig(p=self.p, epsilon=self.epsilon,

@@ -133,6 +133,11 @@ class TestGcvValue:
         expected = 5 * float(np.linalg.norm(gsvd.u.T @ dhat) ** 2) / 25.0
         assert val == pytest.approx(expected, rel=1e-6)
 
+    def test_vanishing_denominator_gives_inf(self):
+        # L = 0 leaves every filter factor at 1, so the denominator is 0
+        gsvd = thin_gsvd(np.eye(4), np.zeros((4, 4)))
+        assert gcv_value(gsvd, np.ones(4), 1.0) == np.inf
+
     def test_rejects_nonpositive_eta(self):
         gsvd = thin_gsvd(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):

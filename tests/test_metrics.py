@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lpvarpro.metrics import ConvergenceRow, relative_series, rre
+from lpvarpro.metrics import ConvergenceRow, rre
 
 
 class TestRre:
@@ -30,28 +32,12 @@ class TestRre:
             rre(np.ones(3), np.zeros(3))
 
 
-class TestRelativeSeries:
-    def test_examples(self):
-        assert relative_series([4, 2, 1]) == [1.0, 0.5, 0.25]
-        assert relative_series([7.3]) == [1.0]
-        assert relative_series([2, 2, 2]) == [1.0, 1.0, 1.0]
-
-    def test_always_starts_at_one(self):
-        rng = np.random.default_rng(1)
-        vals = rng.uniform(0.1, 5.0, 20)
-        assert relative_series(vals)[0] == 1.0
-
-    def test_zero_first_entry_rejected(self):
-        with pytest.raises(ValueError):
-            relative_series([0.0, 1.0])
-
-
 class TestConvergenceRow:
     def test_fields(self):
         row = ConvergenceRow(iteration=3, rel_func_value=0.5,
                              rel_grad_norm=0.4, rre_y=0.1, rre_x=0.2,
                              eta=1e-3, wall_time=0.01)
         assert row.iteration == 3
-        assert ConvergenceRow.FIELDS == (
+        assert [f.name for f in dataclasses.fields(ConvergenceRow)] == [
             "iteration", "rel_func_value", "rel_grad_norm", "rre_y",
-            "rre_x", "eta", "wall_time")
+            "rre_x", "eta", "wall_time"]

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lpvarpro import mmgks
 from lpvarpro.gcv import thin_gsvd
 from lpvarpro.mmgks import (GksState, MmgksConfig, expand_subspace,
                             golub_kahan, init_gks, majorant_weights, mm_lambda,
@@ -47,10 +48,8 @@ class TestMajorantWeights:
 
 class TestObjectiveValue:
     def test_all_terms_at_zero(self):
-        G = np.eye(5)
-        L = IdentityRegularizer(5)
-        val = objective_value(np.zeros(5), G, np.zeros(5), L,
-                              lam=2.0, p=1.0, epsilon=0.1)
+        val = objective_value(np.zeros(5), np.zeros(5), lam=2.0, p=1.0,
+                              epsilon=0.1)
         assert val == pytest.approx(2.0 * 5 * 0.1, rel=1e-14)
 
     def test_p2_eps0_is_tikhonov(self):
@@ -59,7 +58,8 @@ class TestObjectiveValue:
         x = rng.standard_normal(6)
         d = rng.standard_normal(8)
         L = MatrixRegularizer(first_derivative_1d(6))
-        val = objective_value(x, G, d, L, lam=0.7, p=2.0, epsilon=0.0)
+        val = objective_value(G @ x - d, L.apply(x), lam=0.7, p=2.0,
+                              epsilon=0.0)
         expected = np.linalg.norm(G @ x - d) ** 2 \
             + 0.7 * np.linalg.norm(L.dense() @ x) ** 2
         assert val == pytest.approx(expected, rel=1e-13)
@@ -69,18 +69,17 @@ class TestObjectiveValue:
         G = rng.standard_normal((7, 5))
         x = rng.standard_normal(5)
         d = rng.standard_normal(7)
-        L = IdentityRegularizer(5)
         lam, p, eps = 0.3, 1.3, 0.05
         acc = float(np.linalg.norm(G @ x - d) ** 2)
         for t in x:
             acc += lam * (t * t + eps * eps) ** (p / 2)
-        assert objective_value(x, G, d, L, lam, p, eps) == pytest.approx(
+        # L = I, so L x is x itself
+        assert objective_value(G @ x - d, x, lam, p, eps) == pytest.approx(
             acc, rel=1e-13)
 
     def test_rejects_p_le_one_without_eps(self):
         with pytest.raises(ValueError):
-            objective_value(np.zeros(3), np.eye(3), np.zeros(3),
-                            IdentityRegularizer(3), 1.0, 1.0, 0.0)
+            objective_value(np.zeros(3), np.zeros(3), 1.0, 1.0, 0.0)
 
 
 class TestGolubKahan:
@@ -237,14 +236,33 @@ class TestGksStateBuffers:
         wlv = np.sqrt(w2)[:, None] * state.lv
         np.testing.assert_allclose(state.r_l.T @ state.r_l, wlv.T @ wlv,
                                    rtol=1e-12, atol=1e-12)
-        # same weights from here on: the factor takes the appended columns
+        # after an append the same non-unit weights refactor R_L alone
+        z = projected_solution(state, 0.1, d)
+        assert expand_subspace(state, z, 0.1, w2, G, L, d)
+        state.set_weights(w2)
+        ref = np.linalg.qr(np.sqrt(w2)[:, None] * state.lv, mode="r")
+        assert state.q_l is None and state.r_l.shape == ref.shape == (5, 5)
+        np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_unit_weights_keep_one_factor_across_appends(self):
+        rng = np.random.default_rng(14)
+        G = rng.standard_normal((25, 18))
+        L = MatrixRegularizer(first_derivative_1d(18))
+        d = rng.standard_normal(25)
+        state = init_gks(G, d, 4, L, capacity=9)
+        ones = np.ones(L.q)
+        state.set_weights(ones)
+        q_first = state.q_l
         for _ in range(5):
             z = projected_solution(state, 0.1, d)
-            assert expand_subspace(state, z, 0.1, w2, G, L, d)
-            state.set_weights(w2)
+            assert expand_subspace(state, z, 0.1, ones, G, L, d)
+            state.set_weights(ones)
         assert state.k == 9
-        wlv = np.sqrt(w2)[:, None] * state.lv
-        np.testing.assert_allclose(state.q_l @ state.r_l, wlv, atol=1e-12)
+        # the factor of the first call took the appended columns
+        assert np.shares_memory(state.q_l, q_first)
+        np.testing.assert_allclose(state.q_l @ state.r_l, state.lv,
+                                   atol=1e-12)
         np.testing.assert_allclose(state.q_l.T @ state.q_l, np.eye(9),
                                    atol=1e-12)
 
@@ -263,7 +281,9 @@ class TestGksStateBuffers:
             w = rng.uniform(0.5, 2.0, q)
             state.set_weights(w)
             ref = np.linalg.qr(np.sqrt(w)[:, None] * lv, mode="r")
-            assert state.q_l is None and state.r_l.shape == ref.shape
+            # an empty w counts as unit weights, whose factor keeps Q_L
+            assert (state.q_l is None) == (q > 0)
+            assert state.r_l.shape == ref.shape
             np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
                                        rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max(initial=1))
@@ -332,11 +352,14 @@ class TestMajorantProperties:
         self.lam, self.p, self.eps = 0.4, 1.0, 1e-2
         self.v = rng.standard_normal(9)
 
+    def objective(self, x):
+        return objective_value(self.G @ x - self.d, self.L.apply(x),
+                               self.lam, self.p, self.eps)
+
     def test_tangency_value(self):
         q_at_v = majorant_value(self.v, self.v, self.G, self.d, self.L,
                                 self.lam, self.p, self.eps)
-        j_at_v = objective_value(self.v, self.G, self.d, self.L,
-                                 self.lam, self.p, self.eps)
+        j_at_v = self.objective(self.v)
         assert q_at_v == pytest.approx(j_at_v, rel=1e-12)
 
     def test_tangency_gradient_by_finite_differences(self):
@@ -348,10 +371,8 @@ class TestMajorantProperties:
                                  self.lam, self.p, self.eps)
                   - majorant_value(self.v - e, self.v, self.G, self.d, self.L,
                                    self.lam, self.p, self.eps)) / (2 * h)
-            dj = (objective_value(self.v + e, self.G, self.d, self.L,
-                                  self.lam, self.p, self.eps)
-                  - objective_value(self.v - e, self.G, self.d, self.L,
-                                    self.lam, self.p, self.eps)) / (2 * h)
+            dj = (self.objective(self.v + e)
+                  - self.objective(self.v - e)) / (2 * h)
             assert dq == pytest.approx(dj, abs=1e-5 * max(1.0, abs(dj)))
 
     def test_domination(self):
@@ -360,8 +381,7 @@ class TestMajorantProperties:
             x = self.v + rng.standard_normal(9) * rng.uniform(0.01, 3.0)
             q = majorant_value(x, self.v, self.G, self.d, self.L,
                                self.lam, self.p, self.eps)
-            j = objective_value(x, self.G, self.d, self.L,
-                                self.lam, self.p, self.eps)
+            j = self.objective(x)
             assert q >= j - 1e-10 * max(1.0, abs(j))
 
 
@@ -447,7 +467,7 @@ class TestMmgksSolve:
             # the run stopped after i + 1 iterations returns iterate i
             x_i = mmgks_solve(G, L, prob.d,
                               replace(cfg, max_iters=i + 1)).x
-            full = objective_value(x_i, G, prob.d, L,
+            full = objective_value(G.apply(x_i) - prob.d, L.apply(x_i),
                                    mm_lambda(res.etas[i], p), p, eps)
             assert res.objectives[i] == pytest.approx(full, rel=1e-10)
 
@@ -512,6 +532,41 @@ class TestMmgksSolve:
             sys.setprofile(None)
         assert res.iterations == 10
         assert calls == Counter(thin_gsvd=res.iterations)
+
+    @pytest.mark.parametrize("p, dgeqrf_calls", [(2.0, 0), (1.0, 6)])
+    def test_weighted_factor_work_per_solve(self, monkeypatch, p,
+                                            dgeqrf_calls):
+        # unit weights (p = 2) keep one growing factor with Q_L, so no R-only
+        # factor is built; other weights refactor R_L once per iteration.
+        # A GaussianBlur1D is used as it is, and the objective reads the
+        # cached products, so no operator is wrapped
+        calls = Counter()
+        dgeqrf_orig = mmgks.dgeqrf
+
+        def counting_dgeqrf(*args, **kwargs):
+            calls["dgeqrf"] += 1
+            return dgeqrf_orig(*args, **kwargs)
+
+        class CountingMatrixOperator(MatrixOperator):
+            def __init__(self, a):
+                calls["MatrixOperator"] += 1
+                super().__init__(a)
+
+        monkeypatch.setattr(mmgks, "dgeqrf", counting_dgeqrf)
+        monkeypatch.setattr(mmgks, "MatrixOperator", CountingMatrixOperator)
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=8)
+        cfg = MmgksConfig(p=p, epsilon=1e-2, subspace_dim=5, max_iters=6,
+                          tol=1e-16)
+        res = mmgks_solve(prob.operator(prob.y_true),
+                          MatrixRegularizer(first_derivative_1d(48)), prob.d,
+                          cfg)
+        assert res.iterations == 6
+        assert calls == Counter(dgeqrf=dgeqrf_calls)
+
+    def test_zero_data_returns_zero_without_iterating(self):
+        res = mmgks_solve(np.eye(6), IdentityRegularizer(6), np.zeros(6))
+        assert res.iterations == 0 and res.converged and res.subspace_dim == 0
+        np.testing.assert_array_equal(res.x, np.zeros(6))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

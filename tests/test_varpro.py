@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import warnings
 from collections import Counter
 
@@ -8,12 +9,13 @@ import pytest
 from lpvarpro import varpro
 from lpvarpro.mmgks import MmgksConfig, majorant_weights, mmgks_solve
 from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
-                                GaussianPsfBlur2D, ParamOperator, PsfParams)
+                                GaussianPsfBlur2D, ParamOperator, PsfParams,
+                                psf_param_gradients)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
                                    as_regularizer, derivative_2d,
                                    first_derivative_1d)
-from lpvarpro.gcv import GcvConfig, thin_gsvd
+from lpvarpro.gcv import GcvConfig, select_eta, thin_gsvd
 from lpvarpro.varpro import (JacobianVariant, SolverError, VarproConfig,
                              jacobian_full, jacobian_half, jacobian_reduced,
                              lp_varpro_solve, tik_solve)
@@ -234,10 +236,6 @@ class _ScalarFamilyProblem:
             self.m, self.n = c.shape
             self.r = 1
 
-        @property
-        def params(self):
-            return np.array([self.y])
-
         def apply(self, x):
             return self.y * (self.c @ np.asarray(x, float))
 
@@ -395,6 +393,42 @@ class TestLpVarpro:
         assert np.linalg.norm(jac - fd) <= 1e-4 * np.linalg.norm(fd)
 
 
+    @pytest.mark.parametrize("variant, y_end", [("half", 1.7606),
+                                                ("full", 1.8096)])
+    def test_lp_full_half_factor_the_weighted_pair(self, monkeypatch,
+                                                   variant, y_end):
+        # at p != 2 the inner solve is MMGKS, which holds no GSVD, so each
+        # step factors {G, W^(1/2) L} with the majorant weights at its x
+        pairs, xs = [], []
+        gsvd_orig, mmgks_orig = varpro.thin_gsvd, varpro.mmgks_solve
+
+        def recording_gsvd(g_dense, l_dense):
+            pairs.append(l_dense.copy())
+            return gsvd_orig(g_dense, l_dense)
+
+        def recording_mmgks(*args, **kwargs):
+            res = mmgks_orig(*args, **kwargs)
+            xs.append(res.x)
+            return res
+
+        monkeypatch.setattr(varpro, "thin_gsvd", recording_gsvd)
+        monkeypatch.setattr(varpro, "mmgks_solve", recording_mmgks)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=3)
+        eps = 1e-2
+        L = MatrixRegularizer(first_derivative_1d(32))
+        cfg = VarproConfig(y0=np.array([2.5]), variant=variant, p=1.0,
+                           epsilon=eps, regularizer=first_derivative_1d(32),
+                           max_iters=3)
+        _, y, record = lp_varpro_solve(prob, cfg)
+        assert len(record.rows) == len(pairs) == len(xs) == 3
+        for l_pair, x in zip(pairs, xs):
+            sqrt_w = np.sqrt(majorant_weights(L.apply(x), 1.0, eps))
+            np.testing.assert_array_equal(l_pair, sqrt_w[:, None] * L.dense())
+        assert all(np.isfinite(dataclasses.astuple(row)).all()
+                   for row in record.rows)
+        assert y[0] == pytest.approx(y_end, abs=1e-3)
+
+
 class TestVarproConfig:
     @pytest.mark.parametrize("inner", ["qr", "dense"])
     def test_rejects_unknown_inner(self, inner):
@@ -409,13 +443,28 @@ class TestVarproConfig:
             VarproConfig(**kwargs)
 
     def test_settable_fields(self):
-        # the whole config surface; a new knob is named and justified here
+        # the whole config surface, with the parameters of the public
+        # functions that take options; a new knob is named and justified here
         assert [f.name for f in dataclasses.fields(VarproConfig)] == [
             "y0", "variant", "regularizer", "max_iters", "step_tol", "p",
             "epsilon", "inner", "inner_iters", "inner_tol", "lam", "damping"]
         assert [f.name for f in dataclasses.fields(MmgksConfig)] == [
-            "p", "epsilon", "subspace_dim", "max_iters", "tol", "eta", "gcv"]
+            "p", "epsilon", "subspace_dim", "max_iters", "tol", "eta"]
         assert [f.name for f in dataclasses.fields(GcvConfig)] == ["omega"]
+        for fn, names in ((psf_param_gradients, ["params", "size"]),
+                          (mmgks_solve, ["G", "L", "d", "config", "x0"]),
+                          (select_eta, ["gsvd", "dhat", "config"])):
+            assert list(inspect.signature(fn).parameters) == names, fn
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iters": 0}, {"inner_iters": 0}, {"lam": 0.0}, {"lam": -1e-3},
+        {"lam": np.nan}, {"p": 1.0, "epsilon": 0.0},
+        {"p": 0.5, "epsilon": -1e-2}])
+    def test_rejects_settings_the_solver_cannot_use(self, kwargs):
+        # each of these used to construct, then failed or gave no answer
+        # at the first step or inner solve
+        with pytest.raises(ValueError):
+            VarproConfig(y0=np.array([2.5]), **kwargs)
 
     def test_fixed_lambda_sets_eta_at_p1(self):
         # a fixed lambda runs every inner solve at eta = lambda eps^(p - 2)
@@ -526,6 +575,23 @@ class TestEngineWork:
                            match="non-finite.*iteration 2") as err:
             lp_varpro_solve(prob, cfg)
         assert len(err.value.record.rows) == 1
+
+    def test_extra_parameters_of_1d_family_refused(self, monkeypatch):
+        # the 1D family has one parameter; a longer y0 used to run with the
+        # one-column step broadcast onto every entry
+        calls = []
+        inner_orig = varpro._inner_solve
+
+        def counting(*args):
+            calls.append(1)
+            return inner_orig(*args)
+
+        monkeypatch.setattr(varpro, "_inner_solve", counting)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        cfg = VarproConfig(y0=np.array([2.5, 1.0]), max_iters=2)
+        with pytest.raises(ValueError, match="length 1"):
+            lp_varpro_solve(prob, cfg)
+        assert calls == []
 
     def test_one_operator_build_per_accepted_step(self, monkeypatch):
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=4)
