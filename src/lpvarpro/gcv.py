@@ -2,11 +2,15 @@
 
 ``thin_gsvd`` factors a pair {G, L} once: a QR of the stack [G; L] = Q R, a
 rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q give
-G = U diag(c) W^T R and L = T W^T R with T = Q_L W. Every Tikhonov quantity
-then reads the generalized spectra c and s2 = 1 - c^2 without dividing by a
-small generalized value: the weighted GCV quotient is scalar arithmetic on
-c, s2 and U^T d, and the regularized solution ``StackGsvd.solve`` is one
-triangular solve.
+G = U diag(c) W^T R and L = T W^T R with T = Q_L W. The rank test rejects
+sigma_min(R) <= 2 n eps sigma_max(R). It bounds the condition number of R
+from above by ||R||_F ||R^-1||_F, with R^-1 from one triangular inversion,
+and computes the singular values of R only when that bound does not clear
+the threshold, so a well-conditioned stack costs no SVD of R. Every
+Tikhonov quantity then reads the generalized spectra c and s2 = 1 - c^2
+without dividing by a small generalized value: the weighted GCV quotient is
+scalar arithmetic on c, s2 and U^T d, and the regularized solution
+``StackGsvd.solve`` is one triangular solve.
 
 The dense Tikhonov route of the outer solvers and the inner MMGKS solver run
 the same computation at two sizes: the dense route factors the full pair
@@ -23,6 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -66,12 +71,34 @@ class StackGsvd:
         return self.w.T @ solve_triangular(self.r.T, vec, lower=True)
 
 
+def _rank_deficient(r) -> bool:
+    """Whether sigma_min(R) <= tol sigma_max(R), tol = 2 n eps, for square R.
+
+    A bound 2 tol ||R||_F ||R^-1||_F below 1 says no; the factor 2 covers the
+    roundoff of the computed inverse near the threshold. A zero pivot or a
+    bound that is not finite or too large leaves it to the singular values.
+    """
+    tol = 2 * r.shape[0] * np.finfo(float).eps
+    r_inv, info = dtrtri(r)
+    if info == 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.linalg.norm(r) * np.linalg.norm(r_inv)
+        if 2 * tol * bound < 1:
+            return False
+    svals = np.linalg.svd(r, compute_uv=False)
+    return bool(svals[-1] <= tol * svals[0])
+
+
 def thin_gsvd(g_dense, l_dense) -> StackGsvd:
     """Thin GSVD of the pair {G, L} via QR of the stack and an SVD of the top.
 
     Raises :class:`RankDeficiencyError` when the stack loses full column
-    rank. A stack with fewer rows than columns is padded with zero rows of L,
-    so that R is square and the rank test sees every column.
+    rank, that is when sigma_min(R) <= 2 n eps sigma_max(R) for the
+    triangular factor R of the stack. R is accepted without an SVD when
+    ||R||_F ||R^-1||_F, an upper bound on its condition number, clears the
+    threshold by a factor 2; otherwise its singular values decide. A stack
+    with fewer rows than columns is padded with zero rows of L, so that R is
+    square and the rank test sees every column.
     """
     g_dense = np.asarray(g_dense, dtype=float)
     l_dense = np.asarray(l_dense, dtype=float)
@@ -81,8 +108,7 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
         l_dense = np.vstack([l_dense, np.zeros((short, n))])
     stack = np.vstack([g_dense, l_dense])
     q, r = np.linalg.qr(stack)
-    svals = np.linalg.svd(r, compute_uv=False)
-    if svals[-1] <= 2 * n * np.finfo(float).eps * svals[0]:
+    if _rank_deficient(r):
         raise RankDeficiencyError(
             "stacked pair [G; L] is rank deficient: G and L share a null "
             "space, so the regularized solution is not unique")

@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dgeqrf
 
 from .gcv import GcvConfig, StackGsvd, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
-from .regularizers import as_regularizer
+from .regularizers import Regularizer, as_regularizer
 
 
 def _as_operator(G) -> ParamOperator:
@@ -60,7 +60,7 @@ def mm_lambda(eta, p):
     return 2.0 * eta / p
 
 
-def golub_kahan(G, d, ell):
+def golub_kahan(G: ParamOperator, d, ell):
     """ell steps of Golub-Kahan bidiagonalization of G with starting vector d.
 
     Both Lanczos vectors are reorthogonalized against all earlier ones.
@@ -69,7 +69,6 @@ def golub_kahan(G, d, ell):
     bidiagonal, V (n x k) orthonormal and G V = U B. On breakdown (a zero
     vector encountered) k < ell and breakdown is True.
     """
-    G = _as_operator(G)
     d = np.asarray(d, dtype=float)
     m, n = G.m, G.n
     if not 1 <= ell <= min(m, n):
@@ -263,18 +262,16 @@ class GksState:
             self._qr_l.append(lv_new)
 
 
-def init_gks(G, d, ell, L, capacity) -> GksState:
+def init_gks(G: ParamOperator, d, ell, L: Regularizer, capacity) -> GksState:
     """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
 
     G V = U B holds for the bidiagonalization, so G V is read from U B
     without applying G again. The state has room for ``capacity`` basis
     columns.
     """
-    G = _as_operator(G)
     u, b, v, _ = golub_kahan(G, d, ell)
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
-    L = as_regularizer(L, G.n)
     lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
     return GksState(v, u @ b, lv, capacity)
 
@@ -291,25 +288,17 @@ def project_and_solve(gsvd: StackGsvd, eta, dhat):
     return gsvd.solve(eta, dhat)
 
 
-def expand_subspace(state: GksState, z, eta, weights, G, L, d,
-                    grad_scale=None, gvz=None, lvz=None):
+def expand_subspace(state: GksState, eta, weights, G: ParamOperator,
+                    L: Regularizer, d, grad_scale, gvz, lvz):
     """Enlarge the basis with the normalized majorant gradient at x = V z.
 
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
-    reorthogonalized against V and normalized. ``gvz`` and ``lvz`` are
-    G V z and L V z when the caller already holds them. Returns False without
-    expanding when the gradient is negligible (stationarity on the current
-    weights).
+    with the products ``gvz`` = G V z and ``lvz`` = L V z, reorthogonalized
+    against V and normalized. Returns False without expanding when r is
+    negligible, at most 1e-14 max(``grad_scale``, 1) with ``grad_scale`` =
+    ||G^T d|| (stationarity on the current weights).
     """
-    G = _as_operator(G)
-    L = as_regularizer(L, G.n)
-    if gvz is None:
-        gvz = state.gv @ z
-    if lvz is None:
-        lvz = state.lv @ z
     r = G.adjoint_apply(gvz - d) + eta * L.adjoint_apply(weights * lvz)
-    if grad_scale is None:
-        grad_scale = np.linalg.norm(G.adjoint_apply(d))
     floor = 1e-14 * max(grad_scale, 1.0)
     if np.linalg.norm(r) <= floor:
         return False
@@ -359,7 +348,7 @@ class MmgksResult:
     subspace_dim: int
 
 
-def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
+def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     """Run the majorize-minimize subspace iteration.
 
     Per iteration: weights from the current iterate, QR of the weighted
@@ -388,7 +377,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
     # G^T d lies in span(V), so ||(G V)^T d|| = ||G^T d||
     grad_scale = np.linalg.norm(state.gv.T @ d)
 
-    x = np.zeros(G.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(G.n)
     u = L.apply(x)
     objectives = []
     etas = []
@@ -420,8 +409,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, x0=None):
         if ref > 0 and dx <= cfg.tol * ref:
             converged = True
             break
-        expand_subspace(state, z, eta, w, G, L, d, grad_scale,
-                        gvz=gvz, lvz=lvz)
+        expand_subspace(state, eta, w, G, L, d, grad_scale, gvz, lvz)
     return MmgksResult(x=x, objectives=objectives, etas=etas,
                        iterations=iterations, converged=converged,
                        subspace_dim=state.k)

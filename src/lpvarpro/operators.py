@@ -309,11 +309,16 @@ class GaussianBlur1D(ParamOperator):
         self.m = self.n = int(n)
         self.r = 1
         # one kernel evaluation at offsets 0..n-1 gives G and dG/dsigma,
-        # whose kernel is g(s) (s^2/sigma^3 - 1/sigma)
+        # whose kernel is g(s) (s^2/sigma^3 - 1/sigma); a tiny sigma
+        # underflows sigma^3 (below about 1e-103) and sigma^2 (1.5e-162)
         s = np.arange(self.n, dtype=float)
-        g = gaussian_kernel_1d(self.sigma, s)
+        with np.errstate(all="ignore"):
+            g = gaussian_kernel_1d(self.sigma, s)
+            dg = g * (s**2 / self.sigma**3 - 1.0 / self.sigma)
+        if not (np.isfinite(g).all() and np.isfinite(dg).all()):
+            raise ValueError("sigma too small: the blur kernel is not finite")
         self._g = toeplitz(g)
-        self._dg = toeplitz(g * (s**2 / self.sigma**3 - 1.0 / self.sigma))
+        self._dg = toeplitz(dg)
 
     def apply(self, x):
         return self._g @ x

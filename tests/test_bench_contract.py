@@ -4,15 +4,19 @@ The benchmark builds every workload's config, reads the fixed GCV grid to
 count etas at its bounds, and wraps package functions by name for its
 per-layer spans. Removing one of these names fails here, and not only when
 the benchmark runs. The 2D workloads must also run the periodic blur, whose
-circulant FFT path they time.
+circulant FFT path they time, and the GSVD of the dense workload's pair must
+decide its rank without an SVD of R.
 """
 
 import os
 import sys
 
+import numpy as np
 import pytest
 
+from lpvarpro.gcv import thin_gsvd
 from lpvarpro.operators import ConvBoundary, GaussianPsfBlur2D
+from lpvarpro.regularizers import as_regularizer
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -43,3 +47,22 @@ def test_2d_workloads_run_the_periodic_blur(name):
     op = problem.operator(config.y0)
     assert isinstance(op, GaussianPsfBlur2D)
     assert op.boundary is ConvBoundary.PERIODIC
+
+
+def test_dense_workload_gsvd_makes_one_svd(monkeypatch):
+    # the stack of the pair at y0 has condition 3.4, far from the rank
+    # threshold, so the condition bound accepts it and the only SVD left
+    # is the one of the top block of Q
+    problem, config = bench.WORKLOADS["full1d_dense512"].build(0)
+    op = problem.operator(config.y0)
+    l_dense = as_regularizer(config.regularizer, op.n).dense()
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    thin_gsvd(op.dense(), l_dense)
+    assert calls == [True]

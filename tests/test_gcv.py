@@ -80,6 +80,63 @@ class TestGsvdPair:
         assert issubclass(RankDeficiencyError, np.linalg.LinAlgError)
 
 
+def stack_with_condition(rng, n, kappa):
+    """A pair {G, L}, each n x n, whose stack [G; L] has condition kappa."""
+    u, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    stack = (u * np.logspace(0, -np.log10(kappa), n)) @ v.T
+    return stack[:n], stack[n:]
+
+
+class TestRankDecision:
+    """The rank verdict of thin_gsvd against the singular values of R."""
+
+    @pytest.mark.parametrize("n", [3, 12, 40, 200])
+    def test_verdict_matches_singular_value_oracle(self, n):
+        # condition numbers from 1e8 to 1e17 straddle the threshold
+        # 1 / (2 n eps) at every n, so both verdicts occur
+        rng = np.random.default_rng(n)
+        verdicts = set()
+        for kappa in np.logspace(8, 17, 10):
+            g, l_mat = stack_with_condition(rng, n, kappa)
+            svals = np.linalg.svd(np.linalg.qr(np.vstack([g, l_mat]))[1],
+                                  compute_uv=False)
+            deficient = svals[-1] <= 2 * n * np.finfo(float).eps * svals[0]
+            verdicts.add(deficient)
+            if deficient:
+                with pytest.raises(RankDeficiencyError):
+                    thin_gsvd(g, l_mat)
+            else:
+                thin_gsvd(g, l_mat)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("col", [0, 2, 4])
+    def test_exact_zero_pivot_raises(self, col):
+        rng = np.random.default_rng(col)
+        g = rng.standard_normal((5, 5))
+        l_mat = rng.standard_normal((4, 5))
+        g[:, col] = l_mat[:, col] = 0.0
+        r = np.linalg.qr(np.vstack([g, l_mat]))[1]
+        assert r[col, col] == 0.0
+        with pytest.raises(RankDeficiencyError):
+            thin_gsvd(g, l_mat)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_bound_that_overflows_defers_to_singular_values(self, scale):
+        # ||R||_F overflows to inf and ||R^-1||_F underflows to 0 (or the
+        # reverse); their product is NaN, which the SVD decides without a
+        # warning
+        gsvd = thin_gsvd(scale * np.eye(3), scale * np.eye(3))
+        np.testing.assert_allclose(gsvd.c**2, 0.5 * np.ones(3), rtol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        g = np.triu(np.ones((4, 4))) + np.eye(4)
+        g[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            thin_gsvd(g, np.eye(4))
+
+
 class TestGcvValue:
     @pytest.mark.parametrize("k", [3, 6, 12])
     @pytest.mark.parametrize("omega", [1.0, 0.8])

@@ -22,6 +22,13 @@ def projected_solution(state, eta, d):
                              state.q_g.T @ d)
 
 
+def expand(state, z, eta, weights, G, L, d):
+    """expand_subspace with the products and the scale mmgks_solve passes."""
+    return expand_subspace(state, eta, weights, G, L, d,
+                           np.linalg.norm(G.adjoint_apply(d)),
+                           state.gv @ z, state.lv @ z)
+
+
 def normal_equations_solution(state, eta, d):
     """The same z from the assembled projected normal equations."""
     lhs = state.r_g.T @ state.r_g + eta * state.r_l.T @ state.r_l
@@ -87,7 +94,7 @@ class TestGolubKahan:
         rng = np.random.default_rng(2)
         G = rng.standard_normal((12, 8))
         d = rng.standard_normal(12)
-        _, _, v, _ = golub_kahan(G, d, 1)
+        _, _, v, _ = golub_kahan(MatrixOperator(G), d, 1)
         expected = G.T @ d / np.linalg.norm(G.T @ d)
         np.testing.assert_allclose(np.abs(v[:, 0]), np.abs(expected),
                                    rtol=1e-12)
@@ -96,7 +103,7 @@ class TestGolubKahan:
         rng = np.random.default_rng(3)
         G = rng.standard_normal((30, 20))
         d = rng.standard_normal(30)
-        u, b, v, breakdown = golub_kahan(G, d, 5)
+        u, b, v, breakdown = golub_kahan(MatrixOperator(G), d, 5)
         assert not breakdown
         resid = np.linalg.norm(G @ v - u @ b)
         assert resid <= 1e-10 * np.linalg.norm(G)
@@ -107,14 +114,14 @@ class TestGolubKahan:
         # rank-1 G: the second bidiagonalization step must break down
         G = np.outer(np.arange(1.0, 7.0), np.ones(5))
         d = np.arange(1.0, 7.0)
-        _, _, v, breakdown = golub_kahan(G, d, 4)
+        _, _, v, breakdown = golub_kahan(MatrixOperator(G), d, 4)
         assert breakdown
         assert v.shape[1] < 4
 
 
 class TestProjectAndSolve:
     def _state(self, G, L, d, ell):
-        state = init_gks(G, d, ell, L, capacity=ell)
+        state = init_gks(MatrixOperator(G), d, ell, L, capacity=ell)
         state.set_weights(np.ones(L.q))
         return state
 
@@ -157,7 +164,7 @@ class TestProjectAndSolve:
         # 1e-12 is the floor of the GCV grid, where the MMGKS solves of
         # the 2D p = 1 benchmark problems select eta
         rng = np.random.default_rng(14)
-        G = rng.standard_normal((20, 15))
+        G = MatrixOperator(rng.standard_normal((20, 15)))
         L = MatrixRegularizer(first_derivative_1d(15))
         d = rng.standard_normal(20)
         state = init_gks(G, d, 6, L, capacity=6)
@@ -169,14 +176,14 @@ class TestProjectAndSolve:
     def test_data_factor_with_fewer_rows_than_columns(self):
         # R_G has fewer rows than the basis has columns once Q_G spans R^m
         rng = np.random.default_rng(15)
-        G = rng.standard_normal((5, 12))
+        G = MatrixOperator(rng.standard_normal((5, 12)))
         L = MatrixRegularizer(first_derivative_1d(12))
         d = rng.standard_normal(5)
         state = init_gks(G, d, 4, L, capacity=8)
         state.set_weights(np.ones(L.q))
         for _ in range(4):
             z = projected_solution(state, 0.3, d)
-            assert expand_subspace(state, z, 0.3, np.ones(L.q), G, L, d)
+            assert expand(state, z, 0.3, np.ones(L.q), G, L, d)
             state.set_weights(np.ones(L.q))
         assert state.r_g.shape == (5, 8)
         z = projected_solution(state, 0.3, d)
@@ -225,7 +232,7 @@ class TestGksStateBuffers:
 
     def test_weighted_factor_after_reweighting_and_growth(self):
         rng = np.random.default_rng(14)
-        G = rng.standard_normal((25, 18))
+        G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
         state = init_gks(G, d, 4, L, capacity=9)
@@ -238,7 +245,7 @@ class TestGksStateBuffers:
                                    rtol=1e-12, atol=1e-12)
         # after an append the same non-unit weights refactor R_L alone
         z = projected_solution(state, 0.1, d)
-        assert expand_subspace(state, z, 0.1, w2, G, L, d)
+        assert expand(state, z, 0.1, w2, G, L, d)
         state.set_weights(w2)
         ref = np.linalg.qr(np.sqrt(w2)[:, None] * state.lv, mode="r")
         assert state.q_l is None and state.r_l.shape == ref.shape == (5, 5)
@@ -247,7 +254,7 @@ class TestGksStateBuffers:
 
     def test_unit_weights_keep_one_factor_across_appends(self):
         rng = np.random.default_rng(14)
-        G = rng.standard_normal((25, 18))
+        G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
         state = init_gks(G, d, 4, L, capacity=9)
@@ -256,7 +263,7 @@ class TestGksStateBuffers:
         q_first = state.q_l
         for _ in range(5):
             z = projected_solution(state, 0.1, d)
-            assert expand_subspace(state, z, 0.1, ones, G, L, d)
+            assert expand(state, z, 0.1, ones, G, L, d)
             state.set_weights(ones)
         assert state.k == 9
         # the factor of the first call took the appended columns
@@ -293,7 +300,7 @@ class TestGksStateBuffers:
 class TestExpandSubspace:
     def test_declines_at_exact_solution(self):
         rng = np.random.default_rng(7)
-        G = rng.standard_normal((10, 6))
+        G = MatrixOperator(rng.standard_normal((10, 6)))
         L = IdentityRegularizer(6)
         d = rng.standard_normal(10)
         eta = 0.5
@@ -301,30 +308,30 @@ class TestExpandSubspace:
         state = init_gks(G, d, 6, L, capacity=7)
         state.set_weights(np.ones(6))
         z = projected_solution(state, eta, d)
-        grew = expand_subspace(state, z, eta, np.ones(6), G, L, d)
+        grew = expand(state, z, eta, np.ones(6), G, L, d)
         assert not grew
 
     def test_new_direction_orthogonal(self):
         rng = np.random.default_rng(8)
-        G = rng.standard_normal((25, 18))
+        G = MatrixOperator(rng.standard_normal((25, 18)))
         L = IdentityRegularizer(18)
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
         z = projected_solution(state, 0.1, d)
-        assert expand_subspace(state, z, 0.1, np.ones(18), G, L, d)
+        assert expand(state, z, 0.1, np.ones(18), G, L, d)
         k = state.k
         assert np.abs(state.v[:, :k - 1].T @ state.v[:, k - 1]).max() <= 1e-10
 
     def test_incremental_qr_matches_fresh(self):
         rng = np.random.default_rng(9)
-        G = rng.standard_normal((25, 18))
+        G = MatrixOperator(rng.standard_normal((25, 18)))
         L = IdentityRegularizer(18)
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
         z = projected_solution(state, 0.1, d)
-        expand_subspace(state, z, 0.1, np.ones(18), G, L, d)
+        expand(state, z, 0.1, np.ones(18), G, L, d)
         q_fresh, r_fresh = np.linalg.qr(state.gv)
         recon_inc = state.q_g @ state.r_g
         recon_fresh = q_fresh @ r_fresh
@@ -449,7 +456,7 @@ class TestMmgksSolve:
         for _ in range(12):
             state.set_weights(np.ones(L.q))
             z = projected_solution(state, 1e-3, d)
-            if not expand_subspace(state, z, 1e-3, np.ones(L.q), G, L, d):
+            if not expand(state, z, 1e-3, np.ones(L.q), G, L, d):
                 break
             gram = state.v.T @ state.v
             assert np.abs(gram - np.eye(state.k)).max() <= 1e-8

@@ -7,7 +7,8 @@ from lpvarpro.operators import (DENSE_LIMIT, ConvBoundary, GaussianBlur1D,
                                 build_toeplitz_1d, conv2d_apply,
                                 gaussian_kernel_1d, psf_gaussian_2d,
                                 psf_param_gradients)
-from lpvarpro.varpro import jacobian_reduced
+from lpvarpro.problems import make_1d_problem
+from lpvarpro.varpro import _operator_at, jacobian_reduced
 
 BOUNDARIES = [ConvBoundary.ZERO, ConvBoundary.PERIODIC, ConvBoundary.REFLEXIVE]
 
@@ -62,6 +63,18 @@ class TestGaussianKernel1d:
             gaussian_kernel_1d(np.nan, [0])
         with pytest.raises(ValueError):
             GaussianBlur1D(np.nan, 8)
+
+    @pytest.mark.parametrize("sigma", [1e-110, 1e-165])
+    def test_blur_with_non_finite_kernel_refused(self, sigma):
+        # sigma^3 underflows below about 1e-103, so the derivative kernel is
+        # not finite; below about 1.5e-162 the blur itself is NaN. Such a
+        # sigma lies outside the domain, so an outer step to it is halved
+        with pytest.raises(ValueError, match="not finite"):
+            GaussianBlur1D(sigma, 8)
+        problem = make_1d_problem(n=16, seed=0)
+        with pytest.raises(ValueError, match="not finite"):
+            problem.operator([sigma])
+        assert _operator_at(problem, [sigma]) is None
 
 
 class TestToeplitz1d:

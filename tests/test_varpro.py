@@ -452,7 +452,7 @@ class TestVarproConfig:
             "p", "epsilon", "subspace_dim", "max_iters", "tol", "eta"]
         assert [f.name for f in dataclasses.fields(GcvConfig)] == ["omega"]
         for fn, names in ((psf_param_gradients, ["params", "size"]),
-                          (mmgks_solve, ["G", "L", "d", "config", "x0"]),
+                          (mmgks_solve, ["G", "L", "d", "config"]),
                           (select_eta, ["gsvd", "dhat", "config"])):
             assert list(inspect.signature(fn).parameters) == names, fn
 
