@@ -17,9 +17,8 @@ from .operators import (ConvBoundary, GaussianBlur1D, GaussianPsfBlur2D,
                         build_toeplitz_1d, conv2d_apply, gaussian_kernel_1d,
                         psf_gaussian_2d, psf_param_gradients)
 from .problems import (ProblemInstance, add_noise, builtin_image,
-                       load_instance, make_1d_problem,
-                       make_blind_deconv_problem, piecewise_signal,
-                       save_instance)
+                       make_1d_problem, make_blind_deconv_problem,
+                       piecewise_signal)
 from .regularizers import (FrameletRegularizer, IdentityRegularizer,
                            KroneckerSumRegularizer, MatrixRegularizer,
                            Regularizer, derivative_2d, first_derivative_1d,

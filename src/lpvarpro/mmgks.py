@@ -5,6 +5,13 @@ repeatedly replacing the lp term with a weighted l2 term from a quadratic
 tangent majorant, solving the weighted problem projected on a small subspace,
 and enlarging the subspace with the normalized gradient of the majorant. The
 subspace is seeded by Golub-Kahan bidiagonalization.
+
+The tall-skinny kernels of an inner iteration are kept few: a new basis
+column and a new column of a thin QR factor are orthogonalized by one
+classical Gram-Schmidt pass, and by a second only when the first removed
+more than 1 - 1/sqrt(2) of the column's norm ("twice is enough"); the
+R-only factor at p != 2 is the blocked compact-WY Householder QR of LAPACK
+dgeqrt; Q_G^T d grows with Q_G; and x = V z is formed once, after the loop.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrt
 
 from .gcv import GcvConfig, StackGsvd, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
@@ -122,18 +129,43 @@ def _column_buffer(a, capacity):
     return buf
 
 
+# block size of the compact-WY QR; 4 is fastest on 4032 x 10..40 factors
+_QR_BLOCK = 4
+
+
 def _r_factor(a):
     """Triangular factor R (min(q, k) x k) of the column-major float64 a.
 
-    One LAPACK dgeqrf overwrites ``a`` in place; a factor with no rows skips
+    One blocked Householder QR (LAPACK dgeqrt) overwrites ``a`` in place;
+    at the widths of the subspace (k < 128) it runs level-3 BLAS where
+    dgeqrf would take its unblocked level-2 path. A factor with no rows skips
     LAPACK, which rejects lda = 0.
     """
     qr, info = a, 0
     if a.shape[0]:
-        qr, _, _, info = dgeqrf(a, overwrite_a=1)
+        qr, _, info = dgeqrt(min(_QR_BLOCK, *a.shape), a, overwrite_a=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrf failed with info {info}")
+        raise np.linalg.LinAlgError(f"dgeqrt failed with info {info}")
     return np.triu(qr[:min(a.shape)])
+
+
+def _project_out(q, col, col_norm):
+    """Split col = q s + resid for orthonormal columns q.
+
+    Returns (resid, s, ||resid||). One classical Gram-Schmidt pass runs, and
+    a second only when the first removed more than 1 - 1/sqrt(2) of
+    ``col_norm`` = ||col||, which keeps resid orthogonal to q near machine
+    precision ("twice is enough").
+    """
+    s = q.T @ col
+    resid = col - q @ s
+    rho = np.linalg.norm(resid)
+    if rho < col_norm / np.sqrt(2.0):
+        s2 = q.T @ resid
+        resid -= q @ s2
+        s += s2
+        rho = np.linalg.norm(resid)
+    return resid, s, rho
 
 
 class _GrowingQr:
@@ -159,17 +191,15 @@ class _GrowingQr:
         return self._r[:self.rank, :self.k]
 
     def append(self, col):
-        """Extend the factors by one column; the buffers must have room."""
-        q = self.q
-        s = q.T @ col
-        resid = col - q @ s
-        # one reorthogonalization pass keeps the factors near machine precision
-        s2 = q.T @ resid
-        resid -= q @ s2
-        s += s2
-        rho = np.linalg.norm(resid)
+        """Extend the factors by one column; the buffers must have room.
+
+        The column is projected out of Q once, or twice when the first pass
+        cancels much of it (``_project_out``).
+        """
+        col_norm = np.linalg.norm(col)
+        resid, s, rho = _project_out(self.q, col, col_norm)
         self._r[:self.rank, self.k] = s
-        if self.rank < q.shape[0] and rho > 1e-15 * max(np.linalg.norm(col), 1.0):
+        if self.rank < resid.shape[0] and rho > 1e-15 * max(col_norm, 1.0):
             self._q[:, self.rank] = resid / rho
             self._r[self.rank, self.k] = rho
             self.rank += 1
@@ -188,9 +218,10 @@ class GksState:
 
     The weighted factor is set by its weights. Unit weights (p = 2) never
     change, so the first ``set_weights`` with them factors L V with Q_L and
-    ``append_direction`` extends that factor. Any other weights are
-    refactored as R_L alone at every ``set_weights``, since the projected
-    problem reads R_L only; ``q_l`` is then None.
+    ``append_direction`` extends that factor by Gram-Schmidt. Any other
+    weights are refactored as R_L alone at every ``set_weights``, by the
+    blocked Householder QR of ``_r_factor``, since the projected problem
+    reads R_L only; ``q_l`` is then None.
     """
 
     def __init__(self, v, gv, lv, capacity):
@@ -293,22 +324,17 @@ def expand_subspace(state: GksState, eta, weights, G: ParamOperator,
     """Enlarge the basis with the normalized majorant gradient at x = V z.
 
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
-    with the products ``gvz`` = G V z and ``lvz`` = L V z, reorthogonalized
-    against V and normalized. Returns False without expanding when r is
-    negligible, at most 1e-14 max(``grad_scale``, 1) with ``grad_scale`` =
-    ||G^T d|| (stationarity on the current weights).
+    with the products ``gvz`` = G V z and ``lvz`` = L V z, projected out of
+    V (once, or twice on cancellation) and normalized. Returns False without
+    expanding when r is negligible, at most 1e-14 max(``grad_scale``, 1)
+    with ``grad_scale`` = ||G^T d|| (stationarity on the current weights).
     """
     r = G.adjoint_apply(gvz - d) + eta * L.adjoint_apply(weights * lvz)
     floor = 1e-14 * max(grad_scale, 1.0)
-    if np.linalg.norm(r) <= floor:
-        return False
-    v = state.v
-    norm_before = np.linalg.norm(r)
-    r = r - v @ (v.T @ r)
-    # repeat the pass when cancellation ate more than 1/sqrt(2) of the norm
-    if np.linalg.norm(r) < norm_before / np.sqrt(2.0):
-        r = r - v @ (v.T @ r)
     nr = np.linalg.norm(r)
+    if nr <= floor:
+        return False
+    r, _, nr = _project_out(state.v, r, nr)
     if nr <= floor:
         return False
     v_new = r / nr
@@ -356,7 +382,9 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     choice of eta (unless eta is fixed) and the projected Tikhonov solve
     read, then subspace expansion with the majorant gradient. When expansion
     stalls the reweighting continues on the fixed subspace. Stops on
-    ``max_iters`` or a relative change below ``tol``.
+    ``max_iters`` or a relative change ||z - [z_prev; 0]|| <= tol ||z_prev||
+    of the coefficients, which is the change of x = V z since V is
+    orthonormal; x itself is formed once, from the last z.
 
     The recorded objective uses the lp weight coupled to eta through the
     tangent-majorant construction, so it is non-increasing for fixed eta.
@@ -377,8 +405,9 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     # G^T d lies in span(V), so ||(G V)^T d|| = ||G^T d||
     grad_scale = np.linalg.norm(state.gv.T @ d)
 
-    x = np.zeros(G.n)
-    u = L.apply(x)
+    dhat = np.zeros(0)                 # Q_G^T d, extended as Q_G grows
+    z = np.zeros(0)
+    u = np.zeros(L.q)                  # L x at x = 0
     objectives = []
     etas = []
     converged = False
@@ -387,29 +416,30 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     for it in range(cfg.max_iters):
         w = majorant_weights(u, cfg.p, eps)
         state.set_weights(w)
-        dhat = state.q_g.T @ d
+        dhat = np.append(dhat, state.q_g[:, dhat.size:].T @ d)
         gsvd = thin_gsvd(state.r_g, state.r_l)
         if cfg.eta is not None:
             eta = float(cfg.eta)
         else:
             eta = select_eta(gsvd, dhat, cfg.gcv).eta
-        z = project_and_solve(gsvd, eta, dhat)
-        x_new = state.v @ z
-        # x_new = V z, so G x_new and L x_new come from the cached products
+        z_prev, z = z, project_and_solve(gsvd, eta, dhat)
+        # x = V z, so G x and L x come from the cached products
         gvz = state.gv @ z
         lvz = state.lv @ z
         iterations = it + 1
         etas.append(eta)
         objectives.append(objective_value(gvz - d, lvz, mm_lambda(eta, cfg.p),
                                           cfg.p, eps))
-        dx = np.linalg.norm(x_new - x)
-        ref = np.linalg.norm(x)
-        x = x_new
+        # V is orthonormal and only grows, so ||x - x_prev|| and ||x_prev||
+        # are read on the coefficients
+        dz = np.linalg.norm(z - np.pad(z_prev, (0, z.size - z_prev.size)))
+        ref = np.linalg.norm(z_prev)
         u = lvz
-        if ref > 0 and dx <= cfg.tol * ref:
+        if ref > 0 and dz <= cfg.tol * ref:
             converged = True
             break
         expand_subspace(state, eta, w, G, L, d, grad_scale, gvz, lvz)
+    x = state.v[:, :z.size] @ z
     return MmgksResult(x=x, objectives=objectives, etas=etas,
                        iterations=iterations, converged=converged,
                        subspace_dim=state.k)

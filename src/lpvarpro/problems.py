@@ -1,4 +1,4 @@
-"""Test-problem generators, bundled synthetic images, noise and file I/O.
+"""Test-problem generators, bundled synthetic images and noise.
 
 The 1D instance blurs a piecewise-constant signal with a Gaussian Toeplitz
 matrix under zero boundary conditions; the 2D instances blur a square image
@@ -9,8 +9,7 @@ determined by its inputs and seed.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,110 +190,3 @@ def make_blind_deconv_problem(image, y_true, level, seed,
                            shape=image.shape, boundary=boundary,
                            psf_size=int(psf_size))
 
-
-# ---------------------------------------------------------------------------
-# file formats: portable graymaps, CSV matrices, instance archives
-
-
-def write_pgm(path, image, maxval=65535):
-    """Write a 2D array as binary PGM (P5); 16-bit values are big-endian."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError("PGM output needs a 2D array")
-    if not np.issubdtype(image.dtype, np.integer):
-        raise ValueError("PGM output needs integer samples; rescale first")
-    if image.min() < 0 or image.max() > maxval:
-        raise ValueError("samples exceed the stated maxval")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode())
-        if maxval < 256:
-            fh.write(image.astype(">u1").tobytes())
-        else:
-            fh.write(image.astype(">u2").tobytes())
-
-
-def read_pgm(path):
-    """Read an 8- or 16-bit PGM file (P2 ascii or P5 binary) as float in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:2] not in (b"P2", b"P5"):
-        raise ValueError("not a PGM file (expected P2 or P5)")
-    magic = data[:2]
-    # header: magic, width, height, maxval with comments allowed
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(int(data[start:pos]))
-    width, height, maxval = tokens
-    pos += 1
-    if magic == b"P2":
-        values = np.array(data[pos:].split(), dtype=float)
-    else:
-        dtype = ">u2" if maxval > 255 else ">u1"
-        values = np.frombuffer(data, dtype=dtype, offset=pos,
-                               count=width * height).astype(float)
-    if values.size != width * height:
-        raise ValueError("PGM payload does not match the stated dimensions")
-    return values.reshape(height, width) / float(maxval)
-
-
-def write_csv_matrix(path, mat):
-    np.savetxt(path, np.atleast_2d(np.asarray(mat, dtype=float)),
-               delimiter=",", fmt="%.17g")
-
-
-def read_csv_matrix(path):
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
-
-
-def save_instance(inst: ProblemInstance, directory):
-    """Serialize an instance as CSV matrices plus a key=value metadata file."""
-    os.makedirs(directory, exist_ok=True)
-    for name in ("x_true", "d_true", "d", "noise"):
-        arr = getattr(inst, name).reshape(inst.shape)
-        write_csv_matrix(os.path.join(directory, f"{name}.csv"), arr)
-    meta = {
-        "family": inst.family,
-        "y_true": ",".join(repr(float(v)) for v in inst.y_true),
-        "level": repr(float(inst.noise_level)),
-        "seed": str(inst.seed),
-        "boundary": inst.boundary.value,
-        "psf_size": str(inst.psf_size),
-        "shape": ",".join(str(s) for s in inst.shape),
-    }
-    with open(os.path.join(directory, "meta.txt"), "w") as fh:
-        for key, val in meta.items():
-            fh.write(f"{key}={val}\n")
-
-
-def load_instance(directory) -> ProblemInstance:
-    meta = {}
-    with open(os.path.join(directory, "meta.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            meta[key] = val
-    shape = tuple(int(s) for s in meta["shape"].split(","))
-    arrays = {}
-    for name in ("x_true", "d_true", "d", "noise"):
-        arr = read_csv_matrix(os.path.join(directory, f"{name}.csv"))
-        arrays[name] = arr.reshape(shape).ravel()
-    return ProblemInstance(
-        family=meta["family"],
-        y_true=np.array([float(v) for v in meta["y_true"].split(",")]),
-        x_true=arrays["x_true"], d_true=arrays["d_true"], d=arrays["d"],
-        noise=arrays["noise"], noise_level=float(meta["level"]),
-        seed=int(meta["seed"]), shape=shape,
-        boundary=ConvBoundary(meta["boundary"]),
-        psf_size=int(meta["psf_size"]))

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpvarpro import mmgks
 from lpvarpro.gcv import thin_gsvd
@@ -14,6 +16,19 @@ from lpvarpro.operators import MatrixOperator
 from lpvarpro.problems import make_1d_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
                                    first_derivative_1d)
+
+
+class CountingQ(np.ndarray):
+    """An array view that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingQ.products += 1
+        inputs = [np.asarray(a) if isinstance(a, CountingQ) else a
+                  for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 def projected_solution(state, eta, d):
@@ -297,6 +312,61 @@ class TestGksStateBuffers:
         assert [a.tobytes() for a in (state.v, state.gv, state.lv)] == before
 
 
+class TestTallKernels:
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 5), (4032, 1), (4032, 40)])
+    def test_r_factor_matches_numpy_qr(self, shape):
+        a = np.random.default_rng(16).standard_normal(shape)
+        ref = np.linalg.qr(a, mode="r")
+        r = mmgks._r_factor(np.asfortranarray(a))
+        assert r.shape == ref.shape
+        np.testing.assert_allclose(np.abs(r), np.abs(ref), rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max(initial=1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           near_span=st.lists(st.booleans(), min_size=1, max_size=12),
+           extra_rows=st.integers(1, 30))
+    def test_growing_qr_stays_orthonormal(self, seed, near_span, extra_rows):
+        # columns Q a + 1e-8 r lose all but 1e-8 of their norm to the first
+        # projection and force the second pass
+        rng = np.random.default_rng(seed)
+        k0 = 3
+        m = k0 + len(near_span) + extra_rows
+        cols = [rng.standard_normal(m) for _ in range(k0)]
+        qr = mmgks._GrowingQr(np.column_stack(cols), k0 + len(near_span))
+        for near in near_span:
+            if near:
+                col = (qr.q @ rng.standard_normal(qr.rank)
+                       + 1e-8 * rng.standard_normal(m))
+            else:
+                col = rng.standard_normal(m)
+            cols.append(col)
+            qr.append(col)
+        a = np.column_stack(cols)
+        assert qr.rank == qr.k == a.shape[1]
+        assert np.linalg.norm(qr.q.T @ qr.q - np.eye(qr.rank)) <= 1e-13
+        assert np.linalg.norm(a - qr.q @ qr.r) <= 1e-13 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("near_span, passes", [(False, 1), (True, 2)])
+    def test_projection_passes_on_append(self, monkeypatch, near_span,
+                                         passes):
+        # a column orthogonal to Q needs one projection pass (two products
+        # with Q); one that the first pass nearly cancels needs a second
+        rng = np.random.default_rng(17)
+        m, k = 50, 6
+        qr = mmgks._GrowingQr(rng.standard_normal((m, k)), k + 1)
+        col = rng.standard_normal(m)
+        col -= qr.q @ (qr.q.T @ col)
+        if near_span:
+            col = qr.q @ rng.standard_normal(k) + 1e-8 * col
+        monkeypatch.setattr(mmgks._GrowingQr, "q", property(
+            lambda self: self._q[:, :self.rank].view(CountingQ)))
+        monkeypatch.setattr(CountingQ, "products", 0)
+        qr.append(col)
+        assert CountingQ.products == 2 * passes
+        assert qr.rank == qr.k == k + 1
+
+
 class TestExpandSubspace:
     def test_declines_at_exact_solution(self):
         rng = np.random.default_rng(7)
@@ -540,26 +610,27 @@ class TestMmgksSolve:
         assert res.iterations == 10
         assert calls == Counter(thin_gsvd=res.iterations)
 
-    @pytest.mark.parametrize("p, dgeqrf_calls", [(2.0, 0), (1.0, 6)])
+    @pytest.mark.parametrize("p, dgeqrt_calls", [(2.0, 0), (1.0, 6)])
     def test_weighted_factor_work_per_solve(self, monkeypatch, p,
-                                            dgeqrf_calls):
+                                            dgeqrt_calls):
         # unit weights (p = 2) keep one growing factor with Q_L, so no R-only
-        # factor is built; other weights refactor R_L once per iteration.
+        # factor is built; other weights refactor R_L once per iteration by
+        # the blocked kernel.
         # A GaussianBlur1D is used as it is, and the objective reads the
         # cached products, so no operator is wrapped
         calls = Counter()
-        dgeqrf_orig = mmgks.dgeqrf
+        dgeqrt_orig = mmgks.dgeqrt
 
-        def counting_dgeqrf(*args, **kwargs):
-            calls["dgeqrf"] += 1
-            return dgeqrf_orig(*args, **kwargs)
+        def counting_dgeqrt(*args, **kwargs):
+            calls["dgeqrt"] += 1
+            return dgeqrt_orig(*args, **kwargs)
 
         class CountingMatrixOperator(MatrixOperator):
             def __init__(self, a):
                 calls["MatrixOperator"] += 1
                 super().__init__(a)
 
-        monkeypatch.setattr(mmgks, "dgeqrf", counting_dgeqrf)
+        monkeypatch.setattr(mmgks, "dgeqrt", counting_dgeqrt)
         monkeypatch.setattr(mmgks, "MatrixOperator", CountingMatrixOperator)
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=8)
         cfg = MmgksConfig(p=p, epsilon=1e-2, subspace_dim=5, max_iters=6,
@@ -568,7 +639,57 @@ class TestMmgksSolve:
                           MatrixRegularizer(first_derivative_1d(48)), prob.d,
                           cfg)
         assert res.iterations == 6
-        assert calls == Counter(dgeqrf=dgeqrf_calls)
+        assert calls == Counter(dgeqrt=dgeqrt_calls)
+
+    def test_one_regularizer_apply_per_basis_column(self):
+        # L is applied to the ell seed columns and to each expansion vector,
+        # never to the zero first iterate
+        class CountingRegularizer(MatrixRegularizer):
+            applies = 0
+
+            def apply(self, x):
+                self.applies += 1
+                return super().apply(x)
+
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=9)
+        ell = 5
+        for p in (2.0, 1.0):
+            L = CountingRegularizer(first_derivative_1d(48))
+            cfg = MmgksConfig(p=p, epsilon=1e-2, subspace_dim=ell,
+                              max_iters=8, tol=1e-16)
+            res = mmgks_solve(prob.operator(prob.y_true), L, prob.d, cfg)
+            expansions = res.subspace_dim - ell
+            assert expansions == res.iterations == 8
+            assert L.applies == ell + expansions
+
+    @pytest.mark.parametrize("tol, converged", [(1e-16, False), (1e-2, True)])
+    def test_solution_is_basis_times_last_coefficients(self, monkeypatch,
+                                                       tol, converged):
+        # x is formed once, from the last projected solution; without
+        # convergence the basis has grown past it by one column
+        seen = {}
+        init_orig, solve_orig = mmgks.init_gks, mmgks.project_and_solve
+
+        def recording_init(*args, **kwargs):
+            seen["state"] = init_orig(*args, **kwargs)
+            return seen["state"]
+
+        def recording_solve(*args, **kwargs):
+            seen["z"] = solve_orig(*args, **kwargs)
+            return seen["z"]
+
+        monkeypatch.setattr(mmgks, "init_gks", recording_init)
+        monkeypatch.setattr(mmgks, "project_and_solve", recording_solve)
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=10)
+        cfg = MmgksConfig(p=1.0, epsilon=1e-2, subspace_dim=5, max_iters=12,
+                          tol=tol)
+        res = mmgks_solve(prob.operator(prob.y_true),
+                          MatrixRegularizer(first_derivative_1d(48)), prob.d,
+                          cfg)
+        assert res.converged is converged
+        z, state = seen["z"], seen["state"]
+        assert state.k == z.size + int(not converged)
+        np.testing.assert_array_equal(res.x, state.v[:, :z.size] @ z)
 
     def test_zero_data_returns_zero_without_iterating(self):
         res = mmgks_solve(np.eye(6), IdentityRegularizer(6), np.zeros(6))

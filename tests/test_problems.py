@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from lpvarpro.operators import ConvBoundary
-from lpvarpro.problems import (add_noise, builtin_image, load_instance,
-                               make_1d_problem, make_blind_deconv_problem,
-                               piecewise_signal, read_pgm, save_instance,
-                               write_pgm)
+from lpvarpro.problems import (add_noise, builtin_image, make_1d_problem,
+                               make_blind_deconv_problem, piecewise_signal)
 from lpvarpro.regularizers import IdentityRegularizer
 from lpvarpro.varpro import tik_solve
 from lpvarpro.metrics import rre
@@ -111,57 +108,3 @@ class TestBlindDeconvProblem:
         prob = make_blind_deconv_problem(img, (1.5, 2.0, 1.0), 0.0, 0,
                                          psf_size=7)
         assert prob.x_true.min() >= 0.0 and prob.x_true.max() <= 1.0
-
-
-class TestInstanceArchive:
-    def test_round_trip(self, tmp_path):
-        prob = make_blind_deconv_problem("satellite", (1.5, 2.0, 1.0),
-                                         0.02, 9, size=24, psf_size=7)
-        save_instance(prob, tmp_path / "inst")
-        back = load_instance(tmp_path / "inst")
-        assert back.family == prob.family
-        assert back.shape == prob.shape
-        assert back.boundary is prob.boundary
-        assert back.psf_size == prob.psf_size
-        assert back.seed == prob.seed
-        assert back.noise_level == prob.noise_level
-        np.testing.assert_array_equal(back.y_true, prob.y_true)
-        for name in ("x_true", "d_true", "d", "noise"):
-            np.testing.assert_array_equal(getattr(back, name),
-                                          getattr(prob, name))
-
-    def test_round_trip_1d(self, tmp_path):
-        prob = make_1d_problem(32, 2.0, 0.01, 4)
-        save_instance(prob, tmp_path / "inst1d")
-        back = load_instance(tmp_path / "inst1d")
-        np.testing.assert_array_equal(back.d, prob.d)
-        assert back.shape == (32,)
-        assert back.boundary is ConvBoundary.ZERO
-
-
-class TestPgm:
-    def test_write_read_16bit(self, tmp_path):
-        rng = np.random.default_rng(2)
-        img = (rng.uniform(0, 1, (9, 7)) * 65535).astype(np.uint16)
-        path = tmp_path / "img.pgm"
-        write_pgm(path, img)
-        back = read_pgm(path)
-        np.testing.assert_allclose(back, img / 65535.0, atol=1e-12)
-
-    def test_read_ascii_p2(self, tmp_path):
-        path = tmp_path / "tiny.pgm"
-        path.write_text("P2\n# comment\n3 2\n255\n0 128 255\n64 32 16\n")
-        img = read_pgm(path)
-        assert img.shape == (2, 3)
-        assert img[0, 2] == pytest.approx(1.0)
-        assert img[0, 1] == pytest.approx(128 / 255)
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.pgm"
-        path.write_bytes(b"P6\n1 1\n255\n\x00")
-        with pytest.raises(ValueError):
-            read_pgm(path)
-
-    def test_rejects_float_input(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_pgm(tmp_path / "f.pgm", np.ones((2, 2)) * 0.5)
