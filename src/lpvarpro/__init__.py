@@ -14,8 +14,8 @@ from .mmgks import (GksState, MmgksConfig, MmgksResult, expand_subspace,
                     objective_value, project_and_solve)
 from .operators import (ConvBoundary, GaussianBlur1D, GaussianPsfBlur2D,
                         MatrixOperator, ParamOperator, PsfParams,
-                        build_toeplitz_1d, conv2d_apply, gaussian_kernel_1d,
-                        psf_gaussian_2d, psf_param_gradients)
+                        gaussian_kernel_1d, psf_gaussian_2d,
+                        psf_param_gradients)
 from .problems import (ProblemInstance, add_noise, builtin_image,
                        make_1d_problem, make_blind_deconv_problem,
                        piecewise_signal)

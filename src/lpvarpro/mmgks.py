@@ -70,18 +70,21 @@ def mm_lambda(eta, p):
 def golub_kahan(G: ParamOperator, d, ell):
     """ell steps of Golub-Kahan bidiagonalization of G with starting vector d.
 
-    Both Lanczos vectors are reorthogonalized against all earlier ones.
+    Both Lanczos vectors are reorthogonalized against all earlier ones, which
+    column-major buffers keep contiguous.
 
     Returns (U, B, V, breakdown) with U (m x (k+1)), B ((k+1) x k) lower
     bidiagonal, V (n x k) orthonormal and G V = U B. On breakdown (a zero
-    vector encountered) k < ell and breakdown is True.
+    vector encountered) k < ell and breakdown is True. The thin QR Q_B R_B of
+    B gives the thin QR (U Q_B) R_B of G V; a zero last column of U, left by
+    a breakdown, meets the zero last row of Q_B.
     """
     d = np.asarray(d, dtype=float)
     m, n = G.m, G.n
     if not 1 <= ell <= min(m, n):
         raise ValueError("subspace dimension must satisfy 1 <= ell <= min(m, n)")
-    us = np.zeros((m, ell + 1))
-    vs = np.zeros((n, ell))
+    us = np.zeros((m, ell + 1), order="F")
+    vs = np.zeros((n, ell), order="F")
     alphas = np.zeros(ell)
     betas = np.zeros(ell + 1)
     tiny = np.finfo(float).eps * max(np.linalg.norm(d), 1.0)
@@ -172,11 +175,13 @@ class _GrowingQr:
     """Thin QR factors Q (m x rank) and R (rank x k) of a growing column set.
 
     The factors live in preallocated buffers and are read through the views
-    ``q`` and ``r``; rank < k only once Q spans all of R^m.
+    ``q`` and ``r``; rank < k only once Q spans all of R^m. ``factors``,
+    when given, are thin QR factors (Q, R) of ``a``, which is then not
+    factored again.
     """
 
-    def __init__(self, a, capacity):
-        q, r = np.linalg.qr(a)
+    def __init__(self, a, capacity, factors=None):
+        q, r = np.linalg.qr(a) if factors is None else factors
         self._q = _column_buffer(q, capacity)
         self.rank, self.k = r.shape
         self._r = np.zeros((capacity, capacity), order="F")
@@ -221,15 +226,16 @@ class GksState:
     ``append_direction`` extends that factor by Gram-Schmidt. Any other
     weights are refactored as R_L alone at every ``set_weights``, by the
     blocked Householder QR of ``_r_factor``, since the projected problem
-    reads R_L only; ``q_l`` is then None.
+    reads R_L only; ``q_l`` is then None. ``gv_factors``, when given, are
+    thin QR factors (Q_G, R_G) of ``gv``.
     """
 
-    def __init__(self, v, gv, lv, capacity):
+    def __init__(self, v, gv, lv, capacity, gv_factors=None):
         self._k = v.shape[1]
         self._v = _column_buffer(v, capacity)
         self._gv = _column_buffer(gv, capacity)
         self._lv = _column_buffer(lv, capacity)
-        self._qr_g = _GrowingQr(gv, capacity)
+        self._qr_g = _GrowingQr(gv, capacity, gv_factors)
         self._qr_l = None       # the growing factor of L V at unit weights
         self._r_l = None        # R_L at other weights
 
@@ -297,14 +303,16 @@ def init_gks(G: ParamOperator, d, ell, L: Regularizer, capacity) -> GksState:
     """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
 
     G V = U B holds for the bidiagonalization, so G V is read from U B
-    without applying G again. The state has room for ``capacity`` basis
-    columns.
+    without applying G again, and its thin QR is seeded as Q_G = U Q_B,
+    R_G = R_B from the QR of the small (k+1) x k matrix B instead of a QR of
+    the tall G V. The state has room for ``capacity`` basis columns.
     """
     u, b, v, _ = golub_kahan(G, d, ell)
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
     lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
-    return GksState(v, u @ b, lv, capacity)
+    q_b, r_b = np.linalg.qr(b)
+    return GksState(v, u @ b, lv, capacity, gv_factors=(u @ q_b, r_b))
 
 
 def project_and_solve(gsvd: StackGsvd, eta, dhat):
@@ -380,7 +388,8 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     Per iteration: weights from the current iterate, QR of the weighted
     L V, one thin GSVD of the projected pair (R_G, R_L) that both the GCV
     choice of eta (unless eta is fixed) and the projected Tikhonov solve
-    read, then subspace expansion with the majorant gradient. When expansion
+    read, then subspace expansion with the majorant gradient, except after
+    the last iteration, whose new column nothing would read. When expansion
     stalls the reweighting continues on the fixed subspace. Stops on
     ``max_iters`` or a relative change ||z - [z_prev; 0]|| <= tol ||z_prev||
     of the coefficients, which is the change of x = V z since V is
@@ -401,7 +410,8 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
                            converged=True, subspace_dim=0)
 
     ell = min(cfg.subspace_dim, min(G.m, G.n))
-    state = init_gks(G, d, ell, L, capacity=ell + cfg.max_iters)
+    # the last of max_iters iterations does not expand
+    state = init_gks(G, d, ell, L, capacity=ell + max(cfg.max_iters - 1, 0))
     # G^T d lies in span(V), so ||(G V)^T d|| = ||G^T d||
     grad_scale = np.linalg.norm(state.gv.T @ d)
 
@@ -438,7 +448,8 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
         if ref > 0 and dz <= cfg.tol * ref:
             converged = True
             break
-        expand_subspace(state, eta, w, G, L, d, grad_scale, gvz, lvz)
+        if iterations < cfg.max_iters:
+            expand_subspace(state, eta, w, G, L, d, grad_scale, gvz, lvz)
     x = state.v[:, :z.size] @ z
     return MmgksResult(x=x, objectives=objectives, etas=etas,
                        iterations=iterations, converged=converged,

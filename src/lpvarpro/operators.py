@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -99,18 +100,6 @@ def gaussian_kernel_1d(sigma, offsets):
         raise ValueError("sigma must be positive")
     s = np.asarray(offsets, dtype=float)
     return np.exp(-(s**2) / (2.0 * sigma**2)) / np.sqrt(2.0 * np.pi * sigma**2)
-
-
-def build_toeplitz_1d(sigma, n):
-    """Dense n x n Toeplitz blur matrix from the 1D Gaussian on an integer grid.
-
-    Midpoint quadrature with unit spacing and zero boundary conditions; the
-    first column and row are the kernel values at offsets 0..n-1.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    col = gaussian_kernel_1d(sigma, np.arange(n))
-    return toeplitz(col)
 
 
 def _psf_raw_2d(params: PsfParams, size):
@@ -231,17 +220,6 @@ def _fold_pad(v, pad, boundary: ConvBoundary, image_shape):
     return v
 
 
-def conv2d_apply(psf, x, boundary=ConvBoundary.PERIODIC):
-    """Discrete 2D convolution of image ``x`` with kernel ``psf``.
-
-    The output has the shape of ``x``; out-of-range samples follow the
-    boundary model. Kernels may have any shape not exceeding the image.
-    """
-    psf = np.asarray(psf, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return _CachedConv2D(psf, x.shape, boundary).apply(x)
-
-
 class ParamOperator:
     """A linear map G(y) with per-parameter derivative actions.
 
@@ -298,7 +276,12 @@ class MatrixOperator(ParamOperator):
 
 
 class GaussianBlur1D(ParamOperator):
-    """1D Gaussian Toeplitz blur with zero boundary, parametrized by sigma."""
+    """1D Gaussian Toeplitz blur with zero boundary, parametrized by sigma.
+
+    G is built at construction. The dense dG/dsigma is built on first use,
+    from the derivative kernel evaluated with G, so an operator that is only
+    applied never forms it.
+    """
 
     def __init__(self, sigma, n):
         if not sigma > 0:
@@ -318,7 +301,11 @@ class GaussianBlur1D(ParamOperator):
         if not (np.isfinite(g).all() and np.isfinite(dg).all()):
             raise ValueError("sigma too small: the blur kernel is not finite")
         self._g = toeplitz(g)
-        self._dg = toeplitz(dg)
+        self._dg_kernel = dg
+
+    @cached_property
+    def _dg(self):
+        return toeplitz(self._dg_kernel)
 
     def apply(self, x):
         return self._g @ x
@@ -350,7 +337,10 @@ class GaussianPsfBlur2D(ParamOperator):
 
     Acts on flattened (row-major) square images. Derivative actions convolve
     with the partials of the normalized PSF, using the commutativity of
-    convolution in the blur parametrization.
+    convolution in the blur parametrization. The PSF and its transform are
+    built at construction; the three partials and their transforms are built
+    on the first derivative action, so an operator that is only applied
+    never forms them.
     """
 
     def __init__(self, params: PsfParams, image_shape, psf_size=31,
@@ -360,12 +350,19 @@ class GaussianPsfBlur2D(ParamOperator):
         self.boundary = boundary
         self.m = self.n = int(np.prod(self.image_shape))
         self.r = 3
-        size = (self.psf_size, self.psf_size)
-        self.psf = psf_gaussian_2d(params, size)
-        self.psf_grads = psf_param_gradients(params, size)
+        self._params = params
+        self.psf = psf_gaussian_2d(params, (self.psf_size, self.psf_size))
         self._conv = _CachedConv2D(self.psf, self.image_shape, boundary)
-        self._dconv = [_CachedConv2D(g, self.image_shape, boundary)
-                       for g in self.psf_grads]
+
+    @cached_property
+    def psf_grads(self):
+        return psf_param_gradients(self._params,
+                                   (self.psf_size, self.psf_size))
+
+    @cached_property
+    def _dconv(self):
+        return [_CachedConv2D(g, self.image_shape, self.boundary)
+                for g in self.psf_grads]
 
     def _as_image(self, x):
         return np.asarray(x, dtype=float).reshape(self.image_shape)
@@ -381,4 +378,3 @@ class GaussianPsfBlur2D(ParamOperator):
 
     def derivative_adjoint_apply(self, j, v):
         return self._dconv[j].adjoint(self._as_image(v)).ravel()
-

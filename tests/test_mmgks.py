@@ -125,6 +125,20 @@ class TestGolubKahan:
         np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-12)
         np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-12)
 
+    @pytest.mark.parametrize("m, ell", [(30, 5), (6, 6)])
+    def test_seeded_data_factor(self, m, ell):
+        # Q_G = U Q_B and R_G = R_B from the QR of B form a thin QR of G V;
+        # at ell = m the last step breaks down and U ends in a zero column
+        rng = np.random.default_rng(16)
+        G = MatrixOperator(rng.standard_normal((m, 20)))
+        state = init_gks(G, rng.standard_normal(m), ell,
+                         IdentityRegularizer(20), capacity=ell)
+        gv = G.a @ state.v
+        np.testing.assert_allclose(state.q_g.T @ state.q_g, np.eye(ell),
+                                   rtol=0, atol=1e-13)
+        assert (np.linalg.norm(state.q_g @ state.r_g - gv)
+                <= 1e-13 * np.linalg.norm(gv))
+
     def test_breakdown_flagged(self):
         # rank-1 G: the second bidiagonalization step must break down
         G = np.outer(np.arange(1.0, 7.0), np.ones(5))
@@ -568,7 +582,8 @@ class TestMmgksSolve:
 
     def test_one_adjoint_apply_per_expansion(self):
         # G^T d is formed once, by the bidiagonalization; the expansion
-        # stall floor reads its norm from the basis
+        # stall floor reads its norm from the basis, and the last iteration
+        # does not expand, whether or not the solve converged
         class CountingOperator(MatrixOperator):
             adjoints = 0
 
@@ -585,7 +600,7 @@ class TestMmgksSolve:
                               max_iters=40, tol=tol)
             res = mmgks_solve(G, L, prob.d, cfg)
             assert res.converged is converged
-            assert G.adjoints == ell + res.iterations - int(res.converged)
+            assert G.adjoints == ell + res.iterations - 1
 
     def test_one_projected_factorization_per_iteration(self):
         # GCV and the projected solve read one thin GSVD; neither factors
@@ -643,7 +658,8 @@ class TestMmgksSolve:
 
     def test_one_regularizer_apply_per_basis_column(self):
         # L is applied to the ell seed columns and to each expansion vector,
-        # never to the zero first iterate
+        # never to the zero first iterate; every iteration but the last
+        # expands
         class CountingRegularizer(MatrixRegularizer):
             applies = 0
 
@@ -659,14 +675,14 @@ class TestMmgksSolve:
                               max_iters=8, tol=1e-16)
             res = mmgks_solve(prob.operator(prob.y_true), L, prob.d, cfg)
             expansions = res.subspace_dim - ell
-            assert expansions == res.iterations == 8
+            assert expansions == res.iterations - 1 == 7
             assert L.applies == ell + expansions
 
     @pytest.mark.parametrize("tol, converged", [(1e-16, False), (1e-2, True)])
     def test_solution_is_basis_times_last_coefficients(self, monkeypatch,
                                                        tol, converged):
-        # x is formed once, from the last projected solution; without
-        # convergence the basis has grown past it by one column
+        # x is formed once, from the last projected solution; the basis has
+        # no column past it, with or without convergence
         seen = {}
         init_orig, solve_orig = mmgks.init_gks, mmgks.project_and_solve
 
@@ -688,7 +704,7 @@ class TestMmgksSolve:
                           cfg)
         assert res.converged is converged
         z, state = seen["z"], seen["state"]
-        assert state.k == z.size + int(not converged)
+        assert state.k == z.size
         np.testing.assert_array_equal(res.x, state.v[:, :z.size] @ z)
 
     def test_zero_data_returns_zero_without_iterating(self):

@@ -1,16 +1,38 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from lpvarpro import operators
 from lpvarpro.operators import (DENSE_LIMIT, ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, PsfParams,
-                                build_toeplitz_1d, conv2d_apply,
                                 gaussian_kernel_1d, psf_gaussian_2d,
                                 psf_param_gradients)
 from lpvarpro.problems import make_1d_problem
 from lpvarpro.varpro import _operator_at, jacobian_reduced
 
 BOUNDARIES = [ConvBoundary.ZERO, ConvBoundary.PERIODIC, ConvBoundary.REFLEXIVE]
+
+
+def build_toeplitz_1d(sigma, n):
+    """Dense n x n Toeplitz blur matrix from the 1D Gaussian on an integer grid.
+
+    Midpoint quadrature with unit spacing and zero boundary conditions; the
+    first column and row are the kernel values at offsets 0..n-1.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return toeplitz(gaussian_kernel_1d(sigma, np.arange(n)))
+
+
+def conv2d_apply(psf, x, boundary=ConvBoundary.PERIODIC):
+    """Discrete 2D convolution of image ``x`` with kernel ``psf``.
+
+    The output has the shape of ``x``; out-of-range samples follow the
+    boundary model. Kernels may have any shape not exceeding the image.
+    """
+    psf = np.asarray(psf, dtype=float)
+    x = np.asarray(x, dtype=float)
+    return operators._CachedConv2D(psf, x.shape, boundary).apply(x)
 
 
 def conv2d_loop(psf, x, boundary):
@@ -236,6 +258,9 @@ class TestConv2dApply:
             shapes.append(out.shape)
             return out
 
+        # the derivative transforms are built on first use; build them
+        # before recording, so only the actions' own transforms are seen
+        op._dconv
         monkeypatch.setattr(operators.sfft, "rfftn", rfftn)
         monkeypatch.setattr(operators.sfft, "irfftn", irfftn)
         x = np.random.default_rng(6).standard_normal(op.n)
@@ -312,6 +337,42 @@ class TestDenseAssembly:
         for assemble in (op.dense, lambda: op.derivative_dense(0)):
             with pytest.raises(ValueError, match=f"n <= {DENSE_LIMIT}"):
                 assemble()
+
+
+class TestDerivativesOnFirstUse:
+    """Derivatives are built when first read and equal eager builds."""
+
+    def test_blur_1d(self):
+        sigma, n = 1.7, 24
+        op = GaussianBlur1D(sigma, n)
+        assert "_dg" not in vars(op)
+        s = np.arange(n, dtype=float)
+        eager = toeplitz(gaussian_kernel_1d(sigma, s)
+                         * (s**2 / sigma**3 - 1.0 / sigma))
+        rng = np.random.default_rng(9)
+        x, v = rng.standard_normal(n), rng.standard_normal(n)
+        assert op.derivative_apply(0, x).tobytes() == (eager @ x).tobytes()
+        assert (op.derivative_adjoint_apply(0, v).tobytes()
+                == (eager.T @ v).tobytes())
+        assert op.derivative_dense(0).tobytes() == eager.tobytes()
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    def test_psf_blur_2d(self, bc):
+        params, shape, size = PsfParams(1.5, 2.0, 1.0), (10, 10), 7
+        op = GaussianPsfBlur2D(params, shape, size, bc)
+        assert "psf_grads" not in vars(op) and "_dconv" not in vars(op)
+        eager = [operators._CachedConv2D(g, shape, bc)
+                 for g in psf_param_gradients(params, (size, size))]
+        rng = np.random.default_rng(10)
+        x, v = rng.standard_normal(op.n), rng.standard_normal(op.m)
+        for j, conv in enumerate(eager):
+            assert (op.derivative_apply(j, x).tobytes()
+                    == conv.apply(x.reshape(shape)).ravel().tobytes())
+            assert (op.derivative_adjoint_apply(j, v).tobytes()
+                    == conv.adjoint(v.reshape(shape)).ravel().tobytes())
+            dense = operators._columns(
+                lambda e: conv.apply(e.reshape(shape)).ravel(), op.m, op.n)
+            assert op.derivative_dense(j).tobytes() == dense.tobytes()
 
 
 class TestReducedJacobian:

@@ -1,11 +1,32 @@
 import numpy as np
 import pytest
 
+from lpvarpro import operators
 from lpvarpro.problems import (add_noise, builtin_image, make_1d_problem,
                                make_blind_deconv_problem, piecewise_signal)
 from lpvarpro.regularizers import IdentityRegularizer
 from lpvarpro.varpro import tik_solve
 from lpvarpro.metrics import rre
+
+
+def grain_image_full_grid(n):
+    """The grain texture with every ellipse tested on the full n x n grid."""
+    rng = np.random.default_rng(170915)
+    ii, jj = np.meshgrid(np.arange(n, dtype=float),
+                         np.arange(n, dtype=float), indexing="ij")
+    img = np.full((n, n), 0.06)
+    count = max(24, (n * n) // 110)
+    for _ in range(count):
+        ci, cj = rng.uniform(0, n, size=2)
+        a = rng.uniform(0.020, 0.055) * n
+        b = rng.uniform(0.012, 0.040) * n
+        theta = rng.uniform(0, np.pi)
+        val = rng.uniform(0.35, 1.0)
+        du, dv = ii - ci, jj - cj
+        uu = du * np.cos(theta) + dv * np.sin(theta)
+        vv = -du * np.sin(theta) + dv * np.cos(theta)
+        img[(uu / a) ** 2 + (vv / b) ** 2 <= 1.0] = val
+    return img
 
 
 class TestAddNoise:
@@ -63,6 +84,19 @@ class TestMake1dProblem:
         with pytest.raises(ValueError):
             make_1d_problem(8, 2.0, 0.01, 0)
 
+    def test_builds_the_blur_only(self, monkeypatch):
+        # synthesis only applies G, so dG/dsigma is not formed
+        built = []
+        toeplitz_orig = operators.toeplitz
+
+        def counting_toeplitz(*args, **kwargs):
+            built.append(1)
+            return toeplitz_orig(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "toeplitz", counting_toeplitz)
+        make_1d_problem(64, 2.0, 0.01, 0)
+        assert len(built) == 1
+
 
 class TestBuiltinImages:
     @pytest.mark.parametrize("name", ["satellite", "grain"])
@@ -72,6 +106,12 @@ class TestBuiltinImages:
         np.testing.assert_array_equal(img1, img2)
         assert img1.shape == (64, 64)
         assert img1.min() >= 0.0 and img1.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_grain_matches_full_grid_oracle(self, n):
+        # each ellipse is tested on its bounding window only
+        assert (builtin_image("grain", n).tobytes()
+                == grain_image_full_grid(n).tobytes())
 
     def test_satellite_is_sparse(self):
         img = builtin_image("satellite", 128)
@@ -91,6 +131,21 @@ class TestBlindDeconvProblem:
             <= 1e-12 * np.linalg.norm(prob.d_true)
         ratio = np.linalg.norm(prob.noise) / np.linalg.norm(prob.d_true)
         assert abs(ratio - 0.01) <= 1e-12
+
+    def test_builds_the_blur_only(self, monkeypatch):
+        # synthesis only applies G: one cached convolution is built, not the
+        # three of the PSF partials as well
+        built = []
+
+        class CountingConv(operators._CachedConv2D):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "_CachedConv2D", CountingConv)
+        make_blind_deconv_problem("satellite", (3.0, 4.0, 0.5), 0.01, 0,
+                                  size=32, psf_size=9)
+        assert len(built) == 1
 
     def test_delta_psf_limit(self):
         prob = make_blind_deconv_problem("satellite", (0.05, 0.05, 0.0),
