@@ -2,11 +2,14 @@
 
 ``thin_gsvd`` factors a pair {G, L} once: a QR of the stack [G; L] = Q R, a
 rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q give
-G = U diag(c) W^T R and L = T W^T R with T = Q_L W. The rank test rejects
-sigma_min(R) <= 2 n eps sigma_max(R). It bounds the condition number of R
-from above by ||R||_F ||R^-1||_F, with R^-1 from one triangular inversion,
-and computes the singular values of R only when that bound does not clear
-the threshold, so a well-conditioned stack costs no SVD of R. Every
+G = U diag(c) W^T R and L = T W^T R with T = Q_L W. LAPACK runs in place on
+column-major factors: dgeqrf and dorgqr (``_thin_qr``, which the MMGKS
+factors share) overwrite the stack with Q, and dgesdd a copy of its top
+block; dgesdd's info > 0 raises ``LinAlgError``, as numpy does. The rank
+test rejects sigma_min(R) <= 2 n eps sigma_max(R). It bounds the condition
+number of R from above by ||R||_F ||R^-1||_F, with R^-1 from one triangular
+inversion, and computes the singular values of R only when that bound does
+not clear the threshold, so a well-conditioned stack costs no SVD of R. Every
 Tikhonov quantity then reads the generalized spectra c and s2 = 1 - c^2
 without dividing by a small generalized value: the weighted GCV quotient is
 scalar arithmetic on c, s2 and U^T d, and the regularized solution
@@ -27,7 +30,8 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dgesdd, dorgqr,
+                                  dtrtri)
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -71,6 +75,36 @@ class StackGsvd:
         return self.w.T @ solve_triangular(self.r.T, vec, lower=True)
 
 
+def _check_info(name, info):
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{name} failed with info {info}")
+
+
+def _thin_qr(a):
+    """Thin QR factors (Q, R) of the column-major float64 a, overwriting a.
+
+    LAPACK dgeqrf factors ``a`` in place and dorgqr forms the min(m, n)
+    leading columns of Q in the same storage, so Q (m x min(m, n)) is a
+    column-major view of ``a`` and R (min(m, n) x n) is upper triangular,
+    as ``np.linalg.qr`` returns them. A matrix with no rows or columns skips
+    LAPACK, which rejects a zero leading dimension.
+    """
+    m, n = a.shape
+    k = min(m, n)
+    if a.size == 0:
+        return np.zeros((m, k), order="F"), np.zeros((k, n))
+    lwork, info = dgeqrf_lwork(m, n)
+    _check_info("dgeqrf_lwork", info)
+    qr, tau, _, info = dgeqrf(a, lwork=int(lwork), overwrite_a=1)
+    _check_info("dgeqrf", info)
+    r = np.triu(qr[:k])
+    _, work, info = dorgqr(qr[:, :k], tau, lwork=-1)
+    _check_info("dorgqr workspace query", info)
+    q, _, info = dorgqr(qr[:, :k], tau, lwork=int(work[0]), overwrite_a=1)
+    _check_info("dorgqr", info)
+    return q, r
+
+
 def _rank_deficient(r) -> bool:
     """Whether sigma_min(R) <= tol sigma_max(R), tol = 2 n eps, for square R.
 
@@ -99,24 +133,32 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
     threshold by a factor 2; otherwise its singular values decide. A stack
     with fewer rows than columns is padded with zero rows of L, so that R is
     square and the rank test sees every column.
+
+    G and L are copied into one column-major stack, which dgeqrf/dorgqr
+    overwrite with Q; dgesdd overwrites a copy of the top block of Q and
+    raises ``LinAlgError`` when it does not converge (info > 0).
     """
     g_dense = np.asarray(g_dense, dtype=float)
     l_dense = np.asarray(l_dense, dtype=float)
     m, n = g_dense.shape
-    short = n - m - l_dense.shape[0]
-    if short > 0:
-        l_dense = np.vstack([l_dense, np.zeros((short, n))])
-    stack = np.vstack([g_dense, l_dense])
-    q, r = np.linalg.qr(stack)
+    rows = m + l_dense.shape[0]
+    stack = np.empty((max(rows, n), n), order="F")
+    stack[:m] = g_dense
+    stack[m:rows] = l_dense
+    stack[rows:] = 0.0
+    q, r = _thin_qr(stack)
     if _rank_deficient(r):
         raise RankDeficiencyError(
             "stacked pair [G; L] is rank deficient: G and L share a null "
             "space, so the regularized solution is not unique")
-    q1, q2 = q[:m], q[m:]
-    u, c, wt = np.linalg.svd(q1, full_matrices=False)
+    u, c, wt, info = dgesdd(np.asfortranarray(q[:m]), full_matrices=0,
+                            overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    _check_info("dgesdd", info)
     c = np.clip(c, 0.0, 1.0)
     w = wt.T
-    t = q2 @ w
+    t = q[m:] @ w
     return StackGsvd(u=u, t=t, w=w, r=r, c=c, s2=np.maximum(0.0, 1.0 - c**2))
 
 

@@ -12,6 +12,9 @@ classical Gram-Schmidt pass, and by a second only when the first removed
 more than 1 - 1/sqrt(2) of the column's norm ("twice is enough"); the
 R-only factor at p != 2 is the blocked compact-WY Householder QR of LAPACK
 dgeqrt; Q_G^T d grows with Q_G; and x = V z is formed once, after the loop.
+A thin QR with Q, of L V at p = 2 and of the small bidiagonal B that seeds
+Q_G, is the in-place LAPACK dgeqrf/dorgqr helper ``gcv._thin_qr`` that the
+stacked-pair GSVD also runs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg.lapack import dgeqrt
 
-from .gcv import GcvConfig, StackGsvd, select_eta, thin_gsvd
+from .gcv import (GcvConfig, StackGsvd, _check_info, _thin_qr, select_eta,
+                  thin_gsvd)
 from .operators import MatrixOperator, ParamOperator
 from .regularizers import Regularizer, as_regularizer
 
@@ -147,8 +151,7 @@ def _r_factor(a):
     qr, info = a, 0
     if a.shape[0]:
         qr, _, info = dgeqrt(min(_QR_BLOCK, *a.shape), a, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgeqrt failed with info {info}")
+    _check_info("dgeqrt", info)
     return np.triu(qr[:min(a.shape)])
 
 
@@ -177,11 +180,14 @@ class _GrowingQr:
     The factors live in preallocated buffers and are read through the views
     ``q`` and ``r``; rank < k only once Q spans all of R^m. ``factors``,
     when given, are thin QR factors (Q, R) of ``a``, which is then not
-    factored again.
+    factored again; otherwise a column-major copy of ``a`` is factored by
+    ``_thin_qr``.
     """
 
     def __init__(self, a, capacity, factors=None):
-        q, r = np.linalg.qr(a) if factors is None else factors
+        if factors is None:
+            factors = _thin_qr(np.array(a, dtype=float, order="F"))
+        q, r = factors
         self._q = _column_buffer(q, capacity)
         self.rank, self.k = r.shape
         self._r = np.zeros((capacity, capacity), order="F")
@@ -311,7 +317,7 @@ def init_gks(G: ParamOperator, d, ell, L: Regularizer, capacity) -> GksState:
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
     lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
-    q_b, r_b = np.linalg.qr(b)
+    q_b, r_b = _thin_qr(np.array(b, order="F"))
     return GksState(v, u @ b, lv, capacity, gv_factors=(u @ q_b, r_b))
 
 
@@ -370,6 +376,8 @@ class MmgksConfig:
             raise ValueError("epsilon > 0 is required for p <= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if self.subspace_dim < 1 or self.max_iters < 1:
+            raise ValueError("subspace_dim and max_iters must be at least 1")
 
 
 @dataclass
@@ -411,7 +419,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
 
     ell = min(cfg.subspace_dim, min(G.m, G.n))
     # the last of max_iters iterations does not expand
-    state = init_gks(G, d, ell, L, capacity=ell + max(cfg.max_iters - 1, 0))
+    state = init_gks(G, d, ell, L, capacity=ell + cfg.max_iters - 1)
     # G^T d lies in span(V), so ||(G V)^T d|| = ||G^T d||
     grad_scale = np.linalg.norm(state.gv.T @ d)
 

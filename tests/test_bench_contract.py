@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from lpvarpro import gcv
 from lpvarpro.gcv import thin_gsvd
 from lpvarpro.operators import ConvBoundary, GaussianPsfBlur2D
 from lpvarpro.regularizers import as_regularizer
@@ -52,17 +53,23 @@ def test_2d_workloads_run_the_periodic_blur(name):
 def test_dense_workload_gsvd_makes_one_svd(monkeypatch):
     # the stack of the pair at y0 has condition 3.4, far from the rank
     # threshold, so the condition bound accepts it and the only SVD left
-    # is the one of the top block of Q
+    # is the one of the top block of Q, by LAPACK dgesdd; R gets no
+    # values-only SVD from either numpy or LAPACK
     problem, config = bench.WORKLOADS["full1d_dense512"].build(0)
     op = problem.operator(config.y0)
     l_dense = as_regularizer(config.regularizer, op.n).dense()
     calls = []
-    svd = np.linalg.svd
+    svd, dgesdd = np.linalg.svd, gcv.dgesdd
 
     def counting_svd(*args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
+        calls.append(bool(kwargs.get("compute_uv", True)))
         return svd(*args, **kwargs)
 
+    def counting_dgesdd(*args, **kwargs):
+        calls.append(bool(kwargs.get("compute_uv", 1)))
+        return dgesdd(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(gcv, "dgesdd", counting_dgesdd)
     thin_gsvd(op.dense(), l_dense)
     assert calls == [True]

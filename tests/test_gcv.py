@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from lpvarpro import gcv
 from lpvarpro.gcv import (EtaSelection, GcvConfig, RankDeficiencyError,
                           gcv_value, select_eta, thin_gsvd)
+from lpvarpro.problems import make_1d_problem
+from lpvarpro.regularizers import first_derivative_1d
 
 
 def dense_projected_gcv(r_g, r_l, dhat, eta, omega=1.0):
@@ -86,6 +89,83 @@ def stack_with_condition(rng, n, kappa):
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     stack = (u * np.logspace(0, -np.log10(kappa), n)) @ v.T
     return stack[:n], stack[n:]
+
+
+def numpy_route_gsvd(g, l_mat):
+    """(c, R) of the stacked pair through numpy.linalg: the oracle.
+
+    The stack is assembled by np.vstack, padded with zero rows of L when it
+    is short, and factored by np.linalg.qr and np.linalg.svd.
+    """
+    m, n = g.shape
+    short = n - m - l_mat.shape[0]
+    if short > 0:
+        l_mat = np.vstack([l_mat, np.zeros((short, n))])
+    q, r = np.linalg.qr(np.vstack([g, l_mat]))
+    c = np.linalg.svd(q[:m], compute_uv=False)
+    return np.clip(c, 0.0, 1.0), r
+
+
+def dense_benchmark_pair():
+    """{G, L} of the dense 1D benchmark problem (n = 512) at y0 = 2.5."""
+    prob = make_1d_problem(n=512, sigma_true=2.0, level=0.01, seed=0)
+    return prob.operator(np.array([2.5])).dense(), \
+        first_derivative_1d(512).toarray()
+
+
+class TestGsvdAgainstNumpyRoute:
+    """The in-place LAPACK thin_gsvd against the numpy.linalg route."""
+
+    @pytest.mark.parametrize("case", ["dense512", 3, 10, 39])
+    def test_matches_numpy_route(self, case):
+        if case == "dense512":
+            g, l_mat = dense_benchmark_pair()
+        else:
+            g, l_mat = random_pair(np.random.default_rng(case), case)
+        gsvd = thin_gsvd(g, l_mat)
+        c_ref, r_ref = numpy_route_gsvd(g, l_mat)
+        k = g.shape[1]
+        assert np.abs(gsvd.c - c_ref).max() <= 1e-12
+        # both QRs are Householder's, so R agrees with its signs
+        assert (np.linalg.norm(gsvd.r - r_ref)
+                <= 1e-12 * np.linalg.norm(r_ref))
+        zt = gsvd.w.T @ gsvd.r
+        assert (np.linalg.norm(gsvd.u * gsvd.c @ zt - g)
+                <= 1e-12 * np.linalg.norm(g))
+        assert (np.linalg.norm(gsvd.t @ zt - l_mat)
+                <= 1e-12 * np.linalg.norm(l_mat))
+        assert np.abs(gsvd.u.T @ gsvd.u - np.eye(k)).max() <= 1e-12
+        assert np.abs(gsvd.w.T @ gsvd.w - np.eye(k)).max() <= 1e-12
+
+    def test_unconverged_svd_raises(self, monkeypatch):
+        dgesdd = gcv.dgesdd
+
+        def unconverged(*args, **kwargs):
+            u, s, vt, _ = dgesdd(*args, **kwargs)
+            return u, s, vt, 1
+
+        monkeypatch.setattr(gcv, "dgesdd", unconverged)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="SVD did not converge") as err:
+            thin_gsvd(np.eye(3), np.eye(3))
+        assert type(err.value) is np.linalg.LinAlgError
+
+
+class TestThinQr:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 7), (50, 1), (40, 12)],
+                             ids=["no_rows", "wide", "one_column", "tall"])
+    def test_factors_in_place(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        work = np.asfortranarray(a.copy())
+        q, r = gcv._thin_qr(work)
+        q_ref, r_ref = np.linalg.qr(a)
+        assert q.shape == q_ref.shape and r.shape == r_ref.shape
+        assert np.array_equal(r, np.triu(r))
+        k = min(shape)
+        assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-13
+        assert np.linalg.norm(q @ r - a) <= 1e-13 * np.linalg.norm(a)
+        # Q is formed in the storage of the input
+        assert not q.size or np.shares_memory(q, work)
 
 
 class TestRankDecision:

@@ -380,6 +380,36 @@ class TestTallKernels:
         assert CountingQ.products == 2 * passes
         assert qr.rank == qr.k == k + 1
 
+    def test_thin_qrs_run_no_numpy_qr(self, monkeypatch):
+        # the QR of B in init_gks, the growing factor of L V at unit weights
+        # and the stacked-pair GSVD run the in-place LAPACK helper, and none
+        # of them overwrites the products it factors
+        rng = np.random.default_rng(18)
+        G = MatrixOperator(rng.standard_normal((25, 18)))
+        L = MatrixRegularizer(first_derivative_1d(18))
+        d = rng.standard_normal(25)
+        a = np.asfortranarray(rng.standard_normal((30, 5)))
+        a_bytes = a.tobytes()
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        state = init_gks(G, d, 4, L, capacity=6)
+        products = [x.tobytes() for x in (state.v, state.gv, state.lv)]
+        state.set_weights(np.ones(L.q))
+        thin_gsvd(state.r_g, state.r_l)
+        mmgks._GrowingQr(a, 6)
+        assert calls == []
+        assert [x.tobytes() for x in (state.v, state.gv, state.lv)] \
+            == products
+        assert a.tobytes() == a_bytes
+        np.testing.assert_allclose(state.q_l @ state.r_l, state.lv,
+                                   atol=1e-12)
+
 
 class TestExpandSubspace:
     def test_declines_at_exact_solution(self):
@@ -717,3 +747,11 @@ class TestMmgksSolve:
             MmgksConfig(p=2.5)
         with pytest.raises(ValueError):
             MmgksConfig(p=0.9, epsilon=0.0)
+
+    @pytest.mark.parametrize("field", ["max_iters", "subspace_dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_rejects_counts_below_one(self, field, value):
+        # max_iters = 0 would return x = 0 unsolved, and subspace_dim = 0
+        # would fail only later, inside golub_kahan
+        with pytest.raises(ValueError, match="at least 1"):
+            MmgksConfig(**{field: value})

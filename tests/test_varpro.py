@@ -299,21 +299,76 @@ class TestGenVarpro:
 
     @pytest.mark.parametrize("variant", ["reduced", "half", "full"])
     def test_damped_residual_never_increases(self, variant):
-        # FULL collapses sigma to ~1e-16, where no halving of the last step
-        # lowers ||F||^2; the solve must then raise rather than accept a rise
+        # FULL collapses sigma to ~1e-16, where ||F||^2 is roundoff (~3e-33).
+        # Whether a halving of the last step still lowers it there, or the
+        # solve raises with its record, depends on the rounding of the
+        # factorization; either way no accepted step raises ||F||^2. The two
+        # raises of the halving loop are reached by construction below
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
         cfg = VarproConfig(y0=np.array([2.6]), variant=variant,
                            regularizer=first_derivative_1d(32), max_iters=12,
                            lam=1e-3, damping=True)
-        if variant == "full":
-            with pytest.raises(SolverError) as err:
-                lp_varpro_solve(prob, cfg)
-            record = err.value.record
-        else:
+        try:
             _, _, record = lp_varpro_solve(prob, cfg)
+        except SolverError as err:
+            if variant != "full":
+                raise
+            record = err.record
         fv = record.func_values
         assert len(fv) >= 8
         assert all(fv[i + 1] <= fv[i] for i in range(len(fv) - 1))
+
+    def test_step_leaving_the_domain_raises_with_record(self, monkeypatch):
+        # an operator that refuses every y but y0: the first step and all
+        # MAX_HALVINGS halvings of it are refused
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
+        y0 = np.array([2.6])
+        asked = []
+        operator_orig = prob.operator
+
+        def refusing(y):
+            asked.append(1)
+            if not np.array_equal(y, y0):
+                raise ValueError("outside the domain")
+            return operator_orig(y)
+
+        monkeypatch.setattr(prob, "operator", refusing)
+        cfg = VarproConfig(y0=y0, max_iters=5, lam=1e-3)
+        with pytest.raises(SolverError, match="left the valid domain after "
+                           "10 halvings at iteration 1") as err:
+            lp_varpro_solve(prob, cfg)
+        assert len(asked) == 2 + varpro.MAX_HALVINGS
+        record = err.value.record
+        assert record.rows == [] and record.func_values == []
+        assert len(record.ys) == 1
+        np.testing.assert_array_equal(record.ys[0], y0)
+
+    def test_damped_step_raising_the_residual_raises_with_record(
+            self, monkeypatch):
+        # every trial's residual is twice the first one, so ||F||^2 at the
+        # trial is 4 phi0 for the first step and all its halvings
+        solves = []
+        inner_orig = varpro._inner_solve
+
+        def raising(*args):
+            solved = inner_orig(*args)
+            solves.append(solved[4])
+            if len(solves) == 1:
+                return solved
+            return solved[:4] + (2.0 * solves[0],) + solved[5:]
+
+        monkeypatch.setattr(varpro, "_inner_solve", raising)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
+        y0 = np.array([2.6])
+        cfg = VarproConfig(y0=y0, max_iters=5, lam=1e-3, damping=True)
+        with pytest.raises(SolverError, match="raised the residual after "
+                           "10 halvings at iteration 1") as err:
+            lp_varpro_solve(prob, cfg)
+        assert len(solves) == 2 + varpro.MAX_HALVINGS
+        record = err.value.record
+        assert record.rows == [] and record.func_values == []
+        assert len(record.ys) == 1
+        np.testing.assert_array_equal(record.ys[0], y0)
 
     @pytest.mark.parametrize("lam", [None, 1e-3])
     def test_solve_reads_no_truth(self, lam):
