@@ -11,7 +11,7 @@ number of R from above by ||R||_F ||R^-1||_F, with R^-1 from one triangular
 inversion, and computes the singular values of R only when that bound does
 not clear the threshold, so a well-conditioned stack costs no SVD of R. Every
 Tikhonov quantity then reads the generalized spectra c and s2 = 1 - c^2
-without dividing by a small generalized value: the weighted GCV quotient is
+without dividing by a small generalized value: the GCV quotient is
 scalar arithmetic on c, s2 and U^T d, and the regularized solution
 ``StackGsvd.solve`` is one triangular solve.
 
@@ -164,40 +164,35 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
 
 @dataclass
 class GcvConfig:
-    """Settings of the GCV minimization over eta.
+    """The GCV minimization over eta, which has no settable field.
 
-    Only ``omega``, the weight of the weighted GCV quotient, is settable; the
-    eta grid and the refinement tolerance are fixed class constants.
+    The eta grid and the refinement tolerance are fixed class constants.
     """
 
-    omega: float = 1.0
     grid_min: ClassVar[float] = 1e-12
     grid_max: ClassVar[float] = 1e4
     grid_points: ClassVar[int] = 200
     refine_tol: ClassVar[float] = 1e-4
 
-    def __post_init__(self):
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError("omega must lie in (0, 1]")
-
-    def grid(self):
+    @classmethod
+    def grid(cls):
         """The logarithmic eta grid that the search scans before refining."""
-        return np.logspace(np.log10(self.grid_min), np.log10(self.grid_max),
-                           self.grid_points)
+        return np.logspace(np.log10(cls.grid_min), np.log10(cls.grid_max),
+                           cls.grid_points)
 
 
 class _GcvQuotient:
-    """Weighted GCV quotient of a factored Tikhonov problem, a function of eta.
+    """GCV quotient of a factored Tikhonov problem, a function of eta.
 
     Numerator: k * (||dhat - U U^T dhat||^2 + sum_i (1 - f_i)^2 (U^T dhat)_i^2)
     with influence factors f_i = c_i^2 / (c_i^2 + eta s2_i); denominator:
-    (k - omega sum_i f_i)^2, where k is the length of dhat. The part of dhat
+    (k - sum_i f_i)^2, where k is the length of dhat. The part of dhat
     outside range(U) is formed only for a tall U: a square U spans R^k, where
     that part is zero and would be computed from roundoff alone. The terms
     that do not depend on eta are formed once.
     """
 
-    def __init__(self, gsvd: StackGsvd, dhat, omega):
+    def __init__(self, gsvd: StackGsvd, dhat):
         dhat = np.asarray(dhat, dtype=float)
         dtil = gsvd.u.T @ dhat
         self.c2 = gsvd.c**2
@@ -208,30 +203,17 @@ class _GcvQuotient:
         if self.k > width:
             outside = dhat - gsvd.u @ dtil
             self.outside = float(outside @ outside)
-        self.omega = omega
 
     def parts(self, eta):
         """Numerator and denominator at eta, a scalar or an array."""
         f = self.c2 / (self.c2 + np.multiply.outer(eta, self.s2))
         return (self.k * (self.outside + (1.0 - f) ** 2 @ self.dtil2),
-                (self.k - self.omega * f.sum(axis=-1)) ** 2)
+                (self.k - f.sum(axis=-1)) ** 2)
 
     def __call__(self, eta):
         """The quotient at a scalar eta; +inf where the denominator vanishes."""
         num, denom = self.parts(eta)
         return float(num / denom) if denom != 0.0 else np.inf
-
-
-def gcv_value(gsvd: StackGsvd, dhat, eta, omega=1.0):
-    """Weighted GCV quotient at eta of min ||G z - dhat||^2 + eta ||L z||^2.
-
-    ``gsvd`` is the thin GSVD of the pair {G, L}. Where the denominator
-    vanishes (every filter factor is 1 and omega = 1) the value is +inf, as
-    in the refinement of :func:`select_eta`.
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return _GcvQuotient(gsvd, dhat, omega)(eta)
 
 
 @dataclass
@@ -241,8 +223,7 @@ class EtaSelection:
     degenerate: bool = False
 
 
-def select_eta(gsvd: StackGsvd, dhat, config: GcvConfig | None = None
-               ) -> EtaSelection:
+def select_eta(gsvd: StackGsvd, dhat) -> EtaSelection:
     """Minimize the GCV quotient over eta: log grid scan plus golden refinement.
 
     ``gsvd`` is the thin GSVD of the pair. Returns the selected eta; a flat
@@ -252,9 +233,8 @@ def select_eta(gsvd: StackGsvd, dhat, config: GcvConfig | None = None
     eta (s2 = 0 up to roundoff), and then the regularized solution does not
     depend on eta.
     """
-    cfg = config or GcvConfig()
-    quotient = _GcvQuotient(gsvd, dhat, cfg.omega)
-    grid = cfg.grid()
+    quotient = _GcvQuotient(gsvd, dhat)
+    grid = GcvConfig.grid()
     num, denom = quotient.parts(grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / denom
@@ -262,12 +242,13 @@ def select_eta(gsvd: StackGsvd, dhat, config: GcvConfig | None = None
     vals = np.where(finite, vals, np.inf)
     if not finite.any() or (np.ptp(vals[finite])
                             <= 1e-15 * np.abs(vals[finite]).max()):
-        mid = float(np.sqrt(cfg.grid_min * cfg.grid_max))
+        mid = float(np.sqrt(GcvConfig.grid_min * GcvConfig.grid_max))
         return EtaSelection(eta=mid, value=float(vals[0]), degenerate=True)
     i = int(np.argmin(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    eta, val = _golden_min(quotient, np.log(lo), np.log(hi), cfg.refine_tol)
+    eta, val = _golden_min(quotient, np.log(lo), np.log(hi),
+                           GcvConfig.refine_tol)
     return EtaSelection(eta=eta, value=val)
 
 

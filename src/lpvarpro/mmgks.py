@@ -177,17 +177,12 @@ def _project_out(q, col, col_norm):
 class _GrowingQr:
     """Thin QR factors Q (m x rank) and R (rank x k) of a growing column set.
 
+    Starts from the thin QR factors ``q`` and ``r`` of the first k columns.
     The factors live in preallocated buffers and are read through the views
-    ``q`` and ``r``; rank < k only once Q spans all of R^m. ``factors``,
-    when given, are thin QR factors (Q, R) of ``a``, which is then not
-    factored again; otherwise a column-major copy of ``a`` is factored by
-    ``_thin_qr``.
+    ``q`` and ``r``; rank < k only once Q spans all of R^m.
     """
 
-    def __init__(self, a, capacity, factors=None):
-        if factors is None:
-            factors = _thin_qr(np.array(a, dtype=float, order="F"))
-        q, r = factors
+    def __init__(self, q, r, capacity):
         self._q = _column_buffer(q, capacity)
         self.rank, self.k = r.shape
         self._r = np.zeros((capacity, capacity), order="F")
@@ -220,28 +215,27 @@ class _GrowingQr:
 
 
 class GksState:
-    """Growing orthonormal basis V with cached products G V and L V.
+    """Growing orthonormal basis V with the cached product L V.
 
-    Also holds thin QR factors of G V and of the weighted W^(1/2) L V. All of
-    them live in column-major buffers sized once for ``capacity`` columns,
-    the most the basis will hold; ``v``, ``gv``, ``lv`` and the factors are
-    views of the filled part.
+    Also holds thin QR factors Q_G R_G of G V, through which G V is read,
+    and of the weighted W^(1/2) L V. All of them live in column-major
+    buffers sized once for ``capacity`` columns, the most the basis will
+    hold; ``v``, ``lv`` and the factors are views of the filled part.
+    ``gv_qr`` is the pair (Q_G, R_G) of the first k columns.
 
     The weighted factor is set by its weights. Unit weights (p = 2) never
     change, so the first ``set_weights`` with them factors L V with Q_L and
     ``append_direction`` extends that factor by Gram-Schmidt. Any other
     weights are refactored as R_L alone at every ``set_weights``, by the
     blocked Householder QR of ``_r_factor``, since the projected problem
-    reads R_L only; ``q_l`` is then None. ``gv_factors``, when given, are
-    thin QR factors (Q_G, R_G) of ``gv``.
+    reads R_L only; ``q_l`` is then None.
     """
 
-    def __init__(self, v, gv, lv, capacity, gv_factors=None):
+    def __init__(self, v, gv_qr, lv, capacity):
         self._k = v.shape[1]
         self._v = _column_buffer(v, capacity)
-        self._gv = _column_buffer(gv, capacity)
         self._lv = _column_buffer(lv, capacity)
-        self._qr_g = _GrowingQr(gv, capacity, gv_factors)
+        self._qr_g = _GrowingQr(*gv_qr, capacity)
         self._qr_l = None       # the growing factor of L V at unit weights
         self._r_l = None        # R_L at other weights
 
@@ -256,10 +250,6 @@ class GksState:
     @property
     def v(self):
         return self._v[:, :self._k]
-
-    @property
-    def gv(self):
-        return self._gv[:, :self._k]
 
     @property
     def lv(self):
@@ -286,7 +276,9 @@ class GksState:
         w = np.asarray(w, dtype=float)
         if np.all(w == 1.0):
             if self._qr_l is None:
-                self._qr_l = _GrowingQr(self.lv, self.capacity)
+                # factored on a column-major copy, which _thin_qr overwrites
+                self._qr_l = _GrowingQr(
+                    *_thin_qr(np.array(self.lv, order="F")), self.capacity)
         else:
             self._qr_l = None
             # a fresh column-major product, which the factor overwrites
@@ -294,10 +286,12 @@ class GksState:
                                               order="F"))
 
     def append_direction(self, v_new, gv_new, lv_new):
-        """Add one basis column; raises IndexError when the buffers are full."""
+        """Add one basis column; raises IndexError when the buffers are full.
+
+        ``gv_new`` = G ``v_new`` extends Q_G R_G and is not kept.
+        """
         k = self._k
         self._v[:, k] = v_new
-        self._gv[:, k] = gv_new
         self._lv[:, k] = lv_new
         self._k = k + 1
         self._qr_g.append(gv_new)
@@ -308,17 +302,17 @@ class GksState:
 def init_gks(G: ParamOperator, d, ell, L: Regularizer, capacity) -> GksState:
     """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
 
-    G V = U B holds for the bidiagonalization, so G V is read from U B
-    without applying G again, and its thin QR is seeded as Q_G = U Q_B,
-    R_G = R_B from the QR of the small (k+1) x k matrix B instead of a QR of
-    the tall G V. The state has room for ``capacity`` basis columns.
+    G V = U B holds for the bidiagonalization, so the thin QR of G V is
+    seeded as Q_G = U Q_B, R_G = R_B from the QR of the small (k+1) x k
+    matrix B, without applying G again or forming the tall G V. The state
+    has room for ``capacity`` basis columns.
     """
     u, b, v, _ = golub_kahan(G, d, ell)
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
     lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
     q_b, r_b = _thin_qr(np.array(b, order="F"))
-    return GksState(v, u @ b, lv, capacity, gv_factors=(u @ q_b, r_b))
+    return GksState(v, (u @ q_b, r_b), lv, capacity)
 
 
 def project_and_solve(gsvd: StackGsvd, eta, dhat):
@@ -366,7 +360,7 @@ class MmgksConfig:
     max_iters: int = 100
     tol: float = 1e-6
     eta: float | None = None          # fixed eta; None selects by GCV
-    # the GCV search of every solve, at omega = 1; not a setting
+    # the fixed GCV search grid of every solve; not a setting
     gcv: ClassVar[GcvConfig] = GcvConfig()
 
     def __post_init__(self):
@@ -420,10 +414,9 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     ell = min(cfg.subspace_dim, min(G.m, G.n))
     # the last of max_iters iterations does not expand
     state = init_gks(G, d, ell, L, capacity=ell + cfg.max_iters - 1)
-    # G^T d lies in span(V), so ||(G V)^T d|| = ||G^T d||
-    grad_scale = np.linalg.norm(state.gv.T @ d)
-
-    dhat = np.zeros(0)                 # Q_G^T d, extended as Q_G grows
+    dhat = state.q_g.T @ d             # Q_G^T d, extended as Q_G grows
+    # G^T d lies in span(V), so ||G^T d|| = ||(G V)^T d|| = ||R_G^T dhat||
+    grad_scale = np.linalg.norm(state.r_g.T @ dhat)
     z = np.zeros(0)
     u = np.zeros(L.q)                  # L x at x = 0
     objectives = []
@@ -439,10 +432,10 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
         if cfg.eta is not None:
             eta = float(cfg.eta)
         else:
-            eta = select_eta(gsvd, dhat, cfg.gcv).eta
+            eta = select_eta(gsvd, dhat).eta
         z_prev, z = z, project_and_solve(gsvd, eta, dhat)
-        # x = V z, so G x and L x come from the cached products
-        gvz = state.gv @ z
+        # x = V z, so G x and L x come from the factor and the product
+        gvz = state.q_g @ (state.r_g @ z)
         lvz = state.lv @ z
         iterations = it + 1
         etas.append(eta)

@@ -252,10 +252,6 @@ class ParamOperator:
         """Dense matrix representation; intended for small problems."""
         return _columns(self.apply, self.m, self.n)
 
-    def derivative_dense(self, j) -> np.ndarray:
-        """Dense matrix of dG/dy_j; intended for small problems."""
-        return _columns(lambda e: self.derivative_apply(j, e), self.m, self.n)
-
 
 class MatrixOperator(ParamOperator):
     """Wrap a plain matrix as a parameterless operator (mostly for tests)."""
@@ -325,11 +321,6 @@ class GaussianBlur1D(ParamOperator):
 
     def dense(self):
         return self._g
-
-    def derivative_dense(self, j=0):
-        if j != 0:
-            raise IndexError("parameter index out of range")
-        return self._dg
 
 
 class GaussianPsfBlur2D(ParamOperator):

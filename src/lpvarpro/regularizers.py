@@ -151,76 +151,44 @@ def framelet_filters_1d(n):
 class FrameletRegularizer(Regularizer):
     """Two-dimensional framelet analysis operator W on flattened n x n images.
 
-    One level stacks the nine blocks W_i (x) W_j in row-major (i, j) order.
-    With ``levels=2`` the low-pass block W0 (x) W0 is re-analyzed recursively,
-    which preserves the tight-frame identity W^T W = I.
+    One level of the tight frame: the nine blocks W_i (x) W_j stacked in
+    row-major (i, j) order, so q = 9 n^2 and W^T W = I.
     """
 
-    def __init__(self, n, levels=1):
-        if levels < 1:
-            raise ValueError("levels must be at least 1")
+    def __init__(self, n):
         self.n1 = int(n)
-        self.levels = int(levels)
         self.filters = framelet_filters_1d(self.n1)
         self.filters_t = tuple(f.T.tocsr() for f in self.filters)
         self.n = self.n1 * self.n1
-        # one level emits 9 blocks; each extra level replaces the low-pass
-        # block by 9 more of the same size
-        self.q = (8 * (self.levels - 1) + 9) * self.n
-
-    def _analyze(self, X, level):
-        out = []
-        for i, wi in enumerate(self.filters):
-            wx = wi @ X
-            for j, wjt in enumerate(self.filters_t):
-                block = np.asarray(wx @ wjt)
-                if i == 0 and j == 0 and level < self.levels:
-                    out.extend(self._analyze(block, level + 1))
-                else:
-                    out.append(block.ravel())
-        return out
+        self.q = 9 * self.n
 
     def apply(self, x):
         X = np.asarray(x, dtype=float).reshape(self.n1, self.n1)
-        return np.concatenate(self._analyze(X, 1))
-
-    def _synthesize(self, blocks, level):
-        acc = np.zeros((self.n1, self.n1))
-        pos = 0
-        for i, wit in enumerate(self.filters_t):
-            for j, wj in enumerate(self.filters):
-                if i == 0 and j == 0 and level < self.levels:
-                    sub, used = self._synthesize(blocks[pos:], level + 1)
-                    pos += used
-                    block = sub
-                else:
-                    block = blocks[pos:pos + self.n].reshape(self.n1, self.n1)
-                    pos += self.n
-                acc += np.asarray(wit @ np.asarray(block @ wj))
-        return acc, pos
+        out = []
+        for wi in self.filters:
+            wx = wi @ X
+            out.extend(np.asarray(wx @ wjt).ravel() for wjt in self.filters_t)
+        return np.concatenate(out)
 
     def adjoint_apply(self, u):
         u = np.asarray(u, dtype=float)
-        acc, used = self._synthesize(u, 1)
-        if used != self.q:
+        if u.size != self.q:
             raise ValueError("coefficient vector has wrong length")
+        blocks = iter(u.reshape(9, self.n1, self.n1))
+        acc = np.zeros((self.n1, self.n1))
+        for wit in self.filters_t:
+            for wj in self.filters:
+                acc += np.asarray(wit @ np.asarray(next(blocks) @ wj))
         return acc.ravel()
 
     def dense(self):
-        if self.levels != 1:
-            return super().dense()
-        rows = []
-        for wi in self.filters:
-            for wj in self.filters:
-                rows.append(np.kron(wi.toarray(), wj.toarray()))
-        return np.vstack(rows)
+        return np.vstack([np.kron(wi.toarray(), wj.toarray())
+                          for wi in self.filters for wj in self.filters])
 
 
-def framelet_analysis_2d(n, levels=1):
+def framelet_analysis_2d(n):
     """Tight-frame framelet analysis operator on n x n images (q = 9 n^2)."""
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    return FrameletRegularizer(n, levels=levels)
+    return FrameletRegularizer(n)
 
 
 def as_regularizer(L, n=None):

@@ -195,9 +195,10 @@ def _use_dense(problem_n, cfg: VarproConfig):
     return cfg.p == 2.0 and cfg.inner == "auto" and problem_n <= DENSE_LIMIT
 
 
-def _inner_solve(op, L, d, cfg: VarproConfig):
+def _inner_solve(op, L, l_dense, d, cfg: VarproConfig):
     """Solve for x at G = ``op`` and form the stacked residual there.
 
+    ``l_dense`` is the dense matrix of L, which the dense route reads.
     Returns ``(x, eta, gsvd, r_data, f_hat, sqrt_w)``: eta is the weight of
     the solve, gsvd the thin GSVD of {G, L} on the dense route (formed once
     and read by every solve of the step, else None), r_data = G x - d,
@@ -207,7 +208,7 @@ def _inner_solve(op, L, d, cfg: VarproConfig):
     eta = (None if cfg.lam is None
            else float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0))
     if _use_dense(op.n, cfg):
-        gsvd = thin_gsvd(op.dense(), L.dense())
+        gsvd = thin_gsvd(op.dense(), l_dense)
         if eta is None:
             eta = select_eta(gsvd, d).eta
         x = tik_solve(op, L, eta, d, gsvd)
@@ -233,10 +234,10 @@ def _truth(problem):
 
 
 def _operator_at(problem, y):
-    """G(y), or None when y lies outside the parameter domain."""
+    """G(y), or None when the build refuses y by ValueError (out of domain)."""
     try:
         return problem.operator(y)
-    except (ValueError, IndexError):
+    except ValueError:
         return None
 
 
@@ -261,6 +262,9 @@ def lp_varpro_solve(problem, config: VarproConfig):
             f"limited to n <= {DENSE_LIMIT} unknowns (got n = {op.n}); use "
             f"the reduced Jacobian instead")
     L = as_regularizer(cfg.regularizer, op.n)
+    # L is fixed for the solve, so its dense matrix is built at most once
+    l_dense = (L.dense() if _use_dense(op.n, cfg)
+               or cfg.variant is not JacobianVariant.REDUCED else None)
     record = RunRecord()
     record.ys.append(y.copy())
     x = None
@@ -269,7 +273,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         if solved is None:
-            solved = _inner_solve(op, L, d, cfg)
+            solved = _inner_solve(op, L, l_dense, d, cfg)
         x, eta, gsvd, r_data, f_hat, sqrt_w = solved
 
         if cfg.variant is JacobianVariant.REDUCED:
@@ -278,7 +282,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
             # a GSVD from the inner solve exists only at p = 2, where the
             # weights are exactly 1 and the weighted pair is {G, L} itself
             if gsvd is None:
-                gsvd = thin_gsvd(op.dense(), sqrt_w[:, None] * L.dense())
+                gsvd = thin_gsvd(op.dense(), sqrt_w[:, None] * l_dense)
             if cfg.variant is JacobianVariant.FULL:
                 jac = jacobian_full(op, x, eta, gsvd, r_data)
             else:
@@ -299,7 +303,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
             op_new = _operator_at(problem, y_new)
             solved = None
             if op_new is not None and cfg.damping:
-                solved = _inner_solve(op_new, L, d, cfg)
+                solved = _inner_solve(op_new, L, l_dense, d, cfg)
                 f_try = solved[4]
                 if float(f_try @ f_try) <= phi0:
                     break

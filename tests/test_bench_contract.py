@@ -9,18 +9,21 @@ decide its rank without an SVD of R.
 """
 
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
 
+import lpvarpro
 from lpvarpro import gcv
 from lpvarpro.gcv import thin_gsvd
 from lpvarpro.operators import ConvBoundary, GaussianPsfBlur2D
 from lpvarpro.regularizers import as_regularizer
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench"))
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
 
 import bench  # noqa: E402
 import tracing  # noqa: E402
@@ -73,3 +76,12 @@ def test_dense_workload_gsvd_makes_one_svd(monkeypatch):
     monkeypatch.setattr(gcv, "dgesdd", counting_dgesdd)
     thin_gsvd(op.dense(), l_dense)
     assert calls == [True]
+
+
+def test_package_exports_every_name_the_benchmark_reads():
+    # bench.py reads the package as ``lp.<name>``; the exports are trimmed
+    # to the user workflow, which must keep each of these
+    with open(os.path.join(PERFBENCH, "bench.py")) as fh:
+        names = set(re.findall(r"\blp\.(\w+)", fh.read()))
+    assert names
+    assert {name for name in names if not hasattr(lpvarpro, name)} == set()

@@ -3,18 +3,18 @@ import pytest
 
 from lpvarpro import gcv
 from lpvarpro.gcv import (EtaSelection, GcvConfig, RankDeficiencyError,
-                          gcv_value, select_eta, thin_gsvd)
+                          _GcvQuotient, select_eta, thin_gsvd)
 from lpvarpro.problems import make_1d_problem
 from lpvarpro.regularizers import first_derivative_1d
 
 
-def dense_projected_gcv(r_g, r_l, dhat, eta, omega=1.0):
+def dense_projected_gcv(r_g, r_l, dhat, eta):
     """Direct evaluation with explicitly assembled regularized pseudoinverse."""
     k = r_g.shape[0]
     pinv_eta = np.linalg.solve(r_g.T @ r_g + eta * (r_l.T @ r_l), r_g.T)
     resid_mat = np.eye(k) - r_g @ pinv_eta
     num = k * float(np.linalg.norm(resid_mat @ dhat) ** 2)
-    den = float(np.trace(np.eye(k) - omega * (r_g @ pinv_eta))) ** 2
+    den = float(np.trace(np.eye(k) - r_g @ pinv_eta)) ** 2
     return num / den
 
 
@@ -219,8 +219,7 @@ class TestRankDecision:
 
 class TestGcvValue:
     @pytest.mark.parametrize("k", [3, 6, 12])
-    @pytest.mark.parametrize("omega", [1.0, 0.8])
-    def test_matches_dense_assembly(self, k, omega):
+    def test_matches_dense_assembly(self, k):
         rng = np.random.default_rng(10 * k)
         r_g, r_l = random_pair(rng, k)
         dhat = rng.standard_normal(k)
@@ -231,23 +230,22 @@ class TestGcvValue:
         for g, data in ((r_g, dhat), (tall_g, tall_dhat)):
             gsvd = thin_gsvd(g, r_l)
             for eta in (1e-2, 1e-1, 1.0, 50.0):
-                mine = gcv_value(gsvd, data, eta, omega)
-                dense = dense_projected_gcv(g, r_l, data, eta, omega)
+                mine = _GcvQuotient(gsvd, data)(eta)
+                dense = dense_projected_gcv(g, r_l, data, eta)
                 assert abs(mine - dense) <= 1e-10 * abs(dense)
             # at tiny eta the dense residual cancels catastrophically, so the
             # oracle itself only carries ~10 digits
-            mine = gcv_value(gsvd, data, 1e-6, omega)
-            dense = dense_projected_gcv(g, r_l, data, 1e-6, omega)
+            mine = _GcvQuotient(gsvd, data)(1e-6)
+            dense = dense_projected_gcv(g, r_l, data, 1e-6)
             assert abs(mine - dense) <= 1e-8 * abs(dense)
         # select_eta minimizes the same tall quotient
         gsvd = thin_gsvd(tall_g, r_l)
-        sel = select_eta(gsvd, tall_dhat, GcvConfig(omega=omega))
-        grid = GcvConfig().grid()
-        oracle = [dense_projected_gcv(tall_g, r_l, tall_dhat, eta, omega)
-                  for eta in grid]
+        sel = select_eta(gsvd, tall_dhat)
+        oracle = [dense_projected_gcv(tall_g, r_l, tall_dhat, eta)
+                  for eta in GcvConfig.grid()]
         assert sel.value <= min(oracle) * (1 + 1e-8)
         assert sel.value == pytest.approx(
-            dense_projected_gcv(tall_g, r_l, tall_dhat, sel.eta, omega),
+            dense_projected_gcv(tall_g, r_l, tall_dhat, sel.eta),
             rel=1e-8)
 
     def test_unregularized_directions_do_not_enter_numerator(self):
@@ -258,7 +256,8 @@ class TestGcvValue:
         gsvd = thin_gsvd(r_g, r_l)
         dhat = np.array([7.0, 0.0])
         for eta in (1e-3, 1.0, 1e3):
-            assert gcv_value(gsvd, dhat, eta) == pytest.approx(0.0, abs=1e-20)
+            assert _GcvQuotient(gsvd, dhat)(eta) == pytest.approx(0.0,
+                                                                  abs=1e-20)
 
     def test_large_eta_limit(self):
         rng = np.random.default_rng(3)
@@ -266,22 +265,17 @@ class TestGcvValue:
         r_l += 5 * np.eye(5)            # nonsingular regularizer factor
         dhat = rng.standard_normal(5)
         gsvd = thin_gsvd(r_g, r_l)
-        val = gcv_value(gsvd, dhat, 1e14, omega=1.0)
+        val = _GcvQuotient(gsvd, dhat)(1e14)
         expected = 5 * float(np.linalg.norm(gsvd.u.T @ dhat) ** 2) / 25.0
         assert val == pytest.approx(expected, rel=1e-6)
 
     def test_vanishing_denominator_gives_inf(self):
         # L = 0 leaves every filter factor at 1, so the denominator is 0
         gsvd = thin_gsvd(np.eye(4), np.zeros((4, 4)))
-        assert gcv_value(gsvd, np.ones(4), 1.0) == np.inf
-
-    def test_rejects_nonpositive_eta(self):
-        gsvd = thin_gsvd(np.eye(2), np.eye(2))
-        with pytest.raises(ValueError):
-            gcv_value(gsvd, np.ones(2), 0.0)
+        assert _GcvQuotient(gsvd, np.ones(4))(1.0) == np.inf
 
 
-def exhaustive_argmin(r_g, r_l, dhat, omega=1.0, points=10**6):
+def exhaustive_argmin(r_g, r_l, dhat, points=10**6):
     """Filter-formula scan over a dense log grid, written independently."""
     gsvd = thin_gsvd(r_g, r_l)
     dtil = gsvd.u.T @ dhat
@@ -291,7 +285,7 @@ def exhaustive_argmin(r_g, r_l, dhat, omega=1.0, points=10**6):
     best_eta, best_val = None, np.inf
     for chunk in np.array_split(np.logspace(-12, 4, points), 50):
         f = c2[None, :] / (c2[None, :] + chunk[:, None] * s2[None, :])
-        vals = k * ((1 - f) ** 2 @ dtil**2) / (k - omega * f.sum(axis=1)) ** 2
+        vals = k * ((1 - f) ** 2 @ dtil**2) / (k - f.sum(axis=1)) ** 2
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = vals[i]
@@ -306,7 +300,7 @@ class TestSelectEta:
             r_g = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
             r_l = np.triu(0.3 * rng.standard_normal((k, k))) + np.eye(k)
             dhat = rng.standard_normal(k)
-            sel = select_eta(thin_gsvd(r_g, r_l), dhat, GcvConfig())
+            sel = select_eta(thin_gsvd(r_g, r_l), dhat)
             oracle_eta, oracle_val = exhaustive_argmin(r_g, r_l, dhat,
                                                        points=10**5)
             # same minimizer up to the refinement tolerance plus grid spacing
@@ -318,38 +312,21 @@ class TestSelectEta:
         r_l = np.eye(6)
         dhat = rng.standard_normal(6)
         gsvd = thin_gsvd(r_g, r_l)
-        e1 = select_eta(gsvd, dhat, GcvConfig()).eta
-        e2 = select_eta(gsvd, 37.0 * dhat, GcvConfig()).eta
+        e1 = select_eta(gsvd, dhat).eta
+        e2 = select_eta(gsvd, 37.0 * dhat).eta
         assert abs(np.log(e1) - np.log(e2)) <= 1e-6
-
-    def test_smaller_omega_selects_no_larger_eta(self):
-        # diagonal toy with decaying spectrum and noisy data coefficients
-        c = np.array([1.0, 0.6, 0.3, 0.1, 0.03, 0.01])
-        r_g = np.diag(c)
-        r_l = np.eye(6)
-        rng = np.random.default_rng(0)
-        dhat = c * 1.0 + 0.05 * rng.standard_normal(6)
-        eta_full = exhaustive_argmin(r_g, r_l, dhat, omega=1.0, points=10**5)[0]
-        eta_small = exhaustive_argmin(r_g, r_l, dhat, omega=0.5, points=10**5)[0]
-        assert eta_small <= eta_full * (1 + 1e-9)
-        gsvd = thin_gsvd(r_g, r_l)
-        sel_full = select_eta(gsvd, dhat, GcvConfig(omega=1.0))
-        sel_small = select_eta(gsvd, dhat, GcvConfig(omega=0.5))
-        assert sel_small.eta <= sel_full.eta * (1 + 1e-6)
 
     def test_flat_curve_flagged_degenerate(self):
         # zero projected data: the numerator vanishes identically in eta
-        sel = select_eta(thin_gsvd(np.eye(3), np.eye(3)), np.zeros(3),
-                         GcvConfig())
+        sel = select_eta(thin_gsvd(np.eye(3), np.eye(3)), np.zeros(3))
         assert isinstance(sel, EtaSelection)
         assert sel.degenerate
         # L = 0: every filter is 1, so the quotient is 0/0 at every grid
         # point and the solution does not depend on eta
-        cfg = GcvConfig()
-        sel = select_eta(thin_gsvd(np.eye(4), np.zeros((4, 4))), np.ones(4),
-                         cfg)
+        sel = select_eta(thin_gsvd(np.eye(4), np.zeros((4, 4))), np.ones(4))
         assert sel.degenerate
-        assert sel.eta == pytest.approx(np.sqrt(cfg.grid_min * cfg.grid_max))
+        assert sel.eta == pytest.approx(np.sqrt(GcvConfig.grid_min
+                                                * GcvConfig.grid_max))
 
     def test_refinement_next_to_vanished_denominator(self):
         # below eta ~ 2e-10 every filter rounds to 1 and the quotient is 0/0;
@@ -358,13 +335,11 @@ class TestSelectEta:
         gsvd = thin_gsvd(np.diag([1.0, 1.1, 1.14]),
                          np.diag([4.8e-4, 5.1e-4, 7e-4]))
         dhat = np.array([0.34, 0.42, 0.37])
-        sel = select_eta(gsvd, dhat, GcvConfig())
+        sel = select_eta(gsvd, dhat)
         assert not sel.degenerate
-        assert sel.value == pytest.approx(gcv_value(gsvd, dhat, sel.eta))
+        assert sel.value == pytest.approx(_GcvQuotient(gsvd, dhat)(sel.eta))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GcvConfig(omega=0.0)
         # the search grid is fixed
         with pytest.raises(TypeError):
             GcvConfig(grid_min=1e-10)

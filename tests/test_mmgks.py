@@ -41,7 +41,7 @@ def expand(state, z, eta, weights, G, L, d):
     """expand_subspace with the products and the scale mmgks_solve passes."""
     return expand_subspace(state, eta, weights, G, L, d,
                            np.linalg.norm(G.adjoint_apply(d)),
-                           state.gv @ z, state.lv @ z)
+                           state.q_g @ (state.r_g @ z), state.lv @ z)
 
 
 def normal_equations_solution(state, eta, d):
@@ -179,9 +179,8 @@ class TestProjectAndSolve:
         G, _ = np.linalg.qr(rng.standard_normal((30, 12)))
         d = rng.standard_normal(30)
         v = np.eye(12)[:, :4]
-        gv = G @ v
         lv = v.copy()
-        state = GksState(v, gv, lv, capacity=4)
+        state = GksState(v, np.linalg.qr(G @ v), lv, capacity=4)
         state.set_weights(np.ones(12))
         eta = 0.9
         z = projected_solution(state, eta, d)
@@ -222,7 +221,7 @@ class TestProjectAndSolve:
     def test_singular_projected_system_raises(self):
         v = np.eye(4)[:, :2]
         gv = np.zeros((4, 2))
-        state = GksState(v, gv, np.zeros((4, 2)), capacity=2)
+        state = GksState(v, np.linalg.qr(gv), np.zeros((4, 2)), capacity=2)
         state.set_weights(np.ones(4))
         with pytest.raises(ValueError, match="null space"):
             project_and_solve(thin_gsvd(state.r_g, state.r_l), 1.0,
@@ -239,17 +238,16 @@ class TestGksStateBuffers:
         basis, _ = np.linalg.qr(rng.standard_normal((30, 20)))
         gv = np.column_stack([G @ basis[:, j] for j in range(20)])
         lv = np.column_stack([ld @ basis[:, j] for j in range(20)])
-        state = GksState(basis[:, :2], gv[:, :2], lv[:, :2], capacity=20)
+        state = GksState(basis[:, :2], np.linalg.qr(gv[:, :2]), lv[:, :2],
+                         capacity=20)
         for j in range(2, 20):
             state.append_direction(basis[:, j], gv[:, j], lv[:, j])
         assert state.k == 20 == state.capacity
         np.testing.assert_array_equal(state.v, basis)
-        np.testing.assert_array_equal(state.gv, gv)
         np.testing.assert_array_equal(state.lv, lv)
         np.testing.assert_allclose(state.v.T @ state.v, np.eye(20),
                                    atol=1e-12)
-        np.testing.assert_allclose(state.q_g @ state.r_g, state.gv,
-                                   atol=1e-12)
+        np.testing.assert_allclose(state.q_g @ state.r_g, gv, atol=1e-12)
         rank = state.q_g.shape[1]
         assert rank == min(m, 20)
         np.testing.assert_allclose(state.q_g.T @ state.q_g, np.eye(rank),
@@ -258,6 +256,27 @@ class TestGksStateBuffers:
         with pytest.raises(IndexError):
             state.append_direction(basis[:, 0], gv[:, 0], lv[:, 0])
         assert state.k == 20
+
+    @pytest.mark.parametrize("m", [40, 8])
+    def test_g_v_read_through_its_factors(self, m):
+        # the state keeps no copy of G V: Q_G (R_G z) stands for G V z, also
+        # once Q_G spans all of R^m (m = 8 < k)
+        rng = np.random.default_rng(19)
+        G = MatrixOperator(rng.standard_normal((m, 30)))
+        L = MatrixRegularizer(first_derivative_1d(30))
+        d = rng.standard_normal(m)
+        state = init_gks(G, d, 4, L, capacity=12)
+        ones = np.ones(L.q)
+        state.set_weights(ones)
+        for _ in range(8):
+            z = projected_solution(state, 0.1, d)
+            assert expand(state, z, 0.1, ones, G, L, d)
+            state.set_weights(ones)
+        assert not hasattr(state, "gv")
+        z = rng.standard_normal(state.k)
+        gvz = G.a @ (state.v @ z)
+        np.testing.assert_allclose(state.q_g @ (state.r_g @ z), gvz,
+                                   atol=1e-12 * np.linalg.norm(gvz))
 
     def test_weighted_factor_after_reweighting_and_growth(self):
         rng = np.random.default_rng(14)
@@ -305,14 +324,16 @@ class TestGksStateBuffers:
     @pytest.mark.parametrize("q", [60, 4, 0])
     def test_r_only_factor_matches_qr_and_keeps_products(self, q):
         # tall (q >> k), short (q < k) and empty weighted L V: the factor is
-        # computed in place, so the cached products must not change
+        # computed in place, so the cached product and Q_G R_G must not
+        # change
         rng = np.random.default_rng(15)
         k = 7
         basis, _ = np.linalg.qr(rng.standard_normal((20, k)))
         gv = rng.standard_normal((30, k))
         lv = rng.standard_normal((q, k))
-        state = GksState(basis, gv, lv, capacity=k + 3)
-        before = [a.tobytes() for a in (state.v, state.gv, state.lv)]
+        state = GksState(basis, np.linalg.qr(gv), lv, capacity=k + 3)
+        before = [a.tobytes() for a in (state.v, state.lv, state.q_g,
+                                        state.r_g)]
         for _ in range(2):
             w = rng.uniform(0.5, 2.0, q)
             state.set_weights(w)
@@ -323,7 +344,8 @@ class TestGksStateBuffers:
             np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
                                        rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max(initial=1))
-        assert [a.tobytes() for a in (state.v, state.gv, state.lv)] == before
+        assert [a.tobytes() for a in (state.v, state.lv, state.q_g,
+                                      state.r_g)] == before
 
 
 class TestTallKernels:
@@ -347,7 +369,8 @@ class TestTallKernels:
         k0 = 3
         m = k0 + len(near_span) + extra_rows
         cols = [rng.standard_normal(m) for _ in range(k0)]
-        qr = mmgks._GrowingQr(np.column_stack(cols), k0 + len(near_span))
+        qr = mmgks._GrowingQr(*np.linalg.qr(np.column_stack(cols)),
+                              k0 + len(near_span))
         for near in near_span:
             if near:
                 col = (qr.q @ rng.standard_normal(qr.rank)
@@ -368,7 +391,8 @@ class TestTallKernels:
         # with Q); one that the first pass nearly cancels needs a second
         rng = np.random.default_rng(17)
         m, k = 50, 6
-        qr = mmgks._GrowingQr(rng.standard_normal((m, k)), k + 1)
+        qr = mmgks._GrowingQr(*np.linalg.qr(rng.standard_normal((m, k))),
+                              k + 1)
         col = rng.standard_normal(m)
         col -= qr.q @ (qr.q.T @ col)
         if near_span:
@@ -388,8 +412,6 @@ class TestTallKernels:
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
-        a = np.asfortranarray(rng.standard_normal((30, 5)))
-        a_bytes = a.tobytes()
         calls = []
         qr = np.linalg.qr
 
@@ -399,14 +421,13 @@ class TestTallKernels:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         state = init_gks(G, d, 4, L, capacity=6)
-        products = [x.tobytes() for x in (state.v, state.gv, state.lv)]
+        products = [x.tobytes() for x in (state.v, state.lv, state.q_g,
+                                          state.r_g)]
         state.set_weights(np.ones(L.q))
         thin_gsvd(state.r_g, state.r_l)
-        mmgks._GrowingQr(a, 6)
         assert calls == []
-        assert [x.tobytes() for x in (state.v, state.gv, state.lv)] \
-            == products
-        assert a.tobytes() == a_bytes
+        assert [x.tobytes() for x in (state.v, state.lv, state.q_g,
+                                      state.r_g)] == products
         np.testing.assert_allclose(state.q_l @ state.r_l, state.lv,
                                    atol=1e-12)
 
@@ -446,7 +467,7 @@ class TestExpandSubspace:
         state.set_weights(np.ones(18))
         z = projected_solution(state, 0.1, d)
         expand(state, z, 0.1, np.ones(18), G, L, d)
-        q_fresh, r_fresh = np.linalg.qr(state.gv)
+        q_fresh, r_fresh = np.linalg.qr(G.a @ state.v)
         recon_inc = state.q_g @ state.r_g
         recon_fresh = q_fresh @ r_fresh
         assert np.abs(recon_inc - recon_fresh).max() <= 1e-10
@@ -612,7 +633,7 @@ class TestMmgksSolve:
 
     def test_one_adjoint_apply_per_expansion(self):
         # G^T d is formed once, by the bidiagonalization; the expansion
-        # stall floor reads its norm from the basis, and the last iteration
+        # stall floor reads its norm from Q_G R_G, and the last iteration
         # does not expand, whether or not the solve converged
         class CountingOperator(MatrixOperator):
             adjoints = 0
@@ -631,6 +652,26 @@ class TestMmgksSolve:
             res = mmgks_solve(G, L, prob.d, cfg)
             assert res.converged is converged
             assert G.adjoints == ell + res.iterations - 1
+
+    def test_stall_floor_scale_is_norm_of_adjoint_data(self, monkeypatch):
+        # ||G^T d|| = ||R_G^T Q_G^T d|| since G^T d lies in span(V)
+        scales = []
+        expand_orig = mmgks.expand_subspace
+
+        def recording(state, eta, weights, G, L, d, grad_scale, *args):
+            scales.append(grad_scale)
+            return expand_orig(state, eta, weights, G, L, d, grad_scale,
+                               *args)
+
+        monkeypatch.setattr(mmgks, "expand_subspace", recording)
+        rng = np.random.default_rng(20)
+        G = rng.standard_normal((30, 20))
+        d = rng.standard_normal(30)
+        mmgks_solve(G, first_derivative_1d(20), d,
+                    MmgksConfig(p=1.0, subspace_dim=4, max_iters=5))
+        assert len(scales) == 4
+        np.testing.assert_allclose(scales, np.linalg.norm(G.T @ d),
+                                   rtol=1e-13)
 
     def test_one_projected_factorization_per_iteration(self):
         # GCV and the projected solve read one thin GSVD; neither factors

@@ -327,16 +327,12 @@ class TestDenseAssembly:
         op = GaussianPsfBlur2D(PsfParams(1.2, 1.6, 0.6), (8, 8), 5, bc)
         x = rng.standard_normal(op.n)
         np.testing.assert_allclose(op.dense() @ x, op.apply(x), atol=1e-12)
-        for j in range(3):
-            np.testing.assert_allclose(op.derivative_dense(j) @ x,
-                                       op.derivative_apply(j, x), atol=1e-12)
 
     def test_dense_refused_above_limit(self):
         op = GaussianPsfBlur2D(PsfParams(1.2, 1.6, 0.6), (65, 65), 5)
         assert op.n > DENSE_LIMIT
-        for assemble in (op.dense, lambda: op.derivative_dense(0)):
-            with pytest.raises(ValueError, match=f"n <= {DENSE_LIMIT}"):
-                assemble()
+        with pytest.raises(ValueError, match=f"n <= {DENSE_LIMIT}"):
+            op.dense()
 
 
 class TestDerivativesOnFirstUse:
@@ -354,7 +350,6 @@ class TestDerivativesOnFirstUse:
         assert op.derivative_apply(0, x).tobytes() == (eager @ x).tobytes()
         assert (op.derivative_adjoint_apply(0, v).tobytes()
                 == (eager.T @ v).tobytes())
-        assert op.derivative_dense(0).tobytes() == eager.tobytes()
 
     @pytest.mark.parametrize("bc", BOUNDARIES)
     def test_psf_blur_2d(self, bc):
@@ -370,9 +365,6 @@ class TestDerivativesOnFirstUse:
                     == conv.apply(x.reshape(shape)).ravel().tobytes())
             assert (op.derivative_adjoint_apply(j, v).tobytes()
                     == conv.adjoint(v.reshape(shape)).ravel().tobytes())
-            dense = operators._columns(
-                lambda e: conv.apply(e.reshape(shape)).ravel(), op.m, op.n)
-            assert op.derivative_dense(j).tobytes() == dense.tobytes()
 
 
 class TestReducedJacobian:

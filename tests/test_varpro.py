@@ -6,15 +6,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import lpvarpro
 from lpvarpro import varpro
 from lpvarpro.mmgks import MmgksConfig, majorant_weights, mmgks_solve
 from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, ParamOperator, PsfParams,
                                 psf_param_gradients)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
-from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
-                                   as_regularizer, derivative_2d,
-                                   first_derivative_1d)
+from lpvarpro.regularizers import (FrameletRegularizer, IdentityRegularizer,
+                                   MatrixRegularizer, as_regularizer,
+                                   derivative_2d, first_derivative_1d,
+                                   framelet_analysis_2d)
 from lpvarpro.gcv import GcvConfig, select_eta, thin_gsvd
 from lpvarpro.varpro import (JacobianVariant, SolverError, VarproConfig,
                              jacobian_full, jacobian_half, jacobian_reduced,
@@ -146,7 +148,7 @@ class TestJacobianFull:
         # oracle: -B_j = (G_L^dagger)^T dG_j^T (G x - d) built densely
         gl, pinv = stacked_pinv(op.dense(), L.dense(), lam)
         misfit = -prob1d.d
-        expected = pinv.T @ op.derivative_dense(0).T @ misfit
+        expected = pinv.T @ op.derivative_adjoint_apply(0, misfit)
         np.testing.assert_allclose(full[:, 0], expected, rtol=1e-9)
 
 
@@ -164,7 +166,7 @@ class TestJacobianHalf:
         # oracle: the dropped term, assembled densely
         gl, pinv = stacked_pinv(op.dense(), L.dense(), lam)
         misfit = op.dense() @ x - prob1d.d
-        b_term = pinv.T @ (op.derivative_dense(0).T @ misfit)
+        b_term = pinv.T @ op.derivative_adjoint_apply(0, misfit)
         np.testing.assert_allclose(full[:, 0] - half[:, 0], b_term,
                                    atol=1e-12 * max(1, np.abs(b_term).max()))
 
@@ -250,9 +252,6 @@ class _ScalarFamilyProblem:
 
         def dense(self):
             return self.y * self.c
-
-        def derivative_dense(self, j):
-            return self.c
 
     def __init__(self, c, y_true, x_true):
         self.c = c
@@ -342,6 +341,23 @@ class TestGenVarpro:
         assert record.rows == [] and record.func_values == []
         assert len(record.ys) == 1
         np.testing.assert_array_equal(record.ys[0], y0)
+
+    def test_index_error_in_operator_build_propagates(self, monkeypatch):
+        # only ValueError marks a y outside the domain; an IndexError is a
+        # bug in the build and must not be halved away
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
+        y0 = np.array([2.6])
+        operator_orig = prob.operator
+
+        def broken(y):
+            if not np.array_equal(y, y0):
+                raise IndexError("index 3 is out of bounds")
+            return operator_orig(y)
+
+        monkeypatch.setattr(prob, "operator", broken)
+        cfg = VarproConfig(y0=y0, max_iters=5, lam=1e-3)
+        with pytest.raises(IndexError, match="out of bounds"):
+            lp_varpro_solve(prob, cfg)
 
     def test_damped_step_raising_the_residual_raises_with_record(
             self, monkeypatch):
@@ -505,11 +521,28 @@ class TestVarproConfig:
             "epsilon", "inner", "inner_iters", "inner_tol", "lam", "damping"]
         assert [f.name for f in dataclasses.fields(MmgksConfig)] == [
             "p", "epsilon", "subspace_dim", "max_iters", "tol", "eta"]
-        assert [f.name for f in dataclasses.fields(GcvConfig)] == ["omega"]
+        assert dataclasses.fields(GcvConfig) == ()
         for fn, names in ((psf_param_gradients, ["params", "size"]),
                           (mmgks_solve, ["G", "L", "d", "config"]),
-                          (select_eta, ["gsvd", "dhat", "config"])):
+                          (select_eta, ["gsvd", "dhat"]),
+                          (FrameletRegularizer, ["n"]),
+                          (framelet_analysis_2d, ["n"])):
             assert list(inspect.signature(fn).parameters) == names, fn
+
+    def test_package_exports_the_user_workflow(self):
+        # internals stay importable from their modules only
+        exported = {name for name in vars(lpvarpro)
+                    if not name.startswith("_")
+                    and not inspect.ismodule(getattr(lpvarpro, name))}
+        assert exported == {
+            "ProblemInstance", "make_1d_problem", "make_blind_deconv_problem",
+            "ConvBoundary", "GaussianBlur1D", "GaussianPsfBlur2D",
+            "MatrixOperator", "PsfParams", "FrameletRegularizer",
+            "IdentityRegularizer", "KroneckerSumRegularizer",
+            "MatrixRegularizer", "derivative_2d", "first_derivative_1d",
+            "framelet_analysis_2d", "second_derivative_1d", "JacobianVariant",
+            "MmgksConfig", "VarproConfig", "lp_varpro_solve", "mmgks_solve",
+            "RankDeficiencyError", "SolverError", "rre"}
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": 0}, {"inner_iters": 0}, {"lam": 0.0}, {"lam": -1e-3},
@@ -560,6 +593,25 @@ class TestEngineWork:
             _, _, record = lp_varpro_solve(prob, cfg)
             assert len(record.rows) == 4
             assert calls == Counter(thin_gsvd=4, dense=4), lam
+
+    def test_regularizer_assembled_once_per_solve(self, monkeypatch):
+        # L is fixed for the solve: the dense inner solves and the FULL
+        # Jacobians of all ten outer steps read one dense matrix of L
+        calls = []
+        dense_orig = MatrixRegularizer.dense
+
+        def counting(reg):
+            calls.append(1)
+            return dense_orig(reg)
+
+        monkeypatch.setattr(MatrixRegularizer, "dense", counting)
+        prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
+        cfg = VarproConfig(y0=np.array([2.5]), variant="full",
+                           regularizer=first_derivative_1d(64), max_iters=10,
+                           step_tol=1e-300)
+        _, _, record = lp_varpro_solve(prob, cfg)
+        assert len(record.rows) == 10
+        assert len(calls) == 1
 
     def test_collapsed_width_emits_no_runtime_warning(self):
         # FULL drives sigma towards 0, where G = I up to scale, s2 = 0 and
