@@ -6,15 +6,14 @@ tangent majorant, solving the weighted problem projected on a small subspace,
 and enlarging the subspace with the normalized gradient of the majorant. The
 subspace is seeded by Golub-Kahan bidiagonalization.
 
-The tall-skinny kernels of an inner iteration are kept few: a new basis
-column and a new column of a thin QR factor are orthogonalized by one
-classical Gram-Schmidt pass, and by a second only when the first removed
-more than 1 - 1/sqrt(2) of the column's norm ("twice is enough"); the
-R-only factor at p != 2 is the blocked compact-WY Householder QR of LAPACK
-dgeqrt; Q_G^T d grows with Q_G; and x = V z is formed once, after the loop.
-A thin QR with Q, of L V at p = 2 and of the small bidiagonal B that seeds
-Q_G, is the in-place LAPACK dgeqrf/dorgqr helper ``gcv._thin_qr`` that the
-stacked-pair GSVD also runs.
+The tall-skinny kernels of an inner iteration are kept few: a new column
+of V or of Q_G R_G is orthogonalized by one classical Gram-Schmidt pass,
+and by a second only when the first removed more than 1 - 1/sqrt(2) of its
+norm ("twice is enough"); R_L, with no Q, is the blocked Householder QR of
+LAPACK dgeqrt, and at unit weights (p = 2) grows from the cached L V by one
+product per column; Q_G^T d grows with Q_G; x = V z is formed once, after
+the loop. The thin QR of the bidiagonal B that seeds Q_G is the in-place
+dgeqrf/dorgqr helper ``gcv._thin_qr`` that the stacked-pair GSVD runs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt
+from scipy.linalg.lapack import dgeqrt, dtrtrs
 
 from .gcv import (GcvConfig, StackGsvd, _check_info, _thin_qr, select_eta,
                   thin_gsvd)
@@ -175,7 +174,7 @@ def _project_out(q, col, col_norm):
 
 
 class _GrowingQr:
-    """Thin QR factors Q (m x rank) and R (rank x k) of a growing column set.
+    """Thin QR factors Q (m x rank) and R (rank x k) of G V as it grows.
 
     Starts from the thin QR factors ``q`` and ``r`` of the first k columns.
     The factors live in preallocated buffers and are read through the views
@@ -217,18 +216,20 @@ class _GrowingQr:
 class GksState:
     """Growing orthonormal basis V with the cached product L V.
 
-    Also holds thin QR factors Q_G R_G of G V, through which G V is read,
-    and of the weighted W^(1/2) L V. All of them live in column-major
-    buffers sized once for ``capacity`` columns, the most the basis will
-    hold; ``v``, ``lv`` and the factors are views of the filled part.
-    ``gv_qr`` is the pair (Q_G, R_G) of the first k columns.
+    Also holds the thin QR factors Q_G R_G of G V, through which G V is read,
+    and R_L of the weighted W^(1/2) L V, with no Q: the projected problem
+    reads R_L only. V, L V and Q_G R_G live in column-major buffers sized
+    once for ``capacity`` columns, the most the basis will hold; ``v``,
+    ``lv`` and the factors are views of the filled part. ``gv_qr`` is the
+    pair (Q_G, R_G) of the first k columns.
 
-    The weighted factor is set by its weights. Unit weights (p = 2) never
-    change, so the first ``set_weights`` with them factors L V with Q_L and
-    ``append_direction`` extends that factor by Gram-Schmidt. Any other
-    weights are refactored as R_L alone at every ``set_weights``, by the
-    blocked Householder QR of ``_r_factor``, since the projected problem
-    reads R_L only; ``q_l`` is then None.
+    ``set_weights`` factors W^(1/2) L V by the blocked Householder QR of
+    ``_r_factor``. Unit weights (p = 2) never change, so while R_L is the
+    factor of L V, ``set_weights`` keeps it and ``append_direction`` grows
+    it by one product b = (L V)^T lv_new: the column [s; rho], s = R_L^-T b,
+    rho^2 = ||lv_new||^2 - ||s||^2, keeps R_L^T R_L = (L V)^T L V. If L V
+    has no row for rho, R_L is singular or rho^2 <= ||lv_new||^2 / 16 (rho
+    mostly roundoff), R_L goes stale; the next ``set_weights`` refactors it.
     """
 
     def __init__(self, v, gv_qr, lv, capacity):
@@ -236,8 +237,7 @@ class GksState:
         self._v = _column_buffer(v, capacity)
         self._lv = _column_buffer(lv, capacity)
         self._qr_g = _GrowingQr(*gv_qr, capacity)
-        self._qr_l = None       # the growing factor of L V at unit weights
-        self._r_l = None        # R_L at other weights
+        self._r_l, self._grows = None, False  # grows: R_L factors L V now
 
     @property
     def k(self) -> int:
@@ -264,26 +264,17 @@ class GksState:
         return self._qr_g.r
 
     @property
-    def q_l(self):
-        return None if self._qr_l is None else self._qr_l.q
-
-    @property
     def r_l(self):
-        return self._r_l if self._qr_l is None else self._qr_l.r
+        return self._r_l
 
     def set_weights(self, w):
-        """Set the factor of diag(sqrt(w)) L V for the majorant weights w."""
-        w = np.asarray(w, dtype=float)
-        if np.all(w == 1.0):
-            if self._qr_l is None:
-                # factored on a column-major copy, which _thin_qr overwrites
-                self._qr_l = _GrowingQr(
-                    *_thin_qr(np.array(self.lv, order="F")), self.capacity)
-        else:
-            self._qr_l = None
+        """Set R_L, the factor of diag(sqrt(w)) L V, for the weights w."""
+        unit = bool(np.all(np.asarray(w) == 1.0))
+        if not (unit and self._grows):
             # a fresh column-major product, which the factor overwrites
             self._r_l = _r_factor(np.multiply(np.sqrt(w)[:, None], self.lv,
                                               order="F"))
+        self._grows = unit
 
     def append_direction(self, v_new, gv_new, lv_new):
         """Add one basis column; raises IndexError when the buffers are full.
@@ -295,8 +286,16 @@ class GksState:
         self._lv[:, k] = lv_new
         self._k = k + 1
         self._qr_g.append(gv_new)
-        if self._qr_l is not None:
-            self._qr_l.append(lv_new)
+        self._grows &= self._lv.shape[0] > k
+        if self._grows:
+            # info > 0: R_L is singular, and the refactor takes the column
+            s, info = dtrtrs(self._r_l, self._lv[:, :k].T @ lv_new, trans=1)
+            norm2 = lv_new @ lv_new
+            rho2 = norm2 - s @ s
+            self._grows = info == 0 and rho2 > norm2 / 16.0
+            if self._grows:
+                self._r_l = np.block([[self._r_l, s[:, None]],
+                                      [np.zeros((1, k)), np.sqrt(rho2)]])
 
 
 def init_gks(G: ParamOperator, d, ell, L: Regularizer, capacity) -> GksState:

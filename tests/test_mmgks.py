@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpvarpro import mmgks
+from lpvarpro import gcv, mmgks
 from lpvarpro.gcv import thin_gsvd
 from lpvarpro.mmgks import (GksState, MmgksConfig, expand_subspace,
                             golub_kahan, init_gks, majorant_weights, mm_lambda,
                             mmgks_solve, objective_value, project_and_solve)
 from lpvarpro.operators import MatrixOperator
-from lpvarpro.problems import make_1d_problem
+from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
-                                   first_derivative_1d)
+                                   derivative_2d, first_derivative_1d)
 
 
 class CountingQ(np.ndarray):
@@ -42,6 +42,24 @@ def expand(state, z, eta, weights, G, L, d):
     return expand_subspace(state, eta, weights, G, L, d,
                            np.linalg.norm(G.adjoint_apply(d)),
                            state.q_g @ (state.r_g @ z), state.lv @ z)
+
+
+def count_dgeqrt(monkeypatch):
+    """Count the blocked Householder QRs of mmgks in a one-element list."""
+    calls = [0]
+    dgeqrt_orig = mmgks.dgeqrt
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return dgeqrt_orig(*args, **kwargs)
+
+    monkeypatch.setattr(mmgks, "dgeqrt", counting)
+    return calls
+
+
+def assert_gram_matches(r, a, rtol):
+    """R^T R = A^T A to rtol relative to ||A||^2 (R is not unique)."""
+    assert np.linalg.norm(r.T @ r - a.T @ a) <= rtol * np.linalg.norm(a)**2
 
 
 def normal_equations_solution(state, eta, d):
@@ -296,30 +314,29 @@ class TestGksStateBuffers:
         assert expand(state, z, 0.1, w2, G, L, d)
         state.set_weights(w2)
         ref = np.linalg.qr(np.sqrt(w2)[:, None] * state.lv, mode="r")
-        assert state.q_l is None and state.r_l.shape == ref.shape == (5, 5)
+        assert state.r_l.shape == ref.shape == (5, 5)
         np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_unit_weights_keep_one_factor_across_appends(self):
+    def test_unit_weights_keep_one_factor_across_appends(self, monkeypatch):
         rng = np.random.default_rng(14)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
         state = init_gks(G, d, 4, L, capacity=9)
         ones = np.ones(L.q)
+        calls = count_dgeqrt(monkeypatch)
         state.set_weights(ones)
-        q_first = state.q_l
         for _ in range(5):
             z = projected_solution(state, 0.1, d)
             assert expand(state, z, 0.1, ones, G, L, d)
             state.set_weights(ones)
         assert state.k == 9
         # the factor of the first call took the appended columns
-        assert np.shares_memory(state.q_l, q_first)
-        np.testing.assert_allclose(state.q_l @ state.r_l, state.lv,
-                                   atol=1e-12)
-        np.testing.assert_allclose(state.q_l.T @ state.q_l, np.eye(9),
-                                   atol=1e-12)
+        assert calls == [1]
+        assert state.r_l.shape == (9, 9)
+        np.testing.assert_array_equal(state.r_l, np.triu(state.r_l))
+        assert_gram_matches(state.r_l, state.lv, 1e-13)
 
     @pytest.mark.parametrize("q", [60, 4, 0])
     def test_r_only_factor_matches_qr_and_keeps_products(self, q):
@@ -338,14 +355,80 @@ class TestGksStateBuffers:
             w = rng.uniform(0.5, 2.0, q)
             state.set_weights(w)
             ref = np.linalg.qr(np.sqrt(w)[:, None] * lv, mode="r")
-            # an empty w counts as unit weights, whose factor keeps Q_L
-            assert (state.q_l is None) == (q > 0)
+            # an empty w counts as unit weights, factored the same way
             assert state.r_l.shape == ref.shape
             np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
                                        rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max(initial=1))
         assert [a.tobytes() for a in (state.v, state.lv, state.q_g,
                                       state.r_g)] == before
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6])
+    def test_cancelling_unit_weight_append_is_refactored(self, monkeypatch,
+                                                         scale):
+        # lv_new = L V a + scale r leaves rho^2 = ||lv_new||^2 - ||s||^2 to
+        # roundoff (1e-8), or accurate to about 1e-3 only (1e-6, where the
+        # computed rho^2 is surely positive), so the grown factor is dropped
+        # and the next set_weights refactors L V by Householder
+        rng = np.random.default_rng(21)
+        q, k = 40, 6
+        lv = rng.standard_normal((q, k))
+        state = GksState(np.eye(30, k), np.linalg.qr(rng.standard_normal(
+            (35, k))), lv, capacity=k + 1)
+        calls = count_dgeqrt(monkeypatch)
+        state.set_weights(np.ones(q))
+        lv_new = lv @ rng.standard_normal(k) + scale * rng.standard_normal(q)
+        state.append_direction(np.eye(30)[:, k], rng.standard_normal(35),
+                               lv_new)
+        state.set_weights(np.ones(q))
+        assert calls == [2]
+        ref = np.linalg.qr(state.lv, mode="r")
+        np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref), rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_singular_unit_weight_factor_is_refactored(self, monkeypatch):
+        # a zero column of L V leaves a zero on the diagonal of R_L, which
+        # cannot take a new column; the append must not raise, and the next
+        # set_weights refactors
+        rng = np.random.default_rng(24)
+        lv = rng.standard_normal((20, 4))
+        lv[:, 2] = 0.0
+        state = GksState(np.eye(10, 4), np.linalg.qr(rng.standard_normal(
+            (15, 4))), lv, capacity=5)
+        calls = count_dgeqrt(monkeypatch)
+        state.set_weights(np.ones(20))
+        assert state.r_l[2, 2] == 0.0
+        state.append_direction(np.eye(10)[:, 4], rng.standard_normal(15),
+                               rng.standard_normal(20))
+        state.set_weights(np.ones(20))
+        assert calls == [2]
+        assert state.r_l.shape == (5, 5)
+        assert_gram_matches(state.r_l, state.lv, 1e-13)
+
+    @pytest.mark.parametrize("q", [0, 4, 8])
+    def test_short_or_empty_l_v_factors_at_unit_weights(self, monkeypatch,
+                                                        q):
+        # R_L grows only while L V has a row for the new diagonal entry
+        # (q > k): with k = 7, q = 8 takes one append and refactors at the
+        # second; q = 4 and q = 0 refactor at every set_weights
+        rng = np.random.default_rng(22)
+        k = 7
+        state = GksState(np.eye(20, k), np.linalg.qr(rng.standard_normal(
+            (30, k))), rng.standard_normal((q, k)), capacity=k + 3)
+        calls = count_dgeqrt(monkeypatch)
+        state.set_weights(np.ones(q))
+        for j in range(k, k + 3):
+            lv_new = rng.standard_normal(q)
+            if q > j:
+                # a column orthogonal to L V, whose rho is its norm
+                lv_new = np.linalg.qr(state.lv, mode="complete")[0][:, -1]
+            state.append_direction(np.eye(20)[:, j], rng.standard_normal(30),
+                                   lv_new)
+            state.set_weights(np.ones(q))
+            assert state.r_l.shape == (min(q, j + 1), j + 1)
+            assert_gram_matches(state.r_l, state.lv, 1e-13)
+        # dgeqrt skips a factor with no rows
+        assert calls == [{0: 0, 4: 4, 8: 3}[q]]
 
 
 class TestTallKernels:
@@ -404,10 +487,71 @@ class TestTallKernels:
         assert CountingQ.products == 2 * passes
         assert qr.rank == qr.k == k + 1
 
+    def test_unit_weight_append_takes_one_product_with_l_v(self,
+                                                            monkeypatch):
+        # the one tall product of growing R_L is (L V)^T lv_new; the only
+        # tall Q that an append projects out of is Q_G
+        rng = np.random.default_rng(23)
+        G = MatrixOperator(rng.standard_normal((25, 18)))
+        L = MatrixRegularizer(first_derivative_1d(18))
+        state = init_gks(G, rng.standard_normal(25), 4, L, capacity=5)
+        state.set_weights(np.ones(L.q))
+        v_new = rng.standard_normal(18)
+        v_new -= state.v @ (state.v.T @ v_new)
+        v_new /= np.linalg.norm(v_new)
+        projections = []
+        project_orig = mmgks._project_out
+
+        def recording(q, *args):
+            projections.append(q.shape)
+            return project_orig(q, *args)
+
+        monkeypatch.setattr(mmgks, "_project_out", recording)
+        monkeypatch.setattr(CountingQ, "products", 0)
+        state._lv = state._lv.view(CountingQ)
+        state.append_direction(v_new, G.apply(v_new), L.apply(v_new))
+        assert CountingQ.products == 1
+        assert projections == [(25, 4)]
+        state._lv = np.asarray(state._lv)
+        state.set_weights(np.ones(L.q))
+        assert state.r_l.shape == (5, 5)
+        assert_gram_matches(state.r_l, state.lv, 1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           near_span=st.lists(st.booleans(), min_size=1, max_size=12),
+           extra_rows=st.integers(1, 30))
+    def test_unit_weight_factor_keeps_gram_and_cosines(self, seed, near_span,
+                                                       extra_rows):
+        # random appends, some of them nearly in range(L V): R_L stays a
+        # Cholesky factor of (L V)^T L V, and the projected pair has the
+        # generalized cosines of the Householder factor of L V
+        rng = np.random.default_rng(seed)
+        k0 = 3
+        k = k0 + len(near_span)
+        q = k + extra_rows
+        state = GksState(np.eye(k + 5, k0),
+                         np.linalg.qr(rng.standard_normal((k + 5, k0))),
+                         rng.standard_normal((q, k0)), capacity=k)
+        state.set_weights(np.ones(q))
+        for j, near in enumerate(near_span, start=k0):
+            lv_new = rng.standard_normal(q)
+            if near:
+                lv_new = state.lv @ rng.standard_normal(j) + 1e-8 * lv_new
+            state.append_direction(np.eye(k + 5)[:, j],
+                                   rng.standard_normal(k + 5), lv_new)
+            state.set_weights(np.ones(q))
+        assert state.r_l.shape == (k, k)
+        assert_gram_matches(state.r_l, state.lv, 1e-13)
+        ref = np.linalg.qr(state.lv, mode="r")
+        np.testing.assert_allclose(thin_gsvd(state.r_g, state.r_l).c,
+                                   thin_gsvd(state.r_g, ref).c, rtol=0,
+                                   atol=1e-12)
+
     def test_thin_qrs_run_no_numpy_qr(self, monkeypatch):
-        # the QR of B in init_gks, the growing factor of L V at unit weights
-        # and the stacked-pair GSVD run the in-place LAPACK helper, and none
-        # of them overwrites the products it factors
+        # the QR of B in init_gks and the stacked-pair GSVD run the in-place
+        # LAPACK helper, R_L at unit weights the blocked dgeqrt, and none of
+        # them overwrites the products it factors
         rng = np.random.default_rng(18)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
@@ -428,8 +572,7 @@ class TestTallKernels:
         assert calls == []
         assert [x.tobytes() for x in (state.v, state.lv, state.q_g,
                                       state.r_g)] == products
-        np.testing.assert_allclose(state.q_l @ state.r_l, state.lv,
-                                   atol=1e-12)
+        assert_gram_matches(state.r_l, state.lv, 1e-13)
 
 
 class TestExpandSubspace:
@@ -696,12 +839,11 @@ class TestMmgksSolve:
         assert res.iterations == 10
         assert calls == Counter(thin_gsvd=res.iterations)
 
-    @pytest.mark.parametrize("p, dgeqrt_calls", [(2.0, 0), (1.0, 6)])
+    @pytest.mark.parametrize("p, dgeqrt_calls", [(2.0, 1), (1.0, 6)])
     def test_weighted_factor_work_per_solve(self, monkeypatch, p,
                                             dgeqrt_calls):
-        # unit weights (p = 2) keep one growing factor with Q_L, so no R-only
-        # factor is built; other weights refactor R_L once per iteration by
-        # the blocked kernel.
+        # unit weights (p = 2) factor R_L once, by the blocked kernel, and
+        # grow it from L V; other weights refactor R_L once per iteration.
         # A GaussianBlur1D is used as it is, and the objective reads the
         # cached products, so no operator is wrapped
         calls = Counter()
@@ -726,6 +868,53 @@ class TestMmgksSolve:
                           cfg)
         assert res.iterations == 6
         assert calls == Counter(dgeqrt=dgeqrt_calls)
+
+    def test_thin_qr_runs_only_on_b_and_the_stacks(self, monkeypatch):
+        # a p = 2 solve factors the bidiagonal B with Q and then only the
+        # stacked pairs [R_G; R_L]; L V gets no Q
+        shapes = {mmgks: [], gcv: []}
+        for module, seen in shapes.items():
+            def recording(a, _orig=module._thin_qr, _seen=seen):
+                _seen.append(a.shape)
+                return _orig(a)
+
+            monkeypatch.setattr(module, "_thin_qr", recording)
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=11)
+        ell = 5
+        cfg = MmgksConfig(p=2.0, subspace_dim=ell, max_iters=6, tol=1e-16)
+        res = mmgks_solve(prob.operator(prob.y_true),
+                          MatrixRegularizer(first_derivative_1d(48)), prob.d,
+                          cfg)
+        assert res.iterations == 6
+        assert shapes[mmgks] == [(ell + 1, ell)]
+        assert shapes[gcv] == [(2 * k, k) for k in range(ell, ell + 6)]
+
+    @pytest.mark.parametrize("family", ["1d", "psf2d"])
+    def test_grown_factor_matches_refactoring_every_iteration(
+            self, monkeypatch, family):
+        # the oracle marks R_L stale before every set_weights, so each
+        # iteration factors L V afresh by Householder
+        if family == "1d":
+            prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=12)
+            L = MatrixRegularizer(first_derivative_1d(48))
+        else:
+            prob = make_blind_deconv_problem("grain", (3.0, 2.0, 0.5), 0.01,
+                                             12, size=32)
+            L = derivative_2d(1, 32)
+        G = prob.operator(prob.y_true)
+        cfg = MmgksConfig(p=2.0, subspace_dim=8, max_iters=30, tol=1e-8)
+        grown = mmgks_solve(G, L, prob.d, cfg)
+        set_orig = GksState.set_weights
+
+        def refactoring(self, w):
+            self._grows = False
+            set_orig(self, w)
+
+        monkeypatch.setattr(GksState, "set_weights", refactoring)
+        fresh = mmgks_solve(G, L, prob.d, cfg)
+        assert grown.iterations == fresh.iterations
+        assert np.linalg.norm(grown.x - fresh.x) <= 1e-10 * np.linalg.norm(
+            fresh.x)
 
     def test_one_regularizer_apply_per_basis_column(self):
         # L is applied to the ell seed columns and to each expansion vector,
