@@ -5,33 +5,28 @@ rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q give
 G = U diag(c) W^T R and L = T W^T R with T = Q_L W. LAPACK runs in place on
 column-major factors: dgeqrf and dorgqr (``_thin_qr``, which the MMGKS
 factors share) overwrite the stack with Q, and dgesdd a copy of its top
-block; dgesdd's info > 0 raises ``LinAlgError``, as numpy does. The rank
-test rejects sigma_min(R) <= 2 n eps sigma_max(R). It bounds the condition
-number of R from above by ||R||_F ||R^-1||_F, with R^-1 from one triangular
-inversion, and computes the singular values of R only when that bound does
-not clear the threshold, so a well-conditioned stack costs no SVD of R. Every
-Tikhonov quantity then reads the generalized spectra c and s2 = 1 - c^2
-without dividing by a small generalized value: the GCV quotient is
-scalar arithmetic on c, s2 and U^T d, and the regularized solution
-``StackGsvd.solve`` is one triangular solve.
+block; a failed LAPACK call raises ``LinAlgError``. Every Tikhonov quantity
+then reads the generalized spectra c and s2 = 1 - c^2 without dividing by a
+small generalized value: the GCV quotient and its slope are O(k) arithmetic
+on c, s2 and U^T d, and ``StackGsvd.solve`` is one triangular solve.
 
-The dense Tikhonov route of the outer solvers and the inner MMGKS solver run
-the same computation at two sizes: the dense route factors the full pair
-{G, L} once per outer step, the MMGKS solver its small projected pair
-(R_G, R_L) once per inner iteration, and each hands its factorization to
-``select_eta`` and to ``StackGsvd.solve`` (the dense route also to the outer
-Jacobians).
+``select_eta`` scans a fixed log grid of eta once and refines the grid
+minimum by a bracketed root of the analytic slope d log V / d log eta. The
+dense route of the outer solvers factors the full pair {G, L} once per outer
+step, the MMGKS solver its projected pair (R_G, R_L) once per inner
+iteration; each hands its factorization to ``select_eta`` and to
+``StackGsvd.solve`` (the dense route also to the outer Jacobians).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dgesdd, dorgqr,
-                                  dtrtri)
+                                  dtrtri, dtrtrs)
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -67,12 +62,17 @@ class StackGsvd:
 
     def solve(self, eta, rhs):
         """Minimizer R^-1 W (filter * U^T rhs) of ||G x - rhs||^2 + eta ||L x||^2."""
-        return solve_triangular(self.r, self.w @ (self.filter(eta)
-                                                  * (self.u.T @ rhs)))
+        return self._r_solve(self.w @ (self.filter(eta) * (self.u.T @ rhs)), 1)
 
     def solve_z(self, vec):
         """Apply Z^{-1} = W^T R^{-T} to a vector."""
-        return self.w.T @ solve_triangular(self.r.T, vec, lower=True)
+        return self.w.T @ self._r_solve(vec, 0)
+
+    def _r_solve(self, rhs, trans):
+        # R x = rhs (trans 1) or R^T x = rhs (0), with R row-major read as R^T
+        x, info = dtrtrs(self.r.T, rhs, lower=1, trans=trans)
+        _check_info("dtrtrs", info)
+        return x
 
 
 def _check_info(name, info):
@@ -126,17 +126,11 @@ def _rank_deficient(r) -> bool:
 def thin_gsvd(g_dense, l_dense) -> StackGsvd:
     """Thin GSVD of the pair {G, L} via QR of the stack and an SVD of the top.
 
-    Raises :class:`RankDeficiencyError` when the stack loses full column
-    rank, that is when sigma_min(R) <= 2 n eps sigma_max(R) for the
-    triangular factor R of the stack. R is accepted without an SVD when
-    ||R||_F ||R^-1||_F, an upper bound on its condition number, clears the
-    threshold by a factor 2; otherwise its singular values decide. A stack
-    with fewer rows than columns is padded with zero rows of L, so that R is
-    square and the rank test sees every column.
-
-    G and L are copied into one column-major stack, which dgeqrf/dorgqr
-    overwrite with Q; dgesdd overwrites a copy of the top block of Q and
-    raises ``LinAlgError`` when it does not converge (info > 0).
+    Raises :class:`RankDeficiencyError` when the triangular factor R of the
+    stack fails the rank test of ``_rank_deficient``. A stack with fewer rows
+    than columns is padded with zero rows of L, so that R is square and the
+    rank test sees every column. An SVD that does not converge (dgesdd info
+    > 0) raises ``LinAlgError``.
     """
     g_dense = np.asarray(g_dense, dtype=float)
     l_dense = np.asarray(l_dense, dtype=float)
@@ -164,32 +158,26 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
 
 @dataclass
 class GcvConfig:
-    """The GCV minimization over eta, which has no settable field.
-
-    The eta grid and the refinement tolerance are fixed class constants.
-    """
+    """Constants of the GCV search over ``ETA_GRID``; no settable field."""
 
     grid_min: ClassVar[float] = 1e-12
     grid_max: ClassVar[float] = 1e4
     grid_points: ClassVar[int] = 200
     refine_tol: ClassVar[float] = 1e-4
 
-    @classmethod
-    def grid(cls):
-        """The logarithmic eta grid that the search scans before refining."""
-        return np.logspace(np.log10(cls.grid_min), np.log10(cls.grid_max),
-                           cls.grid_points)
+
+ETA_GRID = np.logspace(np.log10(GcvConfig.grid_min),
+                       np.log10(GcvConfig.grid_max), GcvConfig.grid_points)
+ETA_GRID.flags.writeable = False
 
 
 class _GcvQuotient:
-    """GCV quotient of a factored Tikhonov problem, a function of eta.
+    """GCV quotient V of a factored Tikhonov problem, a function of eta.
 
-    Numerator: k * (||dhat - U U^T dhat||^2 + sum_i (1 - f_i)^2 (U^T dhat)_i^2)
-    with influence factors f_i = c_i^2 / (c_i^2 + eta s2_i); denominator:
-    (k - sum_i f_i)^2, where k is the length of dhat. The part of dhat
-    outside range(U) is formed only for a tall U: a square U spans R^k, where
-    that part is zero and would be computed from roundoff alone. The terms
-    that do not depend on eta are formed once.
+    V = k (o + sum_i g_i^2 dtil_i^2) / (k - sum_i f_i)^2 with k the length of
+    dhat, dtil = U^T dhat, filters f_i = c_i^2 / (c_i^2 + eta s2_i), g_i =
+    1 - f_i and o = ||dhat - U dtil||^2, formed once and only for a tall U:
+    a square U spans R^k, where o is zero up to roundoff.
     """
 
     def __init__(self, gsvd: StackGsvd, dhat):
@@ -199,21 +187,33 @@ class _GcvQuotient:
         self.s2 = gsvd.s2
         self.dtil2 = dtil**2
         self.k, width = gsvd.u.shape
-        self.outside = 0.0
-        if self.k > width:
-            outside = dhat - gsvd.u @ dtil
-            self.outside = float(outside @ outside)
+        outside = dhat - gsvd.u @ dtil if self.k > width else np.zeros(0)
+        self.outside = float(outside @ outside)
 
     def parts(self, eta):
-        """Numerator and denominator at eta, a scalar or an array."""
-        f = self.c2 / (self.c2 + np.multiply.outer(eta, self.s2))
-        return (self.k * (self.outside + (1.0 - f) ** 2 @ self.dtil2),
-                (self.k - f.sum(axis=-1)) ** 2)
+        """Numerator and denominator at each eta of an array, f in place."""
+        f = np.multiply.outer(eta, self.s2)
+        f = np.divide(self.c2, np.add(f, self.c2, out=f), out=f)
+        denom = self.k - f.sum(axis=-1)
+        g2 = np.square(np.subtract(1.0, f, out=f), out=f)
+        return self.k * (self.outside + g2 @ self.dtil2), denom * denom
 
-    def __call__(self, eta):
-        """The quotient at a scalar eta; +inf where the denominator vanishes."""
-        num, denom = self.parts(eta)
-        return float(num / denom) if denom != 0.0 else np.inf
+    def slope(self, log_eta):
+        """The slope d log V / d log eta and V, in one O(k) pass at a scalar.
+
+        As df_i / d log eta = -f_i g_i, the slope is 2 [sum_i f_i g_i^2
+        dtil_i^2 / (o + sum_i g_i^2 dtil_i^2) - sum_i f_i g_i / (k - sum f)].
+        Both are NaN where a denominator of the slope is 0, as at 0/0 of V.
+        """
+        f = self.c2 / (self.c2 + math.exp(log_eta) * self.s2)
+        g = 1.0 - f
+        fg, gd = f * g, g * self.dtil2
+        resid = self.outside + float(g @ gd)
+        free = self.k - float(f.sum())
+        if resid == 0.0 or free == 0.0:
+            return math.nan, math.nan
+        return (2.0 * (float(fg @ gd) / resid - float(fg.sum()) / free),
+                self.k * resid / free**2)
 
 
 @dataclass
@@ -224,18 +224,20 @@ class EtaSelection:
 
 
 def select_eta(gsvd: StackGsvd, dhat) -> EtaSelection:
-    """Minimize the GCV quotient over eta: log grid scan plus golden refinement.
+    """Minimize the GCV quotient V over eta: grid scan, then a slope root.
 
-    ``gsvd`` is the thin GSVD of the pair. Returns the selected eta; a flat
-    curve (all finite grid values equal to within 1e-15 relative) or one with
-    no finite grid value is reported with ``degenerate=True`` and the grid
-    midpoint. No value is finite only when every filter is 1 at every grid
-    eta (s2 = 0 up to roundoff), and then the regularized solution does not
-    depend on eta.
+    ``gsvd`` is the thin GSVD of the pair. Finite slopes of log V in log eta
+    of opposite sign at the grid minimizer and the neighbour the slope points
+    to bracket a root, which false position (Illinois, Anderson-Bjorck
+    scaling) narrows to ``GcvConfig.refine_tol`` in log eta; the root is
+    taken if its V is no larger than the grid minimum, else the grid point.
+    A flat curve (finite grid values equal to within 1e-15 relative) or one
+    with no finite grid value, which means s2 = 0 up to roundoff and a
+    solution that does not depend on eta, is flagged ``degenerate`` and gets
+    the grid midpoint.
     """
     quotient = _GcvQuotient(gsvd, dhat)
-    grid = GcvConfig.grid()
-    num, denom = quotient.parts(grid)
+    num, denom = quotient.parts(ETA_GRID)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = num / denom
     finite = np.isfinite(vals)
@@ -245,28 +247,28 @@ def select_eta(gsvd: StackGsvd, dhat) -> EtaSelection:
         mid = float(np.sqrt(GcvConfig.grid_min * GcvConfig.grid_max))
         return EtaSelection(eta=mid, value=float(vals[0]), degenerate=True)
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    eta, val = _golden_min(quotient, np.log(lo), np.log(hi),
-                           GcvConfig.refine_tol)
-    return EtaSelection(eta=eta, value=val)
-
-
-def _golden_min(fn, log_lo, log_hi, rel_tol):
-    """Golden-section search on log(eta); tolerance is relative in eta."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = log_lo, log_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(np.exp(c)), fn(np.exp(d))
-    while (b - a) > rel_tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(np.exp(d))
-    log_eta = c if fc < fd else d
-    return float(np.exp(log_eta)), float(min(fc, fd))
+    grid_best = EtaSelection(eta=float(ETA_GRID[i]), value=float(vals[i]))
+    a = math.log(ETA_GRID[i])
+    slope_a = quotient.slope(a)[0]
+    j = i + 1 if slope_a < 0 else i - 1
+    if not (math.isfinite(slope_a) and 0 <= j < ETA_GRID.size):
+        return grid_best
+    b = math.log(ETA_GRID[j])
+    slope_b = quotient.slope(b)[0]
+    if not (math.isfinite(slope_b) and slope_a * slope_b < 0):
+        return grid_best
+    for _ in range(10):
+        t = b - slope_b * (b - a) / (slope_b - slope_a)
+        slope_t, val = quotient.slope(t)
+        if not math.isfinite(slope_t) or slope_t == 0.0:
+            break
+        if slope_t * slope_b < 0:
+            a, slope_a = b, slope_b
+        else:                           # a stays an end: scale its slope
+            m = 1.0 - slope_t / slope_b
+            slope_a *= m if m > 0 else 0.5
+        b, slope_b = t, slope_t
+        if abs(b - a) <= GcvConfig.refine_tol:
+            break
+    return (EtaSelection(eta=math.exp(t), value=val)
+            if val <= grid_best.value else grid_best)

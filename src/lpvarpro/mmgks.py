@@ -121,10 +121,7 @@ def golub_kahan(G: ParamOperator, d, ell):
         us[:, i + 1] = u / beta
         betas[i + 1] = beta
 
-    B = np.zeros((k + 1, k))
-    for i in range(k):
-        B[i, i] = alphas[i]
-        B[i + 1, i] = betas[i + 1]
+    B = np.eye(k + 1, k) * alphas[:k] + np.eye(k + 1, k, -1) * betas[1:k + 1]
     return us[:, :k + 1], B, vs[:, :k], breakdown
 
 
@@ -442,7 +439,8 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
                                           cfg.p, eps))
         # V is orthonormal and only grows, so ||x - x_prev|| and ||x_prev||
         # are read on the coefficients
-        dz = np.linalg.norm(z - np.pad(z_prev, (0, z.size - z_prev.size)))
+        n = z_prev.size
+        dz = np.hypot(np.linalg.norm(z[:n] - z_prev), np.linalg.norm(z[n:]))
         ref = np.linalg.norm(z_prev)
         u = lvz
         if ref > 0 and dz <= cfg.tol * ref:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from lpvarpro import gcv
-from lpvarpro.gcv import (EtaSelection, GcvConfig, RankDeficiencyError,
-                          _GcvQuotient, select_eta, thin_gsvd)
+from lpvarpro.gcv import (ETA_GRID, EtaSelection, GcvConfig,
+                          RankDeficiencyError, StackGsvd, _GcvQuotient,
+                          select_eta, thin_gsvd)
 from lpvarpro.problems import make_1d_problem
 from lpvarpro.regularizers import first_derivative_1d
 
@@ -16,6 +20,12 @@ def dense_projected_gcv(r_g, r_l, dhat, eta):
     num = k * float(np.linalg.norm(resid_mat @ dhat) ** 2)
     den = float(np.trace(np.eye(k) - r_g @ pinv_eta)) ** 2
     return num / den
+
+
+def quotient(gsvd, dhat, eta):
+    """The GCV quotient at a scalar eta through ``parts``; inf at 0/0."""
+    num, denom = _GcvQuotient(gsvd, dhat).parts(np.array([eta]))
+    return float(num[0] / denom[0]) if denom[0] != 0.0 else np.inf
 
 
 def random_pair(rng, k):
@@ -151,6 +161,33 @@ class TestGsvdAgainstNumpyRoute:
         assert type(err.value) is np.linalg.LinAlgError
 
 
+class TestStackSolve:
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_matches_solve_triangular(self, k):
+        rng = np.random.default_rng(30 + k)
+        r_g, r_l = random_pair(rng, k)
+        gsvd = thin_gsvd(r_g, r_l)
+        rhs = rng.standard_normal(k)
+        ref = solve_triangular(gsvd.r, gsvd.w @ (gsvd.filter(0.3)
+                                                 * (gsvd.u.T @ rhs)))
+        assert (np.linalg.norm(gsvd.solve(0.3, rhs) - ref)
+                <= 1e-13 * np.linalg.norm(ref))
+        ref_z = gsvd.w.T @ solve_triangular(gsvd.r.T, rhs, lower=True)
+        assert (np.linalg.norm(gsvd.solve_z(rhs) - ref_z)
+                <= 1e-13 * np.linalg.norm(ref_z))
+
+    def test_singular_factor_raises(self):
+        gsvd = thin_gsvd(np.eye(3), np.eye(3))
+        r = gsvd.r.copy()
+        r[1, 1] = 0.0
+        singular = StackGsvd(u=gsvd.u, t=gsvd.t, w=gsvd.w, r=r, c=gsvd.c,
+                             s2=gsvd.s2)
+        for solve in (lambda: singular.solve(1.0, np.ones(3)),
+                      lambda: singular.solve_z(np.ones(3))):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve()
+
+
 class TestThinQr:
     @pytest.mark.parametrize("shape", [(0, 3), (3, 7), (50, 1), (40, 12)],
                              ids=["no_rows", "wide", "one_column", "tall"])
@@ -229,20 +266,19 @@ class TestGcvValue:
         tall_dhat = rng.standard_normal(k + 4)
         for g, data in ((r_g, dhat), (tall_g, tall_dhat)):
             gsvd = thin_gsvd(g, r_l)
-            for eta in (1e-2, 1e-1, 1.0, 50.0):
-                mine = _GcvQuotient(gsvd, data)(eta)
-                dense = dense_projected_gcv(g, r_l, data, eta)
-                assert abs(mine - dense) <= 1e-10 * abs(dense)
             # at tiny eta the dense residual cancels catastrophically, so the
             # oracle itself only carries ~10 digits
-            mine = _GcvQuotient(gsvd, data)(1e-6)
-            dense = dense_projected_gcv(g, r_l, data, 1e-6)
-            assert abs(mine - dense) <= 1e-8 * abs(dense)
+            for eta, rtol in ((1e-2, 1e-10), (1e-1, 1e-10), (1.0, 1e-10),
+                              (50.0, 1e-10), (1e-6, 1e-8)):
+                dense = dense_projected_gcv(g, r_l, data, eta)
+                _, at_slope = _GcvQuotient(gsvd, data).slope(np.log(eta))
+                for mine in (quotient(gsvd, data, eta), at_slope):
+                    assert abs(mine - dense) <= rtol * abs(dense)
         # select_eta minimizes the same tall quotient
         gsvd = thin_gsvd(tall_g, r_l)
         sel = select_eta(gsvd, tall_dhat)
         oracle = [dense_projected_gcv(tall_g, r_l, tall_dhat, eta)
-                  for eta in GcvConfig.grid()]
+                  for eta in ETA_GRID]
         assert sel.value <= min(oracle) * (1 + 1e-8)
         assert sel.value == pytest.approx(
             dense_projected_gcv(tall_g, r_l, tall_dhat, sel.eta),
@@ -256,8 +292,7 @@ class TestGcvValue:
         gsvd = thin_gsvd(r_g, r_l)
         dhat = np.array([7.0, 0.0])
         for eta in (1e-3, 1.0, 1e3):
-            assert _GcvQuotient(gsvd, dhat)(eta) == pytest.approx(0.0,
-                                                                  abs=1e-20)
+            assert quotient(gsvd, dhat, eta) == pytest.approx(0.0, abs=1e-20)
 
     def test_large_eta_limit(self):
         rng = np.random.default_rng(3)
@@ -265,14 +300,36 @@ class TestGcvValue:
         r_l += 5 * np.eye(5)            # nonsingular regularizer factor
         dhat = rng.standard_normal(5)
         gsvd = thin_gsvd(r_g, r_l)
-        val = _GcvQuotient(gsvd, dhat)(1e14)
+        val = quotient(gsvd, dhat, 1e14)
         expected = 5 * float(np.linalg.norm(gsvd.u.T @ dhat) ** 2) / 25.0
         assert val == pytest.approx(expected, rel=1e-6)
 
     def test_vanishing_denominator_gives_inf(self):
-        # L = 0 leaves every filter factor at 1, so the denominator is 0
+        # L = 0 leaves every filter factor at 1, so the denominator is 0 and
+        # the slope is 0/0, which raises no warning
         gsvd = thin_gsvd(np.eye(4), np.zeros((4, 4)))
-        assert _GcvQuotient(gsvd, np.ones(4))(1.0) == np.inf
+        assert quotient(gsvd, np.ones(4), 1.0) == np.inf
+        assert not np.isfinite(_GcvQuotient(gsvd, np.ones(4)).slope(0.0)[0])
+
+    @pytest.mark.parametrize("k", [2, 7, 25])
+    def test_slope_matches_central_differences(self, k):
+        rng = np.random.default_rng(100 + k)
+        r_g, r_l = random_pair(rng, k)
+        tall_g = np.vstack([r_g, rng.standard_normal((3, k))])
+        # the five-point stencil: truncation O(h^4), roundoff O(eps / h)
+        h = 1e-3
+        steps = np.array([2 * h, h, -h, -2 * h])
+        weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12 * h)
+        for g, data in ((r_g, rng.standard_normal(k)),
+                        (tall_g, rng.standard_normal(k + 3))):
+            gsvd = thin_gsvd(g, r_l)
+            q = _GcvQuotient(gsvd, data)
+            for log_eta in np.log(ETA_GRID[100::9]):
+                log_v = np.log([quotient(gsvd, data, np.exp(log_eta + t))
+                                for t in steps])
+                assert np.isfinite(log_v).all()
+                assert q.slope(log_eta)[0] == pytest.approx(
+                    weights @ log_v, rel=1e-6, abs=1e-9)
 
 
 def exhaustive_argmin(r_g, r_l, dhat, points=10**6):
@@ -291,6 +348,37 @@ def exhaustive_argmin(r_g, r_l, dhat, points=10**6):
             best_val = vals[i]
             best_eta = chunk[i]
     return best_eta, best_val
+
+
+def golden_select_eta(gsvd, dhat):
+    """Grid scan plus golden-section search on log eta: the oracle.
+
+    The same grid, degenerate test and neighbour interval as ``select_eta``,
+    refined by comparing quotient values down to ``GcvConfig.refine_tol``.
+    """
+    vals = np.array([quotient(gsvd, dhat, eta) for eta in ETA_GRID])
+    finite = np.isfinite(vals)
+    if not finite.any() or (np.ptp(vals[finite])
+                            <= 1e-15 * np.abs(vals[finite]).max()):
+        mid = float(np.sqrt(GcvConfig.grid_min * GcvConfig.grid_max))
+        return EtaSelection(eta=mid, value=float(vals[0]), degenerate=True)
+    i = int(np.argmin(vals))
+    a = np.log(ETA_GRID[max(i - 1, 0)])
+    b = np.log(ETA_GRID[min(i + 1, ETA_GRID.size - 1)])
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = (quotient(gsvd, dhat, np.exp(t)) for t in (c, d))
+    while b - a > GcvConfig.refine_tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = quotient(gsvd, dhat, np.exp(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = quotient(gsvd, dhat, np.exp(d))
+    return EtaSelection(eta=float(np.exp(c if fc < fd else d)),
+                        value=min(fc, fd))
 
 
 class TestSelectEta:
@@ -330,14 +418,100 @@ class TestSelectEta:
 
     def test_refinement_next_to_vanished_denominator(self):
         # below eta ~ 2e-10 every filter rounds to 1 and the quotient is 0/0;
-        # the grid minimum lies next to that region, so the golden-section
-        # refinement probes points where the denominator vanishes
+        # the grid minimum (index 30) lies next to that region, so one end of
+        # the bracket next to it (index 29) has a 0/0 slope
         gsvd = thin_gsvd(np.diag([1.0, 1.1, 1.14]),
                          np.diag([4.8e-4, 5.1e-4, 7e-4]))
         dhat = np.array([0.34, 0.42, 0.37])
+        vals = [quotient(gsvd, dhat, eta) for eta in ETA_GRID]
+        assert int(np.argmin(vals)) == 30 and vals[29] == np.inf
+        slope_29, _ = _GcvQuotient(gsvd, dhat).slope(np.log(ETA_GRID[29]))
+        assert np.isnan(slope_29)
         sel = select_eta(gsvd, dhat)
         assert not sel.degenerate
-        assert sel.value == pytest.approx(_GcvQuotient(gsvd, dhat)(sel.eta))
+        assert np.isfinite(sel.value) and sel.value <= vals[30]
+        assert ETA_GRID[29] < sel.eta < ETA_GRID[31]
+        assert sel.value == pytest.approx(quotient(gsvd, dhat, sel.eta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 40),
+           decay=st.floats(0.0, 8.0), log_noise=st.floats(-4.0, 0.0))
+    def test_slope_root_against_golden_section(self, seed, k, decay,
+                                               log_noise):
+        # a projected discrete ill-posed problem: R_G with singular values
+        # decaying over `decay` decades, and data with relative noise
+        rng = np.random.default_rng(seed)
+        r_g = (0.1 * np.triu(rng.standard_normal((k, k)))
+               + np.diag(np.logspace(0, -decay, k)))
+        r_l = 0.1 * np.triu(rng.standard_normal((k, k))) + np.eye(k)
+        clean = r_g @ rng.standard_normal(k)
+        dhat = clean + (10**log_noise * np.linalg.norm(clean) / np.sqrt(k)
+                        * rng.standard_normal(k))
+        gsvd = thin_gsvd(r_g, r_l)
+        sel = select_eta(gsvd, dhat)
+        oracle = golden_select_eta(gsvd, dhat)
+        if oracle.degenerate:
+            assert sel == oracle
+            return
+        close = (abs(np.log(sel.eta) - np.log(oracle.eta))
+                 <= 2 * GcvConfig.refine_tol)
+        # near the grid floor 1 - f cancels, so the computed quotient holds
+        # a relative roundoff up to about eps max(f / (1 - f)), with
+        # f / (1 - f) = c^2 / (eta s2)
+        pos = gsvd.s2 > 0
+        floor = np.finfo(float).eps * np.max(
+            gsvd.c[pos]**2 / (min(sel.eta, oracle.eta) * gsvd.s2[pos]),
+            initial=0.0)
+        assert close or sel.value <= oracle.value * (1 + 1e-9 + 4 * floor)
+
+    def test_root_above_grid_minimum_is_not_taken(self, monkeypatch):
+        # only roundoff puts a slope root above the grid minimum; V doubled
+        # at every slope evaluation stands in for it
+        rng = np.random.default_rng(8)
+        r_g, r_l = random_pair(rng, 6)
+        gsvd = thin_gsvd(r_g, r_l)
+        dhat = rng.standard_normal(6)
+        root = select_eta(gsvd, dhat)
+        vals = [quotient(gsvd, dhat, eta) for eta in ETA_GRID]
+        i = int(np.argmin(vals))
+        assert root.eta not in ETA_GRID and root.value <= vals[i]
+        slope = _GcvQuotient.slope
+
+        def doubled(self, log_eta):
+            grad, value = slope(self, log_eta)
+            return grad, 2.0 * value
+
+        monkeypatch.setattr(_GcvQuotient, "slope", doubled)
+        grid = select_eta(gsvd, dhat)
+        assert grid.eta == ETA_GRID[i] and not grid.degenerate
+        assert grid.value == pytest.approx(vals[i], rel=1e-14)
+
+    def test_one_grid_scan_and_few_slopes(self, monkeypatch):
+        counts = {"parts": 0, "slope": 0}
+        for name in counts:
+            orig = getattr(_GcvQuotient, name)
+
+            def counting(self, arg, name=name, orig=orig):
+                counts[name] += 1
+                return orig(self, arg)
+
+            monkeypatch.setattr(_GcvQuotient, name, counting)
+        rng = np.random.default_rng(5)
+        slopes = []
+        for k in range(2, 41):
+            r_g, r_l = random_pair(rng, k)
+            counts.update(parts=0, slope=0)
+            select_eta(thin_gsvd(r_g, r_l), rng.standard_normal(k))
+            assert counts["parts"] == 1 and counts["slope"] <= 12
+            slopes.append(counts["slope"])
+        assert max(slopes) > 2
+
+    def test_grid_is_a_read_only_constant(self):
+        assert ETA_GRID[0] == GcvConfig.grid_min
+        assert ETA_GRID[-1] == pytest.approx(GcvConfig.grid_max)
+        assert ETA_GRID.size == GcvConfig.grid_points
+        with pytest.raises(ValueError):
+            ETA_GRID[0] = 1.0
 
     def test_config_validation(self):
         # the search grid is fixed
