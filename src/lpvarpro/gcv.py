@@ -1,14 +1,15 @@
 """Thin GSVD of a stacked pair and GCV selection of the Tikhonov weight.
 
-``thin_gsvd`` factors a pair {G, L} once: a QR of the stack [G; L] = Q R, a
-rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q give
-G = U diag(c) W^T R and L = T W^T R with T = Q_L W. LAPACK runs in place on
-column-major factors: dgeqrf and dorgqr (``_thin_qr``, which the MMGKS
-factors share) overwrite the stack with Q, and dgesdd a copy of its top
-block; a failed LAPACK call raises ``LinAlgError``. Every Tikhonov quantity
-then reads the generalized spectra c and s2 = 1 - c^2 without dividing by a
-small generalized value: the GCV quotient and its slope are O(k) arithmetic
-on c, s2 and U^T d, and ``StackGsvd.solve`` is one triangular solve.
+``thin_gsvd`` factors a pair {G, L} once: a QR of the stack [G; L] = Q R,
+a rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q
+give G = U diag(c) W^T R and L = (Q_L W)(W^T R), with Q_L the rows of Q
+under Q_G; Q_L W is never formed. LAPACK runs in place on column-major
+factors: dgeqrf and dorgqr (``_thin_qr``, which the MMGKS factors share)
+overwrite the stack with Q, and dgesdd a copy of its top block; a failed
+LAPACK call raises ``LinAlgError``. Every Tikhonov quantity then reads the
+generalized spectra c and s2 = 1 - c^2 without dividing by a small
+generalized value: the GCV quotient and its slope are O(k) arithmetic on
+c, s2 and U^T d, and ``StackGsvd.solve`` is one triangular solve.
 
 ``select_eta`` scans a fixed log grid of eta once and refines the grid
 minimum by a bracketed root of the analytic slope d log V / d log eta. The
@@ -41,16 +42,16 @@ class RankDeficiencyError(np.linalg.LinAlgError):
 class StackGsvd:
     """Thin GSVD of a stacked pair {G, L}.
 
-    G = U diag(c) Z^T and L = T Z^T with Z^T = W^T R, where ``u`` has
+    G = U diag(c) Z^T and L = (Q_L W) Z^T with Z^T = W^T R, where ``u`` has
     orthonormal columns, ``c`` and ``s2 = 1 - c^2`` hold the generalized
-    spectra, and ``t`` equals X_L diag(s), so no division by small
-    generalized values ever occurs. A G with m < n rows gives an m x m ``u``
-    and an n x m ``w``: the other n - m directions have c = 0 and enter no
-    regularized solution, but ``solve`` and ``solve_z`` need m >= n.
+    spectra, and ``q_l`` the L rows Q_L of the stacked Q; Q_L W = X_L diag(s)
+    is never formed. A G with m < n rows gives an m x m ``u`` and an n x m
+    ``w``: the other n - m directions have c = 0 and enter no regularized
+    solution, but ``solve`` and ``solve_z`` need m >= n.
     """
 
     u: np.ndarray
-    t: np.ndarray
+    q_l: np.ndarray
     w: np.ndarray
     r: np.ndarray
     c: np.ndarray
@@ -151,9 +152,9 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
         raise np.linalg.LinAlgError("SVD did not converge")
     _check_info("dgesdd", info)
     c = np.clip(c, 0.0, 1.0)
-    w = wt.T
-    t = q[m:] @ w
-    return StackGsvd(u=u, t=t, w=w, r=r, c=c, s2=np.maximum(0.0, 1.0 - c**2))
+    # a copy, so that Q_L does not keep all of Q alive
+    return StackGsvd(u=u, q_l=q[m:].copy(), w=wt.T, r=r, c=c,
+                     s2=np.maximum(0.0, 1.0 - c**2))
 
 
 @dataclass

@@ -77,10 +77,11 @@ def golub_kahan(G: ParamOperator, d, ell):
     column-major buffers keep contiguous.
 
     Returns (U, B, V, breakdown) with U (m x (k+1)), B ((k+1) x k) lower
-    bidiagonal, V (n x k) orthonormal and G V = U B. On breakdown (a zero
-    vector encountered) k < ell and breakdown is True. The thin QR Q_B R_B of
-    B gives the thin QR (U Q_B) R_B of G V; a zero last column of U, left by
-    a breakdown, meets the zero last row of Q_B.
+    bidiagonal, V (n x k) orthonormal and G V = U B. On breakdown (an alpha
+    or beta at most eps times the largest so far, a scale of G, not of d)
+    k < ell and breakdown is True. The thin QR Q_B R_B of B gives the thin
+    QR (U Q_B) R_B of G V; a zero last column of U, left by a breakdown,
+    meets the zero last row of Q_B.
     """
     d = np.asarray(d, dtype=float)
     m, n = G.m, G.n
@@ -90,10 +91,10 @@ def golub_kahan(G: ParamOperator, d, ell):
     vs = np.zeros((n, ell), order="F")
     alphas = np.zeros(ell)
     betas = np.zeros(ell + 1)
-    tiny = np.finfo(float).eps * max(np.linalg.norm(d), 1.0)
+    eps, scale = np.finfo(float).eps, 0.0
 
     beta = np.linalg.norm(d)
-    if beta <= tiny:
+    if beta == 0.0:
         return us[:, :1] * 0.0, np.zeros((1, 0)), vs[:, :0], True
     us[:, 0] = d / beta
     betas[0] = beta
@@ -105,7 +106,8 @@ def golub_kahan(G: ParamOperator, d, ell):
             v -= betas[i] * vs[:, i - 1]
             v -= vs[:, :i] @ (vs[:, :i].T @ v)
         alpha = np.linalg.norm(v)
-        if alpha <= tiny:
+        scale = max(scale, alpha)
+        if alpha <= eps * scale:
             breakdown = True
             break
         vs[:, i] = v / alpha
@@ -115,7 +117,8 @@ def golub_kahan(G: ParamOperator, d, ell):
         u = G.apply(vs[:, i]) - alpha * us[:, i]
         u -= us[:, :i + 1] @ (us[:, :i + 1].T @ u)
         beta = np.linalg.norm(u)
-        if beta <= tiny:
+        scale = max(scale, beta)
+        if beta <= eps * scale:
             breakdown = True
             break
         us[:, i + 1] = u / beta
@@ -315,11 +318,9 @@ def project_and_solve(gsvd: StackGsvd, eta, dhat):
     """Solve min_z ||R_G z - dhat||^2 + eta ||R_L z||^2 on the projected pair.
 
     ``gsvd`` is the thin GSVD of (R_G, R_L): with R_G = U diag(c) W^T R and
-    R_L = T W^T R, the solution ``gsvd.solve(eta, dhat)`` is one triangular
-    solve.
+    R_L = (Q_L W) W^T R, the solution ``gsvd.solve(eta, dhat)`` is one
+    triangular solve. ``eta`` > 0 is the GCV choice or ``MmgksConfig.eta``.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
     return gsvd.solve(eta, dhat)
 
 
@@ -330,11 +331,11 @@ def expand_subspace(state: GksState, eta, weights, G: ParamOperator,
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
     with the products ``gvz`` = G V z and ``lvz`` = L V z, projected out of
     V (once, or twice on cancellation) and normalized. Returns False without
-    expanding when r is negligible, at most 1e-14 max(``grad_scale``, 1)
-    with ``grad_scale`` = ||G^T d|| (stationarity on the current weights).
+    expanding when r is negligible, at most 1e-14 ``grad_scale`` with
+    ``grad_scale`` = ||G^T d|| (stationarity on the current weights).
     """
     r = G.adjoint_apply(gvz - d) + eta * L.adjoint_apply(weights * lvz)
-    floor = 1e-14 * max(grad_scale, 1.0)
+    floor = 1e-14 * grad_scale
     nr = np.linalg.norm(r)
     if nr <= floor:
         return False
@@ -368,6 +369,8 @@ class MmgksConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.subspace_dim < 1 or self.max_iters < 1:
             raise ValueError("subspace_dim and max_iters must be at least 1")
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise ValueError("eta must be finite and positive, or None")
 
 
 @dataclass

@@ -276,7 +276,9 @@ class GaussianBlur1D(ParamOperator):
 
     G is built at construction. The dense dG/dsigma is built on first use,
     from the derivative kernel evaluated with G, so an operator that is only
-    applied never forms it.
+    applied never forms it. Both kernels are zero where g(s) < eps^2 g(0):
+    that moves no sum of entries of G by more than n eps^2 g(0), far below the
+    roundoff of a QR or SVD of G, and drops the subnormal (slow on x86) tail.
     """
 
     def __init__(self, sigma, n):
@@ -296,6 +298,8 @@ class GaussianBlur1D(ParamOperator):
             dg = g * (s**2 / self.sigma**3 - 1.0 / self.sigma)
         if not (np.isfinite(g).all() and np.isfinite(dg).all()):
             raise ValueError("sigma too small: the blur kernel is not finite")
+        tail = g < np.finfo(float).eps ** 2 * g[0]
+        g[tail] = dg[tail] = 0.0
         self._g = toeplitz(g)
         self._dg_kernel = dg
 

@@ -75,14 +75,14 @@ def jacobian_half(op, x, eta, gsvd):
     projector and x frozen at the current y. ``gsvd`` is the thin GSVD of
     the pair x was solved on at weight ``eta``, {G, W^(1/2) L}.
     """
-    m, q, rpar = op.m, gsvd.t.shape[0], op.r
+    m, q, rpar = op.m, gsvd.q_l.shape[0], op.r
     filt = gsvd.filter(eta)
     cols = np.zeros((m + q, rpar))
     for j in range(rpar):
         v = op.derivative_apply(j, np.asarray(x, dtype=float))
         g = filt * (gsvd.u.T @ v)
         cols[:m, j] = gsvd.u @ (gsvd.c * g) - v
-        cols[m:, j] = np.sqrt(eta) * (gsvd.t @ g)
+        cols[m:, j] = np.sqrt(eta) * (gsvd.q_l @ (gsvd.w @ g))
     return cols
 
 
@@ -101,7 +101,7 @@ def jacobian_full(op, x, eta, gsvd, misfit):
         wj = op.derivative_adjoint_apply(j, misfit)
         tvec = gsvd.solve_z(wj)
         cols[:m, j] += gsvd.u @ (filt * tvec)
-        cols[m:, j] += np.sqrt(eta) * (gsvd.t @ (tvec / den))
+        cols[m:, j] += np.sqrt(eta) * (gsvd.q_l @ (gsvd.w @ (tvec / den)))
     return cols
 
 

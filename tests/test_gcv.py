@@ -44,7 +44,8 @@ class TestGsvdPair:
         np.testing.assert_allclose(gsvd.c**2 + gsvd.s2, np.ones(4), atol=1e-14)
         zt = gsvd.w.T @ gsvd.r
         np.testing.assert_allclose(gsvd.u * gsvd.c @ zt, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(gsvd.t @ zt, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(gsvd.q_l @ gsvd.w @ zt, np.eye(4),
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 6, 12])
     def test_reconstruction_and_orthogonality(self, k):
@@ -54,13 +55,14 @@ class TestGsvdPair:
         scale_g = max(np.abs(r_g).max(), 1.0)
         scale_l = max(np.abs(r_l).max(), 1.0)
         zt = gsvd.w.T @ gsvd.r
+        t = gsvd.q_l @ gsvd.w
         assert np.abs(gsvd.u * gsvd.c @ zt - r_g).max() <= 1e-10 * scale_g
-        assert np.abs(gsvd.t @ zt - r_l).max() <= 1e-10 * scale_l
+        assert np.abs(t @ zt - r_l).max() <= 1e-10 * scale_l
         np.testing.assert_allclose(gsvd.c**2 + gsvd.s2, np.ones(k), atol=1e-14)
         assert np.abs(gsvd.u.T @ gsvd.u - np.eye(k)).max() <= 1e-12
         assert np.abs(gsvd.w.T @ gsvd.w - np.eye(k)).max() <= 1e-12
-        # T = X_L diag(s) with orthonormal X_L
-        assert np.abs(gsvd.t.T @ gsvd.t - np.diag(gsvd.s2)).max() <= 1e-12
+        # T = Q_L W = X_L diag(s) with orthonormal X_L
+        assert np.abs(t.T @ t - np.diag(gsvd.s2)).max() <= 1e-12
 
     def test_diagonal_pair_gives_diagonal_ratios(self):
         dg = np.diag([3.0, 2.0, 0.5])
@@ -142,7 +144,7 @@ class TestGsvdAgainstNumpyRoute:
         zt = gsvd.w.T @ gsvd.r
         assert (np.linalg.norm(gsvd.u * gsvd.c @ zt - g)
                 <= 1e-12 * np.linalg.norm(g))
-        assert (np.linalg.norm(gsvd.t @ zt - l_mat)
+        assert (np.linalg.norm(gsvd.q_l @ gsvd.w @ zt - l_mat)
                 <= 1e-12 * np.linalg.norm(l_mat))
         assert np.abs(gsvd.u.T @ gsvd.u - np.eye(k)).max() <= 1e-12
         assert np.abs(gsvd.w.T @ gsvd.w - np.eye(k)).max() <= 1e-12
@@ -180,8 +182,8 @@ class TestStackSolve:
         gsvd = thin_gsvd(np.eye(3), np.eye(3))
         r = gsvd.r.copy()
         r[1, 1] = 0.0
-        singular = StackGsvd(u=gsvd.u, t=gsvd.t, w=gsvd.w, r=r, c=gsvd.c,
-                             s2=gsvd.s2)
+        singular = StackGsvd(u=gsvd.u, q_l=gsvd.q_l, w=gsvd.w, r=r,
+                             c=gsvd.c, s2=gsvd.s2)
         for solve in (lambda: singular.solve(1.0, np.ones(3)),
                       lambda: singular.solve_z(np.ones(3))):
             with pytest.raises(np.linalg.LinAlgError):

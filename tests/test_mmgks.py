@@ -978,6 +978,28 @@ class TestMmgksSolve:
         with pytest.raises(ValueError):
             MmgksConfig(p=0.9, epsilon=0.0)
 
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
+    def test_config_rejects_eta_not_finite_and_positive(self, eta):
+        # refused at construction, before any Golub-Kahan step runs
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            MmgksConfig(eta=eta)
+
+    @pytest.mark.parametrize("factor", [1e-20, 1e20])
+    def test_p2_solve_does_not_depend_on_the_data_scale(self, factor):
+        # the breakdown test reads a scale of G and the expansion floor
+        # scales with ||G^T d||, so x scales with d and GCV picks the same
+        # etas up to roundoff, however small or large d is
+        prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
+        op = prob.operator(prob.y_true)
+        L = MatrixRegularizer(first_derivative_1d(64))
+        cfg = MmgksConfig(p=2.0, max_iters=8)
+        ref = mmgks_solve(op, L, prob.d, cfg)
+        scaled = mmgks_solve(op, L, factor * prob.d, cfg)
+        assert scaled.iterations == ref.iterations == 8
+        np.testing.assert_allclose(scaled.etas, ref.etas, rtol=1e-11)
+        assert (np.linalg.norm(scaled.x / factor - ref.x)
+                <= 1e-12 * np.linalg.norm(ref.x))
+
     @pytest.mark.parametrize("field", ["max_iters", "subspace_dim"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_config_rejects_counts_below_one(self, field, value):

@@ -127,6 +127,29 @@ class TestToeplitz1d:
             build_toeplitz_1d(2.0, 1)
 
 
+TAIL_CASES = [(sigma, n) for sigma in (0.05, 0.3, 1.0, 2.0, 2.5, 8.0)
+              for n in (64, 512)]
+
+
+class TestBlur1dTail:
+    """The 1D blur zeroes its kernels where g(s) < eps^2 g(0)."""
+
+    @pytest.mark.parametrize("sigma, n", TAIL_CASES)
+    def test_no_subnormal_entries(self, sigma, n):
+        # at sigma = 2.5, n = 512 the uncut G holds 2502 subnormal entries
+        op = GaussianBlur1D(sigma, n)
+        for a in (op.dense(), op._dg):
+            mag = np.abs(a)
+            assert not np.any((mag > 0) & (mag < np.finfo(float).tiny))
+
+    @pytest.mark.parametrize("sigma, n", TAIL_CASES)
+    def test_within_eps_squared_of_the_exact_kernel(self, sigma, n):
+        exact = toeplitz(gaussian_kernel_1d(sigma, np.arange(n)))
+        cut = GaussianBlur1D(sigma, n).dense()
+        assert (np.abs(cut - exact).max()
+                <= np.finfo(float).eps**2 * gaussian_kernel_1d(sigma, [0])[0])
+
+
 class TestPsfParams:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

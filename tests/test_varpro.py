@@ -212,6 +212,46 @@ class TestJacobianHalf:
             <= 1e-3 * max(np.linalg.norm(s_full), 1e-12)
 
 
+def t_form_jacobian(op, x, eta, gsvd, misfit=None):
+    """FULL (given ``misfit``) or HALF Jacobian with T = Q_L W formed.
+
+    The oracle of the Jacobians, which apply T to a vector as Q_L (W g).
+    """
+    t = gsvd.q_l @ gsvd.w
+    filt = gsvd.filter(eta)
+    den = gsvd.c**2 + eta * gsvd.s2
+    cols = []
+    for j in range(op.r):
+        v = op.derivative_apply(j, x)
+        g = filt * (gsvd.u.T @ v)
+        top, bottom = gsvd.u @ (gsvd.c * g) - v, np.sqrt(eta) * (t @ g)
+        if misfit is not None:
+            tvec = gsvd.solve_z(op.derivative_adjoint_apply(j, misfit))
+            top = top + gsvd.u @ (filt * tvec)
+            bottom = bottom + np.sqrt(eta) * (t @ (tvec / den))
+        cols.append(np.concatenate([top, bottom]))
+    return np.column_stack(cols)
+
+
+class TestJacobianTForm:
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_matches_t_form_oracle(self, case):
+        prob = make_problems()[case == "2d"]
+        L = (MatrixRegularizer(first_derivative_1d(prob.n)) if case == "1d"
+             else IdentityRegularizer(prob.n))
+        lam = 3e-3
+        op = prob.operator(prob.y_true * 1.1)
+        gsvd = pair_gsvd(op, L)
+        x = tik_solve(op, L, lam, prob.d, gsvd)
+        misfit = op.apply(x) - prob.d
+        for jac, ref in ((jacobian_half(op, x, lam, gsvd),
+                          t_form_jacobian(op, x, lam, gsvd)),
+                         (jacobian_full(op, x, lam, gsvd, misfit),
+                          t_form_jacobian(op, x, lam, gsvd, misfit))):
+            assert jac.shape == ref.shape
+            assert np.linalg.norm(jac - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestJacobianReduced:
     def test_matches_finite_differences(self):
         prob1d, prob2d = make_problems()
