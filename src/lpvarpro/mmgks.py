@@ -6,14 +6,15 @@ tangent majorant, solving the weighted problem projected on a small subspace,
 and enlarging the subspace with the normalized gradient of the majorant. The
 subspace is seeded by Golub-Kahan bidiagonalization.
 
-The tall-skinny kernels of an inner iteration are kept few: a new column
-of V or of Q_G R_G is orthogonalized by one classical Gram-Schmidt pass,
-and by a second only when the first removed more than 1 - 1/sqrt(2) of its
-norm ("twice is enough"); R_L, with no Q, is the blocked Householder QR of
-LAPACK dgeqrt, and at unit weights (p = 2) grows from the cached L V by one
-product per column; Q_G^T d grows with Q_G; x = V z is formed once, after
-the loop. The thin QR of the bidiagonal B that seeds Q_G is the in-place
-dgeqrf/dorgqr helper ``gcv._thin_qr`` that the stacked-pair GSVD runs.
+The tall-skinny kernels of an inner iteration are kept few. No G V, nor
+an orthonormal factor Q_G of it, is kept: the state caches H = G^T G V,
+one ``normal_apply`` per column (one FFT round trip on the periodic blur),
+so the data part of the majorant gradient is H z - G^T d, and a new column
+of V is orthogonalized by one classical Gram-Schmidt pass, and by a second
+only when the first removed more than 1 - 1/sqrt(2) of its norm ("twice is
+enough"). R_G, with R_G^T R_G = (G V)^T G V, and R_L at unit weights
+(p = 2) grow by one product per column (``_grow_factor``); other weights
+refactor R_L by LAPACK dgeqrt. x = V z is formed once, after the loop.
 """
 
 from __future__ import annotations
@@ -154,90 +155,56 @@ def _r_factor(a):
     return np.triu(qr[:min(a.shape)])
 
 
-def _project_out(q, col, col_norm):
-    """Split col = q s + resid for orthonormal columns q.
+def _grow_factor(r, rows, b, norm2):
+    """Extend the triangular factor r of A^T A by one column a of A.
 
-    Returns (resid, s, ||resid||). One classical Gram-Schmidt pass runs, and
-    a second only when the first removed more than 1 - 1/sqrt(2) of
-    ``col_norm`` = ||col||, which keeps resid orthogonal to q near machine
-    precision ("twice is enough").
+    ``r`` (k x k) has r^T r = A^T A for an A with ``rows`` rows, ``b`` =
+    A^T a and ``norm2`` = ||a||^2. Returns [[r, s], [0, rho]], the factor
+    of [A, a], with s = r^-T b and rho^2 = norm2 - ||s||^2; or None, for the
+    caller to refactor, when A has no row for rho, r is singular, or
+    rho^2 <= norm2 / 16 (rho mostly roundoff: a nearly lies in range(A)).
     """
-    s = q.T @ col
-    resid = col - q @ s
-    rho = np.linalg.norm(resid)
-    if rho < col_norm / np.sqrt(2.0):
-        s2 = q.T @ resid
-        resid -= q @ s2
-        s += s2
-        rho = np.linalg.norm(resid)
-    return resid, s, rho
-
-
-class _GrowingQr:
-    """Thin QR factors Q (m x rank) and R (rank x k) of G V as it grows.
-
-    Starts from the thin QR factors ``q`` and ``r`` of the first k columns.
-    The factors live in preallocated buffers and are read through the views
-    ``q`` and ``r``; rank < k only once Q spans all of R^m.
-    """
-
-    def __init__(self, q, r, capacity):
-        self._q = _column_buffer(q, capacity)
-        self.rank, self.k = r.shape
-        self._r = np.zeros((capacity, capacity), order="F")
-        self._r[:self.rank, :self.k] = r
-
-    @property
-    def q(self):
-        return self._q[:, :self.rank]
-
-    @property
-    def r(self):
-        return self._r[:self.rank, :self.k]
-
-    def append(self, col):
-        """Extend the factors by one column; the buffers must have room.
-
-        The column is projected out of Q once, or twice when the first pass
-        cancels much of it (``_project_out``).
-        """
-        col_norm = np.linalg.norm(col)
-        resid, s, rho = _project_out(self.q, col, col_norm)
-        self._r[:self.rank, self.k] = s
-        if self.rank < resid.shape[0] and rho > 1e-15 * max(col_norm, 1.0):
-            self._q[:, self.rank] = resid / rho
-            self._r[self.rank, self.k] = rho
-            self.rank += 1
-        # otherwise Q already spans the column space and the new column only
-        # extends the triangular factor
-        self.k += 1
+    k = r.shape[1]
+    if rows <= k:
+        return None
+    s, info = dtrtrs(r, b, trans=1)
+    rho2 = norm2 - s @ s
+    if info != 0 or not rho2 > norm2 / 16.0:
+        return None
+    return np.block([[r, s[:, None]], [np.zeros((1, k)), np.sqrt(rho2)]])
 
 
 class GksState:
-    """Growing orthonormal basis V with the cached product L V.
+    """Growing orthonormal basis V with the cached H = G^T G V and L V.
 
-    Also holds the thin QR factors Q_G R_G of G V, through which G V is read,
-    and R_L of the weighted W^(1/2) L V, with no Q: the projected problem
-    reads R_L only. V, L V and Q_G R_G live in column-major buffers sized
-    once for ``capacity`` columns, the most the basis will hold; ``v``,
-    ``lv`` and the factors are views of the filled part. ``gv_qr`` is the
-    pair (Q_G, R_G) of the first k columns.
+    The projected problem reads R_G, dhat and R_L only. R_G^T R_G =
+    (G V)^T G V and dhat = Q_G^T d for Q_G = G V R_G^-1, never formed, so
+    ||G V z - d||^2 = ||R_G z - dhat||^2 + ||d||^2 - ||dhat||^2. ``gtd`` is
+    G^T d, which V spans, as in the Golub-Kahan ``seed`` (R_G, dhat, gtd)
+    of ``init_gks``. R_L is the factor of the weighted W^(1/2) L V, with no
+    Q. V, H and L V live in column-major buffers sized once for
+    ``capacity`` columns; ``v``, ``h`` and ``lv`` view the filled part.
 
-    ``set_weights`` factors W^(1/2) L V by the blocked Householder QR of
-    ``_r_factor``. Unit weights (p = 2) never change, so while R_L is the
-    factor of L V, ``set_weights`` keeps it and ``append_direction`` grows
-    it by one product b = (L V)^T lv_new: the column [s; rho], s = R_L^-T b,
-    rho^2 = ||lv_new||^2 - ||s||^2, keeps R_L^T R_L = (L V)^T L V. If L V
-    has no row for rho, R_L is singular or rho^2 <= ||lv_new||^2 / 16 (rho
-    mostly roundoff), R_L goes stale; the next ``set_weights`` refactors it.
+    ``append_direction`` grows R_G by ``_grow_factor`` from b = V^T h_new;
+    when that declines, R_G and dhat are refactored from the R factor of
+    [G V, d], G V formed by k applies of G, which also covers a G V with
+    fewer rows than columns. ``set_weights`` factors W^(1/2) L V by the
+    blocked Householder QR of ``_r_factor``. Unit weights (p = 2) never
+    change, so while R_L is the factor of L V it is kept and grown by
+    ``_grow_factor`` from (L V)^T lv_new; when that declines it is dropped
+    for the next ``set_weights`` to refactor.
     """
 
-    def __init__(self, v, gv_qr, lv, capacity):
+    def __init__(self, G: ParamOperator, d, v, lv, capacity, seed):
+        self._g, self._d = G, np.asarray(d, dtype=float)
         self._k = v.shape[1]
         self._v = _column_buffer(v, capacity)
         self._lv = _column_buffer(lv, capacity)
-        self._qr_g = _GrowingQr(*gv_qr, capacity)
-        self._r_l, self._grows = None, False  # grows: R_L factors L V now
+        self._h = np.zeros((G.n, capacity), order="F")
+        for j in range(self._k):
+            self._h[:, j] = G.normal_apply(v[:, j])
+        self.r_g, self.dhat, self.gtd = seed
+        self.r_l, self._grows = None, False  # grows: R_L factors L V now
 
     @property
     def k(self) -> int:
@@ -252,66 +219,71 @@ class GksState:
         return self._v[:, :self._k]
 
     @property
+    def h(self):
+        return self._h[:, :self._k]
+
+    @property
     def lv(self):
         return self._lv[:, :self._k]
-
-    @property
-    def q_g(self):
-        return self._qr_g.q
-
-    @property
-    def r_g(self):
-        return self._qr_g.r
-
-    @property
-    def r_l(self):
-        return self._r_l
 
     def set_weights(self, w):
         """Set R_L, the factor of diag(sqrt(w)) L V, for the weights w."""
         unit = bool(np.all(np.asarray(w) == 1.0))
         if not (unit and self._grows):
             # a fresh column-major product, which the factor overwrites
-            self._r_l = _r_factor(np.multiply(np.sqrt(w)[:, None], self.lv,
-                                              order="F"))
+            self.r_l = _r_factor(np.multiply(np.sqrt(w)[:, None], self.lv,
+                                             order="F"))
         self._grows = unit
 
-    def append_direction(self, v_new, gv_new, lv_new):
-        """Add one basis column; raises IndexError when the buffers are full.
+    def append_direction(self, v_new, lv_new):
+        """Add a column orthogonal to V; raises IndexError when full.
 
-        ``gv_new`` = G ``v_new`` extends Q_G R_G and is not kept.
+        Takes one ``normal_apply`` of G, and k applies when R_G refactors.
         """
         k = self._k
         self._v[:, k] = v_new
         self._lv[:, k] = lv_new
+        self._h[:, k] = self._g.normal_apply(v_new)
         self._k = k + 1
-        self._qr_g.append(gv_new)
-        self._grows &= self._lv.shape[0] > k
+        # V^T h_new and ||G v_new||^2 = v_new^T h_new in one product
+        b = self.v.T @ self._h[:, k]
+        r_g = _grow_factor(self.r_g, self._g.m, b[:k], b[k])
+        if r_g is None:
+            a = np.empty((self._g.m, k + 2), order="F")
+            for j in range(k + 1):
+                a[:, j] = self._g.apply(self._v[:, j])
+            a[:, k + 1] = self._d
+            r = _r_factor(a)[:k + 1]
+            self.r_g, self.dhat = r[:, :-1], r[:, -1]
+        else:
+            # Q_G gains (G v_new - Q_G s) / rho, and v_new^T G^T d = 0
+            self.r_g, s, rho = r_g, r_g[:k, k], r_g[k, k]
+            self.dhat = np.append(self.dhat, -(s @ self.dhat) / rho)
         if self._grows:
-            # info > 0: R_L is singular, and the refactor takes the column
-            s, info = dtrtrs(self._r_l, self._lv[:, :k].T @ lv_new, trans=1)
-            norm2 = lv_new @ lv_new
-            rho2 = norm2 - s @ s
-            self._grows = info == 0 and rho2 > norm2 / 16.0
-            if self._grows:
-                self._r_l = np.block([[self._r_l, s[:, None]],
-                                      [np.zeros((1, k)), np.sqrt(rho2)]])
+            self.r_l = _grow_factor(self.r_l, self._lv.shape[0],
+                                    self._lv[:, :k].T @ lv_new,
+                                    lv_new @ lv_new)
+            self._grows = self.r_l is not None
 
 
 def init_gks(G: ParamOperator, d, ell, L: Regularizer, capacity) -> GksState:
     """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
 
     G V = U B holds for the bidiagonalization, so the thin QR of G V is
-    seeded as Q_G = U Q_B, R_G = R_B from the QR of the small (k+1) x k
-    matrix B, without applying G again or forming the tall G V. The state
-    has room for ``capacity`` basis columns.
+    (U Q_B) R_B from the QR of the small (k+1) x k matrix B: R_G = R_B and,
+    as U^T d = ||d|| e_1, dhat = ||d|| Q_B[0, :]. The first step gives
+    G^T d = ||d|| alpha_1 v_1. None of them applies G again or forms the
+    tall G V; H takes k ``normal_apply`` calls. The state has room for
+    ``capacity`` basis columns.
     """
-    u, b, v, _ = golub_kahan(G, d, ell)
+    _, b, v, _ = golub_kahan(G, d, ell)
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
     lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
     q_b, r_b = _thin_qr(np.array(b, order="F"))
-    return GksState(v, (u @ q_b, r_b), lv, capacity)
+    beta = np.linalg.norm(d)
+    seed = (r_b, beta * q_b[0], beta * b[0, 0] * v[:, 0])
+    return GksState(G, d, v, lv, capacity, seed)
 
 
 def project_and_solve(gsvd: StackGsvd, eta, dhat):
@@ -324,26 +296,32 @@ def project_and_solve(gsvd: StackGsvd, eta, dhat):
     return gsvd.solve(eta, dhat)
 
 
-def expand_subspace(state: GksState, eta, weights, G: ParamOperator,
-                    L: Regularizer, d, grad_scale, gvz, lvz):
+def expand_subspace(state: GksState, eta, weights, L: Regularizer,
+                    grad_scale, z, lvz):
     """Enlarge the basis with the normalized majorant gradient at x = V z.
 
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
-    with the products ``gvz`` = G V z and ``lvz`` = L V z, projected out of
-    V (once, or twice on cancellation) and normalized. Returns False without
-    expanding when r is negligible, at most 1e-14 ``grad_scale`` with
-    ``grad_scale`` = ||G^T d|| (stationarity on the current weights).
+    read as H z - G^T d from the state and with ``lvz`` = L V z. It is
+    projected out of V by one classical Gram-Schmidt pass, and by a second
+    only when the first removed more than 1 - 1/sqrt(2) of its norm ("twice
+    is enough"), and normalized. Returns False without expanding when r is
+    negligible, at most 1e-14 ``grad_scale`` with ``grad_scale`` = ||G^T d||
+    (stationarity on the current weights).
     """
-    r = G.adjoint_apply(gvz - d) + eta * L.adjoint_apply(weights * lvz)
+    r = state.h @ z - state.gtd + eta * L.adjoint_apply(weights * lvz)
     floor = 1e-14 * grad_scale
     nr = np.linalg.norm(r)
     if nr <= floor:
         return False
-    r, _, nr = _project_out(state.v, r, nr)
+    r -= state.v @ (state.v.T @ r)
+    nr, norm = np.linalg.norm(r), nr
+    if nr < norm / np.sqrt(2.0):
+        r -= state.v @ (state.v.T @ r)
+        nr = np.linalg.norm(r)
     if nr <= floor:
         return False
     v_new = r / nr
-    state.append_direction(v_new, G.apply(v_new), L.apply(v_new))
+    state.append_direction(v_new, L.apply(v_new))
     return True
 
 
@@ -413,9 +391,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     ell = min(cfg.subspace_dim, min(G.m, G.n))
     # the last of max_iters iterations does not expand
     state = init_gks(G, d, ell, L, capacity=ell + cfg.max_iters - 1)
-    dhat = state.q_g.T @ d             # Q_G^T d, extended as Q_G grows
-    # G^T d lies in span(V), so ||G^T d|| = ||(G V)^T d|| = ||R_G^T dhat||
-    grad_scale = np.linalg.norm(state.r_g.T @ dhat)
+    grad_scale, dd = np.linalg.norm(state.gtd), d @ d
     z = np.zeros(0)
     u = np.zeros(L.q)                  # L x at x = 0
     objectives = []
@@ -426,19 +402,20 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     for it in range(cfg.max_iters):
         w = majorant_weights(u, cfg.p, eps)
         state.set_weights(w)
-        dhat = np.append(dhat, state.q_g[:, dhat.size:].T @ d)
         gsvd = thin_gsvd(state.r_g, state.r_l)
         if cfg.eta is not None:
             eta = float(cfg.eta)
         else:
-            eta = select_eta(gsvd, dhat).eta
-        z_prev, z = z, project_and_solve(gsvd, eta, dhat)
-        # x = V z, so G x and L x come from the factor and the product
-        gvz = state.q_g @ (state.r_g @ z)
+            eta = select_eta(gsvd, state.dhat).eta
+        z_prev, z = z, project_and_solve(gsvd, eta, state.dhat)
+        # x = V z: L x is read on the cached product, and G x - d has the
+        # norm of [R_G z - dhat; ||d - Q_G dhat||]
         lvz = state.lv @ z
+        res = np.append(state.r_g @ z - state.dhat,
+                        np.sqrt(max(dd - state.dhat @ state.dhat, 0.0)))
         iterations = it + 1
         etas.append(eta)
-        objectives.append(objective_value(gvz - d, lvz, mm_lambda(eta, cfg.p),
+        objectives.append(objective_value(res, lvz, mm_lambda(eta, cfg.p),
                                           cfg.p, eps))
         # V is orthonormal and only grows, so ||x - x_prev|| and ||x_prev||
         # are read on the coefficients
@@ -450,7 +427,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
             converged = True
             break
         if iterations < cfg.max_iters:
-            expand_subspace(state, eta, w, G, L, d, grad_scale, gvz, lvz)
+            expand_subspace(state, eta, w, L, grad_scale, z, lvz)
     x = state.v[:, :z.size] @ z
     return MmgksResult(x=x, objectives=objectives, etas=etas,
                        iterations=iterations, converged=converged,

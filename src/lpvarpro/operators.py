@@ -6,7 +6,8 @@ parametrized by (sigma1, sigma2, rho). Both expose forward, adjoint and
 per-parameter derivative actions so that outer Gauss-Newton loops can form
 reduced Jacobians from matrix-vector products only. Under the default
 PERIODIC boundary the 2D blur is block circulant, so it applies G and G^T
-through the cached 2D FFT eigenvalues of the kernel on the image grid.
+through the cached 2D FFT eigenvalues of the kernel on the image grid, and
+G^T G through their squared moduli.
 """
 
 from __future__ import annotations
@@ -186,6 +187,16 @@ class _CachedConv2D:
         embedded[:kh, :kw] = kernel
         self.kf = sfft.rfftn(np.roll(embedded, (-ch, -cw), axis=(0, 1)))
 
+    @cached_property
+    def kf_power(self):
+        """|kf|^2, the eigenvalues of the circulant G^T G under PERIODIC."""
+        return self.kf.real**2 + self.kf.imag**2
+
+    def normal(self, x):
+        """G^T G x by one transform pair; PERIODIC only (no pad or crop)."""
+        return sfft.irfftn(sfft.rfftn(x, self.grid) * self.kf_power,
+                           self.grid)
+
     def apply(self, x):
         if self.boundary is not ConvBoundary.PERIODIC:
             x = np.pad(x, self.pad, mode=_PAD_MODE[self.boundary])
@@ -224,10 +235,11 @@ class ParamOperator:
     """A linear map G(y) with per-parameter derivative actions.
 
     Subclasses provide ``apply``, ``adjoint_apply``, ``derivative_apply`` and
-    ``derivative_adjoint_apply`` for an m x n map with r parameters. An
-    instance is built at one parameter value, which it does not report: the
-    caller that chose y holds it, and ``ProblemInstance.operator`` builds
-    the family at new parameters.
+    ``derivative_adjoint_apply`` for an m x n map with r parameters;
+    ``normal_apply``, G^T G, is the adjoint of the forward action unless a
+    subclass has a cheaper one. An instance is built at one parameter value,
+    which it does not report: the caller that chose y holds it, and
+    ``ProblemInstance.operator`` builds the family at new parameters.
     """
 
     m: int
@@ -239,6 +251,10 @@ class ParamOperator:
 
     def adjoint_apply(self, v) -> np.ndarray:
         raise NotImplementedError
+
+    def normal_apply(self, x) -> np.ndarray:
+        """Action of G^T G on x."""
+        return self.adjoint_apply(self.apply(x))
 
     def derivative_apply(self, j, x) -> np.ndarray:
         """Action of dG/dy_j on x."""
@@ -367,6 +383,12 @@ class GaussianPsfBlur2D(ParamOperator):
 
     def adjoint_apply(self, v):
         return self._conv.adjoint(self._as_image(v)).ravel()
+
+    def normal_apply(self, x):
+        # G^T G is circulant only without the pad and crop of ZERO/REFLEXIVE
+        if self.boundary is not ConvBoundary.PERIODIC:
+            return super().normal_apply(x)
+        return self._conv.normal(self._as_image(x)).ravel()
 
     def derivative_apply(self, j, x):
         return self._dconv[j].apply(self._as_image(x)).ravel()

@@ -12,7 +12,8 @@ from lpvarpro.gcv import thin_gsvd
 from lpvarpro.mmgks import (GksState, MmgksConfig, expand_subspace,
                             golub_kahan, init_gks, majorant_weights, mm_lambda,
                             mmgks_solve, objective_value, project_and_solve)
-from lpvarpro.operators import MatrixOperator
+from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
+                                GaussianPsfBlur2D, MatrixOperator, PsfParams)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
 from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
                                    derivative_2d, first_derivative_1d)
@@ -31,17 +32,65 @@ class CountingQ(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-def projected_solution(state, eta, d):
+def projected_solution(state, eta):
     """z of the projected Tikhonov problem on the current factors of state."""
     return project_and_solve(thin_gsvd(state.r_g, state.r_l), eta,
-                             state.q_g.T @ d)
+                             state.dhat)
 
 
-def expand(state, z, eta, weights, G, L, d):
-    """expand_subspace with the products and the scale mmgks_solve passes."""
-    return expand_subspace(state, eta, weights, G, L, d,
-                           np.linalg.norm(G.adjoint_apply(d)),
-                           state.q_g @ (state.r_g @ z), state.lv @ z)
+def expand(state, z, eta, weights, L):
+    """expand_subspace with the product and the scale mmgks_solve passes."""
+    return expand_subspace(state, eta, weights, L,
+                           np.linalg.norm(state.gtd), z, state.lv @ z)
+
+
+def dense_state(a, d, v, lv, capacity):
+    """GksState of a MatrixOperator on the columns v, seeded by a dense QR.
+
+    R_G and dhat come from the R factor of [A V, d]; appends keep them
+    exact only when V spans A^T d, as a Golub-Kahan seed does.
+    """
+    r = np.linalg.qr(np.column_stack([a @ v, d]), mode="r")[:v.shape[1]]
+    return GksState(MatrixOperator(a), d, v, lv, capacity,
+                    (r[:, :-1], r[:, -1], a.T @ d))
+
+
+def basis_spanning(col, k, rng):
+    """Orthonormal n x k basis whose first column is along col."""
+    q, _ = np.linalg.qr(np.column_stack(
+        [col, rng.standard_normal((col.size, k - 1))]))
+    return q
+
+
+def assert_data_factors(state, a, d, rtol, seed=0):
+    """R_G, dhat, H and G^T d of state against dense products of A.
+
+    R_G^T R_G = (A V)^T A V, H = A^T A V, gtd = A^T d, and for random z the
+    misfit ||R_G z - dhat||^2 + ||d||^2 - ||dhat||^2 = ||A V z - d||^2.
+    """
+    gv = a @ state.v
+    assert_gram_matches(state.r_g, gv, rtol)
+    h = a.T @ gv
+    assert np.linalg.norm(state.h - h) <= rtol * np.linalg.norm(h)
+    assert np.linalg.norm(state.gtd - a.T @ d) <= rtol * np.linalg.norm(
+        a.T @ d)
+    z = np.random.default_rng(seed).standard_normal(state.k)
+    misfit = (np.linalg.norm(state.r_g @ z - state.dhat)**2 + d @ d
+              - state.dhat @ state.dhat)
+    assert misfit == pytest.approx(np.linalg.norm(gv @ z - d)**2, rel=rtol)
+
+
+def count_data_refactors(monkeypatch, d):
+    """Count the R factors of [G V, d] that refactor R_G, in a list."""
+    calls = [0]
+    r_factor_orig = mmgks._r_factor
+
+    def counting(a):
+        calls[0] += a.shape[0] == d.size and np.array_equal(a[:, -1], d)
+        return r_factor_orig(a)
+
+    monkeypatch.setattr(mmgks, "_r_factor", counting)
+    return calls
 
 
 def count_dgeqrt(monkeypatch):
@@ -57,15 +106,34 @@ def count_dgeqrt(monkeypatch):
     return calls
 
 
+def count_operator_calls(monkeypatch, G):
+    """Count apply, adjoint_apply and normal_apply of a MatrixOperator.
+
+    normal_apply is counted as one call, not as the apply and adjoint_apply
+    that its default runs.
+    """
+    calls = Counter()
+    for name, fn in (("apply", lambda x: G.a @ x),
+                     ("adjoint_apply", lambda v: G.a.T @ v),
+                     ("normal_apply", lambda x: G.a.T @ (G.a @ x))):
+        def counting(x, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(x)
+
+        monkeypatch.setattr(G, name, counting)
+    return calls
+
+
 def assert_gram_matches(r, a, rtol):
     """R^T R = A^T A to rtol relative to ||A||^2 (R is not unique)."""
     assert np.linalg.norm(r.T @ r - a.T @ a) <= rtol * np.linalg.norm(a)**2
 
 
-def normal_equations_solution(state, eta, d):
-    """The same z from the assembled projected normal equations."""
-    lhs = state.r_g.T @ state.r_g + eta * state.r_l.T @ state.r_l
-    return np.linalg.solve(lhs, state.r_g.T @ (state.q_g.T @ d))
+def normal_equations_solution(state, eta, a, d):
+    """The same z from the normal equations assembled on A V."""
+    gv = a @ state.v
+    lhs = gv.T @ gv + eta * state.r_l.T @ state.r_l
+    return np.linalg.solve(lhs, gv.T @ d)
 
 
 class TestMajorantWeights:
@@ -145,17 +213,19 @@ class TestGolubKahan:
 
     @pytest.mark.parametrize("m, ell", [(30, 5), (6, 6)])
     def test_seeded_data_factor(self, m, ell):
-        # Q_G = U Q_B and R_G = R_B from the QR of B form a thin QR of G V;
-        # at ell = m the last step breaks down and U ends in a zero column
+        # R_G = R_B and dhat = ||d|| Q_B[0, :] from the QR of B, with the
+        # implicit Q_G = U Q_B, and G^T d = ||d|| alpha_1 v_1; at ell = m the
+        # last step breaks down and U ends in a zero column
         rng = np.random.default_rng(16)
         G = MatrixOperator(rng.standard_normal((m, 20)))
-        state = init_gks(G, rng.standard_normal(m), ell,
-                         IdentityRegularizer(20), capacity=ell)
-        gv = G.a @ state.v
-        np.testing.assert_allclose(state.q_g.T @ state.q_g, np.eye(ell),
-                                   rtol=0, atol=1e-13)
-        assert (np.linalg.norm(state.q_g @ state.r_g - gv)
-                <= 1e-13 * np.linalg.norm(gv))
+        d = rng.standard_normal(m)
+        state = init_gks(G, d, ell, IdentityRegularizer(20), capacity=ell)
+        assert state.r_g.shape == (ell, ell)
+        assert_data_factors(state, G.a, d, 1e-13)
+        # dhat = Q_G^T d for Q_G = G V R_G^-1
+        q_g = np.linalg.solve(state.r_g.T, (G.a @ state.v).T).T
+        np.testing.assert_allclose(state.dhat, q_g.T @ d, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(d))
 
     def test_breakdown_flagged(self):
         # rank-1 G: the second bidiagonalization step must break down
@@ -179,8 +249,9 @@ class TestProjectAndSolve:
         d = rng.standard_normal(20)
         state = self._state(G, L, d, 6)
         eta = 0.37
-        z = projected_solution(state, eta, d)
-        np.testing.assert_allclose(z, normal_equations_solution(state, eta, d),
+        z = projected_solution(state, eta)
+        np.testing.assert_allclose(z, normal_equations_solution(state, eta, G,
+                                                                d),
                                    rtol=1e-10)
 
     def test_large_eta_shrinks_solution(self):
@@ -189,7 +260,7 @@ class TestProjectAndSolve:
         L = IdentityRegularizer(15)
         d = rng.standard_normal(20)
         state = self._state(G, L, d, 5)
-        z = projected_solution(state, 1e14, d)
+        z = projected_solution(state, 1e14)
         assert np.linalg.norm(z) <= 1e-10
 
     def test_orthonormal_columns_diagonal_case(self):
@@ -198,10 +269,10 @@ class TestProjectAndSolve:
         d = rng.standard_normal(30)
         v = np.eye(12)[:, :4]
         lv = v.copy()
-        state = GksState(v, np.linalg.qr(G @ v), lv, capacity=4)
+        state = dense_state(G, d, v, lv, capacity=4)
         state.set_weights(np.ones(12))
         eta = 0.9
-        z = projected_solution(state, eta, d)
+        z = projected_solution(state, eta)
         expected = (v.T @ (G.T @ d)) / (1.0 + eta)
         np.testing.assert_allclose(z, expected, rtol=1e-12)
 
@@ -215,31 +286,37 @@ class TestProjectAndSolve:
         d = rng.standard_normal(20)
         state = init_gks(G, d, 6, L, capacity=6)
         state.set_weights(rng.uniform(0.5, 2.0, L.q))
-        z = projected_solution(state, eta, d)
-        np.testing.assert_allclose(z, normal_equations_solution(state, eta, d),
+        z = projected_solution(state, eta)
+        np.testing.assert_allclose(z, normal_equations_solution(state, eta,
+                                                                G.a, d),
                                    rtol=1e-10)
 
-    def test_data_factor_with_fewer_rows_than_columns(self):
-        # R_G has fewer rows than the basis has columns once Q_G spans R^m
+    def test_data_factor_with_fewer_rows_than_columns(self, monkeypatch):
+        # R_G has fewer rows than the basis has columns once G V has more
+        # columns than rows: the fifth column grows R_G, and each later one
+        # refactors it
         rng = np.random.default_rng(15)
         G = MatrixOperator(rng.standard_normal((5, 12)))
         L = MatrixRegularizer(first_derivative_1d(12))
         d = rng.standard_normal(5)
         state = init_gks(G, d, 4, L, capacity=8)
+        refactors = count_data_refactors(monkeypatch, d)
         state.set_weights(np.ones(L.q))
         for _ in range(4):
-            z = projected_solution(state, 0.3, d)
-            assert expand(state, z, 0.3, np.ones(L.q), G, L, d)
+            z = projected_solution(state, 0.3)
+            assert expand(state, z, 0.3, np.ones(L.q), L)
             state.set_weights(np.ones(L.q))
         assert state.r_g.shape == (5, 8)
-        z = projected_solution(state, 0.3, d)
-        np.testing.assert_allclose(z, normal_equations_solution(state, 0.3, d),
+        assert refactors == [3]
+        z = projected_solution(state, 0.3)
+        np.testing.assert_allclose(z, normal_equations_solution(state, 0.3,
+                                                                G.a, d),
                                    rtol=1e-10)
 
     def test_singular_projected_system_raises(self):
         v = np.eye(4)[:, :2]
-        gv = np.zeros((4, 2))
-        state = GksState(v, np.linalg.qr(gv), np.zeros((4, 2)), capacity=2)
+        state = dense_state(np.zeros((4, 4)), np.zeros(4), v,
+                            np.zeros((4, 2)), capacity=2)
         state.set_weights(np.ones(4))
         with pytest.raises(ValueError, match="null space"):
             project_and_solve(thin_gsvd(state.r_g, state.r_l), 1.0,
@@ -249,36 +326,34 @@ class TestProjectAndSolve:
 class TestGksStateBuffers:
     @pytest.mark.parametrize("m", [40, 8])
     def test_growth_past_capacity(self, m):
-        # m = 8 < k also covers the factor whose Q spans all of R^m
+        # m = 8 < k also covers the R_G with fewer rows than columns; the
+        # first basis column is along G^T d, as a Golub-Kahan seed's is
         rng = np.random.default_rng(13)
         G = rng.standard_normal((m, 30))
+        d = rng.standard_normal(m)
         ld = first_derivative_1d(30).toarray()
-        basis, _ = np.linalg.qr(rng.standard_normal((30, 20)))
-        gv = np.column_stack([G @ basis[:, j] for j in range(20)])
+        basis = basis_spanning(G.T @ d, 20, rng)
         lv = np.column_stack([ld @ basis[:, j] for j in range(20)])
-        state = GksState(basis[:, :2], np.linalg.qr(gv[:, :2]), lv[:, :2],
-                         capacity=20)
+        state = dense_state(G, d, basis[:, :2], lv[:, :2], capacity=20)
         for j in range(2, 20):
-            state.append_direction(basis[:, j], gv[:, j], lv[:, j])
+            state.append_direction(basis[:, j], lv[:, j])
+            assert_data_factors(state, G, d, 1e-12, seed=j)
         assert state.k == 20 == state.capacity
         np.testing.assert_array_equal(state.v, basis)
         np.testing.assert_array_equal(state.lv, lv)
         np.testing.assert_allclose(state.v.T @ state.v, np.eye(20),
                                    atol=1e-12)
-        np.testing.assert_allclose(state.q_g @ state.r_g, gv, atol=1e-12)
-        rank = state.q_g.shape[1]
-        assert rank == min(m, 20)
-        np.testing.assert_allclose(state.q_g.T @ state.q_g, np.eye(rank),
-                                   atol=1e-12)
+        assert state.r_g.shape == (min(m, 20), 20)
         # the buffers are sized once: a column past capacity is refused
         with pytest.raises(IndexError):
-            state.append_direction(basis[:, 0], gv[:, 0], lv[:, 0])
+            state.append_direction(basis[:, 0], lv[:, 0])
         assert state.k == 20
 
     @pytest.mark.parametrize("m", [40, 8])
     def test_g_v_read_through_its_factors(self, m):
-        # the state keeps no copy of G V: Q_G (R_G z) stands for G V z, also
-        # once Q_G spans all of R^m (m = 8 < k)
+        # the state keeps no copy of G V and no Q_G: H z stands for
+        # G^T G V z and R_G, dhat for ||G V z - d||, also once G V has more
+        # columns than rows (m = 8 < k)
         rng = np.random.default_rng(19)
         G = MatrixOperator(rng.standard_normal((m, 30)))
         L = MatrixRegularizer(first_derivative_1d(30))
@@ -287,14 +362,15 @@ class TestGksStateBuffers:
         ones = np.ones(L.q)
         state.set_weights(ones)
         for _ in range(8):
-            z = projected_solution(state, 0.1, d)
-            assert expand(state, z, 0.1, ones, G, L, d)
+            z = projected_solution(state, 0.1)
+            assert expand(state, z, 0.1, ones, L)
             state.set_weights(ones)
-        assert not hasattr(state, "gv")
+        assert not hasattr(state, "gv") and not hasattr(state, "q_g")
         z = rng.standard_normal(state.k)
-        gvz = G.a @ (state.v @ z)
-        np.testing.assert_allclose(state.q_g @ (state.r_g @ z), gvz,
-                                   atol=1e-12 * np.linalg.norm(gvz))
+        gtgvz = G.a.T @ (G.a @ (state.v @ z))
+        np.testing.assert_allclose(state.h @ z, gtgvz,
+                                   atol=1e-12 * np.linalg.norm(gtgvz))
+        assert_data_factors(state, G.a, d, 1e-12)
 
     def test_weighted_factor_after_reweighting_and_growth(self):
         rng = np.random.default_rng(14)
@@ -310,8 +386,8 @@ class TestGksStateBuffers:
         np.testing.assert_allclose(state.r_l.T @ state.r_l, wlv.T @ wlv,
                                    rtol=1e-12, atol=1e-12)
         # after an append the same non-unit weights refactor R_L alone
-        z = projected_solution(state, 0.1, d)
-        assert expand(state, z, 0.1, w2, G, L, d)
+        z = projected_solution(state, 0.1)
+        assert expand(state, z, 0.1, w2, L)
         state.set_weights(w2)
         ref = np.linalg.qr(np.sqrt(w2)[:, None] * state.lv, mode="r")
         assert state.r_l.shape == ref.shape == (5, 5)
@@ -328,8 +404,8 @@ class TestGksStateBuffers:
         calls = count_dgeqrt(monkeypatch)
         state.set_weights(ones)
         for _ in range(5):
-            z = projected_solution(state, 0.1, d)
-            assert expand(state, z, 0.1, ones, G, L, d)
+            z = projected_solution(state, 0.1)
+            assert expand(state, z, 0.1, ones, L)
             state.set_weights(ones)
         assert state.k == 9
         # the factor of the first call took the appended columns
@@ -341,16 +417,16 @@ class TestGksStateBuffers:
     @pytest.mark.parametrize("q", [60, 4, 0])
     def test_r_only_factor_matches_qr_and_keeps_products(self, q):
         # tall (q >> k), short (q < k) and empty weighted L V: the factor is
-        # computed in place, so the cached product and Q_G R_G must not
+        # computed in place, so the cached products and R_G, dhat must not
         # change
         rng = np.random.default_rng(15)
         k = 7
         basis, _ = np.linalg.qr(rng.standard_normal((20, k)))
-        gv = rng.standard_normal((30, k))
         lv = rng.standard_normal((q, k))
-        state = GksState(basis, np.linalg.qr(gv), lv, capacity=k + 3)
-        before = [a.tobytes() for a in (state.v, state.lv, state.q_g,
-                                        state.r_g)]
+        state = dense_state(rng.standard_normal((30, 20)),
+                            rng.standard_normal(30), basis, lv, capacity=k + 3)
+        before = [a.tobytes() for a in (state.v, state.lv, state.h,
+                                        state.r_g, state.dhat)]
         for _ in range(2):
             w = rng.uniform(0.5, 2.0, q)
             state.set_weights(w)
@@ -360,8 +436,8 @@ class TestGksStateBuffers:
             np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
                                        rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max(initial=1))
-        assert [a.tobytes() for a in (state.v, state.lv, state.q_g,
-                                      state.r_g)] == before
+        assert [a.tobytes() for a in (state.v, state.lv, state.h,
+                                      state.r_g, state.dhat)] == before
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-6])
     def test_cancelling_unit_weight_append_is_refactored(self, monkeypatch,
@@ -373,13 +449,13 @@ class TestGksStateBuffers:
         rng = np.random.default_rng(21)
         q, k = 40, 6
         lv = rng.standard_normal((q, k))
-        state = GksState(np.eye(30, k), np.linalg.qr(rng.standard_normal(
-            (35, k))), lv, capacity=k + 1)
+        state = dense_state(rng.standard_normal((35, 30)),
+                            rng.standard_normal(35), np.eye(30, k), lv,
+                            capacity=k + 1)
         calls = count_dgeqrt(monkeypatch)
         state.set_weights(np.ones(q))
         lv_new = lv @ rng.standard_normal(k) + scale * rng.standard_normal(q)
-        state.append_direction(np.eye(30)[:, k], rng.standard_normal(35),
-                               lv_new)
+        state.append_direction(np.eye(30)[:, k], lv_new)
         state.set_weights(np.ones(q))
         assert calls == [2]
         ref = np.linalg.qr(state.lv, mode="r")
@@ -393,13 +469,13 @@ class TestGksStateBuffers:
         rng = np.random.default_rng(24)
         lv = rng.standard_normal((20, 4))
         lv[:, 2] = 0.0
-        state = GksState(np.eye(10, 4), np.linalg.qr(rng.standard_normal(
-            (15, 4))), lv, capacity=5)
+        state = dense_state(rng.standard_normal((15, 10)),
+                            rng.standard_normal(15), np.eye(10, 4), lv,
+                            capacity=5)
         calls = count_dgeqrt(monkeypatch)
         state.set_weights(np.ones(20))
         assert state.r_l[2, 2] == 0.0
-        state.append_direction(np.eye(10)[:, 4], rng.standard_normal(15),
-                               rng.standard_normal(20))
+        state.append_direction(np.eye(10)[:, 4], rng.standard_normal(20))
         state.set_weights(np.ones(20))
         assert calls == [2]
         assert state.r_l.shape == (5, 5)
@@ -413,8 +489,9 @@ class TestGksStateBuffers:
         # second; q = 4 and q = 0 refactor at every set_weights
         rng = np.random.default_rng(22)
         k = 7
-        state = GksState(np.eye(20, k), np.linalg.qr(rng.standard_normal(
-            (30, k))), rng.standard_normal((q, k)), capacity=k + 3)
+        state = dense_state(rng.standard_normal((30, 20)),
+                            rng.standard_normal(30), np.eye(20, k),
+                            rng.standard_normal((q, k)), capacity=k + 3)
         calls = count_dgeqrt(monkeypatch)
         state.set_weights(np.ones(q))
         for j in range(k, k + 3):
@@ -422,8 +499,7 @@ class TestGksStateBuffers:
             if q > j:
                 # a column orthogonal to L V, whose rho is its norm
                 lv_new = np.linalg.qr(state.lv, mode="complete")[0][:, -1]
-            state.append_direction(np.eye(20)[:, j], rng.standard_normal(30),
-                                   lv_new)
+            state.append_direction(np.eye(20)[:, j], lv_new)
             state.set_weights(np.ones(q))
             assert state.r_l.shape == (min(q, j + 1), j + 1)
             assert_gram_matches(state.r_l, state.lv, 1e-13)
@@ -445,77 +521,85 @@ class TestTallKernels:
     @given(seed=st.integers(0, 2**32 - 1),
            near_span=st.lists(st.booleans(), min_size=1, max_size=12),
            extra_rows=st.integers(1, 30))
-    def test_growing_qr_stays_orthonormal(self, seed, near_span, extra_rows):
-        # columns Q a + 1e-8 r lose all but 1e-8 of their norm to the first
-        # projection and force the second pass
+    def test_grown_factor_keeps_gram(self, seed, near_span, extra_rows):
+        # columns A c + 1e-8 r leave rho^2 to roundoff, so _grow_factor
+        # declines them and the caller refactors; the others, A c plus a
+        # part outside range(A) at least as long, grow the factor, which
+        # stays a Cholesky factor of A^T A
         rng = np.random.default_rng(seed)
         k0 = 3
         m = k0 + len(near_span) + extra_rows
-        cols = [rng.standard_normal(m) for _ in range(k0)]
-        qr = mmgks._GrowingQr(*np.linalg.qr(np.column_stack(cols)),
-                              k0 + len(near_span))
+        a = rng.standard_normal((m, k0))
+        r = np.linalg.qr(a, mode="r")
         for near in near_span:
+            col = rng.standard_normal(m)
+            col -= a @ np.linalg.lstsq(a, col, rcond=None)[0]
+            in_range = a @ rng.standard_normal(a.shape[1])
             if near:
-                col = (qr.q @ rng.standard_normal(qr.rank)
-                       + 1e-8 * rng.standard_normal(m))
+                col = in_range + 1e-8 * col
             else:
-                col = rng.standard_normal(m)
-            cols.append(col)
-            qr.append(col)
-        a = np.column_stack(cols)
-        assert qr.rank == qr.k == a.shape[1]
-        assert np.linalg.norm(qr.q.T @ qr.q - np.eye(qr.rank)) <= 1e-13
-        assert np.linalg.norm(a - qr.q @ qr.r) <= 1e-13 * np.linalg.norm(a)
+                col = (col / np.linalg.norm(col) + rng.uniform()
+                       * in_range / np.linalg.norm(in_range))
+            grown = mmgks._grow_factor(r, m, a.T @ col, col @ col)
+            assert (grown is None) is near
+            a = np.column_stack([a, col])
+            r = np.linalg.qr(a, mode="r") if near else grown
+            assert r.shape == (a.shape[1],) * 2
+            assert_gram_matches(r, a, 1e-13)
 
     @pytest.mark.parametrize("near_span, passes", [(False, 1), (True, 2)])
-    def test_projection_passes_on_append(self, monkeypatch, near_span,
-                                         passes):
-        # a column orthogonal to Q needs one projection pass (two products
-        # with Q); one that the first pass nearly cancels needs a second
+    def test_projection_passes_on_expansion(self, monkeypatch, near_span,
+                                            passes):
+        # an expansion vector far from span(V) is projected out of V by one
+        # pass (two products with V); one that the first pass nearly
+        # cancels by a second. With z = 0 and L = I the vector is
+        # t - G^T d for the lvz = t passed in; the append reads V once more
         rng = np.random.default_rng(17)
-        m, k = 50, 6
-        qr = mmgks._GrowingQr(*np.linalg.qr(rng.standard_normal((m, k))),
-                              k + 1)
-        col = rng.standard_normal(m)
-        col -= qr.q @ (qr.q.T @ col)
+        G = MatrixOperator(rng.standard_normal((50, 40)))
+        L = IdentityRegularizer(40)
+        d = rng.standard_normal(50)
+        state = init_gks(G, d, 6, L, capacity=7)
+        gtd = np.linalg.norm(state.gtd)
+        t = rng.standard_normal(40)
+        t -= state.v @ (state.v.T @ t)
+        t *= 10 * gtd / np.linalg.norm(t)
         if near_span:
-            col = qr.q @ rng.standard_normal(k) + 1e-8 * col
-        monkeypatch.setattr(mmgks._GrowingQr, "q", property(
-            lambda self: self._q[:, :self.rank].view(CountingQ)))
+            t = state.v @ (gtd * rng.standard_normal(6)) + 1e-8 * t
         monkeypatch.setattr(CountingQ, "products", 0)
-        qr.append(col)
-        assert CountingQ.products == 2 * passes
-        assert qr.rank == qr.k == k + 1
+        state._v = state._v.view(CountingQ)
+        assert expand_subspace(state, 1.0, np.ones(40), L, gtd, np.zeros(6),
+                               t)
+        assert CountingQ.products == 2 * passes + 1
+        state._v = np.asarray(state._v)
+        assert state.k == 7
+        assert np.abs(state.v[:, :6].T @ state.v[:, 6]).max() <= 1e-14
 
-    def test_unit_weight_append_takes_one_product_with_l_v(self,
-                                                            monkeypatch):
-        # the one tall product of growing R_L is (L V)^T lv_new; the only
-        # tall Q that an append projects out of is Q_G
+    @pytest.mark.parametrize("buffer", ["_v", "_lv"])
+    def test_append_takes_one_product_with_v_and_with_l_v(self, monkeypatch,
+                                                          buffer):
+        # growing R_G reads V once, for V^T h_new, and growing R_L reads L V
+        # once, for (L V)^T lv_new; G is applied once, as G^T G
         rng = np.random.default_rng(23)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
-        state = init_gks(G, rng.standard_normal(25), 4, L, capacity=5)
+        d = rng.standard_normal(25)
+        state = init_gks(G, d, 4, L, capacity=5)
         state.set_weights(np.ones(L.q))
         v_new = rng.standard_normal(18)
         v_new -= state.v @ (state.v.T @ v_new)
         v_new /= np.linalg.norm(v_new)
-        projections = []
-        project_orig = mmgks._project_out
-
-        def recording(q, *args):
-            projections.append(q.shape)
-            return project_orig(q, *args)
-
-        monkeypatch.setattr(mmgks, "_project_out", recording)
+        lv_new = L.apply(v_new)
+        calls = count_operator_calls(monkeypatch, G)
         monkeypatch.setattr(CountingQ, "products", 0)
-        state._lv = state._lv.view(CountingQ)
-        state.append_direction(v_new, G.apply(v_new), L.apply(v_new))
+        setattr(state, buffer, getattr(state, buffer).view(CountingQ))
+        state.append_direction(v_new, lv_new)
+        setattr(state, buffer, np.asarray(getattr(state, buffer)))
         assert CountingQ.products == 1
-        assert projections == [(25, 4)]
-        state._lv = np.asarray(state._lv)
+        assert calls == Counter(normal_apply=1)
         state.set_weights(np.ones(L.q))
         assert state.r_l.shape == (5, 5)
         assert_gram_matches(state.r_l, state.lv, 1e-13)
+        assert_data_factors(state, G.a, d, 1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -530,16 +614,15 @@ class TestTallKernels:
         k0 = 3
         k = k0 + len(near_span)
         q = k + extra_rows
-        state = GksState(np.eye(k + 5, k0),
-                         np.linalg.qr(rng.standard_normal((k + 5, k0))),
-                         rng.standard_normal((q, k0)), capacity=k)
+        state = dense_state(rng.standard_normal((k + 5, k + 5)),
+                            rng.standard_normal(k + 5), np.eye(k + 5, k0),
+                            rng.standard_normal((q, k0)), capacity=k)
         state.set_weights(np.ones(q))
         for j, near in enumerate(near_span, start=k0):
             lv_new = rng.standard_normal(q)
             if near:
                 lv_new = state.lv @ rng.standard_normal(j) + 1e-8 * lv_new
-            state.append_direction(np.eye(k + 5)[:, j],
-                                   rng.standard_normal(k + 5), lv_new)
+            state.append_direction(np.eye(k + 5)[:, j], lv_new)
             state.set_weights(np.ones(q))
         assert state.r_l.shape == (k, k)
         assert_gram_matches(state.r_l, state.lv, 1e-13)
@@ -565,13 +648,13 @@ class TestTallKernels:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         state = init_gks(G, d, 4, L, capacity=6)
-        products = [x.tobytes() for x in (state.v, state.lv, state.q_g,
-                                          state.r_g)]
+        products = [x.tobytes() for x in (state.v, state.lv, state.h,
+                                          state.r_g, state.dhat)]
         state.set_weights(np.ones(L.q))
         thin_gsvd(state.r_g, state.r_l)
         assert calls == []
-        assert [x.tobytes() for x in (state.v, state.lv, state.q_g,
-                                      state.r_g)] == products
+        assert [x.tobytes() for x in (state.v, state.lv, state.h,
+                                      state.r_g, state.dhat)] == products
         assert_gram_matches(state.r_l, state.lv, 1e-13)
 
 
@@ -585,8 +668,8 @@ class TestExpandSubspace:
         # saturate the subspace so the projected solve is the full-space one
         state = init_gks(G, d, 6, L, capacity=7)
         state.set_weights(np.ones(6))
-        z = projected_solution(state, eta, d)
-        grew = expand(state, z, eta, np.ones(6), G, L, d)
+        z = projected_solution(state, eta)
+        grew = expand(state, z, eta, np.ones(6), L)
         assert not grew
 
     def test_new_direction_orthogonal(self):
@@ -596,25 +679,106 @@ class TestExpandSubspace:
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
-        z = projected_solution(state, 0.1, d)
-        assert expand(state, z, 0.1, np.ones(18), G, L, d)
+        z = projected_solution(state, 0.1)
+        assert expand(state, z, 0.1, np.ones(18), L)
         k = state.k
         assert np.abs(state.v[:, :k - 1].T @ state.v[:, k - 1]).max() <= 1e-10
 
-    def test_incremental_qr_matches_fresh(self):
+    def test_grown_data_factor_matches_fresh(self):
+        # R_G and dhat grown by one column are the R factor of a fresh QR
+        # of G V and Q^T d, up to the signs of the rows
         rng = np.random.default_rng(9)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = IdentityRegularizer(18)
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
-        z = projected_solution(state, 0.1, d)
-        expand(state, z, 0.1, np.ones(18), G, L, d)
+        z = projected_solution(state, 0.1)
+        expand(state, z, 0.1, np.ones(18), L)
         q_fresh, r_fresh = np.linalg.qr(G.a @ state.v)
-        recon_inc = state.q_g @ state.r_g
-        recon_fresh = q_fresh @ r_fresh
-        assert np.abs(recon_inc - recon_fresh).max() <= 1e-10
-        assert np.abs(state.q_g.T @ state.q_g - np.eye(state.k)).max() <= 1e-10
+        signs = np.sign(np.diag(state.r_g)) * np.sign(np.diag(r_fresh))
+        assert np.abs(state.r_g - signs[:, None] * r_fresh).max() <= 1e-10
+        assert np.abs(state.dhat - signs * (q_fresh.T @ d)).max() <= 1e-10
+
+
+class TestDataFactor:
+    """R_G, dhat, H and G^T d against dense products, seed and appends."""
+
+    @pytest.mark.parametrize("family", ["matrix", "1d", "psf2d"])
+    def test_invariants_after_seed_and_each_append(self, monkeypatch,
+                                                   family):
+        rng = np.random.default_rng(40)
+        if family == "matrix":
+            G = MatrixOperator(rng.standard_normal((40, 30)))
+        elif family == "1d":
+            G = GaussianBlur1D(1.5, 64)
+        else:
+            G = GaussianPsfBlur2D(PsfParams(1.5, 1.2, 0.8), (12, 12), 5,
+                                  ConvBoundary.PERIODIC)
+        a = G.dense()
+        d = a @ rng.standard_normal(G.n) + 0.01 * rng.standard_normal(G.m)
+        L = IdentityRegularizer(G.n)
+        ones = np.ones(G.n)
+        refactors = count_data_refactors(monkeypatch, d)
+        state = init_gks(G, d, 5, L, capacity=13)
+        state.set_weights(ones)
+        assert_data_factors(state, a, d, 1e-10)
+        for j in range(8):
+            z = projected_solution(state, 1e-3)
+            assert expand(state, z, 1e-3, ones, L)
+            state.set_weights(ones)
+            assert_data_factors(state, a, d, 1e-10, seed=j)
+        assert state.k == 13
+        assert refactors == [0]
+
+    def test_refactor_when_image_nearly_in_range(self, monkeypatch):
+        # G v_new = G V c + 1e-9 w: rho^2 is left to roundoff, so R_G and
+        # dhat are refactored from [G V, d], by k + 1 applies of G
+        rng = np.random.default_rng(41)
+        m, n, k = 30, 20, 5
+        a = rng.standard_normal((m, n))
+        d = rng.standard_normal(m)
+        v = basis_spanning(a.T @ d, k + 2, rng)
+        # a rank-one change that leaves A V alone and sets A v_new
+        v_new = v[:, k]
+        target = a @ v[:, :k] @ rng.standard_normal(k) \
+            + 1e-9 * rng.standard_normal(m)
+        a += np.outer(target - a @ v_new, v_new)
+        state = dense_state(a, d, v[:, :k], v[:, :k], capacity=k + 2)
+        refactors = count_data_refactors(monkeypatch, d)
+        state.append_direction(v_new, v_new)
+        assert refactors == [1]
+        assert_data_factors(state, a, d, 1e-10)
+        # the next, well-placed column grows the refactored R_G
+        state.append_direction(v[:, k + 1], v[:, k + 1])
+        assert refactors == [1]
+        assert state.r_g.shape == (k + 2, k + 2)
+        assert_data_factors(state, a, d, 1e-10, seed=1)
+
+    def test_refactor_when_g_v_has_fewer_rows(self, monkeypatch):
+        # m = 6 rows: the fifth column grows R_G, the sixth leaves
+        # rho^2 = 0.043 ||G v_new||^2 and refactors it, and from then on R_G
+        # has no row for rho, so each column refactors it to 6 x k; the
+        # misfit stays exact
+        rng = np.random.default_rng(42)
+        m, n = 6, 20
+        G = MatrixOperator(rng.standard_normal((m, n)))
+        d = rng.standard_normal(m)
+        L = MatrixRegularizer(first_derivative_1d(n))
+        ones = np.ones(L.q)
+        state = init_gks(G, d, 4, L, capacity=10)
+        refactors = count_data_refactors(monkeypatch, d)
+        calls = count_operator_calls(monkeypatch, G)
+        state.set_weights(ones)
+        for j in range(6):
+            z = projected_solution(state, 0.1)
+            assert expand(state, z, 0.1, ones, L)
+            state.set_weights(ones)
+            assert state.r_g.shape == (min(m, state.k), state.k)
+            assert_data_factors(state, G.a, d, 1e-10, seed=j)
+        assert refactors == [5]
+        # a refactor at k columns applies G k times
+        assert calls == Counter(normal_apply=6, apply=6 + 7 + 8 + 9 + 10)
 
 
 def majorant_value(x, v, G, d, L, lam, p, eps):
@@ -733,8 +897,8 @@ class TestMmgksSolve:
         state = init_gks(G, d, 6, L, capacity=18)
         for _ in range(12):
             state.set_weights(np.ones(L.q))
-            z = projected_solution(state, 1e-3, d)
-            if not expand(state, z, 1e-3, np.ones(L.q), G, L, d):
+            z = projected_solution(state, 1e-3)
+            if not expand(state, z, 1e-3, np.ones(L.q), L):
                 break
             gram = state.v.T @ state.v
             assert np.abs(gram - np.eye(state.k)).max() <= 1e-8
@@ -756,55 +920,37 @@ class TestMmgksSolve:
                                    mm_lambda(res.etas[i], p), p, eps)
             assert res.objectives[i] == pytest.approx(full, rel=1e-10)
 
-    def test_one_forward_apply_per_iteration(self):
-        class CountingOperator(MatrixOperator):
-            applies = 0
-
-            def apply(self, x):
-                self.applies += 1
-                return super().apply(x)
-
+    @pytest.mark.parametrize("max_iters, tol, converged",
+                             [(12, 1e-16, False), (40, 1e-2, True)])
+    def test_operator_calls_per_expansion(self, monkeypatch, max_iters, tol,
+                                          converged):
+        # the bidiagonalization applies G and G^T ell times each and H takes
+        # ell normal_apply calls; after that each expansion makes exactly one
+        # normal_apply call and no apply or adjoint_apply call (R_G is not
+        # refactored here), and the last iteration does not expand, whether
+        # or not the solve converged
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=6)
-        G = CountingOperator(prob.operator(prob.y_true).dense())
         ell = 5
+        G = MatrixOperator(prob.operator(prob.y_true).dense())
+        calls = count_operator_calls(monkeypatch, G)
         cfg = MmgksConfig(p=1.0, epsilon=1e-2, subspace_dim=ell,
-                          max_iters=12, tol=1e-16)
+                          max_iters=max_iters, tol=tol)
         res = mmgks_solve(G, MatrixRegularizer(first_derivative_1d(48)),
                           prob.d, cfg)
-        assert res.iterations == 12
-        assert G.applies <= ell + res.iterations
-
-    def test_one_adjoint_apply_per_expansion(self):
-        # G^T d is formed once, by the bidiagonalization; the expansion
-        # stall floor reads its norm from Q_G R_G, and the last iteration
-        # does not expand, whether or not the solve converged
-        class CountingOperator(MatrixOperator):
-            adjoints = 0
-
-            def adjoint_apply(self, v):
-                self.adjoints += 1
-                return super().adjoint_apply(v)
-
-        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=6)
-        ell = 5
-        L = MatrixRegularizer(first_derivative_1d(48))
-        for tol, converged in ((1e-16, False), (1e-2, True)):
-            G = CountingOperator(prob.operator(prob.y_true).dense())
-            cfg = MmgksConfig(p=1.0, epsilon=1e-2, subspace_dim=ell,
-                              max_iters=40, tol=tol)
-            res = mmgks_solve(G, L, prob.d, cfg)
-            assert res.converged is converged
-            assert G.adjoints == ell + res.iterations - 1
+        assert res.converged is converged
+        expansions = res.subspace_dim - ell
+        assert expansions == res.iterations - 1
+        assert calls == Counter(apply=ell, adjoint_apply=ell,
+                                normal_apply=ell + expansions)
 
     def test_stall_floor_scale_is_norm_of_adjoint_data(self, monkeypatch):
-        # ||G^T d|| = ||R_G^T Q_G^T d|| since G^T d lies in span(V)
+        # ||G^T d|| = ||d|| alpha_1, read off the bidiagonalization
         scales = []
         expand_orig = mmgks.expand_subspace
 
-        def recording(state, eta, weights, G, L, d, grad_scale, *args):
+        def recording(state, eta, weights, L, grad_scale, *args):
             scales.append(grad_scale)
-            return expand_orig(state, eta, weights, G, L, d, grad_scale,
-                               *args)
+            return expand_orig(state, eta, weights, L, grad_scale, *args)
 
         monkeypatch.setattr(mmgks, "expand_subspace", recording)
         rng = np.random.default_rng(20)

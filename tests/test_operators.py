@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
 from lpvarpro import operators
 from lpvarpro.operators import (DENSE_LIMIT, ConvBoundary, GaussianBlur1D,
-                                GaussianPsfBlur2D, PsfParams,
+                                GaussianPsfBlur2D, MatrixOperator, PsfParams,
                                 gaussian_kernel_1d, psf_gaussian_2d,
                                 psf_param_gradients)
 from lpvarpro.problems import make_1d_problem
@@ -335,6 +337,77 @@ class TestAdjointConsistency:
                 gap = abs(op.derivative_apply(j, x) @ v
                           - x @ op.derivative_adjoint_apply(j, v))
                 assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(v)
+
+
+def assert_normal_is_composition(normal, op_apply, op_adjoint, x):
+    """G^T G x from ``normal`` equals G^T (G x) to 1e-12 relative."""
+    ref = op_adjoint(op_apply(x))
+    assert np.linalg.norm(normal(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestNormalApply:
+    """normal_apply is G^T G: by default the adjoint of the forward action,
+    and for the periodic 2D blur one transform pair with |K^|^2."""
+
+    def test_blur_1d(self):
+        op = GaussianBlur1D(2.0, 40)
+        x = np.random.default_rng(30).standard_normal(op.n)
+        assert_normal_is_composition(op.normal_apply, op.apply,
+                                     op.adjoint_apply, x)
+
+    def test_matrix_operator(self):
+        rng = np.random.default_rng(31)
+        op = MatrixOperator(rng.standard_normal((30, 20)))
+        x = rng.standard_normal(op.n)
+        assert_normal_is_composition(op.normal_apply, op.apply,
+                                     op.adjoint_apply, x)
+
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("shape, psf_size", [((12, 12), 7), ((12, 12), 1),
+                                                 ((10, 16), 5), ((9, 9), 9)])
+    def test_psf_blur_2d(self, bc, shape, psf_size):
+        # square PSFs on square and non-square images, up to the image size
+        op = GaussianPsfBlur2D(PsfParams(1.5, 2.0, 1.0), shape, psf_size, bc)
+        x = np.random.default_rng(32).standard_normal(op.n)
+        assert_normal_is_composition(op.normal_apply, op.apply,
+                                     op.adjoint_apply, x)
+
+    @pytest.mark.parametrize("ksize", [(4, 6), (5, 9), (6, 3), (12, 20)])
+    def test_periodic_rectangular_kernel(self, ksize):
+        # the blur takes square PSFs; the periodic convolution that serves
+        # its normal_apply takes any kernel no larger than the image
+        rng = np.random.default_rng(33)
+        conv = operators._CachedConv2D(rng.standard_normal(ksize), (12, 20),
+                                       ConvBoundary.PERIODIC)
+        assert_normal_is_composition(conv.normal, conv.apply, conv.adjoint,
+                                     rng.standard_normal((12, 20)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigma1=st.floats(0.3, 5.0), sigma2=st.floats(0.3, 5.0),
+           corr=st.floats(0.0, 0.95), half=st.integers(0, 4),
+           rows=st.integers(9, 24), cols=st.integers(9, 24),
+           bc=st.sampled_from(BOUNDARIES), seed=st.integers(0, 2**32 - 1))
+    def test_property_over_psf_and_image(self, sigma1, sigma2, corr, half,
+                                         rows, cols, bc, seed):
+        # rho^4 = corr^2 sigma1^2 sigma2^2 keeps the covariance definite
+        params = PsfParams(sigma1, sigma2, np.sqrt(corr * sigma1 * sigma2))
+        op = GaussianPsfBlur2D(params, (rows, cols), 2 * half + 1, bc)
+        x = np.random.default_rng(seed).standard_normal(op.n)
+        assert_normal_is_composition(op.normal_apply, op.apply,
+                                     op.adjoint_apply, x)
+
+    def test_periodic_takes_one_transform_pair(self, monkeypatch):
+        op = GaussianPsfBlur2D(PsfParams(3.0, 2.5, 1.0), (32, 32), 15)
+        calls = []
+        for name in ("rfftn", "irfftn"):
+            def counting(*args, _name=name, _orig=getattr(operators.sfft,
+                                                          name), **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(operators.sfft, name, counting)
+        op.normal_apply(np.random.default_rng(34).standard_normal(op.n))
+        assert sorted(calls) == ["irfftn", "rfftn"]
 
 
 class TestDenseAssembly:
