@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lpvarpro
-from lpvarpro import gcv
+from lpvarpro import gcv, regularizers
 from lpvarpro.gcv import thin_gsvd
 from lpvarpro.operators import ConvBoundary, GaussianPsfBlur2D
 from lpvarpro.regularizers import as_regularizer
@@ -76,6 +76,21 @@ def test_dense_workload_gsvd_makes_one_svd(monkeypatch):
     monkeypatch.setattr(gcv, "dgesdd", counting_dgesdd)
     thin_gsvd(op.dense(), l_dense)
     assert calls == [True]
+
+
+def test_every_regularizer_class_defines_its_traced_methods():
+    # the tracer wraps a method only on the class that defines it, and the
+    # base class implements none of the three, so a regularizer that
+    # inherited one from another subclass would run untraced
+    targets = {(owner, attr) for owner, attr, _ in tracing.trace_targets()}
+    base = regularizers.Regularizer
+    concrete = [cls for cls in vars(regularizers).values()
+                if isinstance(cls, type) and issubclass(cls, base)
+                and cls is not base]
+    assert concrete
+    for cls in concrete:
+        for attr in ("apply", "adjoint_apply", "dense"):
+            assert (cls, attr) in targets, (cls.__name__, attr)
 
 
 def test_package_exports_every_name_the_benchmark_reads():

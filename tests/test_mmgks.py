@@ -15,7 +15,7 @@ from lpvarpro.mmgks import (GksState, MmgksConfig, expand_subspace,
 from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, MatrixOperator, PsfParams)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
-from lpvarpro.regularizers import (IdentityRegularizer, MatrixRegularizer,
+from lpvarpro.regularizers import (MatrixRegularizer, as_regularizer,
                                    derivative_2d, first_derivative_1d)
 
 
@@ -219,7 +219,7 @@ class TestGolubKahan:
         rng = np.random.default_rng(16)
         G = MatrixOperator(rng.standard_normal((m, 20)))
         d = rng.standard_normal(m)
-        state = init_gks(G, d, ell, IdentityRegularizer(20), capacity=ell)
+        state = init_gks(G, d, ell, as_regularizer(None, 20), capacity=ell)
         assert state.r_g.shape == (ell, ell)
         assert_data_factors(state, G.a, d, 1e-13)
         # dhat = Q_G^T d for Q_G = G V R_G^-1
@@ -245,7 +245,7 @@ class TestProjectAndSolve:
     def test_matches_dense_normal_equations(self):
         rng = np.random.default_rng(4)
         G = rng.standard_normal((20, 15))
-        L = IdentityRegularizer(15)
+        L = as_regularizer(None, 15)
         d = rng.standard_normal(20)
         state = self._state(G, L, d, 6)
         eta = 0.37
@@ -257,7 +257,7 @@ class TestProjectAndSolve:
     def test_large_eta_shrinks_solution(self):
         rng = np.random.default_rng(5)
         G = rng.standard_normal((20, 15))
-        L = IdentityRegularizer(15)
+        L = as_regularizer(None, 15)
         d = rng.standard_normal(20)
         state = self._state(G, L, d, 5)
         z = projected_solution(state, 1e14)
@@ -556,7 +556,7 @@ class TestTallKernels:
         # t - G^T d for the lvz = t passed in; the append reads V once more
         rng = np.random.default_rng(17)
         G = MatrixOperator(rng.standard_normal((50, 40)))
-        L = IdentityRegularizer(40)
+        L = as_regularizer(None, 40)
         d = rng.standard_normal(50)
         state = init_gks(G, d, 6, L, capacity=7)
         gtd = np.linalg.norm(state.gtd)
@@ -662,7 +662,7 @@ class TestExpandSubspace:
     def test_declines_at_exact_solution(self):
         rng = np.random.default_rng(7)
         G = MatrixOperator(rng.standard_normal((10, 6)))
-        L = IdentityRegularizer(6)
+        L = as_regularizer(None, 6)
         d = rng.standard_normal(10)
         eta = 0.5
         # saturate the subspace so the projected solve is the full-space one
@@ -675,7 +675,7 @@ class TestExpandSubspace:
     def test_new_direction_orthogonal(self):
         rng = np.random.default_rng(8)
         G = MatrixOperator(rng.standard_normal((25, 18)))
-        L = IdentityRegularizer(18)
+        L = as_regularizer(None, 18)
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
@@ -689,7 +689,7 @@ class TestExpandSubspace:
         # of G V and Q^T d, up to the signs of the rows
         rng = np.random.default_rng(9)
         G = MatrixOperator(rng.standard_normal((25, 18)))
-        L = IdentityRegularizer(18)
+        L = as_regularizer(None, 18)
         d = rng.standard_normal(25)
         state = init_gks(G, d, 5, L, capacity=6)
         state.set_weights(np.ones(18))
@@ -717,7 +717,7 @@ class TestDataFactor:
                                   ConvBoundary.PERIODIC)
         a = G.dense()
         d = a @ rng.standard_normal(G.n) + 0.01 * rng.standard_normal(G.m)
-        L = IdentityRegularizer(G.n)
+        L = as_regularizer(None, G.n)
         ones = np.ones(G.n)
         refactors = count_data_refactors(monkeypatch, d)
         state = init_gks(G, d, 5, L, capacity=13)
@@ -840,7 +840,7 @@ class TestMmgksSolve:
         d = rng.standard_normal(10)
         cfg = MmgksConfig(p=2.0, eta=0.5, subspace_dim=3, max_iters=5,
                           tol=1e-12)
-        res = mmgks_solve(np.eye(10), IdentityRegularizer(10), d, cfg)
+        res = mmgks_solve(np.eye(10), as_regularizer(None, 10), d, cfg)
         np.testing.assert_allclose(res.x, d / 1.5, rtol=1e-8)
         assert res.iterations <= 2
 
@@ -885,14 +885,14 @@ class TestMmgksSolve:
         cfg = MmgksConfig(p=1.0, epsilon=1e-2, subspace_dim=8, max_iters=15,
                           tol=1e-8)
         res = mmgks_solve(prob.operator(prob.y_true),
-                          IdentityRegularizer(48), prob.d, cfg)
+                          as_regularizer(None, 48), prob.d, cfg)
         assert len(res.etas) == res.iterations
         assert all(eta > 0 for eta in res.etas)
 
     def test_basis_orthonormality_maintained(self):
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=4)
         G = prob.operator(prob.y_true)
-        L = IdentityRegularizer(48)
+        L = as_regularizer(None, 48)
         d = prob.d
         state = init_gks(G, d, 6, L, capacity=18)
         for _ in range(12):
@@ -1114,9 +1114,19 @@ class TestMmgksSolve:
         np.testing.assert_array_equal(res.x, state.v[:, :z.size] @ z)
 
     def test_zero_data_returns_zero_without_iterating(self):
-        res = mmgks_solve(np.eye(6), IdentityRegularizer(6), np.zeros(6))
+        res = mmgks_solve(np.eye(6), as_regularizer(None, 6), np.zeros(6))
         assert res.iterations == 0 and res.converged and res.subspace_dim == 0
         np.testing.assert_array_equal(res.x, np.zeros(6))
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_rejects_regularizer_of_wrong_width(self, wrap):
+        # a 47 x 48 L on 64 unknowns used to fail inside a matrix product
+        prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
+        L = first_derivative_1d(48)
+        with pytest.raises(ValueError, match="acts on 48 unknowns, but the "
+                                             "problem has 64"):
+            mmgks_solve(prob.operator(prob.y_true),
+                        MatrixRegularizer(L) if wrap else L, prob.d)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

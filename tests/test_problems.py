@@ -4,7 +4,7 @@ import pytest
 from lpvarpro import operators
 from lpvarpro.problems import (add_noise, builtin_image, make_1d_problem,
                                make_blind_deconv_problem, piecewise_signal)
-from lpvarpro.regularizers import IdentityRegularizer
+from lpvarpro.regularizers import as_regularizer
 from lpvarpro.varpro import tik_solve
 from lpvarpro.metrics import rre
 
@@ -68,7 +68,7 @@ class TestMake1dProblem:
 
     def test_noiseless_recovery_with_tiny_lambda(self):
         prob = make_1d_problem(128, 2.0, 0.0, 0)
-        x = tik_solve(prob.operator(prob.y_true), IdentityRegularizer(128),
+        x = tik_solve(prob.operator(prob.y_true), as_regularizer(None, 128),
                       1e-18, prob.d)
         assert rre(x, prob.x_true) < 1e-3
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
-from lpvarpro.regularizers import (IdentityRegularizer, derivative_2d,
+from lpvarpro.regularizers import (as_regularizer, derivative_2d,
                                    first_derivative_1d, framelet_analysis_2d,
                                    second_derivative_1d)
 
@@ -126,7 +127,7 @@ class TestDerivative2d:
 class TestFramelet2d:
     def test_tight_frame_identity(self):
         rng = np.random.default_rng(1)
-        W = framelet_analysis_2d(16)
+        W = as_regularizer(framelet_analysis_2d(16))
         for _ in range(25):
             x = rng.standard_normal(W.n)
             back = W.adjoint_apply(W.apply(x))
@@ -134,14 +135,14 @@ class TestFramelet2d:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(2)
-        W = framelet_analysis_2d(12)
+        W = as_regularizer(framelet_analysis_2d(12))
         for _ in range(10):
             x = rng.standard_normal(W.n)
             assert abs(np.linalg.norm(W.apply(x)) - np.linalg.norm(x)) <= 1e-12
 
     def test_dense_matches_printed_kronecker_blocks(self):
         n = 4
-        W = framelet_analysis_2d(n)
+        W = as_regularizer(framelet_analysis_2d(n))
         w0, w1, w2 = printed_framelet_filters(n)
         expected = np.vstack([np.kron(a, b)
                               for a in (w0, w1, w2)
@@ -156,7 +157,8 @@ class TestFramelet2d:
 
     def test_output_dimension(self):
         W = framelet_analysis_2d(8)
-        assert W.q == 9 * 64 and W.n == 64
+        assert sparse.issparse(W) and W.format == "csr"
+        assert W.shape == (9 * 64, 64)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -165,10 +167,10 @@ class TestFramelet2d:
 
 class TestAdjointConsistency:
     @pytest.mark.parametrize("make", [
-        lambda: IdentityRegularizer(30),
+        lambda: as_regularizer(None, 30),
         lambda: derivative_2d(1, 7),
         lambda: derivative_2d(2, 7),
-        lambda: framelet_analysis_2d(7),
+        lambda: as_regularizer(framelet_analysis_2d(7)),
     ])
     def test_inner_product_identity(self, make):
         rng = np.random.default_rng(5)
@@ -193,3 +195,10 @@ class TestNullSpaces:
         L = derivative_2d(2, n)
         np.testing.assert_allclose(L.apply(img.ravel()), np.zeros(L.q),
                                    atol=1e-13)
+
+    @pytest.mark.parametrize("order, dim", [(1, 8), (2, 16)])
+    def test_kronecker_sum_null_space_dimension(self, order, dim):
+        # a discrete gradient has only the constant images in its null
+        # space; the Kronecker sum pairs differences of different pixels
+        dense = derivative_2d(order, 8).dense()
+        assert dense.shape[1] - np.linalg.matrix_rank(dense) == dim

@@ -13,8 +13,7 @@ from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, ParamOperator, PsfParams,
                                 psf_param_gradients)
 from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
-from lpvarpro.regularizers import (FrameletRegularizer, IdentityRegularizer,
-                                   MatrixRegularizer, as_regularizer,
+from lpvarpro.regularizers import (MatrixRegularizer, as_regularizer,
                                    derivative_2d, first_derivative_1d,
                                    framelet_analysis_2d)
 from lpvarpro.gcv import GcvConfig, select_eta, thin_gsvd
@@ -57,14 +56,14 @@ def fd_jacobian(fn, y, h=1e-6):
 class TestTikSolve:
     def test_identity_closed_form(self):
         d = np.arange(1.0, 6.0)
-        x = tik_solve(np.eye(5), IdentityRegularizer(5), 0.25, d)
+        x = tik_solve(np.eye(5), as_regularizer(None, 5), 0.25, d)
         np.testing.assert_allclose(x, d / 1.25, rtol=1e-13)
 
     def test_zero_lambda_is_least_squares(self):
         rng = np.random.default_rng(0)
         g = rng.standard_normal((12, 7))
         d = rng.standard_normal(12)
-        x = tik_solve(g, IdentityRegularizer(7), 0.0, d)
+        x = tik_solve(g, as_regularizer(None, 7), 0.0, d)
         expected, *_ = np.linalg.lstsq(g, d, rcond=None)
         np.testing.assert_allclose(x, expected, rtol=1e-11)
 
@@ -81,7 +80,7 @@ class TestTikSolve:
     def test_gks_route_agrees_with_dense(self):
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=1)
         op = prob.operator(prob.y_true)
-        L = IdentityRegularizer(48)
+        L = as_regularizer(None, 48)
         lam = 1e-2
         x_gks = mmgks_solve(op, L, prob.d, MmgksConfig(
             p=2.0, eta=lam, max_iters=80, tol=1e-13)).x
@@ -108,7 +107,7 @@ class TestJacobianFull:
         prob = prob1d
         if case == "2d":
             prob = prob2d
-        L = IdentityRegularizer(prob.n)
+        L = as_regularizer(None, prob.n)
         lam = 1e-2
         y0 = prob.y_true * 1.15
         op = prob.operator(y0)
@@ -125,7 +124,7 @@ class TestJacobianFull:
     def test_both_terms_present_at_small_lambda(self):
         prob1d, _ = make_problems()
         lam = 1e-10
-        L = IdentityRegularizer(prob1d.n)
+        L = as_regularizer(None, prob1d.n)
         y0 = prob1d.y_true * 1.2
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
@@ -138,7 +137,7 @@ class TestJacobianFull:
     def test_zero_x_leaves_only_transpose_term(self):
         prob1d, _ = make_problems()
         lam = 5e-3
-        L = IdentityRegularizer(prob1d.n)
+        L = as_regularizer(None, prob1d.n)
         y0 = prob1d.y_true * 0.9
         op = prob1d.operator(y0)
         x = np.zeros(prob1d.n)
@@ -173,7 +172,7 @@ class TestJacobianHalf:
     def test_matches_frozen_projector_finite_differences(self):
         prob1d, _ = make_problems()
         lam = 1e-2
-        L = IdentityRegularizer(prob1d.n)
+        L = as_regularizer(None, prob1d.n)
         y0 = prob1d.y_true * 1.15
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
@@ -197,7 +196,7 @@ class TestJacobianHalf:
         c = rng.standard_normal((20, 8))
         prob = _ScalarFamilyProblem(c, 2.0, rng.standard_normal(8))
         lam = 1e-6
-        L = IdentityRegularizer(8)
+        L = as_regularizer(None, 8)
         op = prob.operator(prob.y_true)
         x = tik_solve(op, L, lam, prob.d)
         gsvd = pair_gsvd(op, L)
@@ -238,7 +237,7 @@ class TestJacobianTForm:
     def test_matches_t_form_oracle(self, case):
         prob = make_problems()[case == "2d"]
         L = (MatrixRegularizer(first_derivative_1d(prob.n)) if case == "1d"
-             else IdentityRegularizer(prob.n))
+             else as_regularizer(None, prob.n))
         lam = 3e-3
         op = prob.operator(prob.y_true * 1.1)
         gsvd = pair_gsvd(op, L)
@@ -565,7 +564,6 @@ class TestVarproConfig:
         for fn, names in ((psf_param_gradients, ["params", "size"]),
                           (mmgks_solve, ["G", "L", "d", "config"]),
                           (select_eta, ["gsvd", "dhat"]),
-                          (FrameletRegularizer, ["n"]),
                           (framelet_analysis_2d, ["n"])):
             assert list(inspect.signature(fn).parameters) == names, fn
 
@@ -577,11 +575,10 @@ class TestVarproConfig:
         assert exported == {
             "ProblemInstance", "make_1d_problem", "make_blind_deconv_problem",
             "ConvBoundary", "GaussianBlur1D", "GaussianPsfBlur2D",
-            "MatrixOperator", "PsfParams", "FrameletRegularizer",
-            "IdentityRegularizer", "KroneckerSumRegularizer",
-            "MatrixRegularizer", "derivative_2d", "first_derivative_1d",
-            "framelet_analysis_2d", "second_derivative_1d", "JacobianVariant",
-            "MmgksConfig", "VarproConfig", "lp_varpro_solve", "mmgks_solve",
+            "MatrixOperator", "PsfParams", "derivative_2d",
+            "first_derivative_1d", "framelet_analysis_2d",
+            "second_derivative_1d", "JacobianVariant", "MmgksConfig",
+            "VarproConfig", "lp_varpro_solve", "mmgks_solve",
             "RankDeficiencyError", "SolverError", "rre"}
 
     @pytest.mark.parametrize("kwargs", [
@@ -593,6 +590,17 @@ class TestVarproConfig:
         # at the first step or inner solve
         with pytest.raises(ValueError):
             VarproConfig(y0=np.array([2.5]), **kwargs)
+
+    @pytest.mark.parametrize("inner", ["auto", "gks"])
+    def test_rejects_regularizer_of_wrong_width(self, inner):
+        # a 47 x 48 L on 64 unknowns used to fail inside numpy: a broadcast
+        # error on the dense route, a matmul error on the GKS route
+        prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
+        cfg = VarproConfig(y0=np.array([2.5]), inner=inner,
+                           regularizer=first_derivative_1d(48))
+        with pytest.raises(ValueError, match="acts on 48 unknowns, but the "
+                                             "problem has 64"):
+            lp_varpro_solve(prob, cfg)
 
     def test_fixed_lambda_sets_eta_at_p1(self):
         # a fixed lambda runs every inner solve at eta = lambda eps^(p - 2)
