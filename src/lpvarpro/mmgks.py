@@ -13,12 +13,14 @@ so the data part of the majorant gradient is H z - G^T d, and a new column
 of V is orthogonalized by one classical Gram-Schmidt pass, and by a second
 only when the first removed more than 1 - 1/sqrt(2) of its norm ("twice is
 enough"). R_G, with R_G^T R_G = (G V)^T G V, and R_L at unit weights
-(p = 2) grow by one product per column (``_grow_factor``); other weights
-refactor R_L by LAPACK dgeqrt. x = V z is formed once, after the loop.
+(p = 2, passed as None) grow by one product per column (``_grow_factor``);
+other weights refactor R_L by LAPACK dgeqrt. x = V z is formed once, after
+the loop. One set of ``gks_buffers`` serves all inner solves of an outer one.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -71,32 +73,32 @@ def mm_lambda(eta, p):
     return 2.0 * eta / p
 
 
-def golub_kahan(G: ParamOperator, d, ell):
+def golub_kahan(G: ParamOperator, d, ell, out=None):
     """ell steps of Golub-Kahan bidiagonalization of G with starting vector d.
 
     Both Lanczos vectors are reorthogonalized against all earlier ones, which
-    column-major buffers keep contiguous.
+    the column-major buffers ``out`` = (U, V), or new ones, keep contiguous.
 
-    Returns (U, B, V, breakdown) with U (m x (k+1)), B ((k+1) x k) lower
-    bidiagonal, V (n x k) orthonormal and G V = U B. On breakdown (an alpha
-    or beta at most eps times the largest so far, a scale of G, not of d)
-    k < ell and breakdown is True. The thin QR Q_B R_B of B gives the thin
-    QR (U Q_B) R_B of G V; a zero last column of U, left by a breakdown,
-    meets the zero last row of Q_B.
+    Returns (U, B, V, breakdown), U (m x (k+1)) and V (n x k, orthonormal)
+    views of the buffers and B ((k+1) x k) lower bidiagonal, with G V = U B.
+    On breakdown (an alpha or beta at most eps times the largest so far, a
+    scale of G, not of d) k < ell and breakdown is True. The thin QR Q_B R_B
+    of B gives the thin QR (U Q_B) R_B of G V; a zero last column of U, left
+    by a breakdown, meets the zero last row of Q_B.
     """
     d = np.asarray(d, dtype=float)
     m, n = G.m, G.n
     if not 1 <= ell <= min(m, n):
         raise ValueError("subspace dimension must satisfy 1 <= ell <= min(m, n)")
-    us = np.zeros((m, ell + 1), order="F")
-    vs = np.zeros((n, ell), order="F")
+    us, vs = out or (np.empty((m, ell + 1), order="F"),
+                     np.empty((n, ell), order="F"))
     alphas = np.zeros(ell)
     betas = np.zeros(ell + 1)
     eps, scale = np.finfo(float).eps, 0.0
 
     beta = np.linalg.norm(d)
     if beta == 0.0:
-        return us[:, :1] * 0.0, np.zeros((1, 0)), vs[:, :0], True
+        return np.zeros((m, 1)), np.zeros((1, 0)), vs[:, :0], True
     us[:, 0] = d / beta
     betas[0] = beta
     k = 0
@@ -120,6 +122,7 @@ def golub_kahan(G: ParamOperator, d, ell):
         beta = np.linalg.norm(u)
         scale = max(scale, beta)
         if beta <= eps * scale:
+            us[:, i + 1] = 0.0
             breakdown = True
             break
         us[:, i + 1] = u / beta
@@ -129,11 +132,16 @@ def golub_kahan(G: ParamOperator, d, ell):
     return us[:, :k + 1], B, vs[:, :k], breakdown
 
 
-def _column_buffer(a, capacity):
-    """Column-major (rows x capacity) buffer whose leading columns hold a."""
-    buf = np.zeros((a.shape[0], capacity), order="F")
-    buf[:, :a.shape[1]] = a
-    return buf
+def gks_buffers(G: ParamOperator, L: Regularizer, cfg: MmgksConfig):
+    """Empty column-major (U, V, H, L V) of ``mmgks_solve(G, L, d, cfg)``."""
+    ell = min(cfg.subspace_dim, G.m, G.n)
+    cap = ell + cfg.max_iters - 1       # the last iteration does not expand
+    shapes = (G.m, ell + 1), (G.n, cap), (G.n, cap), (L.q, cap)
+    # views of one anonymous mapping, which the system takes back when they
+    # die; in malloc's heap they would stay resident and fragment it
+    ends = np.cumsum([r * c for r, c in shapes])
+    parts = np.split(np.frombuffer(mmap.mmap(-1, 8 * ends[-1])), ends[:-1])
+    return tuple(p.reshape(c, r).T for p, (r, c) in zip(parts, shapes))
 
 
 # block size of the compact-WY QR; 4 is fastest on 4032 x 10..40 factors
@@ -181,38 +189,27 @@ class GksState:
     (G V)^T G V and dhat = Q_G^T d for Q_G = G V R_G^-1, never formed, so
     ||G V z - d||^2 = ||R_G z - dhat||^2 + ||d||^2 - ||dhat||^2. ``gtd`` is
     G^T d, which V spans, as in the Golub-Kahan ``seed`` (R_G, dhat, gtd)
-    of ``init_gks``. R_L is the factor of the weighted W^(1/2) L V, with no
-    Q. V, H and L V live in column-major buffers sized once for
-    ``capacity`` columns; ``v``, ``h`` and ``lv`` view the filled part.
+    of ``init_gks``. R_L is the factor of the weighted W^(1/2) L V, with no Q.
+    The ``buffers`` of ``gks_buffers`` hold V, H and L V, not zeroed: only the
+    k written columns, which ``v``, ``h`` and ``lv`` view, are read.
 
-    ``append_direction`` grows R_G by ``_grow_factor`` from b = V^T h_new;
-    when that declines, R_G and dhat are refactored from the R factor of
-    [G V, d], G V formed by k applies of G, which also covers a G V with
-    fewer rows than columns. ``set_weights`` factors W^(1/2) L V by the
-    blocked Householder QR of ``_r_factor``. Unit weights (p = 2) never
-    change, so while R_L is the factor of L V it is kept and grown by
-    ``_grow_factor`` from (L V)^T lv_new; when that declines it is dropped
-    for the next ``set_weights`` to refactor.
+    ``append_direction`` grows R_G by ``_grow_factor`` from b = V^T h_new,
+    or refactors R_G and dhat from [G V, d], by k applies of G, when that
+    declines (as for a G V with fewer rows than columns). ``set_weights``
+    factors W^(1/2) L V by ``_r_factor``. Unit weights (None) never change,
+    so R_L is then kept and grown by ``_grow_factor`` from (L V)^T lv_new;
+    when that declines it is dropped for the next ``set_weights`` to refactor.
     """
 
-    def __init__(self, G: ParamOperator, d, v, lv, capacity, seed):
-        self._g, self._d = G, np.asarray(d, dtype=float)
-        self._k = v.shape[1]
-        self._v = _column_buffer(v, capacity)
-        self._lv = _column_buffer(lv, capacity)
-        self._h = np.zeros((G.n, capacity), order="F")
-        for j in range(self._k):
-            self._h[:, j] = G.normal_apply(v[:, j])
+    def __init__(self, G: ParamOperator, d, k, buffers, seed):
+        self._g, self._d, self._k = G, np.asarray(d, dtype=float), k
+        self._v, self._h, self._lv = buffers
         self.r_g, self.dhat, self.gtd = seed
         self.r_l, self._grows = None, False  # grows: R_L factors L V now
 
     @property
     def k(self) -> int:
         return self._k
-
-    @property
-    def capacity(self) -> int:
-        return self._v.shape[1]
 
     @property
     def v(self):
@@ -227,13 +224,12 @@ class GksState:
         return self._lv[:, :self._k]
 
     def set_weights(self, w):
-        """Set R_L, the factor of diag(sqrt(w)) L V, for the weights w."""
-        unit = bool(np.all(np.asarray(w) == 1.0))
-        if not (unit and self._grows):
+        """Set R_L, the factor of diag(sqrt(w)) L V; None is unit weight."""
+        if not (w is None and self._grows):
             # a fresh column-major product, which the factor overwrites
-            self.r_l = _r_factor(np.multiply(np.sqrt(w)[:, None], self.lv,
-                                             order="F"))
-        self._grows = unit
+            scale = 1.0 if w is None else np.sqrt(w)[:, None]
+            self.r_l = _r_factor(np.multiply(scale, self.lv, order="F"))
+        self._grows = w is None
 
     def append_direction(self, v_new, lv_new):
         """Add a column orthogonal to V; raises IndexError when full.
@@ -266,24 +262,26 @@ class GksState:
             self._grows = self.r_l is not None
 
 
-def init_gks(G: ParamOperator, d, ell, L: Regularizer, capacity) -> GksState:
-    """Seed the solution subspace with ell Golub-Kahan steps on (G, d).
+def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
+    """Seed the subspace in ``buffers`` with ell Golub-Kahan steps on (G, d).
 
     G V = U B holds for the bidiagonalization, so the thin QR of G V is
     (U Q_B) R_B from the QR of the small (k+1) x k matrix B: R_G = R_B and,
     as U^T d = ||d|| e_1, dhat = ||d|| Q_B[0, :]. The first step gives
     G^T d = ||d|| alpha_1 v_1. None of them applies G again or forms the
-    tall G V; H takes k ``normal_apply`` calls. The state has room for
-    ``capacity`` basis columns.
+    tall G V; H takes k ``normal_apply`` calls. V, H and L V are written into
+    the ``buffers`` (U, V, H, L V) of ``gks_buffers``, with ell + 1 U columns.
     """
-    _, b, v, _ = golub_kahan(G, d, ell)
+    _, b, v, _ = golub_kahan(G, d, buffers[0].shape[1] - 1, buffers[:2])
     if v.shape[1] == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
-    lv = np.column_stack([L.apply(v[:, j]) for j in range(v.shape[1])])
+    for j in range(v.shape[1]):
+        buffers[2][:, j] = G.normal_apply(v[:, j])
+        buffers[3][:, j] = L.apply(v[:, j])
     q_b, r_b = _thin_qr(np.array(b, order="F"))
     beta = np.linalg.norm(d)
     seed = (r_b, beta * q_b[0], beta * b[0, 0] * v[:, 0])
-    return GksState(G, d, v, lv, capacity, seed)
+    return GksState(G, d, v.shape[1], buffers[1:], seed)
 
 
 def project_and_solve(gsvd: StackGsvd, eta, dhat):
@@ -301,14 +299,16 @@ def expand_subspace(state: GksState, eta, weights, L: Regularizer,
     """Enlarge the basis with the normalized majorant gradient at x = V z.
 
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
-    read as H z - G^T d from the state and with ``lvz`` = L V z. It is
-    projected out of V by one classical Gram-Schmidt pass, and by a second
-    only when the first removed more than 1 - 1/sqrt(2) of its norm ("twice
-    is enough"), and normalized. Returns False without expanding when r is
-    negligible, at most 1e-14 ``grad_scale`` with ``grad_scale`` = ||G^T d||
-    (stationarity on the current weights).
+    read as H z - G^T d from the state and with ``lvz`` = L V z, taken as
+    it is when ``weights`` is None (w = 1). It is projected out of V by one
+    classical Gram-Schmidt pass, and by a second only when the first removed
+    more than 1 - 1/sqrt(2) of its norm ("twice is enough"), and normalized.
+    Returns False without expanding when r is negligible, at most 1e-14
+    ``grad_scale`` with ``grad_scale`` = ||G^T d|| (stationarity on the
+    current weights).
     """
-    r = state.h @ z - state.gtd + eta * L.adjoint_apply(weights * lvz)
+    wlvz = lvz if weights is None else weights * lvz
+    r = state.h @ z - state.gtd + eta * L.adjoint_apply(wlvz)
     floor = 1e-14 * grad_scale
     nr = np.linalg.norm(r)
     if nr <= floor:
@@ -361,7 +361,7 @@ class MmgksResult:
     subspace_dim: int
 
 
-def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
+def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
     """Run the majorize-minimize subspace iteration.
 
     Per iteration: weights from the current iterate, QR of the weighted
@@ -376,6 +376,8 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
 
     The recorded objective uses the lp weight coupled to eta through the
     tangent-majorant construction, so it is non-increasing for fixed eta.
+    It fills ``buffers`` of ``gks_buffers(G, L, config)``, which a caller may
+    reuse across solves, or new ones when None; they change no result.
     """
     cfg = config or MmgksConfig()
     G = _as_operator(G)
@@ -384,23 +386,18 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None):
     eps = 0.0 if cfg.p == 2 else cfg.epsilon
 
     if np.linalg.norm(d) == 0.0:
-        x = np.zeros(G.n)
-        return MmgksResult(x=x, objectives=[], etas=[], iterations=0,
-                           converged=True, subspace_dim=0)
+        return MmgksResult(x=np.zeros(G.n), objectives=[], etas=[],
+                           iterations=0, converged=True, subspace_dim=0)
 
-    ell = min(cfg.subspace_dim, min(G.m, G.n))
-    # the last of max_iters iterations does not expand
-    state = init_gks(G, d, ell, L, capacity=ell + cfg.max_iters - 1)
+    state = init_gks(G, d, L, buffers or gks_buffers(G, L, cfg))
     grad_scale, dd = np.linalg.norm(state.gtd), d @ d
     z = np.zeros(0)
     u = np.zeros(L.q)                  # L x at x = 0
-    objectives = []
-    etas = []
-    converged = False
-    iterations = 0
+    objectives, etas = [], []
+    converged, iterations = False, 0
 
     for it in range(cfg.max_iters):
-        w = majorant_weights(u, cfg.p, eps)
+        w = None if cfg.p == 2 else majorant_weights(u, cfg.p, eps)
         state.set_weights(w)
         gsvd = thin_gsvd(state.r_g, state.r_l)
         if cfg.eta is not None:

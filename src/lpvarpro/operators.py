@@ -160,7 +160,7 @@ class _CachedConv2D:
 
     The convolution is circulant on an FFT grid. Its eigenvalues ``kf`` are
     the transform of the kernel embedded in the grid with its center rolled
-    to the origin, and the adjoint multiplies by their conjugate. PERIODIC
+    to the origin; the adjoint multiplies by their cached conjugate. PERIODIC
     convolves on the image grid itself. ZERO and REFLEXIVE pad the image
     into a grid large enough that nothing wraps into the cropped output, and
     their adjoint folds the pad back.
@@ -186,21 +186,27 @@ class _CachedConv2D:
         embedded = np.zeros(self.grid)
         embedded[:kh, :kw] = kernel
         self.kf = sfft.rfftn(np.roll(embedded, (-ch, -cw), axis=(0, 1)))
+        self.kf_conj = np.conj(self.kf)
 
     @cached_property
     def kf_power(self):
         """|kf|^2, the eigenvalues of the circulant G^T G under PERIODIC."""
         return self.kf.real**2 + self.kf.imag**2
 
+    def _filter(self, x, eigenvalues):
+        """Circulant action of ``eigenvalues``, the spectrum scaled in place."""
+        f = sfft.rfftn(x, self.grid)
+        f *= eigenvalues
+        return sfft.irfftn(f, self.grid, overwrite_x=True)
+
     def normal(self, x):
         """G^T G x by one transform pair; PERIODIC only (no pad or crop)."""
-        return sfft.irfftn(sfft.rfftn(x, self.grid) * self.kf_power,
-                           self.grid)
+        return self._filter(x, self.kf_power)
 
     def apply(self, x):
         if self.boundary is not ConvBoundary.PERIODIC:
             x = np.pad(x, self.pad, mode=_PAD_MODE[self.boundary])
-        out = sfft.irfftn(sfft.rfftn(x, self.grid) * self.kf, self.grid)
+        out = self._filter(x, self.kf)
         (a, _), (b, _) = self.pad
         return out[a:a + self.image_shape[0], b:b + self.image_shape[1]]
 
@@ -209,8 +215,7 @@ class _CachedConv2D:
             # the adjoint of the crop puts v back at its offset in the grid
             v = np.pad(v, [(a, g - a - n) for (a, _), g, n
                            in zip(self.pad, self.grid, self.image_shape)])
-        out = sfft.irfftn(sfft.rfftn(v, self.grid) * np.conj(self.kf),
-                          self.grid)
+        out = self._filter(v, self.kf_conj)
         return (out if self.boundary is ConvBoundary.PERIODIC
                 else _fold_pad(out, self.pad, self.boundary, self.image_shape))
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from .gcv import select_eta, thin_gsvd
 from .metrics import ConvergenceRow, rre
-from .mmgks import (MmgksConfig, _as_operator, majorant_weights, mmgks_solve)
+from .mmgks import (MmgksConfig, _as_operator, gks_buffers, majorant_weights,
+                    mmgks_solve)
 from .operators import DENSE_LIMIT
 from .regularizers import as_regularizer
 
@@ -195,10 +196,10 @@ def _use_dense(problem_n, cfg: VarproConfig):
     return cfg.p == 2.0 and cfg.inner == "auto" and problem_n <= DENSE_LIMIT
 
 
-def _inner_solve(op, L, l_dense, d, cfg: VarproConfig):
+def _inner_solve(op, L, l_dense, d, cfg: VarproConfig, buffers):
     """Solve for x at G = ``op`` and form the stacked residual there.
 
-    ``l_dense`` is the dense matrix of L, which the dense route reads.
+    The dense route reads ``l_dense``, the dense L; MMGKS fills ``buffers``.
     Returns ``(x, eta, gsvd, r_data, f_hat, sqrt_w)``: eta is the weight of
     the solve, gsvd the thin GSVD of {G, L} on the dense route (formed once
     and read by every solve of the step, else None), r_data = G x - d,
@@ -214,7 +215,7 @@ def _inner_solve(op, L, l_dense, d, cfg: VarproConfig):
         x = tik_solve(op, L, eta, d, gsvd)
     else:
         gsvd = None
-        res = mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta))
+        res = mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta), buffers)
         x = res.x
         if eta is None:
             eta = res.etas[-1] if res.etas else np.nan
@@ -248,7 +249,8 @@ def lp_varpro_solve(problem, config: VarproConfig):
     residual is halved up to ``MAX_HALVINGS`` times. The solve raises
     :class:`SolverError` with the partial record when no trial is accepted
     or a step's Jacobian or residual is not finite. With damping, the inner
-    solve of the accepted trial serves the next outer step.
+    solve of the accepted trial serves the next outer step. One set of GKS
+    buffers, allocated here, serves every inner solve (all G have one shape).
     """
     cfg = config
     d = np.asarray(problem.d, dtype=float).ravel()
@@ -265,6 +267,8 @@ def lp_varpro_solve(problem, config: VarproConfig):
     # L is fixed for the solve, so its dense matrix is built at most once
     l_dense = (L.dense() if _use_dense(op.n, cfg)
                or cfg.variant is not JacobianVariant.REDUCED else None)
+    buffers = (None if _use_dense(op.n, cfg)
+               else gks_buffers(op, L, cfg.mmgks_config()))
     record = RunRecord()
     record.ys.append(y.copy())
     x = None
@@ -273,7 +277,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         if solved is None:
-            solved = _inner_solve(op, L, l_dense, d, cfg)
+            solved = _inner_solve(op, L, l_dense, d, cfg, buffers)
         x, eta, gsvd, r_data, f_hat, sqrt_w = solved
 
         if cfg.variant is JacobianVariant.REDUCED:
@@ -303,7 +307,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
             op_new = _operator_at(problem, y_new)
             solved = None
             if op_new is not None and cfg.damping:
-                solved = _inner_solve(op_new, L, l_dense, d, cfg)
+                solved = _inner_solve(op_new, L, l_dense, d, cfg, buffers)
                 f_try = solved[4]
                 if float(f_try @ f_try) <= phi0:
                     break

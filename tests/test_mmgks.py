@@ -44,14 +44,28 @@ def expand(state, z, eta, weights, L):
                            np.linalg.norm(state.gtd), z, state.lv @ z)
 
 
+def seeded(G, d, ell, L, capacity):
+    """init_gks with ell Golub-Kahan steps, on new room for capacity columns."""
+    cfg = MmgksConfig(subspace_dim=ell, max_iters=capacity - ell + 1)
+    return init_gks(G, d, L, mmgks.gks_buffers(G, L, cfg))
+
+
 def dense_state(a, d, v, lv, capacity):
     """GksState of a MatrixOperator on the columns v, seeded by a dense QR.
 
     R_G and dhat come from the R factor of [A V, d]; appends keep them
-    exact only when V spans A^T d, as a Golub-Kahan seed does.
+    exact only when V spans A^T d, as a Golub-Kahan seed does. H = A^T A V
+    is formed column by column, as ``init_gks`` does, and the buffers past
+    the seed columns hold NaN, which no read of a state may meet.
     """
-    r = np.linalg.qr(np.column_stack([a @ v, d]), mode="r")[:v.shape[1]]
-    return GksState(MatrixOperator(a), d, v, lv, capacity,
+    k = v.shape[1]
+    r = np.linalg.qr(np.column_stack([a @ v, d]), mode="r")[:k]
+    buffers = [np.full((rows, capacity), np.nan, order="F")
+               for rows in (a.shape[1], a.shape[1], lv.shape[0])]
+    buffers[0][:, :k], buffers[2][:, :k] = v, lv
+    for j in range(k):
+        buffers[1][:, j] = a.T @ (a @ v[:, j])
+    return GksState(MatrixOperator(a), d, k, buffers,
                     (r[:, :-1], r[:, -1], a.T @ d))
 
 
@@ -219,7 +233,7 @@ class TestGolubKahan:
         rng = np.random.default_rng(16)
         G = MatrixOperator(rng.standard_normal((m, 20)))
         d = rng.standard_normal(m)
-        state = init_gks(G, d, ell, as_regularizer(None, 20), capacity=ell)
+        state = seeded(G, d, ell, as_regularizer(None, 20), capacity=ell)
         assert state.r_g.shape == (ell, ell)
         assert_data_factors(state, G.a, d, 1e-13)
         # dhat = Q_G^T d for Q_G = G V R_G^-1
@@ -238,8 +252,8 @@ class TestGolubKahan:
 
 class TestProjectAndSolve:
     def _state(self, G, L, d, ell):
-        state = init_gks(MatrixOperator(G), d, ell, L, capacity=ell)
-        state.set_weights(np.ones(L.q))
+        state = seeded(MatrixOperator(G), d, ell, L, capacity=ell)
+        state.set_weights(None)
         return state
 
     def test_matches_dense_normal_equations(self):
@@ -270,7 +284,7 @@ class TestProjectAndSolve:
         v = np.eye(12)[:, :4]
         lv = v.copy()
         state = dense_state(G, d, v, lv, capacity=4)
-        state.set_weights(np.ones(12))
+        state.set_weights(None)
         eta = 0.9
         z = projected_solution(state, eta)
         expected = (v.T @ (G.T @ d)) / (1.0 + eta)
@@ -284,7 +298,7 @@ class TestProjectAndSolve:
         G = MatrixOperator(rng.standard_normal((20, 15)))
         L = MatrixRegularizer(first_derivative_1d(15))
         d = rng.standard_normal(20)
-        state = init_gks(G, d, 6, L, capacity=6)
+        state = seeded(G, d, 6, L, capacity=6)
         state.set_weights(rng.uniform(0.5, 2.0, L.q))
         z = projected_solution(state, eta)
         np.testing.assert_allclose(z, normal_equations_solution(state, eta,
@@ -299,13 +313,13 @@ class TestProjectAndSolve:
         G = MatrixOperator(rng.standard_normal((5, 12)))
         L = MatrixRegularizer(first_derivative_1d(12))
         d = rng.standard_normal(5)
-        state = init_gks(G, d, 4, L, capacity=8)
+        state = seeded(G, d, 4, L, capacity=8)
         refactors = count_data_refactors(monkeypatch, d)
-        state.set_weights(np.ones(L.q))
+        state.set_weights(None)
         for _ in range(4):
             z = projected_solution(state, 0.3)
-            assert expand(state, z, 0.3, np.ones(L.q), L)
-            state.set_weights(np.ones(L.q))
+            assert expand(state, z, 0.3, None, L)
+            state.set_weights(None)
         assert state.r_g.shape == (5, 8)
         assert refactors == [3]
         z = projected_solution(state, 0.3)
@@ -317,7 +331,7 @@ class TestProjectAndSolve:
         v = np.eye(4)[:, :2]
         state = dense_state(np.zeros((4, 4)), np.zeros(4), v,
                             np.zeros((4, 2)), capacity=2)
-        state.set_weights(np.ones(4))
+        state.set_weights(None)
         with pytest.raises(ValueError, match="null space"):
             project_and_solve(thin_gsvd(state.r_g, state.r_l), 1.0,
                               np.zeros(2))
@@ -338,7 +352,7 @@ class TestGksStateBuffers:
         for j in range(2, 20):
             state.append_direction(basis[:, j], lv[:, j])
             assert_data_factors(state, G, d, 1e-12, seed=j)
-        assert state.k == 20 == state.capacity
+        assert state.k == 20
         np.testing.assert_array_equal(state.v, basis)
         np.testing.assert_array_equal(state.lv, lv)
         np.testing.assert_allclose(state.v.T @ state.v, np.eye(20),
@@ -358,13 +372,12 @@ class TestGksStateBuffers:
         G = MatrixOperator(rng.standard_normal((m, 30)))
         L = MatrixRegularizer(first_derivative_1d(30))
         d = rng.standard_normal(m)
-        state = init_gks(G, d, 4, L, capacity=12)
-        ones = np.ones(L.q)
-        state.set_weights(ones)
+        state = seeded(G, d, 4, L, capacity=12)
+        state.set_weights(None)
         for _ in range(8):
             z = projected_solution(state, 0.1)
-            assert expand(state, z, 0.1, ones, L)
-            state.set_weights(ones)
+            assert expand(state, z, 0.1, None, L)
+            state.set_weights(None)
         assert not hasattr(state, "gv") and not hasattr(state, "q_g")
         z = rng.standard_normal(state.k)
         gtgvz = G.a.T @ (G.a @ (state.v @ z))
@@ -377,7 +390,7 @@ class TestGksStateBuffers:
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 4, L, capacity=9)
+        state = seeded(G, d, 4, L, capacity=9)
         w1 = rng.uniform(0.5, 2.0, L.q)
         w2 = rng.uniform(0.5, 2.0, L.q)
         state.set_weights(w1)
@@ -399,14 +412,13 @@ class TestGksStateBuffers:
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 4, L, capacity=9)
-        ones = np.ones(L.q)
+        state = seeded(G, d, 4, L, capacity=9)
         calls = count_dgeqrt(monkeypatch)
-        state.set_weights(ones)
+        state.set_weights(None)
         for _ in range(5):
             z = projected_solution(state, 0.1)
-            assert expand(state, z, 0.1, ones, L)
-            state.set_weights(ones)
+            assert expand(state, z, 0.1, None, L)
+            state.set_weights(None)
         assert state.k == 9
         # the factor of the first call took the appended columns
         assert calls == [1]
@@ -431,7 +443,7 @@ class TestGksStateBuffers:
             w = rng.uniform(0.5, 2.0, q)
             state.set_weights(w)
             ref = np.linalg.qr(np.sqrt(w)[:, None] * lv, mode="r")
-            # an empty w counts as unit weights, factored the same way
+            # an empty w is a general weight too, factored the same way
             assert state.r_l.shape == ref.shape
             np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
                                        rtol=1e-12,
@@ -453,10 +465,10 @@ class TestGksStateBuffers:
                             rng.standard_normal(35), np.eye(30, k), lv,
                             capacity=k + 1)
         calls = count_dgeqrt(monkeypatch)
-        state.set_weights(np.ones(q))
+        state.set_weights(None)
         lv_new = lv @ rng.standard_normal(k) + scale * rng.standard_normal(q)
         state.append_direction(np.eye(30)[:, k], lv_new)
-        state.set_weights(np.ones(q))
+        state.set_weights(None)
         assert calls == [2]
         ref = np.linalg.qr(state.lv, mode="r")
         np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref), rtol=0,
@@ -473,10 +485,10 @@ class TestGksStateBuffers:
                             rng.standard_normal(15), np.eye(10, 4), lv,
                             capacity=5)
         calls = count_dgeqrt(monkeypatch)
-        state.set_weights(np.ones(20))
+        state.set_weights(None)
         assert state.r_l[2, 2] == 0.0
         state.append_direction(np.eye(10)[:, 4], rng.standard_normal(20))
-        state.set_weights(np.ones(20))
+        state.set_weights(None)
         assert calls == [2]
         assert state.r_l.shape == (5, 5)
         assert_gram_matches(state.r_l, state.lv, 1e-13)
@@ -493,14 +505,14 @@ class TestGksStateBuffers:
                             rng.standard_normal(30), np.eye(20, k),
                             rng.standard_normal((q, k)), capacity=k + 3)
         calls = count_dgeqrt(monkeypatch)
-        state.set_weights(np.ones(q))
+        state.set_weights(None)
         for j in range(k, k + 3):
             lv_new = rng.standard_normal(q)
             if q > j:
                 # a column orthogonal to L V, whose rho is its norm
                 lv_new = np.linalg.qr(state.lv, mode="complete")[0][:, -1]
             state.append_direction(np.eye(20)[:, j], lv_new)
-            state.set_weights(np.ones(q))
+            state.set_weights(None)
             assert state.r_l.shape == (min(q, j + 1), j + 1)
             assert_gram_matches(state.r_l, state.lv, 1e-13)
         # dgeqrt skips a factor with no rows
@@ -558,7 +570,7 @@ class TestTallKernels:
         G = MatrixOperator(rng.standard_normal((50, 40)))
         L = as_regularizer(None, 40)
         d = rng.standard_normal(50)
-        state = init_gks(G, d, 6, L, capacity=7)
+        state = seeded(G, d, 6, L, capacity=7)
         gtd = np.linalg.norm(state.gtd)
         t = rng.standard_normal(40)
         t -= state.v @ (state.v.T @ t)
@@ -567,8 +579,7 @@ class TestTallKernels:
             t = state.v @ (gtd * rng.standard_normal(6)) + 1e-8 * t
         monkeypatch.setattr(CountingQ, "products", 0)
         state._v = state._v.view(CountingQ)
-        assert expand_subspace(state, 1.0, np.ones(40), L, gtd, np.zeros(6),
-                               t)
+        assert expand_subspace(state, 1.0, None, L, gtd, np.zeros(6), t)
         assert CountingQ.products == 2 * passes + 1
         state._v = np.asarray(state._v)
         assert state.k == 7
@@ -583,8 +594,8 @@ class TestTallKernels:
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 4, L, capacity=5)
-        state.set_weights(np.ones(L.q))
+        state = seeded(G, d, 4, L, capacity=5)
+        state.set_weights(None)
         v_new = rng.standard_normal(18)
         v_new -= state.v @ (state.v.T @ v_new)
         v_new /= np.linalg.norm(v_new)
@@ -596,7 +607,7 @@ class TestTallKernels:
         setattr(state, buffer, np.asarray(getattr(state, buffer)))
         assert CountingQ.products == 1
         assert calls == Counter(normal_apply=1)
-        state.set_weights(np.ones(L.q))
+        state.set_weights(None)
         assert state.r_l.shape == (5, 5)
         assert_gram_matches(state.r_l, state.lv, 1e-13)
         assert_data_factors(state, G.a, d, 1e-12)
@@ -617,13 +628,13 @@ class TestTallKernels:
         state = dense_state(rng.standard_normal((k + 5, k + 5)),
                             rng.standard_normal(k + 5), np.eye(k + 5, k0),
                             rng.standard_normal((q, k0)), capacity=k)
-        state.set_weights(np.ones(q))
+        state.set_weights(None)
         for j, near in enumerate(near_span, start=k0):
             lv_new = rng.standard_normal(q)
             if near:
                 lv_new = state.lv @ rng.standard_normal(j) + 1e-8 * lv_new
             state.append_direction(np.eye(k + 5)[:, j], lv_new)
-            state.set_weights(np.ones(q))
+            state.set_weights(None)
         assert state.r_l.shape == (k, k)
         assert_gram_matches(state.r_l, state.lv, 1e-13)
         ref = np.linalg.qr(state.lv, mode="r")
@@ -647,10 +658,10 @@ class TestTallKernels:
             return qr(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
-        state = init_gks(G, d, 4, L, capacity=6)
+        state = seeded(G, d, 4, L, capacity=6)
         products = [x.tobytes() for x in (state.v, state.lv, state.h,
                                           state.r_g, state.dhat)]
-        state.set_weights(np.ones(L.q))
+        state.set_weights(None)
         thin_gsvd(state.r_g, state.r_l)
         assert calls == []
         assert [x.tobytes() for x in (state.v, state.lv, state.h,
@@ -666,10 +677,10 @@ class TestExpandSubspace:
         d = rng.standard_normal(10)
         eta = 0.5
         # saturate the subspace so the projected solve is the full-space one
-        state = init_gks(G, d, 6, L, capacity=7)
-        state.set_weights(np.ones(6))
+        state = seeded(G, d, 6, L, capacity=7)
+        state.set_weights(None)
         z = projected_solution(state, eta)
-        grew = expand(state, z, eta, np.ones(6), L)
+        grew = expand(state, z, eta, None, L)
         assert not grew
 
     def test_new_direction_orthogonal(self):
@@ -677,10 +688,10 @@ class TestExpandSubspace:
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = as_regularizer(None, 18)
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 5, L, capacity=6)
-        state.set_weights(np.ones(18))
+        state = seeded(G, d, 5, L, capacity=6)
+        state.set_weights(None)
         z = projected_solution(state, 0.1)
-        assert expand(state, z, 0.1, np.ones(18), L)
+        assert expand(state, z, 0.1, None, L)
         k = state.k
         assert np.abs(state.v[:, :k - 1].T @ state.v[:, k - 1]).max() <= 1e-10
 
@@ -691,10 +702,10 @@ class TestExpandSubspace:
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = as_regularizer(None, 18)
         d = rng.standard_normal(25)
-        state = init_gks(G, d, 5, L, capacity=6)
-        state.set_weights(np.ones(18))
+        state = seeded(G, d, 5, L, capacity=6)
+        state.set_weights(None)
         z = projected_solution(state, 0.1)
-        expand(state, z, 0.1, np.ones(18), L)
+        expand(state, z, 0.1, None, L)
         q_fresh, r_fresh = np.linalg.qr(G.a @ state.v)
         signs = np.sign(np.diag(state.r_g)) * np.sign(np.diag(r_fresh))
         assert np.abs(state.r_g - signs[:, None] * r_fresh).max() <= 1e-10
@@ -718,15 +729,14 @@ class TestDataFactor:
         a = G.dense()
         d = a @ rng.standard_normal(G.n) + 0.01 * rng.standard_normal(G.m)
         L = as_regularizer(None, G.n)
-        ones = np.ones(G.n)
         refactors = count_data_refactors(monkeypatch, d)
-        state = init_gks(G, d, 5, L, capacity=13)
-        state.set_weights(ones)
+        state = seeded(G, d, 5, L, capacity=13)
+        state.set_weights(None)
         assert_data_factors(state, a, d, 1e-10)
         for j in range(8):
             z = projected_solution(state, 1e-3)
-            assert expand(state, z, 1e-3, ones, L)
-            state.set_weights(ones)
+            assert expand(state, z, 1e-3, None, L)
+            state.set_weights(None)
             assert_data_factors(state, a, d, 1e-10, seed=j)
         assert state.k == 13
         assert refactors == [0]
@@ -765,15 +775,14 @@ class TestDataFactor:
         G = MatrixOperator(rng.standard_normal((m, n)))
         d = rng.standard_normal(m)
         L = MatrixRegularizer(first_derivative_1d(n))
-        ones = np.ones(L.q)
-        state = init_gks(G, d, 4, L, capacity=10)
+        state = seeded(G, d, 4, L, capacity=10)
         refactors = count_data_refactors(monkeypatch, d)
         calls = count_operator_calls(monkeypatch, G)
-        state.set_weights(ones)
+        state.set_weights(None)
         for j in range(6):
             z = projected_solution(state, 0.1)
-            assert expand(state, z, 0.1, ones, L)
-            state.set_weights(ones)
+            assert expand(state, z, 0.1, None, L)
+            state.set_weights(None)
             assert state.r_g.shape == (min(m, state.k), state.k)
             assert_data_factors(state, G.a, d, 1e-10, seed=j)
         assert refactors == [5]
@@ -894,11 +903,11 @@ class TestMmgksSolve:
         G = prob.operator(prob.y_true)
         L = as_regularizer(None, 48)
         d = prob.d
-        state = init_gks(G, d, 6, L, capacity=18)
+        state = seeded(G, d, 6, L, capacity=18)
         for _ in range(12):
-            state.set_weights(np.ones(L.q))
+            state.set_weights(None)
             z = projected_solution(state, 1e-3)
-            if not expand(state, z, 1e-3, np.ones(L.q), L):
+            if not expand(state, z, 1e-3, None, L):
                 break
             gram = state.v.T @ state.v
             assert np.abs(gram - np.eye(state.k)).max() <= 1e-8

@@ -304,6 +304,39 @@ class TestConv2dApply:
             with pytest.raises(ValueError, match="nonempty"):
                 conv2d_apply(np.ones((1, 1)), np.ones((0, 4)), bc)
 
+    @pytest.mark.parametrize("bc", BOUNDARIES)
+    @pytest.mark.parametrize("shape", [(32, 32), (20, 27)])
+    def test_in_place_spectra_keep_the_arithmetic(self, bc, shape):
+        # apply, adjoint and normal multiply the spectrum in place, the
+        # adjoint by a cached conjugate; the results equal the expressions
+        # that formed a new product spectrum on every call bit for bit
+        rng = np.random.default_rng(35)
+        conv = operators._CachedConv2D(
+            psf_gaussian_2d(PsfParams(3.0, 2.5, 1.0), (15, 15)), shape, bc)
+        grid, (a, _), (b, _) = conv.grid, *conv.pad
+        x = rng.standard_normal(shape)
+
+        def filtered(z, kf):
+            return operators.sfft.irfftn(operators.sfft.rfftn(z, grid) * kf,
+                                         grid)
+
+        periodic = bc is ConvBoundary.PERIODIC
+        padded = x if periodic else np.pad(x, conv.pad,
+                                           mode=operators._PAD_MODE[bc])
+        ref_apply = filtered(padded, conv.kf)[a:a + shape[0], b:b + shape[1]]
+        spread = x if periodic else np.pad(
+            x, [(p, g - p - n) for (p, _), g, n in zip(conv.pad, grid, shape)])
+        ref_adjoint = filtered(spread, np.conj(conv.kf))
+        if not periodic:
+            ref_adjoint = operators._fold_pad(ref_adjoint, conv.pad, bc, shape)
+        for got, ref in ((conv.apply(x), ref_apply),
+                         (conv.adjoint(x), ref_adjoint)):
+            assert got.shape == ref.shape
+            assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        if periodic:
+            ref_normal = filtered(x, conv.kf_power)
+            assert conv.normal(x).tobytes() == ref_normal.tobytes()
+
 
 def _adjoint_gap(op, rng, trials=100):
     worst = 0.0

@@ -81,26 +81,31 @@ class TestDerivative2d:
             np.testing.assert_allclose(L.adjoint_apply(u), dense.T @ u,
                                        atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 16, 64])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_cached_transpose_keeps_the_arithmetic(self, order):
-        # the operator applies D and its cached transpose only; the results
-        # equal the products with D^T formed on the fly bit for bit
-        rng = np.random.default_rng(order)
-        n = 16
+    def test_slices_equal_the_sparse_products_bytewise(self, order, n):
+        # the oracle is the action by the sparse 1D difference D and its
+        # transpose, which the operator held before it applied slices; the
+        # inputs carry signed zeros, whose sums must come out the same
+        rng = np.random.default_rng(order * n)
         L = derivative_2d(order, n)
-        d = L.d
+        assert not any(sparse.issparse(a) for a in vars(L).values())
+        d = (first_derivative_1d if order == 1 else second_derivative_1d)(n)
         x = rng.standard_normal(n * n)
         u = rng.standard_normal(L.q)
-        X = x.reshape(n, n)
-        ref_apply = (d @ X).ravel() + np.asarray(X @ d.T).ravel()
-        ref_adjoint = (np.asarray(d.T @ u.reshape(-1, n)).ravel()
-                       + np.asarray(u.reshape(n, -1) @ d).ravel())
-        np.testing.assert_array_equal(L.apply(x), ref_apply)
-        np.testing.assert_array_equal(L.adjoint_apply(u), ref_adjoint)
-        dense = L.dense()
-        np.testing.assert_allclose(L.apply(x), dense @ x, atol=1e-12)
-        np.testing.assert_allclose(L.adjoint_apply(u), dense.T @ u,
-                                   atol=1e-12)
+        x[::5], x[1::7], u[::3], u[1::4] = 0.0, -0.0, 0.0, -0.0
+        X, dt = x.reshape(n, n), d.T
+        ref_apply = (d @ X).ravel() + (d @ X.T).T.ravel()
+        ref_adjoint = ((dt @ u.reshape(-1, n)).ravel()
+                       + (dt @ u.reshape(n, -1).T).T.ravel())
+        assert L.apply(x).tobytes() == ref_apply.tobytes()
+        assert L.adjoint_apply(u).tobytes() == ref_adjoint.tobytes()
+        gap = abs(L.apply(x) @ u - x @ L.adjoint_apply(u))
+        assert gap <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(u)
+        if n <= 16:
+            eye = sparse.eye_array(n)
+            np.testing.assert_array_equal(
+                L.dense(), (sparse.kron(d, eye) + sparse.kron(eye, d)).toarray())
 
     def test_vertical_edge_localized(self):
         n = 8

@@ -1,13 +1,15 @@
 import dataclasses
 import inspect
+import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import lpvarpro
-from lpvarpro import varpro
+from lpvarpro import mmgks, varpro
 from lpvarpro.mmgks import MmgksConfig, majorant_weights, mmgks_solve
 from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, ParamOperator, PsfParams,
@@ -561,8 +563,10 @@ class TestVarproConfig:
         assert [f.name for f in dataclasses.fields(MmgksConfig)] == [
             "p", "epsilon", "subspace_dim", "max_iters", "tol", "eta"]
         assert dataclasses.fields(GcvConfig) == ()
+        # buffers: storage that the outer solve hands every inner solve to
+        # fill in place, not a setting; it changes no result
         for fn, names in ((psf_param_gradients, ["params", "size"]),
-                          (mmgks_solve, ["G", "L", "d", "config"]),
+                          (mmgks_solve, ["G", "L", "d", "config", "buffers"]),
                           (select_eta, ["gsvd", "dhat"]),
                           (framelet_analysis_2d, ["n"])):
             assert list(inspect.signature(fn).parameters) == names, fn
@@ -762,3 +766,104 @@ class TestEngineWork:
         _, _, record = lp_varpro_solve(prob, cfg)
         assert len(record.rows) == 5
         assert len(calls) == 1 + len(record.rows)
+
+
+def blind_2d(image, size, p, damping=False, psf_size=31):
+    """A 3-step GKS solve of a 2D problem as the benchmark sets it up."""
+    prob = make_blind_deconv_problem(image, (4.0, 3.0, 1.5), 0.01, 0,
+                                     psf_size=psf_size, size=size)
+    cfg = VarproConfig(y0=np.array([3.0, 2.5, 1.0]), variant="reduced",
+                       regularizer=derivative_2d(1, size), max_iters=3, p=p,
+                       epsilon=1e-2, inner="gks", damping=damping)
+    return prob, cfg
+
+
+class TestGksBuffers:
+    """One set of GKS buffers per outer solve, filled by every inner solve."""
+
+    def test_inner_solves_allocate_no_basis_buffer(self, monkeypatch):
+        # the outer solve maps the buffers once, and no inner solve maps its
+        # own (a mapping escapes tracemalloc, so the calls are counted); an
+        # inner solve that allocated V, H or L V by numpy would hold a new
+        # block of n x capacity doubles, which a snapshot before the solve
+        # and one at its first projected solve show
+        prob, cfg = blind_2d("grain", 32, 2.0)
+        block = prob.n * (10 + cfg.inner_iters - 1) * 8
+        solve_orig = varpro.mmgks_solve
+        project_orig = mmgks.project_and_solve
+        held, before, mapped = [], [], Counter()
+        for module in (mmgks, varpro):
+            def mapping(*args, _name=module.__name__,
+                        _orig=module.gks_buffers):
+                mapped[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(module, "gks_buffers", mapping)
+
+        def solving(*args):
+            before.append(tracemalloc.take_snapshot())
+            return solve_orig(*args)
+
+        def projecting(*args):
+            if before and len(held) < len(before):
+                diff = tracemalloc.take_snapshot().compare_to(before[-1],
+                                                              "lineno")
+                held.append(max(stat.size_diff for stat in diff))
+            return project_orig(*args)
+
+        monkeypatch.setattr(varpro, "mmgks_solve", solving)
+        monkeypatch.setattr(mmgks, "project_and_solve", projecting)
+        tracemalloc.start()
+        try:
+            lp_varpro_solve(prob, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == len(before) == 3
+        assert max(held) < block
+        assert mapped == Counter({"lpvarpro.varpro": 1})
+
+    def test_buffers_die_with_the_solve(self, monkeypatch):
+        # no cache keeps them: peak memory stays that of one solve
+        refs = []
+        buffers_orig = varpro.gks_buffers
+
+        def recording(*args):
+            buffers = buffers_orig(*args)
+            refs.extend(weakref.ref(b) for b in (*buffers, buffers[0].base))
+            return buffers
+
+        monkeypatch.setattr(varpro, "gks_buffers", recording)
+        lp_varpro_solve(*blind_2d("grain", 32, 2.0))
+        assert len(refs) == 5
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("image, size, p, damping, psf_size", [
+        ("satellite", 16, 1.0, False, 9), ("grain", 32, 2.0, True, 9)])
+    def test_reused_buffers_match_fresh_ones_bytewise(self, monkeypatch, image,
+                                                      size, p, damping,
+                                                      psf_size):
+        # every inner solve, damped trials too, fills the one set in place;
+        # the oracle hands each a fresh set of NaN, which a read of a column
+        # the solve did not write would carry into the answer
+        prob, cfg = blind_2d(image, size, p, damping, psf_size)
+        solve_orig = varpro.mmgks_solve
+        seen = []
+
+        def recording(op, L, d, config, buffers):
+            seen.append(buffers)
+            return solve_orig(op, L, d, config, buffers)
+
+        def fresh(op, L, d, config, buffers):
+            nan = tuple(np.full_like(b, np.nan) for b in buffers)
+            return solve_orig(op, L, d, config, nan)
+
+        monkeypatch.setattr(varpro, "mmgks_solve", recording)
+        x, y, record = lp_varpro_solve(prob, cfg)
+        assert len(seen) > 3 if damping else len(seen) == 3
+        assert all(b is seen[0] for b in seen)
+        monkeypatch.setattr(varpro, "mmgks_solve", fresh)
+        x_ref, y_ref, record_ref = lp_varpro_solve(prob, cfg)
+        assert np.isfinite(x).all()
+        for got, ref in ((x, x_ref), (y, y_ref),
+                         (record.etas, record_ref.etas)):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
