@@ -179,7 +179,12 @@ def _grow_factor(r, rows, b, norm2):
     rho2 = norm2 - s @ s
     if info != 0 or not rho2 > norm2 / 16.0:
         return None
-    return np.block([[r, s[:, None]], [np.zeros((1, k)), np.sqrt(rho2)]])
+    grown = np.empty_like(r, dtype=float, shape=(k + 1, k + 1))  # r's memory order
+    grown[:k, :k] = r
+    grown[:k, k] = s
+    grown[k, :k] = 0.0
+    grown[k, k] = np.sqrt(rho2)
+    return grown
 
 
 class GksState:

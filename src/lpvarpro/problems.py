@@ -5,12 +5,15 @@ matrix under zero boundary conditions; the 2D instances blur a square image
 with a normalized anisotropic Gaussian PSF. Noise is white Gaussian, rescaled
 so the noise-to-signal ratio is met exactly, and every instance is fully
 determined by its inputs and seed.
-The grain image tests each ellipse on its bounding window only, and
-synthesis applies the blur without building its derivatives.
+The grain image tests each ellipse on its bounding window only, and each
+builtin image is built once per (name, n) per process: every later build of
+an instance pays only for the blur, the noise and one copy of the image.
+Synthesis applies the blur without building its derivatives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,19 +113,29 @@ _BUILTIN_IMAGES = {
 }
 
 
-def builtin_image(name, n=128):
-    """Deterministic synthetic test image by name ('satellite' or 'grain').
-
-    'satellite' costs O(n^2). 'grain' tests each of its n^2/110 ellipses on
-    a window of at most (0.11 n + 3)^2 pixels around it, not on all n^2.
-    """
+@functools.cache
+def _shared_image(name, n):
+    """The one read-only build of builtin image ``name`` at size n."""
     try:
         make = _BUILTIN_IMAGES[name]
     except KeyError:
         raise ValueError(
             f"unknown builtin image {name!r}; available: "
             f"{sorted(_BUILTIN_IMAGES)}") from None
-    return make(int(n))
+    image = make(n)
+    image.flags.writeable = False
+    return image
+
+
+def builtin_image(name, n=128):
+    """Deterministic synthetic test image by name ('satellite' or 'grain').
+
+    Each (name, n) is built once per process and every call returns its own
+    writable copy. 'satellite' costs O(n^2) to build. 'grain' tests each of
+    its n^2/110 ellipses on a window of at most (0.11 n + 3)^2 pixels around
+    it, not on all n^2.
+    """
+    return _shared_image(name, int(n)).copy()
 
 
 @dataclass
@@ -178,20 +191,22 @@ def make_blind_deconv_problem(image, y_true, level, seed,
                               size=128):
     """2D blind-deconvolution instance from a builtin or user image.
 
-    ``image`` may be a builtin name or a square 2D array; intensities are
-    rescaled to [0, 1] when they fall outside. ``y_true`` is a PsfParams or a
-    length-3 vector (sigma1, sigma2, rho).
+    ``image`` may be a builtin name or a square 2D array, which is copied, so
+    ``x_true`` shares no memory with it; intensities are rescaled to [0, 1]
+    when they fall outside. ``y_true`` is a PsfParams or a length-3 vector
+    (sigma1, sigma2, rho).
     """
     if isinstance(image, str):
-        image = builtin_image(image, size)
-    image = np.asarray(image, dtype=float)
+        image = _shared_image(image, int(size))
+    image = np.array(image, dtype=float, order="C")
     if image.ndim != 2 or image.shape[0] != image.shape[1]:
         raise ValueError("image must be a square 2D array")
     lo, hi = image.min(), image.max()
     if lo < 0.0 or hi > 1.0:
         if hi == lo:
             raise ValueError("constant image cannot be rescaled to [0, 1]")
-        image = (image - lo) / (hi - lo)
+        image -= lo
+        image /= hi - lo
     params = y_true if isinstance(y_true, PsfParams) \
         else PsfParams.from_array(y_true)
     if isinstance(boundary, str):

@@ -53,6 +53,21 @@ def test_2d_workloads_run_the_periodic_blur(name):
     assert op.boundary is ConvBoundary.PERIODIC
 
 
+@pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
+def test_rebuilt_workload_is_byte_equal(name):
+    # setup is timed over repeated builds of one seed; a cached image that
+    # went stale or was shared with an earlier instance would show here
+    first, _ = bench.WORKLOADS[name].build(3)
+    fields = ("x_true", "d", "d_true")
+    expected = [getattr(first, f).tobytes() for f in fields]
+    for f in fields:
+        getattr(first, f)[:] = -1.0
+    second, _ = bench.WORKLOADS[name].build(3)
+    assert [getattr(second, f).tobytes() for f in fields] == expected
+    for f in fields:
+        assert not np.shares_memory(getattr(first, f), getattr(second, f))
+
+
 def test_dense_workload_gsvd_makes_one_svd(monkeypatch):
     # the stack of the pair at y0 has condition 3.4, far from the rank
     # threshold, so the condition bound accepts it and the only SVD left

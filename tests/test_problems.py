@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lpvarpro import operators
+from lpvarpro import operators, problems
 from lpvarpro.problems import (add_noise, builtin_image, make_1d_problem,
                                make_blind_deconv_problem, piecewise_signal)
 from lpvarpro.regularizers import as_regularizer
@@ -107,11 +107,42 @@ class TestBuiltinImages:
         assert img1.shape == (64, 64)
         assert img1.min() >= 0.0 and img1.max() <= 1.0
 
-    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("n", [31, 64, 100, 128, 256])
     def test_grain_matches_full_grid_oracle(self, n):
-        # each ellipse is tested on its bounding window only
+        # each ellipse is tested on its bounding window only; odd and
+        # non-power-of-two sizes clip the windows at the border differently
         assert (builtin_image("grain", n).tobytes()
                 == grain_image_full_grid(n).tobytes())
+
+    @pytest.mark.parametrize("name", ["satellite", "grain"])
+    def test_each_image_is_built_once_per_size(self, name, monkeypatch):
+        built = []
+        make = problems._BUILTIN_IMAGES[name]
+
+        def counting_make(n):
+            built.append(n)
+            return make(n)
+
+        monkeypatch.setitem(problems._BUILTIN_IMAGES, name, counting_make)
+        problems._shared_image.cache_clear()
+        try:
+            for n in (24, 40, 24, 40.0):
+                builtin_image(name, n)
+            for seed in (0, 1):
+                make_blind_deconv_problem(name, (2.0, 1.5, 0.5), 0.01, seed,
+                                          size=24, psf_size=7)
+        finally:
+            problems._shared_image.cache_clear()
+        assert built == [24, 40]
+
+    def test_mutating_a_returned_image_keeps_the_next_one(self):
+        img = builtin_image("grain", 64)
+        img[:] = -1.0
+        prob = make_blind_deconv_problem("grain", (3.0, 4.0, 0.5), 0.0, 0,
+                                         size=64, psf_size=9)
+        prob.x_true[:] = 2.0
+        assert (builtin_image("grain", 64).tobytes()
+                == grain_image_full_grid(64).tobytes())
 
     def test_satellite_is_sparse(self):
         img = builtin_image("satellite", 128)
@@ -156,6 +187,20 @@ class TestBlindDeconvProblem:
         with pytest.raises(ValueError):
             make_blind_deconv_problem(np.ones((8, 10)), (1.5, 2.0, 1.0),
                                       0.01, 0)
+
+    @pytest.mark.parametrize("scale", [1.0, 255.0])
+    def test_x_true_does_not_alias_the_user_image(self, scale):
+        # at scale 1 no rescaling copies the image, so x_true would view it
+        img = scale * np.random.default_rng(2).uniform(0, 1, (16, 16))
+        before = img.copy()
+        prob = make_blind_deconv_problem(img, (1.5, 2.0, 1.0), 0.01, 0,
+                                         psf_size=7)
+        np.testing.assert_array_equal(img, before)
+        x_true, d = prob.x_true.copy(), prob.d.copy()
+        assert not np.shares_memory(prob.x_true, img)
+        img[0, 0] = 7.0
+        np.testing.assert_array_equal(prob.x_true, x_true)
+        np.testing.assert_array_equal(prob.d, d)
 
     def test_user_image_rescaled(self):
         rng = np.random.default_rng(1)
