@@ -44,10 +44,11 @@ class StackGsvd:
 
     G = U diag(c) Z^T and L = (Q_L W) Z^T with Z^T = W^T R, where ``u`` has
     orthonormal columns, ``c`` and ``s2 = 1 - c^2`` hold the generalized
-    spectra, and ``q_l`` the L rows Q_L of the stacked Q; Q_L W = X_L diag(s)
-    is never formed. A G with m < n rows gives an m x m ``u`` and an n x m
-    ``w``: the other n - m directions have c = 0 and enter no regularized
-    solution, but ``solve`` and ``solve_z`` need m >= n.
+    spectra, and ``q_l`` a copy of the L rows Q_L of the stacked Q, which is
+    released before the SVD; Q_L W = X_L diag(s) is never formed. A G with
+    m < n rows gives an m x m ``u`` and an n x m ``w``: the other n - m
+    directions have c = 0 and enter no regularized solution, but ``solve``
+    and ``solve_z`` need m >= n.
     """
 
     u: np.ndarray
@@ -130,8 +131,10 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
     Raises :class:`RankDeficiencyError` when the triangular factor R of the
     stack fails the rank test of ``_rank_deficient``. A stack with fewer rows
     than columns is padded with zero rows of L, so that R is square and the
-    rank test sees every column. An SVD that does not converge (dgesdd info
-    > 0) raises ``LinAlgError``.
+    rank test sees every column. Q_L and the top block are copied out of
+    the stacked Q, and the stack is freed before the SVD allocates its
+    factors and workspace. An SVD that does not converge (dgesdd info > 0)
+    raises ``LinAlgError``.
     """
     g_dense = np.asarray(g_dense, dtype=float)
     l_dense = np.asarray(l_dense, dtype=float)
@@ -146,14 +149,14 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
         raise RankDeficiencyError(
             "stacked pair [G; L] is rank deficient: G and L share a null "
             "space, so the regularized solution is not unique")
-    u, c, wt, info = dgesdd(np.asfortranarray(q[:m]), full_matrices=0,
-                            overwrite_a=1)
+    q_l, top = q[m:].copy(), np.asfortranarray(q[:m])
+    del stack, q
+    u, c, wt, info = dgesdd(top, full_matrices=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     _check_info("dgesdd", info)
     c = np.clip(c, 0.0, 1.0)
-    # a copy, so that Q_L does not keep all of Q alive
-    return StackGsvd(u=u, q_l=q[m:].copy(), w=wt.T, r=r, c=c,
+    return StackGsvd(u=u, q_l=q_l, w=wt.T, r=r, c=c,
                      s2=np.maximum(0.0, 1.0 - c**2))
 
 

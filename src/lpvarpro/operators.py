@@ -300,6 +300,9 @@ class GaussianBlur1D(ParamOperator):
     applied never forms it. Both kernels are zero where g(s) < eps^2 g(0):
     that moves no sum of entries of G by more than n eps^2 g(0), far below the
     roundoff of a QR or SVD of G, and drops the subnormal (slow on x86) tail.
+    The samples are not renormalized: a row sums to 1 for sigma >= 1 but to
+    about g(0) = 1 / (sqrt(2 pi) sigma) as sigma -> 0 (399 at 1e-3), where
+    G -> g(0) I and the FULL/HALF residual tends to 0 (ROADMAP item 2).
     """
 
     def __init__(self, sigma, n):

@@ -251,6 +251,8 @@ def lp_varpro_solve(problem, config: VarproConfig):
     or a step's Jacobian or residual is not finite. With damping, the inner
     solve of the accepted trial serves the next outer step. One set of GKS
     buffers, allocated here, serves every inner solve (all G have one shape).
+    One factorization and one operator are alive per step: a step's are
+    released once its Jacobian is formed, before the next pair is factored.
     """
     cfg = config
     d = np.asarray(problem.d, dtype=float).ravel()
@@ -292,6 +294,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
             else:
                 jac = jacobian_half(op, x, eta, gsvd)
             rhs = f_hat
+        gsvd = solved = op = None       # before the next pair is factored
         if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
             raise SolverError(f"non-finite Jacobian or residual at iteration "
                               f"{it}", record)

@@ -4,13 +4,16 @@ The benchmark builds every workload's config, reads the fixed GCV grid to
 count etas at its bounds, and wraps package functions by name for its
 per-layer spans. Removing one of these names fails here, and not only when
 the benchmark runs. The 2D workloads must also run the periodic blur, whose
-circulant FFT path they time, and the GSVD of the dense workload's pair must
-decide its rank without an SVD of R.
+circulant FFT path they time, the GSVD of the dense workload's pair must
+decide its rank without an SVD of R, and a solve of the dense workload must
+hold one factorization at a time.
 """
 
+import dataclasses
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +94,23 @@ def test_dense_workload_gsvd_makes_one_svd(monkeypatch):
     monkeypatch.setattr(gcv, "dgesdd", counting_dgesdd)
     thin_gsvd(op.dense(), l_dense)
     assert calls == [True]
+
+
+def test_dense_workload_solve_holds_one_factorization():
+    # the dense L and G (2 n^2 doubles) and one thin_gsvd (9 n^2) at a time;
+    # a step that kept its factorization while the next pair was factored
+    # peaked at 16 n^2
+    problem, config = bench.WORKLOADS["full1d_dense512"].build(3)
+    config = dataclasses.replace(config, max_iters=2)
+    n = problem.operator(config.y0).n
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        lpvarpro.lp_varpro_solve(problem, config)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * n * 8
 
 
 def test_every_regularizer_class_defines_its_traced_methods():

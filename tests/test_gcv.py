@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from lpvarpro import gcv
 from lpvarpro.gcv import (ETA_GRID, EtaSelection, GcvConfig,
                           RankDeficiencyError, StackGsvd, _GcvQuotient,
                           select_eta, thin_gsvd)
+from lpvarpro.operators import GaussianBlur1D
 from lpvarpro.problems import make_1d_problem
 from lpvarpro.regularizers import first_derivative_1d
 
@@ -161,6 +164,24 @@ class TestGsvdAgainstNumpyRoute:
                            match="SVD did not converge") as err:
             thin_gsvd(np.eye(3), np.eye(3))
         assert type(err.value) is np.linalg.LinAlgError
+
+
+class TestGsvdMemory:
+    def test_stack_is_freed_before_the_svd(self):
+        # the stack and its Q (2 n^2 doubles) go before dgesdd allocates U,
+        # W^T and its workspace; kept alive through the SVD they raised the
+        # peak above the inputs from 9 n^2 to 10 n^2
+        n = 256
+        g = GaussianBlur1D(2.0, n).dense()
+        l_mat = first_derivative_1d(n).toarray()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            thin_gsvd(g, l_mat)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.5 * n * n * 8
 
 
 class TestStackSolve:
