@@ -3,9 +3,9 @@
 ``thin_gsvd`` factors a pair {G, L} once: a QR of the stack [G; L] = Q R,
 a rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q
 give G = U diag(c) W^T R and L = (Q_L W)(W^T R), with Q_L the rows of Q
-under Q_G; Q_L W is never formed. LAPACK runs in place on column-major
-factors: dgeqrf and dorgqr (``_thin_qr``, which the MMGKS factors share)
-overwrite the stack with Q, and dgesdd a copy of its top block; a failed
+under Q_G. Q is not formed: dgeqrf factors the stack in place, one dtrmm
+forms Q_G = G R^-1 from the rank test's R^-1, and Q_L y is L (R^-1 y); the
+MMGKS projected pair reads Q_G from dorgqr's Q (``_stack_gsvd``). A failed
 LAPACK call raises ``LinAlgError``. Every Tikhonov quantity then reads the
 generalized spectra c and s2 = 1 - c^2 without dividing by a small
 generalized value: the GCV quotient and its slope are O(k) arithmetic on
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dgesdd, dorgqr,
                                   dtrtri, dtrtrs)
 
@@ -44,15 +45,15 @@ class StackGsvd:
 
     G = U diag(c) Z^T and L = (Q_L W) Z^T with Z^T = W^T R, where ``u`` has
     orthonormal columns, ``c`` and ``s2 = 1 - c^2`` hold the generalized
-    spectra, and ``q_l`` a copy of the L rows Q_L of the stacked Q, which is
-    released before the SVD; Q_L W = X_L diag(s) is never formed. A G with
+    spectra, and ``l_mat`` is the L the pair was given, not a copy. Q_L =
+    L R^-1 is never formed; ``apply_q_l`` applies it to a vector. A G with
     m < n rows gives an m x m ``u`` and an n x m ``w``: the other n - m
     directions have c = 0 and enter no regularized solution, but ``solve``
     and ``solve_z`` need m >= n.
     """
 
     u: np.ndarray
-    q_l: np.ndarray
+    l_mat: np.ndarray
     w: np.ndarray
     r: np.ndarray
     c: np.ndarray
@@ -70,6 +71,10 @@ class StackGsvd:
         """Apply Z^{-1} = W^T R^{-T} to a vector."""
         return self.w.T @ self._r_solve(vec, 0)
 
+    def apply_q_l(self, vec):
+        """Q_L vec = L (R^-1 vec); rows padding a short stack are left out."""
+        return self.l_mat @ self._r_solve(vec, 1)
+
     def _r_solve(self, rhs, trans):
         # R x = rhs (trans 1) or R^T x = rhs (0), with R row-major read as R^T
         x, info = dtrtrs(self.r.T, rhs, lower=1, trans=trans)
@@ -82,23 +87,28 @@ def _check_info(name, info):
         raise np.linalg.LinAlgError(f"{name} failed with info {info}")
 
 
+def _householder(a):
+    """(qr, tau) of LAPACK dgeqrf, which overwrites the column-major a."""
+    lwork, info = dgeqrf_lwork(*a.shape)
+    _check_info("dgeqrf_lwork", info)
+    qr, tau, _, info = dgeqrf(a, lwork=int(lwork), overwrite_a=1)
+    _check_info("dgeqrf", info)
+    return qr, tau
+
+
 def _thin_qr(a):
     """Thin QR factors (Q, R) of the column-major float64 a, overwriting a.
 
-    LAPACK dgeqrf factors ``a`` in place and dorgqr forms the min(m, n)
-    leading columns of Q in the same storage, so Q (m x min(m, n)) is a
-    column-major view of ``a`` and R (min(m, n) x n) is upper triangular,
-    as ``np.linalg.qr`` returns them. A matrix with no rows or columns skips
-    LAPACK, which rejects a zero leading dimension.
+    dorgqr forms the min(m, n) leading columns of Q in the storage of
+    ``_householder``, so Q (m x min(m, n)) is a column-major view of ``a``
+    and R (min(m, n) x n) is upper triangular, as ``np.linalg.qr`` returns
+    them. An empty matrix skips LAPACK, which rejects lda = 0.
     """
     m, n = a.shape
     k = min(m, n)
     if a.size == 0:
         return np.zeros((m, k), order="F"), np.zeros((k, n))
-    lwork, info = dgeqrf_lwork(m, n)
-    _check_info("dgeqrf_lwork", info)
-    qr, tau, _, info = dgeqrf(a, lwork=int(lwork), overwrite_a=1)
-    _check_info("dgeqrf", info)
+    qr, tau = _householder(a)
     r = np.triu(qr[:k])
     _, work, info = dorgqr(qr[:, :k], tau, lwork=-1)
     _check_info("dorgqr workspace query", info)
@@ -107,34 +117,39 @@ def _thin_qr(a):
     return q, r
 
 
-def _rank_deficient(r) -> bool:
-    """Whether sigma_min(R) <= tol sigma_max(R), tol = 2 n eps, for square R.
+def _r_inverse(r):
+    """R^-1 of the square triangular R of the stack, after a rank test.
 
-    A bound 2 tol ||R||_F ||R^-1||_F below 1 says no; the factor 2 covers the
-    roundoff of the computed inverse near the threshold. A zero pivot or a
-    bound that is not finite or too large leaves it to the singular values.
+    Raises :class:`RankDeficiencyError` if R has a zero pivot or sigma_min(R)
+    <= tol sigma_max(R), tol = 2 n eps. A bound 2 tol ||R||_F ||R^-1||_F
+    below 1 passes R (the 2 covers the roundoff of R^-1); one that is not
+    finite or too large leaves it to the singular values.
     """
     tol = 2 * r.shape[0] * np.finfo(float).eps
     r_inv, info = dtrtri(r)
     if info == 0:
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.linalg.norm(r) * np.linalg.norm(r_inv)
-        if 2 * tol * bound < 1:
-            return False
-    svals = np.linalg.svd(r, compute_uv=False)
-    return bool(svals[-1] <= tol * svals[0])
+        if 2 * tol * bound < 1 or np.linalg.cond(r) < 1 / tol:
+            return r_inv
+    raise RankDeficiencyError(
+        "stacked pair [G; L] is rank deficient: G and L share a null "
+        "space, so the regularized solution is not unique")
 
 
 def thin_gsvd(g_dense, l_dense) -> StackGsvd:
-    """Thin GSVD of the pair {G, L} via QR of the stack and an SVD of the top.
+    """Thin GSVD of {G, L} via Q_G = G R^-1; raises RankDeficiencyError."""
+    return _stack_gsvd(g_dense, l_dense, householder_q=False)
 
-    Raises :class:`RankDeficiencyError` when the triangular factor R of the
-    stack fails the rank test of ``_rank_deficient``. A stack with fewer rows
-    than columns is padded with zero rows of L, so that R is square and the
-    rank test sees every column. Q_L and the top block are copied out of
-    the stacked Q, and the stack is freed before the SVD allocates its
-    factors and workspace. An SVD that does not converge (dgesdd info > 0)
-    raises ``LinAlgError``.
+
+def _stack_gsvd(g_dense, l_dense, householder_q):
+    """``thin_gsvd``, or with Q_G the top block of dorgqr's Q if asked.
+
+    A short stack gets zero rows of L, so that R is square and the rank test
+    sees every column. Without Q the stack and R^-1 are freed before the SVD
+    allocates its workspace. The MMGKS projected pair keeps the Householder
+    Q: G R^-1 moved its grown-vs-refactored R_L gap, at its roundoff floor
+    while ``expand_subspace`` forms H z - G^T d by cancellation, tenfold.
     """
     g_dense = np.asarray(g_dense, dtype=float)
     l_dense = np.asarray(l_dense, dtype=float)
@@ -144,19 +159,20 @@ def thin_gsvd(g_dense, l_dense) -> StackGsvd:
     stack[:m] = g_dense
     stack[m:rows] = l_dense
     stack[rows:] = 0.0
-    q, r = _thin_qr(stack)
-    if _rank_deficient(r):
-        raise RankDeficiencyError(
-            "stacked pair [G; L] is rank deficient: G and L share a null "
-            "space, so the regularized solution is not unique")
-    q_l, top = q[m:].copy(), np.asfortranarray(q[:m])
-    del stack, q
+    if householder_q:
+        q, r = _thin_qr(stack)
+        _r_inverse(r)
+        top = np.asfortranarray(q[:m])
+    else:
+        r = np.triu(_householder(stack)[0][:n])
+        del stack
+        top = dtrmm(1.0, _r_inverse(r), g_dense, side=1)
     u, c, wt, info = dgesdd(top, full_matrices=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")
     _check_info("dgesdd", info)
     c = np.clip(c, 0.0, 1.0)
-    return StackGsvd(u=u, q_l=q_l, w=wt.T, r=r, c=c,
+    return StackGsvd(u=u, l_mat=l_dense, w=wt.T, r=r, c=c,
                      s2=np.maximum(0.0, 1.0 - c**2))
 
 

@@ -27,8 +27,8 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg.lapack import dgeqrt, dtrtrs
 
-from .gcv import (GcvConfig, StackGsvd, _check_info, _thin_qr, select_eta,
-                  thin_gsvd)
+from .gcv import (GcvConfig, StackGsvd, _check_info, _stack_gsvd, _thin_qr,
+                  select_eta)
 from .operators import MatrixOperator, ParamOperator
 from .regularizers import Regularizer, as_regularizer
 
@@ -192,14 +192,15 @@ class GksState:
 
     The projected problem reads R_G, dhat and R_L only. R_G^T R_G =
     (G V)^T G V and dhat = Q_G^T d for Q_G = G V R_G^-1, never formed, so
-    ||G V z - d||^2 = ||R_G z - dhat||^2 + ||d||^2 - ||dhat||^2. ``gtd`` is
-    G^T d, which V spans, as in the Golub-Kahan ``seed`` (R_G, dhat, gtd)
-    of ``init_gks``. R_L is the factor of the weighted W^(1/2) L V, with no Q.
-    The ``buffers`` of ``gks_buffers`` hold V, H and L V, not zeroed: only the
-    k written columns, which ``v``, ``h`` and ``lv`` view, are read.
+    ||G V z - d||^2 = ||R_G z - dhat||^2 + o, with o = ||d - Q_G dhat||^2
+    kept as ``outside``, not read as the cancelling ||d||^2 - ||dhat||^2.
+    ``gtd`` is G^T d, which V spans, as in the Golub-Kahan ``seed`` (R_G,
+    dhat, gtd, o) of ``init_gks``. R_L factors W^(1/2) L V, with no Q. The
+    ``buffers`` of ``gks_buffers`` hold V, H and L V, not zeroed: only the k
+    written columns, which ``v``, ``h`` and ``lv`` view, are read.
 
     ``append_direction`` grows R_G by ``_grow_factor`` from b = V^T h_new,
-    or refactors R_G and dhat from [G V, d], by k applies of G, when that
+    or refactors R_G, dhat and o from [G V, d], by k applies of G, when that
     declines (as for a G V with fewer rows than columns). ``set_weights``
     factors W^(1/2) L V by ``_r_factor``. Unit weights (None) never change,
     so R_L is then kept and grown by ``_grow_factor`` from (L V)^T lv_new;
@@ -209,7 +210,7 @@ class GksState:
     def __init__(self, G: ParamOperator, d, k, buffers, seed):
         self._g, self._d, self._k = G, np.asarray(d, dtype=float), k
         self._v, self._h, self._lv = buffers
-        self.r_g, self.dhat, self.gtd = seed
+        self.r_g, self.dhat, self.gtd, self.outside = seed
         self.r_l, self._grows = None, False  # grows: R_L factors L V now
 
     @property
@@ -254,12 +255,14 @@ class GksState:
             for j in range(k + 1):
                 a[:, j] = self._g.apply(self._v[:, j])
             a[:, k + 1] = self._d
-            r = _r_factor(a)[:k + 1]
-            self.r_g, self.dhat = r[:, :-1], r[:, -1]
+            r = _r_factor(a)
+            self.r_g, self.dhat = r[:k + 1, :-1], r[:k + 1, -1]
+            self.outside = r[k + 1, -1]**2 if r.shape[0] > k + 1 else 0.0
         else:
             # Q_G gains (G v_new - Q_G s) / rho, and v_new^T G^T d = 0
             self.r_g, s, rho = r_g, r_g[:k, k], r_g[k, k]
             self.dhat = np.append(self.dhat, -(s @ self.dhat) / rho)
+            self.outside = max(self.outside - self.dhat[-1]**2, 0.0)
         if self._grows:
             self.r_l = _grow_factor(self.r_l, self._lv.shape[0],
                                     self._lv[:, :k].T @ lv_new,
@@ -272,10 +275,10 @@ def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
 
     G V = U B holds for the bidiagonalization, so the thin QR of G V is
     (U Q_B) R_B from the QR of the small (k+1) x k matrix B: R_G = R_B and,
-    as U^T d = ||d|| e_1, dhat = ||d|| Q_B[0, :]. The first step gives
-    G^T d = ||d|| alpha_1 v_1. None of them applies G again or forms the
-    tall G V; H takes k ``normal_apply`` calls. V, H and L V are written into
-    the ``buffers`` (U, V, H, L V) of ``gks_buffers``, with ell + 1 U columns.
+    as U^T d = ||d|| e_1, dhat = ||d|| Q_B^T e_1 and o = ||d||^2 ||e_1 - Q_B
+    Q_B^T e_1||^2. The first step gives G^T d = ||d|| alpha_1 v_1. None
+    applies G again or forms G V; H takes k ``normal_apply`` calls. V, H and
+    L V fill the ``buffers`` of ``gks_buffers``, with ell + 1 U columns.
     """
     _, b, v, _ = golub_kahan(G, d, buffers[0].shape[1] - 1, buffers[:2])
     if v.shape[1] == 0:
@@ -285,7 +288,8 @@ def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
         buffers[3][:, j] = L.apply(v[:, j])
     q_b, r_b = _thin_qr(np.array(b, order="F"))
     beta = np.linalg.norm(d)
-    seed = (r_b, beta * q_b[0], beta * b[0, 0] * v[:, 0])
+    out = np.eye(1, b.shape[0])[0] - q_b @ q_b[0]
+    seed = (r_b, beta * q_b[0], beta * b[0, 0] * v[:, 0], beta**2 * out @ out)
     return GksState(G, d, v.shape[1], buffers[1:], seed)
 
 
@@ -395,7 +399,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
                            iterations=0, converged=True, subspace_dim=0)
 
     state = init_gks(G, d, L, buffers or gks_buffers(G, L, cfg))
-    grad_scale, dd = np.linalg.norm(state.gtd), d @ d
+    grad_scale = np.linalg.norm(state.gtd)
     z = np.zeros(0)
     u = np.zeros(L.q)                  # L x at x = 0
     objectives, etas = [], []
@@ -404,7 +408,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
     for it in range(cfg.max_iters):
         w = None if cfg.p == 2 else majorant_weights(u, cfg.p, eps)
         state.set_weights(w)
-        gsvd = thin_gsvd(state.r_g, state.r_l)
+        gsvd = _stack_gsvd(state.r_g, state.r_l, householder_q=True)
         if cfg.eta is not None:
             eta = float(cfg.eta)
         else:
@@ -413,8 +417,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
         # x = V z: L x is read on the cached product, and G x - d has the
         # norm of [R_G z - dhat; ||d - Q_G dhat||]
         lvz = state.lv @ z
-        res = np.append(state.r_g @ z - state.dhat,
-                        np.sqrt(max(dd - state.dhat @ state.dhat, 0.0)))
+        res = np.append(state.r_g @ z - state.dhat, np.sqrt(state.outside))
         iterations = it + 1
         etas.append(eta)
         objectives.append(objective_value(res, lvz, mm_lambda(eta, cfg.p),

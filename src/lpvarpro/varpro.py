@@ -74,16 +74,17 @@ def jacobian_half(op, x, eta, gsvd):
     Column j is -A_j where A_j projects the derivative of the prediction,
     i.e. the derivative of y' -> P_perp(y) ([d; 0] - G_L(y') x) with the
     projector and x frozen at the current y. ``gsvd`` is the thin GSVD of
-    the pair x was solved on at weight ``eta``, {G, W^(1/2) L}.
+    the pair x was solved on at weight ``eta``, {G, W^(1/2) L}, whose Q_L
+    ``StackGsvd.apply_q_l`` applies by a triangular solve and L.
     """
-    m, q, rpar = op.m, gsvd.q_l.shape[0], op.r
+    m, q, rpar = op.m, gsvd.l_mat.shape[0], op.r
     filt = gsvd.filter(eta)
     cols = np.zeros((m + q, rpar))
     for j in range(rpar):
         v = op.derivative_apply(j, np.asarray(x, dtype=float))
         g = filt * (gsvd.u.T @ v)
         cols[:m, j] = gsvd.u @ (gsvd.c * g) - v
-        cols[m:, j] = np.sqrt(eta) * (gsvd.q_l @ (gsvd.w @ g))
+        cols[m:, j] = np.sqrt(eta) * gsvd.apply_q_l(gsvd.w @ g)
     return cols
 
 
@@ -92,7 +93,7 @@ def jacobian_full(op, x, eta, gsvd, misfit):
 
     This is the exact derivative of y -> [d; 0] - G_L(y) x(y) with x(y) the
     regularized solution, evaluated through ``gsvd`` as in
-    :func:`jacobian_half`; ``misfit`` is G x - d.
+    :func:`jacobian_half`, one more Q_L product a column; ``misfit`` = G x - d.
     """
     cols = jacobian_half(op, x, eta, gsvd)
     m = op.m
@@ -102,7 +103,7 @@ def jacobian_full(op, x, eta, gsvd, misfit):
         wj = op.derivative_adjoint_apply(j, misfit)
         tvec = gsvd.solve_z(wj)
         cols[:m, j] += gsvd.u @ (filt * tvec)
-        cols[m:, j] += np.sqrt(eta) * (gsvd.q_l @ (gsvd.w @ (tvec / den)))
+        cols[m:, j] += np.sqrt(eta) * gsvd.apply_q_l(gsvd.w @ (tvec / den))
     return cols
 
 

@@ -97,9 +97,9 @@ def test_dense_workload_gsvd_makes_one_svd(monkeypatch):
 
 
 def test_dense_workload_solve_holds_one_factorization():
-    # the dense L and G (2 n^2 doubles) and one thin_gsvd (9 n^2) at a time;
+    # the dense L and G (2 n^2 doubles) and one thin_gsvd (8 n^2) at a time;
     # a step that kept its factorization while the next pair was factored
-    # peaked at 16 n^2
+    # peaked at 16 n^2, and a thin_gsvd that formed the stacked Q at 11 n^2
     problem, config = bench.WORKLOADS["full1d_dense512"].build(3)
     config = dataclasses.replace(config, max_iters=2)
     n = problem.operator(config.y0).n
@@ -110,7 +110,7 @@ def test_dense_workload_solve_holds_one_factorization():
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * n * n * 8
+    assert peak <= 10.6 * n * n * 8
 
 
 def test_every_regularizer_class_defines_its_traced_methods():

@@ -47,7 +47,7 @@ class TestGsvdPair:
         np.testing.assert_allclose(gsvd.c**2 + gsvd.s2, np.ones(4), atol=1e-14)
         zt = gsvd.w.T @ gsvd.r
         np.testing.assert_allclose(gsvd.u * gsvd.c @ zt, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(gsvd.q_l @ gsvd.w @ zt, np.eye(4),
+        np.testing.assert_allclose(gsvd.apply_q_l(gsvd.w @ zt), np.eye(4),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 6, 12])
@@ -58,7 +58,7 @@ class TestGsvdPair:
         scale_g = max(np.abs(r_g).max(), 1.0)
         scale_l = max(np.abs(r_l).max(), 1.0)
         zt = gsvd.w.T @ gsvd.r
-        t = gsvd.q_l @ gsvd.w
+        t = gsvd.apply_q_l(gsvd.w)
         assert np.abs(gsvd.u * gsvd.c @ zt - r_g).max() <= 1e-10 * scale_g
         assert np.abs(t @ zt - r_l).max() <= 1e-10 * scale_l
         np.testing.assert_allclose(gsvd.c**2 + gsvd.s2, np.ones(k), atol=1e-14)
@@ -147,7 +147,7 @@ class TestGsvdAgainstNumpyRoute:
         zt = gsvd.w.T @ gsvd.r
         assert (np.linalg.norm(gsvd.u * gsvd.c @ zt - g)
                 <= 1e-12 * np.linalg.norm(g))
-        assert (np.linalg.norm(gsvd.q_l @ gsvd.w @ zt - l_mat)
+        assert (np.linalg.norm(gsvd.apply_q_l(gsvd.w @ zt) - l_mat)
                 <= 1e-12 * np.linalg.norm(l_mat))
         assert np.abs(gsvd.u.T @ gsvd.u - np.eye(k)).max() <= 1e-12
         assert np.abs(gsvd.w.T @ gsvd.w - np.eye(k)).max() <= 1e-12
@@ -168,9 +168,9 @@ class TestGsvdAgainstNumpyRoute:
 
 class TestGsvdMemory:
     def test_stack_is_freed_before_the_svd(self):
-        # the stack and its Q (2 n^2 doubles) go before dgesdd allocates U,
-        # W^T and its workspace; kept alive through the SVD they raised the
-        # peak above the inputs from 9 n^2 to 10 n^2
+        # the stack (2 n^2 doubles) goes before dgesdd allocates U, W^T and
+        # its workspace; kept alive through the SVD it raised the peak above
+        # the inputs by 1 n^2 while the stack held Q (9 to 10 n^2)
         n = 256
         g = GaussianBlur1D(2.0, n).dense()
         l_mat = first_derivative_1d(n).toarray()
@@ -182,6 +182,75 @@ class TestGsvdMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 9.5 * n * n * 8
+
+    def test_builds_no_q(self, monkeypatch):
+        # R^-1 from the rank test gives Q_G = G R^-1 by one dtrmm, so no
+        # dorgqr forms the stacked Q and no copy of Q_L is kept: the peak
+        # above the inputs is R, Q_G, U, W^T and the dgesdd workspace
+        # (8 n^2); it was 9.06 n^2 with Q formed
+        n = 256
+        g = GaussianBlur1D(2.0, n).dense()
+        l_mat = first_derivative_1d(n).toarray()
+        calls = []
+        dorgqr = gcv.dorgqr
+
+        def counting_dorgqr(*args, **kwargs):
+            calls.append(1)
+            return dorgqr(*args, **kwargs)
+
+        monkeypatch.setattr(gcv, "dorgqr", counting_dorgqr)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            thin_gsvd(g, l_mat)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak <= 8.5 * n * n * 8
+
+
+def kappa_f(r):
+    """||R||_F ||R^-1||_F of a square triangular R."""
+    return (np.linalg.norm(r)
+            * np.linalg.norm(solve_triangular(r, np.eye(r.shape[0]))))
+
+
+class TestQFreeAgainstHouseholderQ:
+    """thin_gsvd, which forms G R^-1, against the projected pair's routine.
+
+    ``gcv._stack_gsvd(..., householder_q=True)`` reads Q_G from the
+    Householder Q of the same stack. The generalized cosines agree to
+    100 eps kappa_F(R), the roundoff of forming G R^-1.
+    """
+
+    @pytest.mark.parametrize("sigma, l_scale", [
+        (2.5, 1.0), (0.1, 1.0), (1e-16, 1.0), (2.5, 1e-4)],
+        ids=["sigma2.5", "sigma0.1", "sigma1e-16", "ill_conditioned"])
+    def test_matches_householder_q(self, sigma, l_scale):
+        n = 256
+        g = GaussianBlur1D(sigma, n).dense()
+        l_mat = l_scale * first_derivative_1d(n).toarray()
+        gsvd = thin_gsvd(g, l_mat)
+        ref = gcv._stack_gsvd(g, l_mat, householder_q=True)
+        kappa = kappa_f(gsvd.r)
+        assert np.array_equal(gsvd.r, ref.r)
+        assert (np.abs(gsvd.c - ref.c).max()
+                <= 100 * np.finfo(float).eps * kappa)
+        # 1e-12 relative up to kappa_F = 1e3 (the stack has kappa_F 3.2e5
+        # with L scaled by 1e-4), in proportion to kappa_F above
+        rtol = 1e-12 * max(1.0, kappa / 1e3)
+        assert (kappa > 1e5) == (l_scale < 1.0)
+        zt = gsvd.w.T @ gsvd.r
+        assert (np.linalg.norm(gsvd.u * gsvd.c @ zt - g)
+                <= rtol * np.linalg.norm(g))
+        assert (np.linalg.norm(gsvd.apply_q_l(gsvd.w @ zt) - l_mat)
+                <= rtol * np.linalg.norm(l_mat))
+        # Q_L W = X_L diag(s) with orthonormal X_L: [G; L] R^-1 is orthonormal
+        t = gsvd.apply_q_l(gsvd.w)
+        assert np.abs(t.T @ t - np.diag(gsvd.s2)).max() <= rtol
+        assert np.abs(gsvd.u.T @ gsvd.u - np.eye(n)).max() <= 1e-12
+        assert np.abs(gsvd.w.T @ gsvd.w - np.eye(n)).max() <= 1e-12
 
 
 class TestStackSolve:
@@ -203,10 +272,11 @@ class TestStackSolve:
         gsvd = thin_gsvd(np.eye(3), np.eye(3))
         r = gsvd.r.copy()
         r[1, 1] = 0.0
-        singular = StackGsvd(u=gsvd.u, q_l=gsvd.q_l, w=gsvd.w, r=r,
+        singular = StackGsvd(u=gsvd.u, l_mat=gsvd.l_mat, w=gsvd.w, r=r,
                              c=gsvd.c, s2=gsvd.s2)
         for solve in (lambda: singular.solve(1.0, np.ones(3)),
-                      lambda: singular.solve_z(np.ones(3))):
+                      lambda: singular.solve_z(np.ones(3)),
+                      lambda: singular.apply_q_l(np.ones(3))):
             with pytest.raises(np.linalg.LinAlgError):
                 solve()
 

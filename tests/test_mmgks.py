@@ -53,20 +53,22 @@ def seeded(G, d, ell, L, capacity):
 def dense_state(a, d, v, lv, capacity):
     """GksState of a MatrixOperator on the columns v, seeded by a dense QR.
 
-    R_G and dhat come from the R factor of [A V, d]; appends keep them
-    exact only when V spans A^T d, as a Golub-Kahan seed does. H = A^T A V
+    R_G, dhat and ||d - Q_G dhat||^2 come from the R factor of [A V, d];
+    appends keep them exact only when V spans A^T d, as a Golub-Kahan seed
+    does. H = A^T A V
     is formed column by column, as ``init_gks`` does, and the buffers past
     the seed columns hold NaN, which no read of a state may meet.
     """
     k = v.shape[1]
-    r = np.linalg.qr(np.column_stack([a @ v, d]), mode="r")[:k]
+    r = np.linalg.qr(np.column_stack([a @ v, d]), mode="r")
+    outside = r[k, k]**2 if r.shape[0] > k else 0.0
     buffers = [np.full((rows, capacity), np.nan, order="F")
                for rows in (a.shape[1], a.shape[1], lv.shape[0])]
     buffers[0][:, :k], buffers[2][:, :k] = v, lv
     for j in range(k):
         buffers[1][:, j] = a.T @ (a @ v[:, j])
     return GksState(MatrixOperator(a), d, k, buffers,
-                    (r[:, :-1], r[:, -1], a.T @ d))
+                    (r[:k, :-1], r[:k, -1], a.T @ d, outside))
 
 
 def basis_spanning(col, k, rng):
@@ -80,7 +82,8 @@ def assert_data_factors(state, a, d, rtol, seed=0):
     """R_G, dhat, H and G^T d of state against dense products of A.
 
     R_G^T R_G = (A V)^T A V, H = A^T A V, gtd = A^T d, and for random z the
-    misfit ||R_G z - dhat||^2 + ||d||^2 - ||dhat||^2 = ||A V z - d||^2.
+    misfit ||R_G z - dhat||^2 + o = ||A V z - d||^2, with o the state's
+    ``outside``, ||d - Q_G dhat||^2.
     """
     gv = a @ state.v
     assert_gram_matches(state.r_g, gv, rtol)
@@ -89,8 +92,7 @@ def assert_data_factors(state, a, d, rtol, seed=0):
     assert np.linalg.norm(state.gtd - a.T @ d) <= rtol * np.linalg.norm(
         a.T @ d)
     z = np.random.default_rng(seed).standard_normal(state.k)
-    misfit = (np.linalg.norm(state.r_g @ z - state.dhat)**2 + d @ d
-              - state.dhat @ state.dhat)
+    misfit = np.linalg.norm(state.r_g @ z - state.dhat)**2 + state.outside
     assert misfit == pytest.approx(np.linalg.norm(gv @ z - d)**2, rel=rtol)
 
 
@@ -867,13 +869,20 @@ class TestMmgksSolve:
 
     @pytest.mark.parametrize("p", [2.0, 1.0, 0.8])
     def test_objective_monotone_for_fixed_eta(self, p):
-        prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=1)
+        # ||d||^2 is about 1400 times the objective, so a misfit read as
+        # ||d||^2 - ||dhat||^2 rose by 1e-12 relative on seeds 26 and 37
         L = MatrixRegularizer(first_derivative_1d(64))
         cfg = MmgksConfig(p=p, epsilon=1e-2, eta=5e-3, subspace_dim=10,
                           max_iters=60, tol=1e-16)
-        res = mmgks_solve(prob.operator(prob.y_true), L, prob.d, cfg)
-        objs = np.array(res.objectives)
-        assert np.all(objs[1:] <= objs[:-1] + 1e-12 * np.abs(objs[:-1]))
+        rising = []
+        for seed in range(40):
+            prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01,
+                                   seed=seed)
+            res = mmgks_solve(prob.operator(prob.y_true), L, prob.d, cfg)
+            objs = np.array(res.objectives)
+            if np.any(objs[1:] > objs[:-1] + 1e-12 * np.abs(objs[:-1])):
+                rising.append(seed)
+        assert rising == []
 
     def test_limit_point_satisfies_reweighted_normal_equations(self):
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=2)
@@ -975,7 +984,7 @@ class TestMmgksSolve:
         # GCV and the projected solve read one thin GSVD; neither factors
         # the projected pair again by least squares or a CS decomposition
         calls = Counter()
-        counted = ("thin_gsvd", "lstsq", "cossin")
+        counted = ("_stack_gsvd", "lstsq", "cossin")
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code.co_name in counted:
@@ -992,7 +1001,7 @@ class TestMmgksSolve:
         finally:
             sys.setprofile(None)
         assert res.iterations == 10
-        assert calls == Counter(thin_gsvd=res.iterations)
+        assert calls == Counter(_stack_gsvd=res.iterations)
 
     @pytest.mark.parametrize("p, dgeqrt_calls", [(2.0, 1), (1.0, 6)])
     def test_weighted_factor_work_per_solve(self, monkeypatch, p,

@@ -218,7 +218,7 @@ def t_form_jacobian(op, x, eta, gsvd, misfit=None):
 
     The oracle of the Jacobians, which apply T to a vector as Q_L (W g).
     """
-    t = gsvd.q_l @ gsvd.w
+    t = gsvd.apply_q_l(gsvd.w)
     filt = gsvd.filter(eta)
     den = gsvd.c**2 + eta * gsvd.s2
     cols = []
@@ -876,7 +876,7 @@ class TestDenseRouteMemory:
     @pytest.mark.parametrize("damping", [False, True])
     def test_solve_peak_stays_below_two_factorizations(self, damping):
         # held through a solve: the dense L and G (2 n^2 doubles); one
-        # thin_gsvd adds 9 n^2. A step that kept its StackGsvd (4 n^2), or
+        # thin_gsvd adds 8 n^2. A step that kept its StackGsvd (4 n^2), or
         # its operator during the damped trials, while the next pair was
         # factored peaked at 16 n^2 (18 n^2 damped)
         n = 256
