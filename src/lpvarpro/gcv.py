@@ -4,8 +4,8 @@
 a rank test on R, and an SVD Q_G = U diag(c) W^T of the top block of Q
 give G = U diag(c) W^T R and L = (Q_L W)(W^T R), with Q_L the rows of Q
 under Q_G. Q is not formed: dgeqrf factors the stack in place, one dtrmm
-forms Q_G = G R^-1 from the rank test's R^-1, and Q_L y is L (R^-1 y); the
-MMGKS projected pair reads Q_G from dorgqr's Q (``_stack_gsvd``). A failed
+forms Q_G = G R^-1 from the rank test's R^-1, and Q_L y is L (R^-1 y). The
+dense pair and the MMGKS projected pair take this one path. A failed
 LAPACK call raises ``LinAlgError``. Every Tikhonov quantity then reads the
 generalized spectra c and s2 = 1 - c^2 without dividing by a small
 generalized value: the GCV quotient and its slope are O(k) arithmetic on
@@ -138,18 +138,11 @@ def _r_inverse(r):
 
 
 def thin_gsvd(g_dense, l_dense) -> StackGsvd:
-    """Thin GSVD of {G, L} via Q_G = G R^-1; raises RankDeficiencyError."""
-    return _stack_gsvd(g_dense, l_dense, householder_q=False)
-
-
-def _stack_gsvd(g_dense, l_dense, householder_q):
-    """``thin_gsvd``, or with Q_G the top block of dorgqr's Q if asked.
+    """Thin GSVD of {G, L} via Q_G = G R^-1; raises RankDeficiencyError.
 
     A short stack gets zero rows of L, so that R is square and the rank test
-    sees every column. Without Q the stack and R^-1 are freed before the SVD
-    allocates its workspace. The MMGKS projected pair keeps the Householder
-    Q: G R^-1 moved its grown-vs-refactored R_L gap, at its roundoff floor
-    while ``expand_subspace`` forms H z - G^T d by cancellation, tenfold.
+    sees every column. The stack and R^-1 are freed before the SVD
+    allocates its workspace.
     """
     g_dense = np.asarray(g_dense, dtype=float)
     l_dense = np.asarray(l_dense, dtype=float)
@@ -159,14 +152,9 @@ def _stack_gsvd(g_dense, l_dense, householder_q):
     stack[:m] = g_dense
     stack[m:rows] = l_dense
     stack[rows:] = 0.0
-    if householder_q:
-        q, r = _thin_qr(stack)
-        _r_inverse(r)
-        top = np.asfortranarray(q[:m])
-    else:
-        r = np.triu(_householder(stack)[0][:n])
-        del stack
-        top = dtrmm(1.0, _r_inverse(r), g_dense, side=1)
+    r = np.triu(_householder(stack)[0][:n])
+    del stack
+    top = dtrmm(1.0, _r_inverse(r), g_dense, side=1)
     u, c, wt, info = dgesdd(top, full_matrices=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError("SVD did not converge")

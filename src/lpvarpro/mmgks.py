@@ -6,16 +6,20 @@ tangent majorant, solving the weighted problem projected on a small subspace,
 and enlarging the subspace with the normalized gradient of the majorant. The
 subspace is seeded by Golub-Kahan bidiagonalization.
 
-The tall-skinny kernels of an inner iteration are kept few. No G V, nor
-an orthonormal factor Q_G of it, is kept: the state caches H = G^T G V,
-one ``normal_apply`` per column (one FFT round trip on the periodic blur),
-so the data part of the majorant gradient is H z - G^T d, and a new column
-of V is orthogonalized by one classical Gram-Schmidt pass, and by a second
-only when the first removed more than 1 - 1/sqrt(2) of its norm ("twice is
+The tall-skinny kernels of an inner iteration are kept few. Golub-Kahan
+and the state work in the range coordinates of G (``ParamOperator.
+range_rep``), where the periodic blur applies G and G^T by one FFT each.
+The state caches G V, seeded as U B with no operator call and grown by one
+``apply_rep`` per column, and no Q_G. The data gradient G^T (G V z - d)
+takes one ``adjoint_apply`` and does not cancel near convergence, as
+G^T G V z - G^T d would. A new column of V is
+orthogonalized by one classical Gram-Schmidt pass, and by a second only
+when the first removed more than 1 - 1/sqrt(2) of its norm ("twice is
 enough"). R_G, with R_G^T R_G = (G V)^T G V, and R_L at unit weights
 (p = 2, passed as None) grow by one product per column (``_grow_factor``);
-other weights refactor R_L by LAPACK dgeqrt. x = V z is formed once, after
-the loop. One set of ``gks_buffers`` serves all inner solves of an outer one.
+other weights refactor R_L by LAPACK dgeqrt. The projected pair is factored
+by ``gcv.thin_gsvd``. x = V z is formed once, after the loop. One set of
+``gks_buffers`` serves all inner solves of an outer one.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg.lapack import dgeqrt, dtrtrs
 
-from .gcv import (GcvConfig, StackGsvd, _check_info, _stack_gsvd, _thin_qr,
-                  select_eta)
+from .gcv import (GcvConfig, StackGsvd, _check_info, _thin_qr, select_eta,
+                  thin_gsvd)
 from .operators import MatrixOperator, ParamOperator
 from .regularizers import Regularizer, as_regularizer
 
@@ -76,29 +80,31 @@ def mm_lambda(eta, p):
 def golub_kahan(G: ParamOperator, d, ell, out=None):
     """ell steps of Golub-Kahan bidiagonalization of G with starting vector d.
 
-    Both Lanczos vectors are reorthogonalized against all earlier ones, which
-    the column-major buffers ``out`` = (U, V), or new ones, keep contiguous.
+    ``d`` and U are in the range coordinates of G (``G.range_rep``), which
+    ``G.apply_rep`` maps into and ``G.adjoint_apply`` reads. Both Lanczos
+    vectors are reorthogonalized against all earlier ones, which the
+    column-major buffers ``out`` = (U, V), or new ones, keep contiguous.
 
-    Returns (U, B, V, breakdown), U (m x (k+1)) and V (n x k, orthonormal)
-    views of the buffers and B ((k+1) x k) lower bidiagonal, with G V = U B.
+    Returns (U, B, V, breakdown), U (``G.rep_size`` x (k+1)) and V (n x k,
+    orthonormal) views of the buffers and B ((k+1) x k) lower bidiagonal,
+    with G V = U B.
     On breakdown (an alpha or beta at most eps times the largest so far, a
     scale of G, not of d) k < ell and breakdown is True. The thin QR Q_B R_B
     of B gives the thin QR (U Q_B) R_B of G V; a zero last column of U, left
     by a breakdown, meets the zero last row of Q_B.
     """
     d = np.asarray(d, dtype=float)
-    m, n = G.m, G.n
-    if not 1 <= ell <= min(m, n):
+    if not 1 <= ell <= min(G.m, G.n):
         raise ValueError("subspace dimension must satisfy 1 <= ell <= min(m, n)")
-    us, vs = out or (np.empty((m, ell + 1), order="F"),
-                     np.empty((n, ell), order="F"))
+    us, vs = out or (np.empty((G.rep_size, ell + 1), order="F"),
+                     np.empty((G.n, ell), order="F"))
     alphas = np.zeros(ell)
     betas = np.zeros(ell + 1)
     eps, scale = np.finfo(float).eps, 0.0
 
     beta = np.linalg.norm(d)
     if beta == 0.0:
-        return np.zeros((m, 1)), np.zeros((1, 0)), vs[:, :0], True
+        return np.zeros((G.rep_size, 1)), np.zeros((1, 0)), vs[:, :0], True
     us[:, 0] = d / beta
     betas[0] = beta
     k = 0
@@ -117,7 +123,7 @@ def golub_kahan(G: ParamOperator, d, ell, out=None):
         alphas[i] = alpha
         k = i + 1
 
-        u = G.apply(vs[:, i]) - alpha * us[:, i]
+        u = G.apply_rep(vs[:, i]) - alpha * us[:, i]
         u -= us[:, :i + 1] @ (us[:, :i + 1].T @ u)
         beta = np.linalg.norm(u)
         scale = max(scale, beta)
@@ -133,10 +139,13 @@ def golub_kahan(G: ParamOperator, d, ell, out=None):
 
 
 def gks_buffers(G: ParamOperator, L: Regularizer, cfg: MmgksConfig):
-    """Empty column-major (U, V, H, L V) of ``mmgks_solve(G, L, d, cfg)``."""
+    """Empty column-major (U, V, G V, L V) of ``mmgks_solve(G, L, d, cfg)``.
+
+    U and G V have ``G.rep_size`` rows, the length of range coordinates.
+    """
     ell = min(cfg.subspace_dim, G.m, G.n)
     cap = ell + cfg.max_iters - 1       # the last iteration does not expand
-    shapes = (G.m, ell + 1), (G.n, cap), (G.n, cap), (L.q, cap)
+    shapes = (G.rep_size, ell + 1), (G.n, cap), (G.rep_size, cap), (L.q, cap)
     # views of one anonymous mapping, which the system takes back when they
     # die; in malloc's heap they would stay resident and fragment it
     ends = np.cumsum([r * c for r, c in shapes])
@@ -188,29 +197,32 @@ def _grow_factor(r, rows, b, norm2):
 
 
 class GksState:
-    """Growing orthonormal basis V with the cached H = G^T G V and L V.
+    """Growing orthonormal basis V with the cached G V and L V.
 
-    The projected problem reads R_G, dhat and R_L only. R_G^T R_G =
-    (G V)^T G V and dhat = Q_G^T d for Q_G = G V R_G^-1, never formed, so
-    ||G V z - d||^2 = ||R_G z - dhat||^2 + o, with o = ||d - Q_G dhat||^2
-    kept as ``outside``, not read as the cancelling ||d||^2 - ||dhat||^2.
-    ``gtd`` is G^T d, which V spans, as in the Golub-Kahan ``seed`` (R_G,
-    dhat, gtd, o) of ``init_gks``. R_L factors W^(1/2) L V, with no Q. The
-    ``buffers`` of ``gks_buffers`` hold V, H and L V, not zeroed: only the k
-    written columns, which ``v``, ``h`` and ``lv`` view, are read.
+    G V and ``d`` are in the range coordinates of G, where inner products
+    are those of R^m. The projected problem reads R_G, dhat and R_L only.
+    R_G^T R_G = (G V)^T G V and dhat = Q_G^T d for Q_G = G V R_G^-1, never
+    formed, so ||G V z - d||^2 = ||R_G z - dhat||^2 + o, with o = ||d - Q_G
+    dhat||^2 kept as ``outside``, not read as the cancelling ||d||^2 -
+    ||dhat||^2. ``gtd_norm`` is ||G^T d||, the scale of the gradient; V
+    spans G^T d, as in the Golub-Kahan ``seed`` (R_G, dhat, gtd_norm, o) of
+    ``init_gks``. R_L factors W^(1/2) L V, with no Q. The ``buffers`` of
+    ``gks_buffers`` hold V, G V and L V, not zeroed: only the k written
+    columns, which ``v``, ``gv`` and ``lv`` view, are read.
 
-    ``append_direction`` grows R_G by ``_grow_factor`` from b = V^T h_new,
-    or refactors R_G, dhat and o from [G V, d], by k applies of G, when that
-    declines (as for a G V with fewer rows than columns). ``set_weights``
-    factors W^(1/2) L V by ``_r_factor``. Unit weights (None) never change,
-    so R_L is then kept and grown by ``_grow_factor`` from (L V)^T lv_new;
-    when that declines it is dropped for the next ``set_weights`` to refactor.
+    ``append_direction`` grows R_G by ``_grow_factor`` from (G V)^T g_new,
+    or refactors R_G, dhat and o from the cached [G V, d], with no apply of
+    G, when that declines (as for a G V with fewer rows than columns).
+    ``set_weights`` factors W^(1/2) L V by ``_r_factor``. Unit weights (None)
+    never change, so R_L is then kept and grown by ``_grow_factor`` from
+    (L V)^T lv_new; when that declines it is dropped for the next
+    ``set_weights`` to refactor.
     """
 
     def __init__(self, G: ParamOperator, d, k, buffers, seed):
         self._g, self._d, self._k = G, np.asarray(d, dtype=float), k
-        self._v, self._h, self._lv = buffers
-        self.r_g, self.dhat, self.gtd, self.outside = seed
+        self._v, self._gv, self._lv = buffers
+        self.r_g, self.dhat, self.gtd_norm, self.outside = seed
         self.r_l, self._grows = None, False  # grows: R_L factors L V now
 
     @property
@@ -222,8 +234,8 @@ class GksState:
         return self._v[:, :self._k]
 
     @property
-    def h(self):
-        return self._h[:, :self._k]
+    def gv(self):
+        return self._gv[:, :self._k]
 
     @property
     def lv(self):
@@ -237,29 +249,34 @@ class GksState:
             self.r_l = _r_factor(np.multiply(scale, self.lv, order="F"))
         self._grows = w is None
 
+    def data_gradient(self, z):
+        """G^T (G V z - d), by one ``adjoint_apply`` of G."""
+        res = self.gv @ z
+        res -= self._d
+        return self._g.adjoint_apply(res)
+
     def append_direction(self, v_new, lv_new):
         """Add a column orthogonal to V; raises IndexError when full.
 
-        Takes one ``normal_apply`` of G, and k applies when R_G refactors.
+        Takes one ``apply_rep`` of G.
         """
         k = self._k
         self._v[:, k] = v_new
         self._lv[:, k] = lv_new
-        self._h[:, k] = self._g.normal_apply(v_new)
+        self._gv[:, k] = self._g.apply_rep(v_new)
         self._k = k + 1
-        # V^T h_new and ||G v_new||^2 = v_new^T h_new in one product
-        b = self.v.T @ self._h[:, k]
+        # (G V)^T g_new and ||g_new||^2 in one product
+        b = self.gv.T @ self._gv[:, k]
         r_g = _grow_factor(self.r_g, self._g.m, b[:k], b[k])
         if r_g is None:
-            a = np.empty((self._g.m, k + 2), order="F")
-            for j in range(k + 1):
-                a[:, j] = self._g.apply(self._v[:, j])
+            a = np.empty((self._gv.shape[0], k + 2), order="F")
+            a[:, :k + 1] = self.gv
             a[:, k + 1] = self._d
             r = _r_factor(a)
             self.r_g, self.dhat = r[:k + 1, :-1], r[:k + 1, -1]
             self.outside = r[k + 1, -1]**2 if r.shape[0] > k + 1 else 0.0
         else:
-            # Q_G gains (G v_new - Q_G s) / rho, and v_new^T G^T d = 0
+            # Q_G gains (g_new - Q_G s) / rho; g_new^T d = v_new^T G^T d = 0
             self.r_g, s, rho = r_g, r_g[:k, k], r_g[k, k]
             self.dhat = np.append(self.dhat, -(s @ self.dhat) / rho)
             self.outside = max(self.outside - self.dhat[-1]**2, 0.0)
@@ -273,24 +290,27 @@ class GksState:
 def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
     """Seed the subspace in ``buffers`` with ell Golub-Kahan steps on (G, d).
 
-    G V = U B holds for the bidiagonalization, so the thin QR of G V is
-    (U Q_B) R_B from the QR of the small (k+1) x k matrix B: R_G = R_B and,
-    as U^T d = ||d|| e_1, dhat = ||d|| Q_B^T e_1 and o = ||d||^2 ||e_1 - Q_B
-    Q_B^T e_1||^2. The first step gives G^T d = ||d|| alpha_1 v_1. None
-    applies G again or forms G V; H takes k ``normal_apply`` calls. V, H and
-    L V fill the ``buffers`` of ``gks_buffers``, with ell + 1 U columns.
+    G V = U B holds for the bidiagonalization, so the cached G V is U B, and
+    the thin QR of G V is (U Q_B) R_B from the QR of the small (k+1) x k
+    matrix B: R_G = R_B and, as U^T d = ||d|| e_1, dhat = ||d|| Q_B^T e_1
+    and o = ||d||^2 ||e_1 - Q_B Q_B^T e_1||^2. The first step gives ||G^T
+    d|| = ||d|| alpha_1. d enters in range coordinates (one transform on
+    the periodic blur). V, G V and L V fill the ``buffers`` of
+    ``gks_buffers``, with ell + 1 U columns.
     """
-    _, b, v, _ = golub_kahan(G, d, buffers[0].shape[1] - 1, buffers[:2])
-    if v.shape[1] == 0:
+    d = G.range_rep(d)
+    u, b, v, _ = golub_kahan(G, d, buffers[0].shape[1] - 1, buffers[:2])
+    k = v.shape[1]
+    if k == 0:
         raise ValueError("bidiagonalization broke down immediately (zero data?)")
-    for j in range(v.shape[1]):
-        buffers[2][:, j] = G.normal_apply(v[:, j])
+    np.matmul(u, b, out=buffers[2][:, :k])
+    for j in range(k):
         buffers[3][:, j] = L.apply(v[:, j])
     q_b, r_b = _thin_qr(np.array(b, order="F"))
     beta = np.linalg.norm(d)
     out = np.eye(1, b.shape[0])[0] - q_b @ q_b[0]
-    seed = (r_b, beta * q_b[0], beta * b[0, 0] * v[:, 0], beta**2 * out @ out)
-    return GksState(G, d, v.shape[1], buffers[1:], seed)
+    seed = (r_b, beta * q_b[0], beta * b[0, 0], beta**2 * out @ out)
+    return GksState(G, d, k, buffers[1:], seed)
 
 
 def project_and_solve(gsvd: StackGsvd, eta, dhat):
@@ -308,7 +328,7 @@ def expand_subspace(state: GksState, eta, weights, L: Regularizer,
     """Enlarge the basis with the normalized majorant gradient at x = V z.
 
     The expansion vector is r = G^T (G V z - d) + eta L^T (w * (L V z)),
-    read as H z - G^T d from the state and with ``lvz`` = L V z, taken as
+    its data part from the cached G V and with ``lvz`` = L V z, taken as
     it is when ``weights`` is None (w = 1). It is projected out of V by one
     classical Gram-Schmidt pass, and by a second only when the first removed
     more than 1 - 1/sqrt(2) of its norm ("twice is enough"), and normalized.
@@ -317,7 +337,7 @@ def expand_subspace(state: GksState, eta, weights, L: Regularizer,
     current weights).
     """
     wlvz = lvz if weights is None else weights * lvz
-    r = state.h @ z - state.gtd + eta * L.adjoint_apply(wlvz)
+    r = state.data_gradient(z) + eta * L.adjoint_apply(wlvz)
     floor = 1e-14 * grad_scale
     nr = np.linalg.norm(r)
     if nr <= floor:
@@ -399,7 +419,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
                            iterations=0, converged=True, subspace_dim=0)
 
     state = init_gks(G, d, L, buffers or gks_buffers(G, L, cfg))
-    grad_scale = np.linalg.norm(state.gtd)
+    grad_scale = state.gtd_norm
     z = np.zeros(0)
     u = np.zeros(L.q)                  # L x at x = 0
     objectives, etas = [], []
@@ -408,7 +428,7 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
     for it in range(cfg.max_iters):
         w = None if cfg.p == 2 else majorant_weights(u, cfg.p, eps)
         state.set_weights(w)
-        gsvd = _stack_gsvd(state.r_g, state.r_l, householder_q=True)
+        gsvd = thin_gsvd(state.r_g, state.r_l)
         if cfg.eta is not None:
             eta = float(cfg.eta)
         else:

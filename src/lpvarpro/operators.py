@@ -4,14 +4,20 @@ The two concrete operators are a 1D Gaussian Toeplitz blur (zero boundary)
 parametrized by sigma, and a 2D anisotropic Gaussian PSF convolution
 parametrized by (sigma1, sigma2, rho). Both expose forward, adjoint and
 per-parameter derivative actions so that outer Gauss-Newton loops can form
-reduced Jacobians from matrix-vector products only. Under the default
-PERIODIC boundary the 2D blur is block circulant, so it applies G and G^T
-through the cached 2D FFT eigenvalues of the kernel on the image grid, and
-G^T G through their squared moduli.
+reduced Jacobians from matrix-vector products only.
+
+Every operator has range coordinates, an isometry ``range_rep`` of R^m in
+which ``apply_rep`` applies G and which ``adjoint_apply`` reads as well as
+vectors of R^m. They are the identity but under the default PERIODIC
+boundary of the 2D blur, which is diagonal in the 2D DFT: there they are
+the orthonormal half spectrum, and one real FFT applies G, one inverse FFT
+G^T. Builds reject a parameter that is not finite, or whose kernel
+arithmetic overflows or underflows, by ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -58,7 +64,8 @@ class PsfParams:
     """Anisotropic Gaussian PSF parameters (sigma1, sigma2, rho), in pixels.
 
     The covariance matrix [[sigma1^2, rho^2], [rho^2, sigma2^2]] must be
-    positive definite, i.e. delta = sigma1^2 sigma2^2 - rho^4 > 0.
+    positive definite, i.e. delta = sigma1^2 sigma2^2 - rho^4 > 0, and its
+    entries and delta finite floats.
     """
 
     sigma1: float
@@ -68,10 +75,17 @@ class PsfParams:
     def __post_init__(self):
         if not (self.sigma1 > 0 and self.sigma2 > 0):
             raise ValueError("sigma1 and sigma2 must be positive")
-        if not self.delta > 0:
+        # a product of Python floats overflows to inf, where ** raises
+        s1, s2, r2 = (float(v) * float(v)
+                      for v in (self.sigma1, self.sigma2, self.rho))
+        delta = s1 * s2 - r2 * r2
+        if not all(map(math.isfinite, (s1, s2, r2, delta))):
+            raise ValueError("PSF parameters must be finite, with a finite "
+                             "covariance and delta")
+        if not delta > 0:
             raise ValueError(
                 "covariance not positive definite: "
-                f"sigma1^2*sigma2^2 - rho^4 = {self.delta:g} <= 0"
+                f"sigma1^2*sigma2^2 - rho^4 = {delta:g} <= 0"
             )
 
     @property
@@ -186,22 +200,47 @@ class _CachedConv2D:
         embedded = np.zeros(self.grid)
         embedded[:kh, :kw] = kernel
         self.kf = sfft.rfftn(np.roll(embedded, (-ch, -cw), axis=(0, 1)))
-        self.kf_conj = np.conj(self.kf)
 
     @cached_property
-    def kf_power(self):
-        """|kf|^2, the eigenvalues of the circulant G^T G under PERIODIC."""
-        return self.kf.real**2 + self.kf.imag**2
+    def kf_conj(self):
+        """conj(kf), the eigenvalues of the adjoint, built on first use."""
+        return np.conj(self.kf)
+
+    @cached_property
+    def _rep_spectra(self):
+        """Scales (w, kf w, conj(kf) / w) / sqrt(N) of ``rep`` and
+        ``adjoint_rep``: N = n1 n2 makes the transforms orthonormal, and w =
+        sqrt(2) on the half-spectrum columns whose conjugates are not
+        stored, 1 on the others, keeps inner products."""
+        w = np.ones(self.kf.shape[1])
+        w[1:(self.grid[1] + 1) // 2] = np.sqrt(2.0)
+        w /= np.sqrt(np.prod(self.grid))
+        return w, self.kf * w, np.conj(self.kf) / (w * np.prod(self.grid))
+
+    def rep(self, x, filtered):
+        """Range coordinates of G x (``filtered``) or of x, PERIODIC only.
+
+        They are the orthonormal half spectrum scaled by w, viewed as reals,
+        so they keep inner products; one real FFT.
+        """
+        f = sfft.rfftn(x)
+        f *= self._rep_spectra[1 if filtered else 0]
+        return f.view(float).ravel()
+
+    def adjoint_rep(self, u):
+        """G^T u for range coordinates u, the adjoint of ``rep``; one
+        inverse real FFT. Its real part on the self-conjugate columns makes
+        it the adjoint for any u, not only for coordinates of a real image.
+        """
+        f = np.reshape(u, (self.grid[0], -1)).view(complex)
+        return sfft.irfftn(f * self._rep_spectra[2], self.grid, norm="forward",
+                           overwrite_x=True)
 
     def _filter(self, x, eigenvalues):
         """Circulant action of ``eigenvalues``, the spectrum scaled in place."""
         f = sfft.rfftn(x, self.grid)
         f *= eigenvalues
         return sfft.irfftn(f, self.grid, overwrite_x=True)
-
-    def normal(self, x):
-        """G^T G x by one transform pair; PERIODIC only (no pad or crop)."""
-        return self._filter(x, self.kf_power)
 
     def apply(self, x):
         if self.boundary is not ConvBoundary.PERIODIC:
@@ -240,26 +279,37 @@ class ParamOperator:
     """A linear map G(y) with per-parameter derivative actions.
 
     Subclasses provide ``apply``, ``adjoint_apply``, ``derivative_apply`` and
-    ``derivative_adjoint_apply`` for an m x n map with r parameters;
-    ``normal_apply``, G^T G, is the adjoint of the forward action unless a
-    subclass has a cheaper one. An instance is built at one parameter value,
-    which it does not report: the caller that chose y holds it, and
-    ``ProblemInstance.operator`` builds the family at new parameters.
+    ``derivative_adjoint_apply`` for an m x n map with r parameters. The
+    range coordinates (``range_rep``, ``apply_rep`` and their length
+    ``rep_size``) are the identity unless a subclass overrides them. An
+    instance is built at one parameter value, which it does not report: the
+    caller that chose y holds it, and ``ProblemInstance.operator`` builds
+    the family at new parameters.
     """
 
     m: int
     n: int
     r: int
 
+    @property
+    def rep_size(self) -> int:
+        """Length of the range coordinates of a vector of R^m."""
+        return self.m
+
+    def range_rep(self, v) -> np.ndarray:
+        """Range coordinates of v in R^m; they keep inner products."""
+        return np.asarray(v, dtype=float)
+
+    def apply_rep(self, x) -> np.ndarray:
+        """``range_rep(apply(x))``, the action of G in range coordinates."""
+        return self.range_rep(self.apply(x))
+
     def apply(self, x) -> np.ndarray:
         raise NotImplementedError
 
     def adjoint_apply(self, v) -> np.ndarray:
+        """Action of G^T on v, given in R^m or in range coordinates."""
         raise NotImplementedError
-
-    def normal_apply(self, x) -> np.ndarray:
-        """Action of G^T G on x."""
-        return self.adjoint_apply(self.apply(x))
 
     def derivative_apply(self, j, x) -> np.ndarray:
         """Action of dG/dy_j on x."""
@@ -314,14 +364,18 @@ class GaussianBlur1D(ParamOperator):
         self.m = self.n = int(n)
         self.r = 1
         # one kernel evaluation at offsets 0..n-1 gives G and dG/dsigma,
-        # whose kernel is g(s) (s^2/sigma^3 - 1/sigma); a tiny sigma
-        # underflows sigma^3 (below about 1e-103) and sigma^2 (1.5e-162)
-        s = np.arange(self.n, dtype=float)
+        # whose kernel is g(s) (s^2/sigma^3 - 1/sigma); sigma^3 underflows
+        # below about 1e-103 (sigma^2 below 1.5e-162), and above about
+        # 5.6e102 it overflows, which would leave dG/dsigma 0
+        s, sigma = np.arange(self.n, dtype=float), np.float64(self.sigma)
         with np.errstate(all="ignore"):
-            g = gaussian_kernel_1d(self.sigma, s)
-            dg = g * (s**2 / self.sigma**3 - 1.0 / self.sigma)
-        if not (np.isfinite(g).all() and np.isfinite(dg).all()):
-            raise ValueError("sigma too small: the blur kernel is not finite")
+            cube = sigma**3
+            g = gaussian_kernel_1d(sigma, s)
+            dg = g * (s**2 / cube - 1.0 / sigma)
+        if not (0 < cube < np.inf and np.isfinite(g).all()
+                and np.isfinite(dg).all()):
+            raise ValueError(f"sigma = {self.sigma:g} out of range: sigma^3 "
+                             f"or the blur kernel is not finite")
         tail = g < np.finfo(float).eps ** 2 * g[0]
         g[tail] = dg[tail] = 0.0
         self._g = toeplitz(g)
@@ -359,7 +413,9 @@ class GaussianPsfBlur2D(ParamOperator):
     convolution in the blur parametrization. The PSF and its transform are
     built at construction; the three partials and their transforms are built
     on the first derivative action, so an operator that is only applied
-    never forms them.
+    never forms them. Under PERIODIC the range coordinates are the weighted
+    orthonormal half spectrum of ``_CachedConv2D.rep``, 2 n1 (n2//2 + 1)
+    reals for an n1 x n2 image.
     """
 
     def __init__(self, params: PsfParams, image_shape, psf_size=31,
@@ -370,6 +426,7 @@ class GaussianPsfBlur2D(ParamOperator):
         self.m = self.n = int(np.prod(self.image_shape))
         self.r = 3
         self._params = params
+        self._periodic = boundary is ConvBoundary.PERIODIC
         self.psf = psf_gaussian_2d(params, (self.psf_size, self.psf_size))
         self._conv = _CachedConv2D(self.psf, self.image_shape, boundary)
 
@@ -390,13 +447,26 @@ class GaussianPsfBlur2D(ParamOperator):
         return self._conv.apply(self._as_image(x)).ravel()
 
     def adjoint_apply(self, v):
+        # range coordinates are longer than an image: 2 n1 (n2//2 + 1) > n
+        if self._periodic and np.size(v) == self.rep_size:
+            return self._conv.adjoint_rep(v).ravel()
         return self._conv.adjoint(self._as_image(v)).ravel()
 
-    def normal_apply(self, x):
-        # G^T G is circulant only without the pad and crop of ZERO/REFLEXIVE
-        if self.boundary is not ConvBoundary.PERIODIC:
-            return super().normal_apply(x)
-        return self._conv.normal(self._as_image(x)).ravel()
+    @property
+    def rep_size(self):
+        if not self._periodic:
+            return self.m
+        return 2 * self.image_shape[0] * (self.image_shape[1] // 2 + 1)
+
+    def range_rep(self, v):
+        if not self._periodic:
+            return super().range_rep(v)
+        return self._conv.rep(self._as_image(v), filtered=False)
+
+    def apply_rep(self, x):
+        if not self._periodic:
+            return super().apply_rep(x)
+        return self._conv.rep(self._as_image(x), filtered=True)
 
     def derivative_apply(self, j, x):
         return self._dconv[j].apply(self._as_image(x)).ravel()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpvarpro import gcv, mmgks
+from lpvarpro import gcv, mmgks, operators
 from lpvarpro.gcv import thin_gsvd
 from lpvarpro.mmgks import (GksState, MmgksConfig, expand_subspace,
                             golub_kahan, init_gks, majorant_weights, mm_lambda,
@@ -33,15 +33,16 @@ class CountingQ(np.ndarray):
 
 
 def projected_solution(state, eta):
-    """z of the projected Tikhonov problem on the current factors of state."""
+    """z of the projected Tikhonov problem on the current factors of state,
+    by the one pair factorization that ``mmgks_solve`` runs."""
     return project_and_solve(thin_gsvd(state.r_g, state.r_l), eta,
                              state.dhat)
 
 
 def expand(state, z, eta, weights, L):
     """expand_subspace with the product and the scale mmgks_solve passes."""
-    return expand_subspace(state, eta, weights, L,
-                           np.linalg.norm(state.gtd), z, state.lv @ z)
+    return expand_subspace(state, eta, weights, L, state.gtd_norm, z,
+                           state.lv @ z)
 
 
 def seeded(G, d, ell, L, capacity):
@@ -55,20 +56,17 @@ def dense_state(a, d, v, lv, capacity):
 
     R_G, dhat and ||d - Q_G dhat||^2 come from the R factor of [A V, d];
     appends keep them exact only when V spans A^T d, as a Golub-Kahan seed
-    does. H = A^T A V
-    is formed column by column, as ``init_gks`` does, and the buffers past
-    the seed columns hold NaN, which no read of a state may meet.
+    does. G V is A V, whose range coordinates are its own, and the buffers
+    past the seed columns hold NaN, which no read of a state may meet.
     """
     k = v.shape[1]
     r = np.linalg.qr(np.column_stack([a @ v, d]), mode="r")
     outside = r[k, k]**2 if r.shape[0] > k else 0.0
     buffers = [np.full((rows, capacity), np.nan, order="F")
-               for rows in (a.shape[1], a.shape[1], lv.shape[0])]
-    buffers[0][:, :k], buffers[2][:, :k] = v, lv
-    for j in range(k):
-        buffers[1][:, j] = a.T @ (a @ v[:, j])
+               for rows in (a.shape[1], a.shape[0], lv.shape[0])]
+    buffers[0][:, :k], buffers[1][:, :k], buffers[2][:, :k] = v, a @ v, lv
     return GksState(MatrixOperator(a), d, k, buffers,
-                    (r[:k, :-1], r[:k, -1], a.T @ d, outside))
+                    (r[:k, :-1], r[:k, -1], np.linalg.norm(a.T @ d), outside))
 
 
 def basis_spanning(col, k, rng):
@@ -79,25 +77,28 @@ def basis_spanning(col, k, rng):
 
 
 def assert_data_factors(state, a, d, rtol, seed=0):
-    """R_G, dhat, H and G^T d of state against dense products of A.
+    """R_G, dhat, G V and ||G^T d|| of state against dense products of A.
 
-    R_G^T R_G = (A V)^T A V, H = A^T A V, gtd = A^T d, and for random z the
-    misfit ||R_G z - dhat||^2 + o = ||A V z - d||^2, with o the state's
-    ``outside``, ||d - Q_G dhat||^2.
+    R_G^T R_G = (A V)^T A V, the cached G V holds the range coordinates of
+    A V, ``gtd_norm`` = ||A^T d||, and for random z the misfit ||R_G z -
+    dhat||^2 + o = ||A V z - d||^2, with o the state's ``outside``, ||d -
+    Q_G dhat||^2.
     """
     gv = a @ state.v
     assert_gram_matches(state.r_g, gv, rtol)
-    h = a.T @ gv
-    assert np.linalg.norm(state.h - h) <= rtol * np.linalg.norm(h)
-    assert np.linalg.norm(state.gtd - a.T @ d) <= rtol * np.linalg.norm(
-        a.T @ d)
+    rep = np.column_stack([state._g.range_rep(col) for col in gv.T])
+    assert np.linalg.norm(state.gv - rep) <= rtol * np.linalg.norm(rep)
+    assert state.gtd_norm == pytest.approx(np.linalg.norm(a.T @ d), rel=rtol)
     z = np.random.default_rng(seed).standard_normal(state.k)
     misfit = np.linalg.norm(state.r_g @ z - state.dhat)**2 + state.outside
     assert misfit == pytest.approx(np.linalg.norm(gv @ z - d)**2, rel=rtol)
 
 
 def count_data_refactors(monkeypatch, d):
-    """Count the R factors of [G V, d] that refactor R_G, in a list."""
+    """Count the R factors of [G V, d] that refactor R_G, in a list.
+
+    ``d`` is in the range coordinates of G, as the state holds it.
+    """
     calls = [0]
     r_factor_orig = mmgks._r_factor
 
@@ -123,15 +124,15 @@ def count_dgeqrt(monkeypatch):
 
 
 def count_operator_calls(monkeypatch, G):
-    """Count apply, adjoint_apply and normal_apply of a MatrixOperator.
+    """Count apply, adjoint_apply and apply_rep of a MatrixOperator.
 
-    normal_apply is counted as one call, not as the apply and adjoint_apply
-    that its default runs.
+    apply_rep is counted as one call, not as the apply that its default
+    runs.
     """
     calls = Counter()
     for name, fn in (("apply", lambda x: G.a @ x),
                      ("adjoint_apply", lambda v: G.a.T @ v),
-                     ("normal_apply", lambda x: G.a.T @ (G.a @ x))):
+                     ("apply_rep", lambda x: G.a @ x)):
         def counting(x, _name=name, _fn=fn):
             calls[_name] += 1
             return _fn(x)
@@ -367,9 +368,9 @@ class TestGksStateBuffers:
 
     @pytest.mark.parametrize("m", [40, 8])
     def test_g_v_read_through_its_factors(self, m):
-        # the state keeps no copy of G V and no Q_G: H z stands for
-        # G^T G V z and R_G, dhat for ||G V z - d||, also once G V has more
-        # columns than rows (m = 8 < k)
+        # the state keeps G V, not G^T G V nor Q_G: R_G, dhat stand for
+        # ||G V z - d||, also once G V has more columns than rows (m = 8 <
+        # k), and the cached G V gives the data gradient G^T (G V z - d)
         rng = np.random.default_rng(19)
         G = MatrixOperator(rng.standard_normal((m, 30)))
         L = MatrixRegularizer(first_derivative_1d(30))
@@ -380,11 +381,11 @@ class TestGksStateBuffers:
             z = projected_solution(state, 0.1)
             assert expand(state, z, 0.1, None, L)
             state.set_weights(None)
-        assert not hasattr(state, "gv") and not hasattr(state, "q_g")
+        assert not hasattr(state, "h") and not hasattr(state, "q_g")
         z = rng.standard_normal(state.k)
-        gtgvz = G.a.T @ (G.a @ (state.v @ z))
-        np.testing.assert_allclose(state.h @ z, gtgvz,
-                                   atol=1e-12 * np.linalg.norm(gtgvz))
+        grad = G.a.T @ (G.a @ (state.v @ z) - d)
+        np.testing.assert_allclose(state.data_gradient(z), grad,
+                                   atol=1e-12 * np.linalg.norm(grad))
         assert_data_factors(state, G.a, d, 1e-12)
 
     def test_weighted_factor_after_reweighting_and_growth(self):
@@ -439,7 +440,7 @@ class TestGksStateBuffers:
         lv = rng.standard_normal((q, k))
         state = dense_state(rng.standard_normal((30, 20)),
                             rng.standard_normal(30), basis, lv, capacity=k + 3)
-        before = [a.tobytes() for a in (state.v, state.lv, state.h,
+        before = [a.tobytes() for a in (state.v, state.lv, state.gv,
                                         state.r_g, state.dhat)]
         for _ in range(2):
             w = rng.uniform(0.5, 2.0, q)
@@ -450,7 +451,7 @@ class TestGksStateBuffers:
             np.testing.assert_allclose(np.abs(state.r_l), np.abs(ref),
                                        rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max(initial=1))
-        assert [a.tobytes() for a in (state.v, state.lv, state.h,
+        assert [a.tobytes() for a in (state.v, state.lv, state.gv,
                                       state.r_g, state.dhat)] == before
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-6])
@@ -567,13 +568,13 @@ class TestTallKernels:
         # an expansion vector far from span(V) is projected out of V by one
         # pass (two products with V); one that the first pass nearly
         # cancels by a second. With z = 0 and L = I the vector is
-        # t - G^T d for the lvz = t passed in; the append reads V once more
+        # t - G^T d for the lvz = t passed in; the append reads G V, not V
         rng = np.random.default_rng(17)
         G = MatrixOperator(rng.standard_normal((50, 40)))
         L = as_regularizer(None, 40)
         d = rng.standard_normal(50)
         state = seeded(G, d, 6, L, capacity=7)
-        gtd = np.linalg.norm(state.gtd)
+        gtd = state.gtd_norm
         t = rng.standard_normal(40)
         t -= state.v @ (state.v.T @ t)
         t *= 10 * gtd / np.linalg.norm(t)
@@ -582,16 +583,17 @@ class TestTallKernels:
         monkeypatch.setattr(CountingQ, "products", 0)
         state._v = state._v.view(CountingQ)
         assert expand_subspace(state, 1.0, None, L, gtd, np.zeros(6), t)
-        assert CountingQ.products == 2 * passes + 1
+        assert CountingQ.products == 2 * passes
         state._v = np.asarray(state._v)
         assert state.k == 7
         assert np.abs(state.v[:, :6].T @ state.v[:, 6]).max() <= 1e-14
 
-    @pytest.mark.parametrize("buffer", ["_v", "_lv"])
+    @pytest.mark.parametrize("buffer", ["_v", "_gv", "_lv"])
     def test_append_takes_one_product_with_v_and_with_l_v(self, monkeypatch,
                                                           buffer):
-        # growing R_G reads V once, for V^T h_new, and growing R_L reads L V
-        # once, for (L V)^T lv_new; G is applied once, as G^T G
+        # growing R_G reads G V once, for (G V)^T g_new, and V not at all,
+        # and growing R_L reads L V once, for (L V)^T lv_new; G is applied
+        # once, into range coordinates
         rng = np.random.default_rng(23)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
@@ -607,8 +609,8 @@ class TestTallKernels:
         setattr(state, buffer, getattr(state, buffer).view(CountingQ))
         state.append_direction(v_new, lv_new)
         setattr(state, buffer, np.asarray(getattr(state, buffer)))
-        assert CountingQ.products == 1
-        assert calls == Counter(normal_apply=1)
+        assert CountingQ.products == (buffer != "_v")
+        assert calls == Counter(apply_rep=1)
         state.set_weights(None)
         assert state.r_l.shape == (5, 5)
         assert_gram_matches(state.r_l, state.lv, 1e-13)
@@ -645,9 +647,9 @@ class TestTallKernels:
                                    atol=1e-12)
 
     def test_thin_qrs_run_no_numpy_qr(self, monkeypatch):
-        # the QR of B in init_gks and the stacked-pair GSVD run the in-place
-        # LAPACK helper, R_L at unit weights the blocked dgeqrt, and none of
-        # them overwrites the products it factors
+        # the QR of B in init_gks runs the in-place LAPACK helper, the
+        # stacked pair dgeqrf in place, R_L at unit weights the blocked
+        # dgeqrt, and none of them overwrites the products it factors
         rng = np.random.default_rng(18)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
@@ -661,12 +663,12 @@ class TestTallKernels:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         state = seeded(G, d, 4, L, capacity=6)
-        products = [x.tobytes() for x in (state.v, state.lv, state.h,
+        products = [x.tobytes() for x in (state.v, state.lv, state.gv,
                                           state.r_g, state.dhat)]
         state.set_weights(None)
         thin_gsvd(state.r_g, state.r_l)
         assert calls == []
-        assert [x.tobytes() for x in (state.v, state.lv, state.h,
+        assert [x.tobytes() for x in (state.v, state.lv, state.gv,
                                       state.r_g, state.dhat)] == products
         assert_gram_matches(state.r_l, state.lv, 1e-13)
 
@@ -715,7 +717,8 @@ class TestExpandSubspace:
 
 
 class TestDataFactor:
-    """R_G, dhat, H and G^T d against dense products, seed and appends."""
+    """R_G, dhat, G V and ||G^T d|| against dense products, seed and
+    appends; the periodic blur holds G V and d in its range coordinates."""
 
     @pytest.mark.parametrize("family", ["matrix", "1d", "psf2d"])
     def test_invariants_after_seed_and_each_append(self, monkeypatch,
@@ -731,7 +734,7 @@ class TestDataFactor:
         a = G.dense()
         d = a @ rng.standard_normal(G.n) + 0.01 * rng.standard_normal(G.m)
         L = as_regularizer(None, G.n)
-        refactors = count_data_refactors(monkeypatch, d)
+        refactors = count_data_refactors(monkeypatch, G.range_rep(d))
         state = seeded(G, d, 5, L, capacity=13)
         state.set_weights(None)
         assert_data_factors(state, a, d, 1e-10)
@@ -745,7 +748,7 @@ class TestDataFactor:
 
     def test_refactor_when_image_nearly_in_range(self, monkeypatch):
         # G v_new = G V c + 1e-9 w: rho^2 is left to roundoff, so R_G and
-        # dhat are refactored from [G V, d], by k + 1 applies of G
+        # dhat are refactored from the cached [G V, d]
         rng = np.random.default_rng(41)
         m, n, k = 30, 20, 5
         a = rng.standard_normal((m, n))
@@ -771,7 +774,8 @@ class TestDataFactor:
         # m = 6 rows: the fifth column grows R_G, the sixth leaves
         # rho^2 = 0.043 ||G v_new||^2 and refactors it, and from then on R_G
         # has no row for rho, so each column refactors it to 6 x k; the
-        # misfit stays exact
+        # misfit stays exact. A refactor reads the cached G V and applies
+        # G no more: each expansion applies G and G^T once
         rng = np.random.default_rng(42)
         m, n = 6, 20
         G = MatrixOperator(rng.standard_normal((m, n)))
@@ -788,8 +792,7 @@ class TestDataFactor:
             assert state.r_g.shape == (min(m, state.k), state.k)
             assert_data_factors(state, G.a, d, 1e-10, seed=j)
         assert refactors == [5]
-        # a refactor at k columns applies G k times
-        assert calls == Counter(normal_apply=6, apply=6 + 7 + 8 + 9 + 10)
+        assert calls == Counter(apply_rep=6, adjoint_apply=6)
 
 
 def majorant_value(x, v, G, d, L, lam, p, eps):
@@ -942,11 +945,11 @@ class TestMmgksSolve:
                              [(12, 1e-16, False), (40, 1e-2, True)])
     def test_operator_calls_per_expansion(self, monkeypatch, max_iters, tol,
                                           converged):
-        # the bidiagonalization applies G and G^T ell times each and H takes
-        # ell normal_apply calls; after that each expansion makes exactly one
-        # normal_apply call and no apply or adjoint_apply call (R_G is not
-        # refactored here), and the last iteration does not expand, whether
-        # or not the solve converged
+        # the bidiagonalization applies G and G^T ell times each and the
+        # seed's G V = U B none; after that each expansion applies G^T once,
+        # for the gradient, and G once, for the new column of G V (R_G is
+        # not refactored here), and the last iteration does not expand,
+        # whether or not the solve converged
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=6)
         ell = 5
         G = MatrixOperator(prob.operator(prob.y_true).dense())
@@ -958,8 +961,8 @@ class TestMmgksSolve:
         assert res.converged is converged
         expansions = res.subspace_dim - ell
         assert expansions == res.iterations - 1
-        assert calls == Counter(apply=ell, adjoint_apply=ell,
-                                normal_apply=ell + expansions)
+        assert calls == Counter(apply_rep=ell + expansions,
+                                adjoint_apply=ell + expansions)
 
     def test_stall_floor_scale_is_norm_of_adjoint_data(self, monkeypatch):
         # ||G^T d|| = ||d|| alpha_1, read off the bidiagonalization
@@ -984,7 +987,7 @@ class TestMmgksSolve:
         # GCV and the projected solve read one thin GSVD; neither factors
         # the projected pair again by least squares or a CS decomposition
         calls = Counter()
-        counted = ("_stack_gsvd", "lstsq", "cossin")
+        counted = ("thin_gsvd", "lstsq", "cossin")
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code.co_name in counted:
@@ -1001,7 +1004,7 @@ class TestMmgksSolve:
         finally:
             sys.setprofile(None)
         assert res.iterations == 10
-        assert calls == Counter(_stack_gsvd=res.iterations)
+        assert calls == Counter(thin_gsvd=res.iterations)
 
     @pytest.mark.parametrize("p, dgeqrt_calls", [(2.0, 1), (1.0, 6)])
     def test_weighted_factor_work_per_solve(self, monkeypatch, p,
@@ -1035,14 +1038,15 @@ class TestMmgksSolve:
 
     def test_thin_qr_runs_only_on_b_and_the_stacks(self, monkeypatch):
         # a p = 2 solve factors the bidiagonal B with Q and then only the
-        # stacked pairs [R_G; R_L]; L V gets no Q
-        shapes = {mmgks: [], gcv: []}
-        for module, seen in shapes.items():
-            def recording(a, _orig=module._thin_qr, _seen=seen):
+        # stacked pairs [R_G; R_L], with no Q; L V gets no Q
+        shapes = {"_thin_qr": [], "_householder": []}
+        for name, seen in shapes.items():
+            def recording(a, _orig=getattr(gcv, name), _seen=seen):
                 _seen.append(a.shape)
                 return _orig(a)
 
-            monkeypatch.setattr(module, "_thin_qr", recording)
+            monkeypatch.setattr(gcv, name, recording)
+        monkeypatch.setattr(mmgks, "_thin_qr", gcv._thin_qr)
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=11)
         ell = 5
         cfg = MmgksConfig(p=2.0, subspace_dim=ell, max_iters=6, tol=1e-16)
@@ -1050,8 +1054,9 @@ class TestMmgksSolve:
                           MatrixRegularizer(first_derivative_1d(48)), prob.d,
                           cfg)
         assert res.iterations == 6
-        assert shapes[mmgks] == [(ell + 1, ell)]
-        assert shapes[gcv] == [(2 * k, k) for k in range(ell, ell + 6)]
+        assert shapes["_thin_qr"] == [(ell + 1, ell)]
+        assert shapes["_householder"] == [(ell + 1, ell)] + [
+            (2 * k, k) for k in range(ell, ell + 6)]
 
     @pytest.mark.parametrize("family", ["1d", "psf2d"])
     def test_grown_factor_matches_refactoring_every_iteration(
@@ -1079,6 +1084,69 @@ class TestMmgksSolve:
         assert grown.iterations == fresh.iterations
         assert np.linalg.norm(grown.x - fresh.x) <= 1e-10 * np.linalg.norm(
             fresh.x)
+
+    def test_expansion_direction_does_not_cancel(self, monkeypatch):
+        # the setup of the [1d] case above. Near convergence ||r|| falls to
+        # 1.6e-9 ||G^T d||. The gradient formed as G^T G V z - G^T d put an
+        # error of about eps ||G^T d|| into the new column, 8.4e-8 of ||r||
+        # there; G^T (G V z - d) puts its error through G^T, mostly into
+        # span(V), which the projection removes: 1.1e-10 of ||r|| there,
+        # as against an exact rational reference, and less elsewhere
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("the reference needs an extended long double")
+        prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=12)
+        L = MatrixRegularizer(first_derivative_1d(48))
+        G = prob.operator(prob.y_true)
+        ext = np.longdouble
+        g, l_mat = G.dense().astype(ext), L.dense().astype(ext)
+        expand_orig = mmgks.expand_subspace
+        rows = []
+
+        def checking(state, eta, weights, L_, grad_scale, z, lvz):
+            v = state.v.astype(ext)
+            grew = expand_orig(state, eta, weights, L_, grad_scale, z, lvz)
+            x = v @ z.astype(ext)
+            r = g.T @ (g @ x - prob.d) + ext(eta) * (l_mat.T @ (l_mat @ x))
+            r_perp = r
+            for _ in range(2):
+                r_perp = r_perp - v @ (v.T @ r_perp)
+            scale = np.sqrt(r_perp @ r_perp)
+            err = state.v[:, -1] * scale - r_perp
+            rows.append((float(np.sqrt(err @ err) / np.sqrt(r @ r)),
+                         float(np.sqrt(r @ r) / grad_scale)))
+            return grew
+
+        monkeypatch.setattr(mmgks, "expand_subspace", checking)
+        res = mmgks_solve(G, L, prob.d, MmgksConfig(p=2.0, subspace_dim=8,
+                                                    max_iters=30, tol=1e-8))
+        errors, ratios = np.array(rows).T
+        assert len(rows) == res.iterations - 1 == 29
+        assert ratios.min() < 1e-8
+        assert errors.max() <= 1e-9
+
+    @pytest.mark.parametrize("p", [2.0, 1.0])
+    def test_periodic_solve_fft_count(self, monkeypatch, p):
+        # the seed takes one FFT for the range coordinates of d and one per
+        # apply and adjoint of the bidiagonalization, with no G^T G V; each
+        # expansion one for G^T (G V z - d) and one for G v_new
+        prob = make_blind_deconv_problem("grain", (3.0, 2.0, 0.5), 0.01, 0,
+                                         size=16, psf_size=7)
+        G = prob.operator(prob.y_true)
+        calls = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2",
+                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counting(*args, _name=name,
+                         _orig=getattr(operators.sfft, name), **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(operators.sfft, name, counting)
+        ell = 6
+        res = mmgks_solve(G, derivative_2d(1, 16), prob.d,
+                          MmgksConfig(p=p, subspace_dim=ell, max_iters=9,
+                                      tol=1e-16))
+        assert res.iterations == 9
+        assert len(calls) == 1 + 2 * ell + 2 * (res.iterations - 1)
 
     def test_one_regularizer_apply_per_basis_column(self):
         # L is applied to the ell seed columns and to each expansion vector,

@@ -9,7 +9,7 @@ from lpvarpro.operators import (DENSE_LIMIT, ConvBoundary, GaussianBlur1D,
                                 GaussianPsfBlur2D, MatrixOperator, PsfParams,
                                 gaussian_kernel_1d, psf_gaussian_2d,
                                 psf_param_gradients)
-from lpvarpro.problems import make_1d_problem
+from lpvarpro.problems import make_1d_problem, make_blind_deconv_problem
 from lpvarpro.varpro import _operator_at, jacobian_reduced
 
 BOUNDARIES = [ConvBoundary.ZERO, ConvBoundary.PERIODIC, ConvBoundary.REFLEXIVE]
@@ -88,10 +88,12 @@ class TestGaussianKernel1d:
         with pytest.raises(ValueError):
             GaussianBlur1D(np.nan, 8)
 
-    @pytest.mark.parametrize("sigma", [1e-110, 1e-165])
+    @pytest.mark.parametrize("sigma", [1e-110, 1e-165, 1e200, np.inf])
     def test_blur_with_non_finite_kernel_refused(self, sigma):
         # sigma^3 underflows below about 1e-103, so the derivative kernel is
-        # not finite; below about 1.5e-162 the blur itself is NaN. Such a
+        # not finite; below about 1.5e-162 the blur itself is NaN. Above
+        # about 5.6e102 sigma^3 overflows (an OverflowError of Python
+        # floats, which no halving caught), and at inf G was 0. Such a
         # sigma lies outside the domain, so an outer step to it is halved
         with pytest.raises(ValueError, match="not finite"):
             GaussianBlur1D(sigma, 8)
@@ -160,6 +162,19 @@ class TestPsfParams:
             PsfParams(1.0, 1.0, 1.5)   # delta = 1 - 5.06 < 0
         p = PsfParams(1.5, 2.0, 1.0)
         assert p.delta == pytest.approx(1.5**2 * 2.0**2 - 1.0)
+
+    @pytest.mark.parametrize("params", [
+        (np.inf, 1.0, 0.0), (1.0, 1.0, np.inf), (1e200, 1.0, 0.5),
+        (1e200, 1e-200, 0.0), (1.0, 1.0, 1e100), (1e160, 1e160, 0.0)])
+    def test_non_finite_or_overflowing_refused(self, params):
+        # (inf, 1, 0) gave a NaN PSF and (1e200, 1, 0.5) an OverflowError
+        # in delta; every one is outside the domain, so an outer step to it
+        # is halved
+        with pytest.raises(ValueError, match="finite"):
+            PsfParams(*params)
+        problem = make_blind_deconv_problem("satellite", (4.0, 3.0, 1.5),
+                                            0.01, 0, size=16, psf_size=5)
+        assert _operator_at(problem, params) is None
 
 
 class TestPsfGaussian2d:
@@ -307,8 +322,8 @@ class TestConv2dApply:
     @pytest.mark.parametrize("bc", BOUNDARIES)
     @pytest.mark.parametrize("shape", [(32, 32), (20, 27)])
     def test_in_place_spectra_keep_the_arithmetic(self, bc, shape):
-        # apply, adjoint and normal multiply the spectrum in place, the
-        # adjoint by a cached conjugate; the results equal the expressions
+        # apply and adjoint multiply the spectrum in place, the adjoint by
+        # a cached conjugate; the results equal the expressions
         # that formed a new product spectrum on every call bit for bit
         rng = np.random.default_rng(35)
         conv = operators._CachedConv2D(
@@ -333,9 +348,6 @@ class TestConv2dApply:
                          (conv.adjoint(x), ref_adjoint)):
             assert got.shape == ref.shape
             assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
-        if periodic:
-            ref_normal = filtered(x, conv.kf_power)
-            assert conv.normal(x).tobytes() == ref_normal.tobytes()
 
 
 def _adjoint_gap(op, rng, trials=100):
@@ -372,65 +384,76 @@ class TestAdjointConsistency:
                 assert gap <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(v)
 
 
-def assert_normal_is_composition(normal, op_apply, op_adjoint, x):
-    """G^T G x from ``normal`` equals G^T (G x) to 1e-12 relative."""
-    ref = op_adjoint(op_apply(x))
-    assert np.linalg.norm(normal(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+def assert_range_rep(op, x, y, u):
+    """range_rep keeps inner products, apply_rep = range_rep o G, and
+    adjoint_apply on range coordinates is the adjoint of apply_rep, each to
+    1e-12 relative."""
+    def close(a, b, scale):
+        assert abs(a - b) <= 1e-12 * scale
+
+    rx, ry = op.range_rep(x), op.range_rep(y)
+    assert rx.shape == (op.rep_size,)
+    close(rx @ ry, x @ y, np.linalg.norm(x) * np.linalg.norm(y))
+    ref = op.range_rep(op.apply(x))
+    assert (np.linalg.norm(op.apply_rep(x) - ref)
+            <= 1e-12 * np.linalg.norm(x))
+    close(op.apply_rep(x) @ u, x @ op.adjoint_apply(u),
+          np.linalg.norm(x) * np.linalg.norm(u))
+    # the image and its range coordinates give one G^T
+    assert (np.linalg.norm(op.adjoint_apply(op.range_rep(y))
+                           - op.adjoint_apply(y))
+            <= 1e-12 * np.linalg.norm(y))
 
 
-class TestNormalApply:
-    """normal_apply is G^T G: by default the adjoint of the forward action,
-    and for the periodic 2D blur one transform pair with |K^|^2."""
+class TestRangeRep:
+    """The range representation of the operators: the identity by default,
+    the weighted orthonormal half spectrum for the periodic 2D blur."""
 
-    def test_blur_1d(self):
-        op = GaussianBlur1D(2.0, 40)
-        x = np.random.default_rng(30).standard_normal(op.n)
-        assert_normal_is_composition(op.normal_apply, op.apply,
-                                     op.adjoint_apply, x)
+    @pytest.mark.parametrize("op", [
+        GaussianBlur1D(2.0, 40),
+        MatrixOperator(np.random.default_rng(31).standard_normal((30, 20))),
+        GaussianPsfBlur2D(PsfParams(1.5, 2.0, 1.0), (10, 16), 5,
+                          ConvBoundary.ZERO),
+        GaussianPsfBlur2D(PsfParams(1.5, 2.0, 1.0), (9, 9), 5,
+                          ConvBoundary.REFLEXIVE)],
+        ids=["blur1d", "matrix", "zero", "reflexive"])
+    def test_identity_by_default(self, op):
+        rng = np.random.default_rng(30)
+        x, v = rng.standard_normal(op.n), rng.standard_normal(op.m)
+        assert op.rep_size == op.m
+        assert op.range_rep(v).tobytes() == v.tobytes()
+        assert op.apply_rep(x).tobytes() == op.apply(x).tobytes()
 
-    def test_matrix_operator(self):
-        rng = np.random.default_rng(31)
-        op = MatrixOperator(rng.standard_normal((30, 20)))
-        x = rng.standard_normal(op.n)
-        assert_normal_is_composition(op.normal_apply, op.apply,
-                                     op.adjoint_apply, x)
+    @pytest.mark.parametrize("shape, size", [((10, 16), 180), ((9, 9), 90),
+                                             ((12, 7), 96)])
+    def test_periodic_coordinates_are_the_half_spectrum(self, shape, size):
+        # 2 n1 (n2//2 + 1) reals, longer than an image for odd and even n2
+        op = GaussianPsfBlur2D(PsfParams(1.5, 2.0, 1.0), shape, 5)
+        assert op.rep_size == size > op.m
 
-    @pytest.mark.parametrize("bc", BOUNDARIES)
-    @pytest.mark.parametrize("shape, psf_size", [((12, 12), 7), ((12, 12), 1),
-                                                 ((10, 16), 5), ((9, 9), 9)])
-    def test_psf_blur_2d(self, bc, shape, psf_size):
-        # square PSFs on square and non-square images, up to the image size
-        op = GaussianPsfBlur2D(PsfParams(1.5, 2.0, 1.0), shape, psf_size, bc)
-        x = np.random.default_rng(32).standard_normal(op.n)
-        assert_normal_is_composition(op.normal_apply, op.apply,
-                                     op.adjoint_apply, x)
-
-    @pytest.mark.parametrize("ksize", [(4, 6), (5, 9), (6, 3), (12, 20)])
-    def test_periodic_rectangular_kernel(self, ksize):
-        # the blur takes square PSFs; the periodic convolution that serves
-        # its normal_apply takes any kernel no larger than the image
-        rng = np.random.default_rng(33)
-        conv = operators._CachedConv2D(rng.standard_normal(ksize), (12, 20),
-                                       ConvBoundary.PERIODIC)
-        assert_normal_is_composition(conv.normal, conv.apply, conv.adjoint,
-                                     rng.standard_normal((12, 20)))
-
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(sigma1=st.floats(0.3, 5.0), sigma2=st.floats(0.3, 5.0),
            corr=st.floats(0.0, 0.95), half=st.integers(0, 4),
-           rows=st.integers(9, 24), cols=st.integers(9, 24),
+           shape=st.one_of(st.sampled_from([(10, 16), (9, 9)]),
+                           st.tuples(st.integers(9, 24), st.integers(9, 24))),
            bc=st.sampled_from(BOUNDARIES), seed=st.integers(0, 2**32 - 1))
     def test_property_over_psf_and_image(self, sigma1, sigma2, corr, half,
-                                         rows, cols, bc, seed):
+                                         shape, bc, seed):
+        # odd and even widths: the sqrt(2) weights sit on the half-spectrum
+        # columns 1 .. (n2 - 1) // 2, whose conjugates are not stored;
         # rho^4 = corr^2 sigma1^2 sigma2^2 keeps the covariance definite
         params = PsfParams(sigma1, sigma2, np.sqrt(corr * sigma1 * sigma2))
-        op = GaussianPsfBlur2D(params, (rows, cols), 2 * half + 1, bc)
-        x = np.random.default_rng(seed).standard_normal(op.n)
-        assert_normal_is_composition(op.normal_apply, op.apply,
-                                     op.adjoint_apply, x)
+        op = GaussianPsfBlur2D(params, shape, 2 * half + 1, bc)
+        rng = np.random.default_rng(seed)
+        # u is any vector of range coordinates, not only those of an image
+        assert_range_rep(op, rng.standard_normal(op.n),
+                         rng.standard_normal(op.n),
+                         rng.standard_normal(op.rep_size))
 
-    def test_periodic_takes_one_transform_pair(self, monkeypatch):
+    def test_periodic_takes_one_transform_each(self, monkeypatch):
         op = GaussianPsfBlur2D(PsfParams(3.0, 2.5, 1.0), (32, 32), 15)
+        rng = np.random.default_rng(34)
+        x, u = rng.standard_normal(op.n), rng.standard_normal(op.rep_size)
         calls = []
         for name in ("rfftn", "irfftn"):
             def counting(*args, _name=name, _orig=getattr(operators.sfft,
@@ -439,8 +462,10 @@ class TestNormalApply:
                 return _orig(*args, **kwargs)
 
             monkeypatch.setattr(operators.sfft, name, counting)
-        op.normal_apply(np.random.default_rng(34).standard_normal(op.n))
-        assert sorted(calls) == ["irfftn", "rfftn"]
+        op.range_rep(x)
+        op.apply_rep(x)
+        op.adjoint_apply(u)
+        assert calls == ["rfftn", "rfftn", "irfftn"]
 
 
 class TestDenseAssembly:

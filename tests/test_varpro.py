@@ -784,7 +784,7 @@ class TestGksBuffers:
     def test_inner_solves_allocate_no_basis_buffer(self, monkeypatch):
         # the outer solve maps the buffers once, and no inner solve maps its
         # own (a mapping escapes tracemalloc, so the calls are counted); an
-        # inner solve that allocated V, H or L V by numpy would hold a new
+        # inner solve that allocated V, G V or L V by numpy would hold a new
         # block of n x capacity doubles, which a snapshot before the solve
         # and one at its first projected solve show
         prob, cfg = blind_2d("grain", 32, 2.0)
