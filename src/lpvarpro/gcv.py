@@ -27,8 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dgesdd, dorgqr,
-                                  dtrtri, dtrtrs)
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dgesdd, dtrtri, dtrtrs
 
 
 class RankDeficiencyError(np.linalg.LinAlgError):
@@ -94,27 +93,6 @@ def _householder(a):
     qr, tau, _, info = dgeqrf(a, lwork=int(lwork), overwrite_a=1)
     _check_info("dgeqrf", info)
     return qr, tau
-
-
-def _thin_qr(a):
-    """Thin QR factors (Q, R) of the column-major float64 a, overwriting a.
-
-    dorgqr forms the min(m, n) leading columns of Q in the storage of
-    ``_householder``, so Q (m x min(m, n)) is a column-major view of ``a``
-    and R (min(m, n) x n) is upper triangular, as ``np.linalg.qr`` returns
-    them. An empty matrix skips LAPACK, which rejects lda = 0.
-    """
-    m, n = a.shape
-    k = min(m, n)
-    if a.size == 0:
-        return np.zeros((m, k), order="F"), np.zeros((k, n))
-    qr, tau = _householder(a)
-    r = np.triu(qr[:k])
-    _, work, info = dorgqr(qr[:, :k], tau, lwork=-1)
-    _check_info("dorgqr workspace query", info)
-    q, _, info = dorgqr(qr[:, :k], tau, lwork=int(work[0]), overwrite_a=1)
-    _check_info("dorgqr", info)
-    return q, r
 
 
 def _r_inverse(r):

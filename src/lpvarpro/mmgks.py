@@ -31,8 +31,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.linalg.lapack import dgeqrt, dtrtrs
 
-from .gcv import (GcvConfig, StackGsvd, _check_info, _thin_qr, select_eta,
-                  thin_gsvd)
+from .gcv import GcvConfig, StackGsvd, _check_info, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
 from .regularizers import Regularizer, as_regularizer
 
@@ -89,9 +88,8 @@ def golub_kahan(G: ParamOperator, d, ell, out=None):
     orthonormal) views of the buffers and B ((k+1) x k) lower bidiagonal,
     with G V = U B.
     On breakdown (an alpha or beta at most eps times the largest so far, a
-    scale of G, not of d) k < ell and breakdown is True. The thin QR Q_B R_B
-    of B gives the thin QR (U Q_B) R_B of G V; a zero last column of U, left
-    by a breakdown, meets the zero last row of Q_B.
+    scale of G, not of d) k < ell and breakdown is True; a zero last column
+    of U, left by a breakdown, meets the zero last row of B.
     """
     d = np.asarray(d, dtype=float)
     if not 1 <= ell <= min(G.m, G.n):
@@ -170,6 +168,17 @@ def _r_factor(a):
         qr, _, info = dgeqrt(min(_QR_BLOCK, *a.shape), a, overwrite_a=1)
     _check_info("dgeqrt", info)
     return np.triu(qr[:min(a.shape)])
+
+
+def _factor_with_data(a):
+    """(R_A, dhat, o) of the column-major [A, d], which is overwritten.
+
+    One ``_r_factor`` of [A, d] = Q [[R_A, dhat], [0, rho]] gives R_A, dhat =
+    Q_A^T d and o = rho^2 = ||d - Q_A dhat||^2 (0 when A leaves no row).
+    """
+    k = a.shape[1] - 1
+    r = _r_factor(a)
+    return r[:k, :k], r[:k, k], r[k, k]**2 if r.shape[0] > k else 0.0
 
 
 def _grow_factor(r, rows, b, norm2):
@@ -272,9 +281,7 @@ class GksState:
             a = np.empty((self._gv.shape[0], k + 2), order="F")
             a[:, :k + 1] = self.gv
             a[:, k + 1] = self._d
-            r = _r_factor(a)
-            self.r_g, self.dhat = r[:k + 1, :-1], r[:k + 1, -1]
-            self.outside = r[k + 1, -1]**2 if r.shape[0] > k + 1 else 0.0
+            self.r_g, self.dhat, self.outside = _factor_with_data(a)
         else:
             # Q_G gains (g_new - Q_G s) / rho; g_new^T d = v_new^T G^T d = 0
             self.r_g, s, rho = r_g, r_g[:k, k], r_g[k, k]
@@ -291,11 +298,10 @@ def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
     """Seed the subspace in ``buffers`` with ell Golub-Kahan steps on (G, d).
 
     G V = U B holds for the bidiagonalization, so the cached G V is U B, and
-    the thin QR of G V is (U Q_B) R_B from the QR of the small (k+1) x k
-    matrix B: R_G = R_B and, as U^T d = ||d|| e_1, dhat = ||d|| Q_B^T e_1
-    and o = ||d||^2 ||e_1 - Q_B Q_B^T e_1||^2. The first step gives ||G^T
-    d|| = ||d|| alpha_1. d enters in range coordinates (one transform on
-    the periodic blur). V, G V and L V fill the ``buffers`` of
+    with d = ||d|| U e_1, [G V, d] = U [B, ||d|| e_1]: R_G, dhat and o are
+    those of the small (k+1) x (k+1) matrix [B, ||d|| e_1]. The first step
+    gives ||G^T d|| = ||d|| alpha_1. d enters in range coordinates (one
+    transform on the periodic blur). V, G V and L V fill the ``buffers`` of
     ``gks_buffers``, with ell + 1 U columns.
     """
     d = G.range_rep(d)
@@ -306,10 +312,11 @@ def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
     np.matmul(u, b, out=buffers[2][:, :k])
     for j in range(k):
         buffers[3][:, j] = L.apply(v[:, j])
-    q_b, r_b = _thin_qr(np.array(b, order="F"))
     beta = np.linalg.norm(d)
-    out = np.eye(1, b.shape[0])[0] - q_b @ q_b[0]
-    seed = (r_b, beta * q_b[0], beta * b[0, 0], beta**2 * out @ out)
+    a = np.zeros((k + 1, k + 1), order="F")
+    a[:, :k], a[0, k] = b, beta
+    r_g, dhat, outside = _factor_with_data(a)
+    seed = (r_g, dhat, beta * b[0, 0], outside)
     return GksState(G, d, k, buffers[1:], seed)
 
 
@@ -370,10 +377,12 @@ class MmgksConfig:
     def __post_init__(self):
         if not 0.0 < self.p <= 2.0:
             raise ValueError("p must lie in (0, 2]")
-        if self.p <= 1 and self.epsilon <= 0:
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
+        if self.p <= 1 and self.epsilon == 0:
             raise ValueError("epsilon > 0 is required for p <= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError("tol must be finite and nonnegative")
         if self.subspace_dim < 1 or self.max_iters < 1:
             raise ValueError("subspace_dim and max_iters must be at least 1")
         if self.eta is not None and not 0.0 < self.eta < np.inf:

@@ -28,8 +28,8 @@ def add_noise(d_true, level, seed):
     Draws from a seeded generator and rescales so that
     ||noise|| / ||d_true|| equals ``level`` exactly.
     """
-    if level < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0 <= level < np.inf:
+        raise ValueError("noise level must be finite and nonnegative")
     d_true = np.asarray(d_true, dtype=float)
     if level == 0.0:
         return d_true.copy(), np.zeros_like(d_true)

@@ -33,7 +33,7 @@ from .regularizers import as_regularizer
 
 
 class SolverError(RuntimeError):
-    """Outer step not finite or with no accepted trial; holds the record."""
+    """Outer step not finite or out of the domain; holds the record."""
 
     def __init__(self, message, record=None):
         super().__init__(message)
@@ -58,7 +58,7 @@ def tik_solve(G, L, lam, d, gsvd=None):
     :class:`~lpvarpro.gcv.RankDeficiencyError`, a ``LinAlgError``, when the
     solution is not unique. Meant for problems up to a few thousand unknowns.
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     if gsvd is None:
         G = _as_operator(G)
@@ -170,20 +170,20 @@ class VarproConfig:
     # eta either way. mmgks.mm_lambda (2 eta / p) only weights the objective
     # that the inner solver records.
     lam: float | None = None
-    damping: bool = False
 
     def __post_init__(self):
-        if self.step_tol <= 0:
-            raise ValueError("step_tol must be positive")
+        if not 0 < self.step_tol < np.inf:
+            raise ValueError("step_tol must be finite and positive")
         if self.max_iters < 1 or self.inner_iters < 1:
             raise ValueError("max_iters and inner_iters must be at least 1")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive, or None to select by GCV")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError("lam must be finite and positive, or None to "
+                             "select by GCV")
         if self.inner not in ("gks", "auto"):
             raise ValueError("inner must be 'gks' or 'auto'")
         if isinstance(self.variant, str):
             self.variant = JacobianVariant(self.variant)
-        # MmgksConfig checks p and epsilon
+        # MmgksConfig checks p, epsilon and inner_tol
         self.mmgks_config()
 
     def mmgks_config(self, eta=None):
@@ -200,7 +200,8 @@ def _use_dense(problem_n, cfg: VarproConfig):
 def _inner_solve(op, L, l_dense, d, cfg: VarproConfig, buffers):
     """Solve for x at G = ``op`` and form the stacked residual there.
 
-    The dense route reads ``l_dense``, the dense L; MMGKS fills ``buffers``.
+    The dense route, taken when ``buffers`` is None, reads ``l_dense``, the
+    dense L; MMGKS fills ``buffers``.
     Returns ``(x, eta, gsvd, r_data, f_hat, sqrt_w)``: eta is the weight of
     the solve, gsvd the thin GSVD of {G, L} on the dense route (formed once
     and read by every solve of the step, else None), r_data = G x - d,
@@ -209,7 +210,7 @@ def _inner_solve(op, L, l_dense, d, cfg: VarproConfig, buffers):
     """
     eta = (None if cfg.lam is None
            else float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0))
-    if _use_dense(op.n, cfg):
+    if buffers is None:
         gsvd = thin_gsvd(op.dense(), l_dense)
         if eta is None:
             eta = select_eta(gsvd, d).eta
@@ -246,11 +247,10 @@ def _operator_at(problem, y):
 def lp_varpro_solve(problem, config: VarproConfig):
     """Variable projection with lp regularization; returns ``(x, y, record)``.
 
-    A step that leaves the parameter domain or, with damping, raises the
-    residual is halved up to ``MAX_HALVINGS`` times. The solve raises
-    :class:`SolverError` with the partial record when no trial is accepted
-    or a step's Jacobian or residual is not finite. With damping, the inner
-    solve of the accepted trial serves the next outer step. One set of GKS
+    Each outer step runs one inner solve. A step that leaves the parameter
+    domain is halved up to ``MAX_HALVINGS`` times; the solve raises
+    :class:`SolverError` with the partial record when every halving leaves
+    it, or when a step's Jacobian or residual is not finite. One set of GKS
     buffers, allocated here, serves every inner solve (all G have one shape).
     One factorization and one operator are alive per step: a step's are
     released once its Jacobian is formed, before the next pair is factored.
@@ -267,21 +267,18 @@ def lp_varpro_solve(problem, config: VarproConfig):
             f"limited to n <= {DENSE_LIMIT} unknowns (got n = {op.n}); use "
             f"the reduced Jacobian instead")
     L = as_regularizer(cfg.regularizer, op.n)
+    dense = _use_dense(op.n, cfg)
     # L is fixed for the solve, so its dense matrix is built at most once
-    l_dense = (L.dense() if _use_dense(op.n, cfg)
-               or cfg.variant is not JacobianVariant.REDUCED else None)
-    buffers = (None if _use_dense(op.n, cfg)
-               else gks_buffers(op, L, cfg.mmgks_config()))
+    l_dense = (L.dense() if dense or cfg.variant is not JacobianVariant.REDUCED
+               else None)
+    buffers = None if dense else gks_buffers(op, L, cfg.mmgks_config())
     record = RunRecord()
     record.ys.append(y.copy())
-    x = None
-    solved = None       # the inner solve at op, when a damped trial made it
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        if solved is None:
-            solved = _inner_solve(op, L, l_dense, d, cfg, buffers)
-        x, eta, gsvd, r_data, f_hat, sqrt_w = solved
+        x, eta, gsvd, r_data, f_hat, sqrt_w = _inner_solve(
+            op, L, l_dense, d, cfg, buffers)
 
         if cfg.variant is JacobianVariant.REDUCED:
             jac, rhs = jacobian_reduced(op, x), -r_data
@@ -295,38 +292,25 @@ def lp_varpro_solve(problem, config: VarproConfig):
             else:
                 jac = jacobian_half(op, x, eta, gsvd)
             rhs = f_hat
-        gsvd = solved = op = None       # before the next pair is factored
+        gsvd = op = None        # before the next pair is factored
         if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
             raise SolverError(f"non-finite Jacobian or residual at iteration "
                               f"{it}", record)
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
         grad_norm = float(np.linalg.norm(jac.T @ rhs))
 
-        # the operator built to check y_new serves the next outer step, and
-        # so does the inner solve of a damped trial
+        # the operator built to check y + step serves the next outer step
         phi0 = float(f_hat @ f_hat)
         halvings = 0
-        while True:
-            y_new = y + step
-            op_new = _operator_at(problem, y_new)
-            solved = None
-            if op_new is not None and cfg.damping:
-                solved = _inner_solve(op_new, L, l_dense, d, cfg, buffers)
-                f_try = solved[4]
-                if float(f_try @ f_try) <= phi0:
-                    break
-            elif op_new is not None:
-                break
+        while (op_new := _operator_at(problem, y + step)) is None:
             if halvings >= MAX_HALVINGS:
-                reason = ("left the valid domain" if op_new is None
-                          else "raised the residual")
                 raise SolverError(
-                    f"parameter update {reason} after {halvings} halvings "
-                    f"at iteration {it}", record)
+                    f"parameter update left the valid domain after "
+                    f"{halvings} halvings at iteration {it}", record)
             step = step / 2.0
             halvings += 1
 
-        y, op = y_new, op_new
+        y, op = y + step, op_new
         record.add_iteration(it, x, y, phi0, grad_norm, eta,
                              time.perf_counter() - t0, x_true, y_true)
         if np.linalg.norm(step) <= cfg.step_tol * max(np.linalg.norm(y), 1e-30):

@@ -230,8 +230,8 @@ class TestGolubKahan:
 
     @pytest.mark.parametrize("m, ell", [(30, 5), (6, 6)])
     def test_seeded_data_factor(self, m, ell):
-        # R_G = R_B and dhat = ||d|| Q_B[0, :] from the QR of B, with the
-        # implicit Q_G = U Q_B, and G^T d = ||d|| alpha_1 v_1; at ell = m the
+        # R_G and dhat from the factor of [B, ||d|| e_1], as [G V, d] =
+        # U [B, ||d|| e_1], and G^T d = ||d|| alpha_1 v_1; at ell = m the
         # last step breaks down and U ends in a zero column
         rng = np.random.default_rng(16)
         G = MatrixOperator(rng.standard_normal((m, 20)))
@@ -647,9 +647,9 @@ class TestTallKernels:
                                    atol=1e-12)
 
     def test_thin_qrs_run_no_numpy_qr(self, monkeypatch):
-        # the QR of B in init_gks runs the in-place LAPACK helper, the
-        # stacked pair dgeqrf in place, R_L at unit weights the blocked
-        # dgeqrt, and none of them overwrites the products it factors
+        # the seed in init_gks and R_L at unit weights run the blocked
+        # dgeqrt, the stacked pair dgeqrf in place, and none of them
+        # overwrites the products it factors
         rng = np.random.default_rng(18)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
@@ -1006,13 +1006,14 @@ class TestMmgksSolve:
         assert res.iterations == 10
         assert calls == Counter(thin_gsvd=res.iterations)
 
-    @pytest.mark.parametrize("p, dgeqrt_calls", [(2.0, 1), (1.0, 6)])
+    @pytest.mark.parametrize("p, r_l_factors", [(2.0, 1), (1.0, 6)])
     def test_weighted_factor_work_per_solve(self, monkeypatch, p,
-                                            dgeqrt_calls):
-        # unit weights (p = 2) factor R_L once, by the blocked kernel, and
-        # grow it from L V; other weights refactor R_L once per iteration.
-        # A GaussianBlur1D is used as it is, and the objective reads the
-        # cached products, so no operator is wrapped
+                                            r_l_factors):
+        # the seed factors [B, ||d|| e_1] once, by the blocked kernel; unit
+        # weights (p = 2) factor R_L once and grow it from L V, other
+        # weights refactor R_L once per iteration. A GaussianBlur1D is used
+        # as it is, and the objective reads the cached products, so no
+        # operator is wrapped
         calls = Counter()
         dgeqrt_orig = mmgks.dgeqrt
 
@@ -1034,19 +1035,19 @@ class TestMmgksSolve:
                           MatrixRegularizer(first_derivative_1d(48)), prob.d,
                           cfg)
         assert res.iterations == 6
-        assert calls == Counter(dgeqrt=dgeqrt_calls)
+        assert calls == Counter(dgeqrt=1 + r_l_factors)
 
-    def test_thin_qr_runs_only_on_b_and_the_stacks(self, monkeypatch):
-        # a p = 2 solve factors the bidiagonal B with Q and then only the
-        # stacked pairs [R_G; R_L], with no Q; L V gets no Q
-        shapes = {"_thin_qr": [], "_householder": []}
-        for name, seen in shapes.items():
-            def recording(a, _orig=getattr(gcv, name), _seen=seen):
-                _seen.append(a.shape)
-                return _orig(a)
+    def test_householder_runs_only_on_the_stacks(self, monkeypatch):
+        # a p = 2 solve runs dgeqrf only on the stacked pairs [R_G; R_L];
+        # the seed [B, ||d|| e_1] and L V go to the blocked dgeqrt
+        shapes = []
+        householder_orig = gcv._householder
 
-            monkeypatch.setattr(gcv, name, recording)
-        monkeypatch.setattr(mmgks, "_thin_qr", gcv._thin_qr)
+        def recording(a):
+            shapes.append(a.shape)
+            return householder_orig(a)
+
+        monkeypatch.setattr(gcv, "_householder", recording)
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=11)
         ell = 5
         cfg = MmgksConfig(p=2.0, subspace_dim=ell, max_iters=6, tol=1e-16)
@@ -1054,9 +1055,7 @@ class TestMmgksSolve:
                           MatrixRegularizer(first_derivative_1d(48)), prob.d,
                           cfg)
         assert res.iterations == 6
-        assert shapes["_thin_qr"] == [(ell + 1, ell)]
-        assert shapes["_householder"] == [(ell + 1, ell)] + [
-            (2 * k, k) for k in range(ell, ell + 6)]
+        assert shapes == [(2 * k, k) for k in range(ell, ell + 6)]
 
     @pytest.mark.parametrize("family", ["1d", "psf2d"])
     def test_grown_factor_matches_refactoring_every_iteration(
@@ -1215,10 +1214,13 @@ class TestMmgksSolve:
                         MatrixRegularizer(L) if wrap else L, prob.d)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MmgksConfig(p=2.5)
-        with pytest.raises(ValueError):
-            MmgksConfig(p=0.9, epsilon=0.0)
+        # a NaN or negative tol never converged, and a NaN epsilon at p = 1
+        # ended in a failed SVD
+        for kwargs in ({"p": 2.5}, {"p": 0.9, "epsilon": 0.0},
+                       {"tol": np.nan}, {"tol": -1.0},
+                       {"p": 1.0, "epsilon": np.nan}):
+            with pytest.raises(ValueError):
+                MmgksConfig(**kwargs)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
     def test_config_rejects_eta_not_finite_and_positive(self, eta):

@@ -53,6 +53,17 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(4), 0.1, 0)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, level):
+        # each used to build a non-finite d
+        for build in (lambda: add_noise(np.arange(1.0, 5.0), level, 0),
+                      lambda: make_1d_problem(32, 2.0, level, 0),
+                      lambda: make_blind_deconv_problem(
+                          "grain", (4.0, 3.0, 1.5), level, 0, psf_size=9,
+                          size=16)):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+
 
 class TestMake1dProblem:
     def test_condition_number_anchor(self):
