@@ -532,6 +532,33 @@ class TestTallKernels:
         np.testing.assert_allclose(np.abs(r), np.abs(ref), rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max(initial=1))
 
+    @pytest.mark.parametrize("shape", [(40, 13), (50, 2), (9, 9), (3, 7)],
+                             ids=["tall", "one_column", "square", "wide"])
+    def test_factor_with_data_matches_the_pair(self, shape):
+        # [A, d] = Q [[R_A, dhat], [0, rho]]: R_A factors A^T A, R_A^T dhat
+        # = A^T d and ||A z - d||^2 = ||R_A z - dhat||^2 + o for every z;
+        # o = rho^2 needs a row below R_A (the square seed has one, the
+        # wide pair none)
+        rng = np.random.default_rng(sum(shape))
+        pair = rng.standard_normal(shape)
+        a, d = pair[:, :-1], pair[:, -1]
+        r_a, dhat, outside = mmgks._factor_with_data(np.asfortranarray(pair))
+        rows = min(shape[0], shape[1] - 1)
+        assert r_a.shape == (rows, shape[1] - 1) and dhat.shape == (rows,)
+        assert np.array_equal(r_a, np.triu(r_a))
+        scale = np.linalg.norm(pair)**2
+        assert np.linalg.norm(r_a.T @ r_a - a.T @ a) <= 1e-13 * scale
+        assert np.linalg.norm(r_a.T @ dhat - a.T @ d) <= 1e-13 * scale
+        if shape[0] < shape[1]:
+            assert outside == 0.0
+        else:
+            rho2 = np.linalg.lstsq(a, d, rcond=None)[1][0]
+            assert outside > 0 and abs(outside - rho2) <= 1e-13 * scale
+        for z in rng.standard_normal((3, shape[1] - 1)):
+            lhs = np.sum((a @ z - d)**2)
+            rhs = np.sum((r_a @ z - dhat)**2) + outside
+            assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1.0)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            near_span=st.lists(st.booleans(), min_size=1, max_size=12),

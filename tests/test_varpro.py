@@ -371,12 +371,14 @@ class TestGenVarpro:
         assert len(record.ys) == 1
         np.testing.assert_array_equal(record.ys[0], y0)
 
-    def test_halved_step_back_in_the_domain_is_taken(self, monkeypatch):
+    @pytest.mark.parametrize("variant", ["reduced", "half", "full"])
+    def test_halved_step_back_in_the_domain_is_taken(self, monkeypatch,
+                                                     variant):
         # the builds refuse the first two trials of step 1, so its step is
         # halved twice; each outer step still runs one inner solve
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=7)
         y0 = np.array([2.6])
-        cfg = VarproConfig(y0=y0, max_iters=2, lam=1e-3)
+        cfg = VarproConfig(y0=y0, variant=variant, max_iters=2, lam=1e-3)
         _, _, plain = lp_varpro_solve(prob, cfg)
         asked, solves = [], []
         operator_orig = prob.operator
@@ -814,11 +816,15 @@ class TestGksBuffers:
         assert len(refs) == 5
         assert all(ref() is None for ref in refs)
 
-    def test_reused_buffers_match_fresh_ones_bytewise(self, monkeypatch):
+    @pytest.mark.parametrize("image, size, p, psf_size", [
+        ("satellite", 16, 1.0, 9), ("grain", 32, 2.0, 9)])
+    def test_reused_buffers_match_fresh_ones_bytewise(self, monkeypatch, image,
+                                                      size, p, psf_size):
         # every inner solve fills the one set in place; the oracle hands
         # each a fresh set of NaN, which a read of a column the solve did
-        # not write would carry into the answer
-        prob, cfg = blind_2d("satellite", 16, 1.0, psf_size=9)
+        # not write would carry into the answer. At p = 2 the unit-weight
+        # R_L grows across appends; at p = 1 it is refactored
+        prob, cfg = blind_2d(image, size, p, psf_size)
         solve_orig = varpro.mmgks_solve
         seen = []
 
