@@ -10,7 +10,6 @@ them, stay importable from their modules.
 """
 
 from .gcv import RankDeficiencyError
-from .metrics import rre
 from .mmgks import MmgksConfig, mmgks_solve
 from .operators import (ConvBoundary, GaussianBlur1D, GaussianPsfBlur2D,
                         MatrixOperator, PsfParams)
@@ -19,6 +18,6 @@ from .problems import (ProblemInstance, make_1d_problem,
 from .regularizers import (derivative_2d, first_derivative_1d,
                            framelet_analysis_2d, second_derivative_1d)
 from .varpro import (JacobianVariant, SolverError, VarproConfig,
-                     lp_varpro_solve)
+                     lp_varpro_solve, rre)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ c, s2 and U^T d, and ``StackGsvd.solve`` is one triangular solve.
 
 ``select_eta`` scans a fixed log grid of eta once and refines the grid
 minimum by a bracketed root of the analytic slope d log V / d log eta. The
-dense route of the outer solvers factors the full pair {G, L} once per outer
+dense route of the outer solver factors the full pair {G, L} once per outer
 step, the MMGKS solver its projected pair (R_G, R_L) once per inner
 iteration; each hands its factorization to ``select_eta`` and to
 ``StackGsvd.solve`` (the dense route also to the outer Jacobians).
@@ -59,8 +59,11 @@ class StackGsvd:
     s2: np.ndarray
 
     def filter(self, eta):
-        """Tikhonov filter c / (c^2 + eta s2) of the weight eta."""
-        return self.c / (self.c**2 + eta * self.s2)
+        """Tikhonov filter c / (c^2 + eta s2); eta s2 is 0 where s2 = 0,
+        also at eta = inf, whose filter then keeps the null space of L."""
+        weighted = np.multiply(eta, self.s2, out=np.zeros_like(self.s2),
+                               where=self.s2 > 0)
+        return self.c / (self.c**2 + weighted)
 
     def solve(self, eta, rhs):
         """Minimizer R^-1 W (filter * U^T rhs) of ||G x - rhs||^2 + eta ||L x||^2."""

@@ -25,6 +25,7 @@ by ``gcv.thin_gsvd``. x = V z is formed once, after the loop. One set of
 from __future__ import annotations
 
 import mmap
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -40,6 +41,22 @@ def _as_operator(G) -> ParamOperator:
     if isinstance(G, ParamOperator):
         return G
     return MatrixOperator(np.asarray(G, dtype=float))
+
+
+def _finite_data(d):
+    """d as a float array; raises ValueError if an entry is NaN or inf."""
+    d = np.asarray(d, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("the data d must be finite (it holds NaN or inf)")
+    return d
+
+
+def _is_count(value):
+    """Whether ``value`` is an integer, not a float, of at least 1."""
+    try:
+        return operator.index(value) >= 1
+    except TypeError:
+        return False
 
 
 def majorant_weights(u, p, epsilon):
@@ -383,8 +400,9 @@ class MmgksConfig:
             raise ValueError("epsilon > 0 is required for p <= 1")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError("tol must be finite and nonnegative")
-        if self.subspace_dim < 1 or self.max_iters < 1:
-            raise ValueError("subspace_dim and max_iters must be at least 1")
+        if not (_is_count(self.subspace_dim) and _is_count(self.max_iters)):
+            raise ValueError("subspace_dim and max_iters must be integers of "
+                             "at least 1")
         if self.eta is not None and not 0.0 < self.eta < np.inf:
             raise ValueError("eta must be finite and positive, or None")
 
@@ -417,10 +435,10 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
     It fills ``buffers`` of ``gks_buffers(G, L, config)``, which a caller may
     reuse across solves, or new ones when None; they change no result.
     """
+    d = _finite_data(d)
     cfg = config or MmgksConfig()
     G = _as_operator(G)
     L = as_regularizer(L, G.n)
-    d = np.asarray(d, dtype=float)
     eps = 0.0 if cfg.p == 2 else cfg.epsilon
 
     if np.linalg.norm(d) == 0.0:

@@ -431,14 +431,10 @@ class GaussianPsfBlur2D(ParamOperator):
         self._conv = _CachedConv2D(self.psf, self.image_shape, boundary)
 
     @cached_property
-    def psf_grads(self):
-        return psf_param_gradients(self._params,
-                                   (self.psf_size, self.psf_size))
-
-    @cached_property
     def _dconv(self):
+        size = (self.psf_size, self.psf_size)
         return [_CachedConv2D(g, self.image_shape, self.boundary)
-                for g in self.psf_grads]
+                for g in psf_param_gradients(self._params, size)]
 
     def _as_image(self, x):
         return np.asarray(x, dtype=float).reshape(self.image_shape)

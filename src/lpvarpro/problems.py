@@ -127,17 +127,6 @@ def _shared_image(name, n):
     return image
 
 
-def builtin_image(name, n=128):
-    """Deterministic synthetic test image by name ('satellite' or 'grain').
-
-    Each (name, n) is built once per process and every call returns its own
-    writable copy. 'satellite' costs O(n^2) to build. 'grain' tests each of
-    its n^2/110 ellipses on a window of at most (0.11 n + 3)^2 pixels around
-    it, not on all n^2.
-    """
-    return _shared_image(name, int(n)).copy()
-
-
 @dataclass
 class ProblemInstance:
     """A forward model plus data: d = G(y_true) x_true + noise."""
@@ -166,15 +155,9 @@ class ProblemInstance:
                                      self.psf_size, self.boundary)
         raise ValueError(f"unknown problem family {self.family!r}")
 
-    @property
-    def n(self):
-        return int(np.prod(self.shape))
-
 
 def make_1d_problem(n=128, sigma_true=2.0, level=0.01, seed=0):
     """1D Gaussian deconvolution instance with the bundled edge signal."""
-    if n < 16:
-        raise ValueError("n must be at least 16")
     x_true = piecewise_signal(n)
     op = GaussianBlur1D(sigma_true, n)
     d_true = op.apply(x_true)

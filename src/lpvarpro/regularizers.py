@@ -157,15 +157,13 @@ def framelet_analysis_2d(n):
                           for wi in filters for wj in filters], format="csr")
 
 
-def as_regularizer(L, n=None):
+def as_regularizer(L, n):
     """Coerce a Regularizer, matrix or None (identity) to width ``n``."""
     if L is None:
-        if n is None:
-            raise ValueError("need n to build an identity regularizer")
         return MatrixRegularizer(sparse.eye_array(n, format="csr"))
     if not isinstance(L, Regularizer):
         L = MatrixRegularizer(L)
-    if n is not None and L.n != n:
+    if L.n != n:
         raise ValueError(f"the regularizer acts on {L.n} unknowns, but the "
                          f"problem has {n}")
     return L

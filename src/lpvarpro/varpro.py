@@ -25,9 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .gcv import select_eta, thin_gsvd
-from .metrics import ConvergenceRow, rre
-from .mmgks import (MmgksConfig, _as_operator, gks_buffers, majorant_weights,
-                    mmgks_solve)
+from .mmgks import (MmgksConfig, _as_operator, _finite_data, _is_count,
+                    gks_buffers, majorant_weights, mmgks_solve)
 from .operators import DENSE_LIMIT
 from .regularizers import as_regularizer
 
@@ -58,6 +57,7 @@ def tik_solve(G, L, lam, d, gsvd=None):
     :class:`~lpvarpro.gcv.RankDeficiencyError`, a ``LinAlgError``, when the
     solution is not unique. Meant for problems up to a few thousand unknowns.
     """
+    d = _finite_data(d)
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     if gsvd is None:
@@ -65,7 +65,7 @@ def tik_solve(G, L, lam, d, gsvd=None):
         l_dense = (np.zeros((0, G.n)) if lam == 0.0
                    else as_regularizer(L, G.n).dense())
         gsvd = thin_gsvd(G.dense(), l_dense)
-    return gsvd.solve(lam, np.asarray(d, dtype=float))
+    return gsvd.solve(lam, d)
 
 
 def jacobian_half(op, x, eta, gsvd):
@@ -113,6 +113,29 @@ def jacobian_reduced(op, x):
     return np.column_stack([op.derivative_apply(j, x) for j in range(op.r)])
 
 
+def rre(v, v_true):
+    """Relative reconstruction error ||v - v_true||_2 / ||v_true||_2."""
+    v = np.asarray(v, dtype=float).ravel()
+    v_true = np.asarray(v_true, dtype=float).ravel()
+    denom = np.linalg.norm(v_true)
+    if denom == 0.0:
+        raise ValueError("reference vector must be nonzero")
+    return float(np.linalg.norm(v - v_true) / denom)
+
+
+@dataclass
+class ConvergenceRow:
+    """One outer iteration of a ``RunRecord``, as a convergence-table row."""
+
+    iteration: int
+    rel_func_value: float
+    rel_grad_norm: float
+    rre_y: float
+    rre_x: float
+    eta: float
+    wall_time: float
+
+
 @dataclass
 class RunRecord:
     """Append-only per-iteration history of an outer solve."""
@@ -122,7 +145,6 @@ class RunRecord:
     func_values: list = field(default_factory=list)   # ||F||^2 per iteration
     grad_norms: list = field(default_factory=list)
     etas: list = field(default_factory=list)
-    converged: bool = False
     stop_reason: str = ""
 
     def add_iteration(self, iteration, x, y, func_value, grad_norm, eta,
@@ -174,8 +196,9 @@ class VarproConfig:
     def __post_init__(self):
         if not 0 < self.step_tol < np.inf:
             raise ValueError("step_tol must be finite and positive")
-        if self.max_iters < 1 or self.inner_iters < 1:
-            raise ValueError("max_iters and inner_iters must be at least 1")
+        if not (_is_count(self.max_iters) and _is_count(self.inner_iters)):
+            raise ValueError("max_iters and inner_iters must be integers of "
+                             "at least 1")
         if self.lam is not None and not 0 < self.lam < np.inf:
             raise ValueError("lam must be finite and positive, or None to "
                              "select by GCV")
@@ -192,19 +215,14 @@ class VarproConfig:
                            eta=eta)
 
 
-def _use_dense(problem_n, cfg: VarproConfig):
-    """Whether the inner solve is the dense Tikhonov solve (p = 2 only)."""
-    return cfg.p == 2.0 and cfg.inner == "auto" and problem_n <= DENSE_LIMIT
-
-
 def _inner_solve(op, L, l_dense, d, cfg: VarproConfig, buffers):
     """Solve for x at G = ``op`` and form the stacked residual there.
 
     The dense route, taken when ``buffers`` is None, reads ``l_dense``, the
     dense L; MMGKS fills ``buffers``.
     Returns ``(x, eta, gsvd, r_data, f_hat, sqrt_w)``: eta is the weight of
-    the solve, gsvd the thin GSVD of {G, L} on the dense route (formed once
-    and read by every solve of the step, else None), r_data = G x - d,
+    the solve, gsvd the thin GSVD of {G, L} on the dense route, which the
+    step's full or half Jacobian reuses (else None), r_data = G x - d,
     sqrt_w the square roots of the majorant weights at x and f_hat the
     stacked residual [r_data; sqrt(eta) sqrt_w L x] of the reweighted pair.
     """
@@ -256,7 +274,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
     released once its Jacobian is formed, before the next pair is factored.
     """
     cfg = config
-    d = np.asarray(problem.d, dtype=float).ravel()
+    d = _finite_data(problem.d).ravel()
     x_true, y_true = _truth(problem)
 
     y = np.asarray(cfg.y0, dtype=float).copy()
@@ -267,7 +285,8 @@ def lp_varpro_solve(problem, config: VarproConfig):
             f"limited to n <= {DENSE_LIMIT} unknowns (got n = {op.n}); use "
             f"the reduced Jacobian instead")
     L = as_regularizer(cfg.regularizer, op.n)
-    dense = _use_dense(op.n, cfg)
+    # the inner solve is the dense Tikhonov solve at p = 2 on small problems
+    dense = cfg.p == 2.0 and cfg.inner == "auto" and op.n <= DENSE_LIMIT
     # L is fixed for the solve, so its dense matrix is built at most once
     l_dense = (L.dense() if dense or cfg.variant is not JacobianVariant.REDUCED
                else None)
@@ -314,7 +333,6 @@ def lp_varpro_solve(problem, config: VarproConfig):
         record.add_iteration(it, x, y, phi0, grad_norm, eta,
                              time.perf_counter() - t0, x_true, y_true)
         if np.linalg.norm(step) <= cfg.step_tol * max(np.linalg.norm(y), 1e-30):
-            record.converged = True
             record.stop_reason = "step tolerance"
             break
     else:

@@ -6,10 +6,14 @@ per-layer spans. Removing one of these names fails here, and not only when
 the benchmark runs. The 2D workloads must also run the periodic blur, whose
 circulant FFT path they time, the GSVD of the dense workload's pair must
 decide its rank without an SVD of R, and a solve of the dense workload must
-hold one factorization at a time.
+hold one factorization at a time. Conversely, every top-level function and
+class of the package must be used by the package or the benchmark, not by
+tests alone.
 """
 
+import ast
 import dataclasses
+import glob
 import os
 import re
 import sys
@@ -24,8 +28,9 @@ from lpvarpro.gcv import thin_gsvd
 from lpvarpro.operators import ConvBoundary, GaussianPsfBlur2D
 from lpvarpro.regularizers import as_regularizer
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+PACKAGE = os.path.join(ROOT, "src", "lpvarpro")
 sys.path.insert(0, PERFBENCH)
 
 import bench  # noqa: E402
@@ -135,3 +140,30 @@ def test_package_exports_every_name_the_benchmark_reads():
         names = set(re.findall(r"\blp\.(\w+)", fh.read()))
     assert names
     assert {name for name in names if not hasattr(lpvarpro, name)} == set()
+
+
+def test_every_top_level_definition_is_used_outside_the_tests():
+    # a name counts as used when the package or the benchmark reads it as a
+    # name, an attribute or an import anywhere but inside its own definition
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))
+                       + glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        with open(path) as fh:
+            trees[path] = ast.parse(fh.read(), path)
+    readers = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            readers.setdefault(name, []).append(id(node))
+    unused = []
+    for path, tree in trees.items():
+        if os.path.dirname(path) != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                inside = {id(sub) for sub in ast.walk(node)}
+                if all(r in inside for r in readers.get(node.name, [])):
+                    unused.append(f"{os.path.basename(path)[:-3]}.{node.name}")
+    assert unused == []

@@ -1245,9 +1245,19 @@ class TestMmgksSolve:
         # ended in a failed SVD
         for kwargs in ({"p": 2.5}, {"p": 0.9, "epsilon": 0.0},
                        {"tol": np.nan}, {"tol": -1.0},
-                       {"p": 1.0, "epsilon": np.nan}):
+                       {"p": 1.0, "epsilon": np.nan}, {"subspace_dim": 2.5},
+                       {"max_iters": 3.5}, {"max_iters": np.nan},
+                       {"subspace_dim": np.inf}):
             with pytest.raises(ValueError):
                 MmgksConfig(**kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_data_not_finite(self, bad):
+        # a NaN used to end in a failed SVD, an inf in a RuntimeWarning
+        d = np.ones(10)
+        d[3] = bad
+        with pytest.raises(ValueError, match="data d must be finite"):
+            mmgks_solve(np.eye(10), None, d)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
     def test_config_rejects_eta_not_finite_and_positive(self, eta):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from lpvarpro import operators, problems
-from lpvarpro.problems import (add_noise, builtin_image, make_1d_problem,
+from lpvarpro.problems import (add_noise, make_1d_problem,
                                make_blind_deconv_problem, piecewise_signal)
 from lpvarpro.regularizers import as_regularizer
-from lpvarpro.varpro import tik_solve
-from lpvarpro.metrics import rre
+from lpvarpro.varpro import rre, tik_solve
 
 
 def grain_image_full_grid(n):
@@ -109,20 +108,26 @@ class TestMake1dProblem:
         assert len(built) == 1
 
 
+def builtin_x_true(name, n):
+    """x_true of a noiseless instance of builtin image ``name``, as n x n."""
+    prob = make_blind_deconv_problem(name, (2.0, 1.5, 0.5), 0.0, 0, size=n,
+                                     psf_size=7)
+    return prob.x_true.reshape(n, n)
+
+
 class TestBuiltinImages:
     @pytest.mark.parametrize("name", ["satellite", "grain"])
     def test_range_and_determinism(self, name):
-        img1 = builtin_image(name, 64)
-        img2 = builtin_image(name, 64)
+        img1 = builtin_x_true(name, 64)
+        img2 = builtin_x_true(name, 64)
         np.testing.assert_array_equal(img1, img2)
-        assert img1.shape == (64, 64)
         assert img1.min() >= 0.0 and img1.max() <= 1.0
 
     @pytest.mark.parametrize("n", [31, 64, 100, 128, 256])
     def test_grain_matches_full_grid_oracle(self, n):
         # each ellipse is tested on its bounding window only; odd and
         # non-power-of-two sizes clip the windows at the border differently
-        assert (builtin_image("grain", n).tobytes()
+        assert (problems._shared_image("grain", n).tobytes()
                 == grain_image_full_grid(n).tobytes())
 
     @pytest.mark.parametrize("name", ["satellite", "grain"])
@@ -137,31 +142,21 @@ class TestBuiltinImages:
         monkeypatch.setitem(problems._BUILTIN_IMAGES, name, counting_make)
         problems._shared_image.cache_clear()
         try:
-            for n in (24, 40, 24, 40.0):
-                builtin_image(name, n)
-            for seed in (0, 1):
+            for n, seed in ((24, 0), (40, 0), (24, 1), (40.0, 1)):
                 make_blind_deconv_problem(name, (2.0, 1.5, 0.5), 0.01, seed,
-                                          size=24, psf_size=7)
+                                          size=n, psf_size=7)
         finally:
             problems._shared_image.cache_clear()
         assert built == [24, 40]
 
-    def test_mutating_a_returned_image_keeps_the_next_one(self):
-        img = builtin_image("grain", 64)
-        img[:] = -1.0
-        prob = make_blind_deconv_problem("grain", (3.0, 4.0, 0.5), 0.0, 0,
-                                         size=64, psf_size=9)
-        prob.x_true[:] = 2.0
-        assert (builtin_image("grain", 64).tobytes()
-                == grain_image_full_grid(64).tobytes())
-
     def test_satellite_is_sparse(self):
-        img = builtin_image("satellite", 128)
+        img = problems._shared_image("satellite", 128)
         assert np.mean(img > 0) < 0.25
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            builtin_image("nebula", 64)
+        with pytest.raises(ValueError, match="unknown builtin image"):
+            make_blind_deconv_problem("nebula", (2.0, 1.5, 0.5), 0.01, 0,
+                                      size=64)
 
 
 class TestBlindDeconvProblem:

@@ -132,7 +132,7 @@ class TestDerivative2d:
 class TestFramelet2d:
     def test_tight_frame_identity(self):
         rng = np.random.default_rng(1)
-        W = as_regularizer(framelet_analysis_2d(16))
+        W = as_regularizer(framelet_analysis_2d(16), 16 * 16)
         for _ in range(25):
             x = rng.standard_normal(W.n)
             back = W.adjoint_apply(W.apply(x))
@@ -140,14 +140,14 @@ class TestFramelet2d:
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(2)
-        W = as_regularizer(framelet_analysis_2d(12))
+        W = as_regularizer(framelet_analysis_2d(12), 12 * 12)
         for _ in range(10):
             x = rng.standard_normal(W.n)
             assert abs(np.linalg.norm(W.apply(x)) - np.linalg.norm(x)) <= 1e-12
 
     def test_dense_matches_printed_kronecker_blocks(self):
         n = 4
-        W = as_regularizer(framelet_analysis_2d(n))
+        W = as_regularizer(framelet_analysis_2d(n), n * n)
         w0, w1, w2 = printed_framelet_filters(n)
         expected = np.vstack([np.kron(a, b)
                               for a in (w0, w1, w2)
@@ -175,7 +175,7 @@ class TestAdjointConsistency:
         lambda: as_regularizer(None, 30),
         lambda: derivative_2d(1, 7),
         lambda: derivative_2d(2, 7),
-        lambda: as_regularizer(framelet_analysis_2d(7)),
+        lambda: as_regularizer(framelet_analysis_2d(7), 7 * 7),
     ])
     def test_inner_product_identity(self, make):
         rng = np.random.default_rng(5)

@@ -19,9 +19,10 @@ from lpvarpro.regularizers import (MatrixRegularizer, as_regularizer,
                                    derivative_2d, first_derivative_1d,
                                    framelet_analysis_2d)
 from lpvarpro.gcv import GcvConfig, select_eta, thin_gsvd
-from lpvarpro.varpro import (JacobianVariant, SolverError, VarproConfig,
-                             jacobian_full, jacobian_half, jacobian_reduced,
-                             lp_varpro_solve, tik_solve)
+from lpvarpro.varpro import (ConvergenceRow, JacobianVariant, SolverError,
+                             VarproConfig, jacobian_full, jacobian_half,
+                             jacobian_reduced, lp_varpro_solve, rre,
+                             tik_solve)
 
 
 def pair_gsvd(op, L):
@@ -55,6 +56,43 @@ def fd_jacobian(fn, y, h=1e-6):
     return np.column_stack(cols)
 
 
+class TestRre:
+    def test_exact_recovery(self):
+        v = np.arange(1.0, 5.0)
+        assert rre(v, v) == 0.0
+
+    def test_zero_estimate(self):
+        v = np.arange(1.0, 5.0)
+        assert rre(np.zeros(4), v) == pytest.approx(1.0)
+
+    def test_double_estimate(self):
+        v = np.arange(1.0, 5.0)
+        assert rre(2 * v, v) == pytest.approx(1.0)
+
+    def test_scale_covariance(self):
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(10)
+        t = rng.standard_normal(10)
+        for alpha in (0.5, -3.0, 100.0):
+            assert rre(alpha * v, alpha * t) == pytest.approx(rre(v, t),
+                                                              rel=1e-12)
+
+    def test_zero_reference_rejected(self):
+        with pytest.raises(ValueError):
+            rre(np.ones(3), np.zeros(3))
+
+
+class TestConvergenceRow:
+    def test_fields(self):
+        row = ConvergenceRow(iteration=3, rel_func_value=0.5,
+                             rel_grad_norm=0.4, rre_y=0.1, rre_x=0.2,
+                             eta=1e-3, wall_time=0.01)
+        assert row.iteration == 3
+        assert [f.name for f in dataclasses.fields(ConvergenceRow)] == [
+            "iteration", "rel_func_value", "rel_grad_norm", "rre_y",
+            "rre_x", "eta", "wall_time"]
+
+
 class TestTikSolve:
     def test_identity_closed_form(self):
         d = np.arange(1.0, 6.0)
@@ -69,6 +107,23 @@ class TestTikSolve:
             tik_solve(np.eye(5), as_regularizer(None, 5), np.nan, d)
         x = tik_solve(np.eye(5), as_regularizer(None, 5), np.inf, d)
         np.testing.assert_array_equal(x, np.zeros(5))
+
+    def test_infinite_lambda_fits_the_null_space_of_l(self):
+        # L = D1 keeps the constants, so x = c 1 with the least-squares
+        # c = (G 1)^T d / ||G 1||^2; inf * (s2 = 0) used to make x all NaN
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        G = GaussianBlur1D(2.0, 32)
+        x = tik_solve(G, first_derivative_1d(32), np.inf, prob.d)
+        g1 = G.apply(np.ones(32))
+        c = (g1 @ prob.d) / (g1 @ g1)
+        np.testing.assert_allclose(x, np.full(32, c), rtol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_data_not_finite(self, bad):
+        d = np.arange(1.0, 6.0)
+        d[2] = bad
+        with pytest.raises(ValueError, match="data d must be finite"):
+            tik_solve(np.eye(5), as_regularizer(None, 5), 0.25, d)
 
     def test_zero_lambda_is_least_squares(self):
         rng = np.random.default_rng(0)
@@ -118,7 +173,7 @@ class TestJacobianFull:
         prob = prob1d
         if case == "2d":
             prob = prob2d
-        L = as_regularizer(None, prob.n)
+        L = as_regularizer(None, prob.x_true.size)
         lam = 1e-2
         y0 = prob.y_true * 1.15
         op = prob.operator(y0)
@@ -135,7 +190,7 @@ class TestJacobianFull:
     def test_both_terms_present_at_small_lambda(self):
         prob1d, _ = make_problems()
         lam = 1e-10
-        L = as_regularizer(None, prob1d.n)
+        L = as_regularizer(None, prob1d.x_true.size)
         y0 = prob1d.y_true * 1.2
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
@@ -148,10 +203,10 @@ class TestJacobianFull:
     def test_zero_x_leaves_only_transpose_term(self):
         prob1d, _ = make_problems()
         lam = 5e-3
-        L = as_regularizer(None, prob1d.n)
+        L = as_regularizer(None, prob1d.x_true.size)
         y0 = prob1d.y_true * 0.9
         op = prob1d.operator(y0)
-        x = np.zeros(prob1d.n)
+        x = np.zeros(prob1d.x_true.size)
         gsvd = pair_gsvd(op, L)
         full = jacobian_full(op, x, lam, gsvd, op.apply(x) - prob1d.d)
         assert np.all(jacobian_half(op, x, lam, gsvd) == 0.0)
@@ -166,7 +221,7 @@ class TestJacobianHalf:
     def test_reconstruction_identity(self):
         prob1d, _ = make_problems()
         lam = 2e-3
-        L = MatrixRegularizer(first_derivative_1d(prob1d.n))
+        L = MatrixRegularizer(first_derivative_1d(prob1d.x_true.size))
         y0 = prob1d.y_true * 1.1
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
@@ -183,7 +238,7 @@ class TestJacobianHalf:
     def test_matches_frozen_projector_finite_differences(self):
         prob1d, _ = make_problems()
         lam = 1e-2
-        L = as_regularizer(None, prob1d.n)
+        L = as_regularizer(None, prob1d.x_true.size)
         y0 = prob1d.y_true * 1.15
         op = prob1d.operator(y0)
         x = tik_solve(op, L, lam, prob1d.d)
@@ -247,8 +302,9 @@ class TestJacobianTForm:
     @pytest.mark.parametrize("case", ["1d", "2d"])
     def test_matches_t_form_oracle(self, case):
         prob = make_problems()[case == "2d"]
-        L = (MatrixRegularizer(first_derivative_1d(prob.n)) if case == "1d"
-             else as_regularizer(None, prob.n))
+        n = prob.x_true.size
+        L = (MatrixRegularizer(first_derivative_1d(n)) if case == "1d"
+             else as_regularizer(None, n))
         lam = 3e-3
         op = prob.operator(prob.y_true * 1.1)
         gsvd = pair_gsvd(op, L)
@@ -587,7 +643,8 @@ class TestVarproConfig:
         {"lam": np.nan}, {"p": 1.0, "epsilon": 0.0},
         {"p": 0.5, "epsilon": -1e-2}, {"lam": np.inf}, {"step_tol": np.nan},
         {"inner_tol": np.nan}, {"inner_tol": -1.0},
-        {"p": 1.0, "epsilon": np.nan}])
+        {"p": 1.0, "epsilon": np.nan}, {"max_iters": 2.5},
+        {"inner_iters": 2.5}, {"max_iters": np.nan}, {"inner_iters": np.inf}])
     def test_rejects_settings_the_solver_cannot_use(self, kwargs):
         # each of these used to construct, then failed or gave no answer
         # at the first step or inner solve
@@ -603,6 +660,19 @@ class TestVarproConfig:
                            regularizer=first_derivative_1d(48))
         with pytest.raises(ValueError, match="acts on 48 unknowns, but the "
                                              "problem has 64"):
+            lp_varpro_solve(prob, cfg)
+
+    @pytest.mark.parametrize("inner", ["auto", "gks"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_data_not_finite(self, inner, bad):
+        # a NaN used to end in a non-finite Jacobian (dense route) or a
+        # failed SVD (GKS); the check comes before G(y0) is built
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        prob.d[5] = bad
+        prob.operator = lambda y: pytest.fail("built an operator")
+        cfg = VarproConfig(y0=np.array([2.5]), inner=inner,
+                           regularizer=first_derivative_1d(32))
+        with pytest.raises(ValueError, match="data d must be finite"):
             lp_varpro_solve(prob, cfg)
 
     def test_fixed_lambda_sets_eta_at_p1(self):
@@ -767,7 +837,7 @@ class TestGksBuffers:
         # block of n x capacity doubles, which a snapshot before the solve
         # and one at its first projected solve show
         prob, cfg = blind_2d("grain", 32, 2.0)
-        block = prob.n * (10 + cfg.inner_iters - 1) * 8
+        block = prob.x_true.size * (10 + cfg.inner_iters - 1) * 8
         solve_orig = varpro.mmgks_solve
         project_orig = mmgks.project_and_solve
         held, before, mapped = [], [], Counter()
