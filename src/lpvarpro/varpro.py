@@ -3,17 +3,17 @@
 ``lp_varpro_solve`` is the one outer loop over the blur parameters y, for
 every p, with lambda fixed or chosen by GCV (``lam=None``): each outer step
 eliminates x by one inner solve at the operator G(y) built when y was
-accepted (a dense Tikhonov solve at p = 2 on small problems, the
-majorize-minimize subspace solver otherwise), then takes a Gauss-Newton step
+accepted (the majorize-minimize subspace solver, or a dense Tikhonov solve
+at p = 2 under the full and half Jacobians), then takes a Gauss-Newton step
 on the projected residual of the reweighted pair.
 
-The dense Tikhonov solve is the MMGKS projected step on the full pair: it
-factors {G, L} once with ``gcv.thin_gsvd``, picks eta with ``gcv.select_eta``
-(lam=None) and reads x from ``StackGsvd.solve``, the routines that serve
-each MMGKS inner iteration. The projected-residual Jacobian comes in three
-variants (full, half, reduced). Full and half differentiate the thin GSVD of
-the reweighted pair that the step holds, with matrix-vector products and one
-diagonal inverse; at p = 2 the inner solve and the Jacobian share it.
+The projected-residual Jacobian comes in three variants (full, half,
+reduced). Full and half differentiate the thin GSVD of the reweighted pair
+that the step holds, with matrix-vector products and one diagonal inverse.
+At p = 2 that pair is {G, L}, and its GSVD also gives the inner solve: the
+MMGKS projected step on the full pair, with eta from ``gcv.select_eta``
+(lam=None) and x from ``StackGsvd.solve``. The reduced Jacobian reads no
+dense matrix, so it always runs MMGKS.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ class VarproConfig:
     step_tol: float = 1e-6
     p: float = 2.0
     epsilon: float = 1e-2
-    # 'auto' solves densely at p = 2 up to DENSE_LIMIT unknowns; 'gks' never
+    # 'auto' solves densely at p = 2 under full/half Jacobians; 'gks' never
     inner: str = "auto"
     inner_iters: int = 30
     inner_tol: float = 1e-4
@@ -238,7 +238,7 @@ def _inner_solve(op, L, l_dense, d, cfg: VarproConfig, buffers):
         res = mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta), buffers)
         x = res.x
         if eta is None:
-            eta = res.etas[-1] if res.etas else np.nan
+            eta = res.etas[-1]
     u = L.apply(x)
     # at p = 2 the weights are 1 whatever epsilon is
     sqrt_w = np.sqrt(majorant_weights(u, cfg.p, cfg.epsilon))
@@ -275,21 +275,23 @@ def lp_varpro_solve(problem, config: VarproConfig):
     """
     cfg = config
     d = _finite_data(problem.d).ravel()
+    if not d.any():
+        raise ValueError("the data d must not be all zero")
     x_true, y_true = _truth(problem)
 
     y = np.asarray(cfg.y0, dtype=float).copy()
     op = problem.operator(y)
-    if cfg.variant is not JacobianVariant.REDUCED and op.n > DENSE_LIMIT:
+    reduced = cfg.variant is JacobianVariant.REDUCED
+    if not reduced and op.n > DENSE_LIMIT:
         raise ValueError(
             f"full/half Jacobians need a dense GSVD of the pair, which is "
             f"limited to n <= {DENSE_LIMIT} unknowns (got n = {op.n}); use "
             f"the reduced Jacobian instead")
     L = as_regularizer(cfg.regularizer, op.n)
-    # the inner solve is the dense Tikhonov solve at p = 2 on small problems
-    dense = cfg.p == 2.0 and cfg.inner == "auto" and op.n <= DENSE_LIMIT
-    # L is fixed for the solve, so its dense matrix is built at most once
-    l_dense = (L.dense() if dense or cfg.variant is not JacobianVariant.REDUCED
-               else None)
+    # only full/half read the dense pair, L once per solve; at p = 2 their
+    # GSVD of {G, L} serves the inner solve too
+    l_dense = None if reduced else L.dense()
+    dense = not reduced and cfg.p == 2.0 and cfg.inner == "auto"
     buffers = None if dense else gks_buffers(op, L, cfg.mmgks_config())
     record = RunRecord()
     record.ys.append(y.copy())
@@ -299,7 +301,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
         x, eta, gsvd, r_data, f_hat, sqrt_w = _inner_solve(
             op, L, l_dense, d, cfg, buffers)
 
-        if cfg.variant is JacobianVariant.REDUCED:
+        if reduced:
             jac, rhs = jacobian_reduced(op, x), -r_data
         else:
             # a GSVD from the inner solve exists only at p = 2, where the

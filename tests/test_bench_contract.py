@@ -6,9 +6,9 @@ per-layer spans. Removing one of these names fails here, and not only when
 the benchmark runs. The 2D workloads must also run the periodic blur, whose
 circulant FFT path they time, the GSVD of the dense workload's pair must
 decide its rank without an SVD of R, and a solve of the dense workload must
-hold one factorization at a time. Conversely, every top-level function and
-class of the package must be used by the package or the benchmark, not by
-tests alone.
+hold one factorization at a time. Each workload takes the inner route its
+``route`` names. Conversely, every top-level function and class of the
+package must be used by the package or the benchmark, not by tests alone.
 """
 
 import ast
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import lpvarpro
-from lpvarpro import gcv, regularizers
+from lpvarpro import gcv, regularizers, varpro
 from lpvarpro.gcv import thin_gsvd
 from lpvarpro.operators import ConvBoundary, GaussianPsfBlur2D
 from lpvarpro.regularizers import as_regularizer
@@ -74,6 +74,24 @@ def test_rebuilt_workload_is_byte_equal(name):
     assert [getattr(second, f).tobytes() for f in fields] == expected
     for f in fields:
         assert not np.shares_memory(getattr(first, f), getattr(second, f))
+
+
+@pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
+def test_workload_takes_its_route(monkeypatch, name):
+    # one outer step runs one inner solve: MMGKS on the 'gks' route, the
+    # dense GSVD of the pair, shared with the Jacobian, on the 'dense' one
+    calls = {"thin_gsvd": 0, "mmgks_solve": 0}
+    for fn in calls:
+        def counting(*args, _fn=fn, _orig=getattr(varpro, fn)):
+            calls[_fn] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(varpro, fn, counting)
+    problem, config = bench.WORKLOADS[name].build(0)
+    lpvarpro.lp_varpro_solve(problem,
+                             dataclasses.replace(config, max_iters=1))
+    dense = bench.WORKLOADS[name].route == "dense"
+    assert calls == {"thin_gsvd": int(dense), "mmgks_solve": int(not dense)}
 
 
 def test_dense_workload_gsvd_makes_one_svd(monkeypatch):

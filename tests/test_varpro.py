@@ -395,6 +395,17 @@ class TestGenVarpro:
         closest = min(abs(yy[0] - 2.0) for yy in record.ys)
         assert closest < 0.02
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_reduced_p2_moves_sigma_towards_truth(self, seed):
+        # 10 steps from sigma = 2.5 towards sigma_true = 2 end at 1.89-2.31
+        # on these seeds with MMGKS, and at 2.45-2.47 with a dense Tikhonov
+        # inner solve, which the reduced Jacobian has no GSVD to share with
+        prob = make_1d_problem(n=256, sigma_true=2.0, level=0.01, seed=seed)
+        cfg = VarproConfig(y0=np.array([2.5]), max_iters=10,
+                           regularizer=first_derivative_1d(256))
+        _, y, _ = lp_varpro_solve(prob, cfg)
+        assert y[0] <= 2.4
+
     def test_rel_func_value_starts_at_one(self):
         prob = make_1d_problem(n=24, sigma_true=2.0, level=0.01, seed=2)
         cfg = VarproConfig(y0=np.array([2.3]), max_iters=3, lam=1e-3)
@@ -651,28 +662,42 @@ class TestVarproConfig:
         with pytest.raises(ValueError):
             VarproConfig(y0=np.array([2.5]), **kwargs)
 
-    @pytest.mark.parametrize("inner", ["auto", "gks"])
-    def test_rejects_regularizer_of_wrong_width(self, inner):
+    @pytest.mark.parametrize("variant", ["reduced", "full"])
+    def test_rejects_regularizer_of_wrong_width(self, variant):
         # a 47 x 48 L on 64 unknowns used to fail inside numpy: a broadcast
-        # error on the dense route, a matmul error on the GKS route
+        # error on the dense route (full), a matmul error on the GKS route
         prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
-        cfg = VarproConfig(y0=np.array([2.5]), inner=inner,
+        cfg = VarproConfig(y0=np.array([2.5]), variant=variant,
                            regularizer=first_derivative_1d(48))
         with pytest.raises(ValueError, match="acts on 48 unknowns, but the "
                                              "problem has 64"):
             lp_varpro_solve(prob, cfg)
 
-    @pytest.mark.parametrize("inner", ["auto", "gks"])
+    @pytest.mark.parametrize("variant", ["reduced", "full"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_data_not_finite(self, inner, bad):
-        # a NaN used to end in a non-finite Jacobian (dense route) or a
-        # failed SVD (GKS); the check comes before G(y0) is built
+    def test_rejects_data_not_finite(self, variant, bad):
+        # a NaN used to end in a non-finite Jacobian (dense route, full) or
+        # a failed SVD (GKS); the check comes before G(y0) is built
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
         prob.d[5] = bad
         prob.operator = lambda y: pytest.fail("built an operator")
-        cfg = VarproConfig(y0=np.array([2.5]), inner=inner,
+        cfg = VarproConfig(y0=np.array([2.5]), variant=variant,
                            regularizer=first_derivative_1d(32))
         with pytest.raises(ValueError, match="data d must be finite"):
+            lp_varpro_solve(prob, cfg)
+
+    @pytest.mark.parametrize("variant", ["reduced", "full"])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_rejects_data_all_zero(self, variant, p):
+        # d = 0 has no scale to select eta by: at p = 1 reduced recorded
+        # eta = NaN and stopped on the step tolerance, and full raised a
+        # SolverError at the first step; the check comes before G(y0)
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        prob.d[:] = 0.0
+        prob.operator = lambda y: pytest.fail("built an operator")
+        cfg = VarproConfig(y0=np.array([2.5]), variant=variant, p=p,
+                           regularizer=first_derivative_1d(32))
+        with pytest.raises(ValueError, match="data d must not be all zero"):
             lp_varpro_solve(prob, cfg)
 
     def test_fixed_lambda_sets_eta_at_p1(self):
@@ -714,6 +739,39 @@ class TestEngineWork:
             _, _, record = lp_varpro_solve(prob, cfg)
             assert len(record.rows) == 4
             assert calls == Counter(thin_gsvd=4, dense=4), lam
+
+    @pytest.mark.parametrize("problem", ["1d", "2d"])
+    def test_default_config_runs_mmgks_with_no_dense_matrix(self, monkeypatch,
+                                                            problem):
+        # the reduced Jacobian reads no dense pair, so the default config
+        # (reduced, inner="auto") runs MMGKS at p = 2 whatever the size
+        calls = Counter()
+
+        def counting(name, orig):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(varpro, "thin_gsvd",
+                            counting("thin_gsvd", varpro.thin_gsvd))
+        monkeypatch.setattr(varpro, "mmgks_solve",
+                            counting("mmgks_solve", varpro.mmgks_solve))
+        for cls in (ParamOperator, GaussianBlur1D, MatrixRegularizer):
+            monkeypatch.setattr(cls, "dense", counting("dense", cls.dense))
+        if problem == "1d":
+            prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
+            y0 = np.array([2.5])
+        else:
+            prob = make_blind_deconv_problem("satellite", (4.0, 3.0, 1.5),
+                                             0.01, 0, psf_size=9, size=16)
+            y0 = np.array([3.0, 2.5, 1.0])
+        cfg = VarproConfig(y0=y0, max_iters=3)
+        assert cfg.variant is JacobianVariant.REDUCED and cfg.p == 2.0
+        assert cfg.inner == "auto"
+        _, _, record = lp_varpro_solve(prob, cfg)
+        assert len(record.rows) == 3
+        assert calls == Counter(mmgks_solve=3)
 
     def test_regularizer_assembled_once_per_solve(self, monkeypatch):
         # L is fixed for the solve: the dense inner solves and the FULL
