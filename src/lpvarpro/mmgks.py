@@ -43,9 +43,13 @@ def _as_operator(G) -> ParamOperator:
     return MatrixOperator(np.asarray(G, dtype=float))
 
 
-def _finite_data(d):
-    """d as a float array; raises ValueError if an entry is NaN or inf."""
+def _finite_data(d, rows=None):
+    """d as a float array; raises ValueError if an entry is NaN or inf, or
+    if d is not a vector of ``rows`` entries, the rows of G, when given."""
     d = np.asarray(d, dtype=float)
+    if rows is not None and d.shape != (rows,):
+        raise ValueError(f"the data d must have length {rows}, the rows of "
+                         f"G; got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("the data d must be finite (it holds NaN or inf)")
     return d
@@ -435,9 +439,9 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
     It fills ``buffers`` of ``gks_buffers(G, L, config)``, which a caller may
     reuse across solves, or new ones when None; they change no result.
     """
-    d = _finite_data(d)
-    cfg = config or MmgksConfig()
     G = _as_operator(G)
+    d = _finite_data(d, G.m)
+    cfg = config or MmgksConfig()
     L = as_regularizer(L, G.n)
     eps = 0.0 if cfg.p == 2 else cfg.epsilon
 

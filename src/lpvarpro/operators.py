@@ -39,6 +39,17 @@ class ConvBoundary(Enum):
 DENSE_LIMIT = 4096
 
 
+def _whole_number(value, name):
+    """``value`` as an int; raises ValueError unless it is a whole number."""
+    try:
+        whole = int(value)
+        if whole == value:
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _columns(fn, m, n):
     """Dense m x n matrix of columns fn(e_i), reusing one unit vector e_i."""
     if n > DENSE_LIMIT:
@@ -358,10 +369,11 @@ class GaussianBlur1D(ParamOperator):
     def __init__(self, sigma, n):
         if not sigma > 0:
             raise ValueError("sigma must be positive")
+        n = _whole_number(n, "n")
         if n < 2:
             raise ValueError("n must be at least 2")
         self.sigma = float(sigma)
-        self.m = self.n = int(n)
+        self.m = self.n = n
         self.r = 1
         # one kernel evaluation at offsets 0..n-1 gives G and dG/dsigma,
         # whose kernel is g(s) (s^2/sigma^3 - 1/sigma); sigma^3 underflows
@@ -421,7 +433,7 @@ class GaussianPsfBlur2D(ParamOperator):
     def __init__(self, params: PsfParams, image_shape, psf_size=31,
                  boundary=ConvBoundary.PERIODIC):
         self.image_shape = tuple(image_shape)
-        self.psf_size = int(psf_size)
+        self.psf_size = _whole_number(psf_size, "psf_size")
         self.boundary = boundary
         self.m = self.n = int(np.prod(self.image_shape))
         self.r = 3

@@ -6,20 +6,31 @@ with a normalized anisotropic Gaussian PSF. Noise is white Gaussian, rescaled
 so the noise-to-signal ratio is met exactly, and every instance is fully
 determined by its inputs and seed.
 The grain image tests each ellipse on its bounding window only, and each
-builtin image is built once per (name, n) per process: every later build of
-an instance pays only for the blur, the noise and one copy of the image.
-Synthesis applies the blur without building its derivatives.
+builtin image is built once per (name, n) per process. The noiseless pair
+(x_true, d_true) of the most recent builtin 2D instance and of the most
+recent 1D instance is kept read-only, so a build that repeats all inputs
+but the noise level and seed pays only for the noise and two copies.
+Synthesis applies the blur without building its derivatives. Image arrays
+passed by the caller are never cached.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (ConvBoundary, GaussianBlur1D, GaussianPsfBlur2D,
-                        PsfParams)
+                        PsfParams, _whole_number)
+
+
+def _norm(v):
+    """||v||_2 as np.linalg.norm computes it for a real v, sqrt(v . v),
+    without its argument handling."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
 
 
 def add_noise(d_true, level, seed):
@@ -33,12 +44,12 @@ def add_noise(d_true, level, seed):
     d_true = np.asarray(d_true, dtype=float)
     if level == 0.0:
         return d_true.copy(), np.zeros_like(d_true)
-    norm_true = np.linalg.norm(d_true)
+    norm_true = _norm(d_true)
     if norm_true == 0.0:
         raise ValueError("cannot scale noise against zero data")
     rng = np.random.default_rng(seed)
     eps = rng.standard_normal(d_true.shape)
-    eps *= level * norm_true / np.linalg.norm(eps)
+    eps *= level * norm_true / _norm(eps)
     return d_true + eps, eps
 
 
@@ -127,6 +138,32 @@ def _shared_image(name, n):
     return image
 
 
+def _blur(image, params, psf_size, boundary):
+    """d_true = G(params) x_true of a square image."""
+    op = GaussianPsfBlur2D(params, image.shape, psf_size, boundary)
+    return op.apply(image.ravel())
+
+
+@functools.lru_cache(maxsize=1)
+def _noiseless_builtin(name, size, params, psf_size, boundary):
+    """The read-only (x_true as an image, d_true) of builtin image ``name``,
+    which lies in [0, 1] already."""
+    image = _shared_image(name, size)
+    d_true = _blur(image, params, psf_size, boundary)
+    d_true.setflags(write=False)
+    return image, d_true
+
+
+@functools.lru_cache(maxsize=1)
+def _noiseless_1d(n, sigma_true):
+    """The read-only (x_true, d_true) of the 1D instance of n samples."""
+    x_true = piecewise_signal(n)
+    d_true = GaussianBlur1D(sigma_true, n).apply(x_true)
+    x_true.setflags(write=False)
+    d_true.setflags(write=False)
+    return x_true, d_true
+
+
 @dataclass
 class ProblemInstance:
     """A forward model plus data: d = G(y_true) x_true + noise."""
@@ -157,16 +194,20 @@ class ProblemInstance:
 
 
 def make_1d_problem(n=128, sigma_true=2.0, level=0.01, seed=0):
-    """1D Gaussian deconvolution instance with the bundled edge signal."""
-    x_true = piecewise_signal(n)
-    op = GaussianBlur1D(sigma_true, n)
-    d_true = op.apply(x_true)
+    """1D Gaussian deconvolution instance with the bundled edge signal.
+
+    The noiseless pair is shared with the previous build of the same
+    (n, sigma_true); the instance holds copies of it.
+    """
+    n, sigma_true = _whole_number(n, "n"), float(sigma_true)
+    x_true, d_true = _noiseless_1d(n, sigma_true)
+    x_true, d_true = x_true.copy(), d_true.copy()
     d, eps = add_noise(d_true, level, seed)
     return ProblemInstance(family="toeplitz1d",
-                           y_true=np.array([float(sigma_true)]),
+                           y_true=np.array([sigma_true]),
                            x_true=x_true, d_true=d_true, d=d, noise=eps,
                            noise_level=float(level), seed=int(seed),
-                           shape=(int(n),), boundary=ConvBoundary.ZERO)
+                           shape=(n,), boundary=ConvBoundary.ZERO)
 
 
 def make_blind_deconv_problem(image, y_true, level, seed,
@@ -177,30 +218,34 @@ def make_blind_deconv_problem(image, y_true, level, seed,
     ``image`` may be a builtin name or a square 2D array, which is copied, so
     ``x_true`` shares no memory with it; intensities are rescaled to [0, 1]
     when they fall outside. ``y_true`` is a PsfParams or a length-3 vector
-    (sigma1, sigma2, rho).
+    (sigma1, sigma2, rho). A builtin image shares its noiseless pair with the
+    previous build of the same (image, size, y_true, psf_size, boundary); the
+    instance holds copies of it. ``size`` is read for builtin images only.
     """
-    if isinstance(image, str):
-        image = _shared_image(image, int(size))
-    image = np.array(image, dtype=float, order="C")
-    if image.ndim != 2 or image.shape[0] != image.shape[1]:
-        raise ValueError("image must be a square 2D array")
-    lo, hi = image.min(), image.max()
-    if lo < 0.0 or hi > 1.0:
-        if hi == lo:
-            raise ValueError("constant image cannot be rescaled to [0, 1]")
-        image -= lo
-        image /= hi - lo
     params = y_true if isinstance(y_true, PsfParams) \
         else PsfParams.from_array(y_true)
     if isinstance(boundary, str):
         boundary = ConvBoundary(boundary)
-    op = GaussianPsfBlur2D(params, image.shape, psf_size, boundary)
-    x_true = image.ravel()
-    d_true = op.apply(x_true)
+    psf_size = _whole_number(psf_size, "psf_size")
+    if isinstance(image, str):
+        x_true, d_true = _noiseless_builtin(
+            image, _whole_number(size, "size"), params, psf_size, boundary)
+        x_true, d_true = x_true.copy(), d_true.copy()
+    else:
+        x_true = np.array(image, dtype=float, order="C")
+        if x_true.ndim != 2 or x_true.shape[0] != x_true.shape[1]:
+            raise ValueError("image must be a square 2D array")
+        lo, hi = x_true.min(), x_true.max()
+        if lo < 0.0 or hi > 1.0:
+            if hi == lo:
+                raise ValueError("constant image cannot be rescaled to "
+                                 "[0, 1]")
+            x_true -= lo
+            x_true /= hi - lo
+        d_true = _blur(x_true, params, psf_size, boundary)
     d, eps = add_noise(d_true, level, seed)
     return ProblemInstance(family="psf2d", y_true=params.as_array(),
-                           x_true=x_true, d_true=d_true, d=d, noise=eps,
-                           noise_level=float(level), seed=int(seed),
-                           shape=image.shape, boundary=boundary,
-                           psf_size=int(psf_size))
-
+                           x_true=x_true.ravel(), d_true=d_true, d=d,
+                           noise=eps, noise_level=float(level),
+                           seed=int(seed), shape=x_true.shape,
+                           boundary=boundary, psf_size=psf_size)

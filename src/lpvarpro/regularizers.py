@@ -35,6 +35,11 @@ class MatrixRegularizer(Regularizer):
     """Wrap an explicit (sparse or dense) matrix."""
 
     def __init__(self, mat):
+        if not sparse.issparse(mat):
+            mat = np.asarray(mat, dtype=float)
+        if mat.ndim != 2:
+            raise ValueError(f"a regularizer matrix must be 2-D, got shape "
+                             f"{mat.shape}")
         self.mat = mat
         self.q, self.n = mat.shape
 

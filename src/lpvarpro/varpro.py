@@ -57,11 +57,11 @@ def tik_solve(G, L, lam, d, gsvd=None):
     :class:`~lpvarpro.gcv.RankDeficiencyError`, a ``LinAlgError``, when the
     solution is not unique. Meant for problems up to a few thousand unknowns.
     """
-    d = _finite_data(d)
+    G = _as_operator(G)
+    d = _finite_data(d, G.m)
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     if gsvd is None:
-        G = _as_operator(G)
         l_dense = (np.zeros((0, G.n)) if lam == 0.0
                    else as_regularizer(L, G.n).dense())
         gsvd = thin_gsvd(G.dense(), l_dense)
@@ -117,6 +117,9 @@ def rre(v, v_true):
     """Relative reconstruction error ||v - v_true||_2 / ||v_true||_2."""
     v = np.asarray(v, dtype=float).ravel()
     v_true = np.asarray(v_true, dtype=float).ravel()
+    if v.size != v_true.size:
+        raise ValueError(f"v has {v.size} entries, but v_true has "
+                         f"{v_true.size}")
     denom = np.linalg.norm(v_true)
     if denom == 0.0:
         raise ValueError("reference vector must be nonzero")
@@ -281,6 +284,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
 
     y = np.asarray(cfg.y0, dtype=float).copy()
     op = problem.operator(y)
+    d = _finite_data(d, op.m)          # its length, against the rows of G
     reduced = cfg.variant is JacobianVariant.REDUCED
     if not reduced and op.n > DENSE_LIMIT:
         raise ValueError(

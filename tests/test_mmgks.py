@@ -876,6 +876,12 @@ class TestMajorantProperties:
 
 
 class TestMmgksSolve:
+    def test_rejects_data_of_wrong_length(self):
+        # numpy used to fail to broadcast shape (3,) into shape (4,)
+        with pytest.raises(ValueError, match=r"length 4, the rows of G; got "
+                                             r"shape \(3,\)"):
+            mmgks_solve(np.eye(4), None, np.ones(3))
+
     def test_identity_closed_form(self):
         rng = np.random.default_rng(12)
         d = rng.standard_normal(10)

@@ -130,6 +130,14 @@ class TestToeplitz1d:
         with pytest.raises(ValueError):
             build_toeplitz_1d(2.0, 1)
 
+    def test_whole_sizes(self):
+        # 10.5 used to build a 10-point operator, and psf_size 9.5 a 9 x 9 PSF
+        assert GaussianBlur1D(2.0, 10.0).n == 10
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            GaussianBlur1D(2.0, 10.5)
+        with pytest.raises(ValueError, match="psf_size must be a whole"):
+            GaussianPsfBlur2D(PsfParams(2.0, 1.5, 0.5), (16, 16), 9.5)
+
 
 TAIL_CASES = [(sigma, n) for sigma in (0.05, 0.3, 1.0, 2.0, 2.5, 8.0)
               for n in (64, 512)]

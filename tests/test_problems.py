@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from lpvarpro import operators, problems
+from lpvarpro.operators import (ConvBoundary, GaussianBlur1D,
+                                GaussianPsfBlur2D, PsfParams)
 from lpvarpro.problems import (add_noise, make_1d_problem,
                                make_blind_deconv_problem, piecewise_signal)
 from lpvarpro.regularizers import as_regularizer
@@ -47,6 +49,11 @@ class TestAddNoise:
         a1, _ = add_noise(d, 0.05, 123)
         a2, _ = add_noise(d, 0.05, 123)
         np.testing.assert_array_equal(a1, a2)
+
+    @pytest.mark.parametrize("shape", [(7,), (512,), (5, 6)])
+    def test_norm_is_numpy_norm(self, shape):
+        v = np.random.default_rng(4).standard_normal(shape)
+        assert problems._norm(v) == np.linalg.norm(v)
 
     def test_zero_data_rejected(self):
         with pytest.raises(ValueError):
@@ -104,8 +111,16 @@ class TestMake1dProblem:
             return toeplitz_orig(*args, **kwargs)
 
         monkeypatch.setattr(operators, "toeplitz", counting_toeplitz)
+        problems._noiseless_1d.cache_clear()
         make_1d_problem(64, 2.0, 0.01, 0)
         assert len(built) == 1
+
+    def test_whole_n(self):
+        # n = 64.0 used to raise numpy's TypeError
+        prob = make_1d_problem(64.0, 2.0, 0.01, 0)
+        assert prob.shape == (64,) and prob.x_true.shape == (64,)
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            make_1d_problem(64.5, 2.0, 0.01, 0)
 
 
 def builtin_x_true(name, n):
@@ -180,9 +195,16 @@ class TestBlindDeconvProblem:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(operators, "_CachedConv2D", CountingConv)
+        problems._noiseless_builtin.cache_clear()
         make_blind_deconv_problem("satellite", (3.0, 4.0, 0.5), 0.01, 0,
                                   size=32, psf_size=9)
         assert len(built) == 1
+
+    def test_whole_size(self):
+        # size 32.5 used to build a 32 x 32 instance silently
+        with pytest.raises(ValueError, match="size must be a whole number"):
+            make_blind_deconv_problem("satellite", (3.0, 4.0, 0.5), 0.01, 0,
+                                      size=32.5, psf_size=9)
 
     def test_delta_psf_limit(self):
         prob = make_blind_deconv_problem("satellite", (0.05, 0.05, 0.0),
@@ -214,3 +236,102 @@ class TestBlindDeconvProblem:
         prob = make_blind_deconv_problem(img, (1.5, 2.0, 1.0), 0.0, 0,
                                          psf_size=7)
         assert prob.x_true.min() >= 0.0 and prob.x_true.max() <= 1.0
+
+
+def synthesized_1d(n, sigma, level, seed):
+    """A 1D instance's (x_true, d_true, d, noise), built with no cache."""
+    x_true = piecewise_signal(n)
+    d_true = GaussianBlur1D(sigma, n).apply(x_true)
+    return (x_true, d_true, *add_noise(d_true, level, seed))
+
+
+def synthesized_2d(image, y, level, seed, size, psf_size, boundary):
+    """A 2D instance's (x_true, d_true, d, noise), built with no cache."""
+    x_true = problems._BUILTIN_IMAGES[image](size).ravel()
+    op = GaussianPsfBlur2D(PsfParams(*y), (size, size), psf_size, boundary)
+    d_true = op.apply(x_true)
+    return (x_true, d_true, *add_noise(d_true, level, seed))
+
+
+def assert_instance_is(prob, arrays):
+    """The instance's arrays equal ``arrays`` byte for byte."""
+    got = (prob.x_true, prob.d_true, prob.d, prob.noise)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in arrays]
+
+
+BUILD_1D = {"a": (64, 2.0), "b": (48, 1.5)}
+BUILD_2D = {"a": ("grain", (3.0, 2.0, 1.0), 32, 9, ConvBoundary.PERIODIC),
+            "b": ("satellite", (2.0, 1.5, 0.5), 24, 7, ConvBoundary.ZERO)}
+
+
+def build_1d(key, seed):
+    n, sigma = BUILD_1D[key]
+    return (make_1d_problem(n, sigma, 0.02, seed),
+            synthesized_1d(n, sigma, 0.02, seed))
+
+
+def build_2d(key, seed):
+    image, y, size, psf_size, boundary = BUILD_2D[key]
+    return (make_blind_deconv_problem(image, y, 0.02, seed, boundary,
+                                      psf_size, size),
+            synthesized_2d(image, y, 0.02, seed, size, psf_size, boundary))
+
+
+class TestNoiselessCache:
+    @pytest.mark.parametrize("build", [build_1d, build_2d])
+    def test_instances_match_an_uncached_synthesis(self, build):
+        for seed in range(4):
+            assert_instance_is(*build("a", seed))
+
+    @pytest.mark.parametrize("build", [build_1d, build_2d])
+    def test_mutating_an_instance_leaves_the_next_build_intact(self, build):
+        prob, _ = build("a", 0)
+        for a in (prob.x_true, prob.d_true, prob.d, prob.noise):
+            a[:] = 7.0
+        assert_instance_is(*build("a", 1))
+
+    @pytest.mark.parametrize("build", [build_1d, build_2d])
+    def test_alternating_two_problems(self, build):
+        # one entry: every build below misses, and must still be exact
+        for key, seed in (("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 0)):
+            assert_instance_is(*build(key, seed))
+
+    def test_a_new_seed_builds_no_blur(self, monkeypatch):
+        built = []
+
+        class CountingConv(operators._CachedConv2D):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "_CachedConv2D", CountingConv)
+        problems._noiseless_builtin.cache_clear()
+        for seed in range(3):
+            make_blind_deconv_problem("grain", (3.0, 2.0, 1.0), 0.02, seed,
+                                      psf_size=9, size=32)
+        assert len(built) == 1
+
+    def test_caller_image_is_not_cached(self):
+        # the caller owns the array and may change it between builds
+        img = np.random.default_rng(3).uniform(0, 1, (16, 16))
+        first = make_blind_deconv_problem(img, (1.5, 2.0, 1.0), 0.0, 0,
+                                          psf_size=7)
+        img[4, 5] = 0.0
+        second = make_blind_deconv_problem(img, (1.5, 2.0, 1.0), 0.0, 0,
+                                           psf_size=7)
+        assert second.x_true[4 * 16 + 5] == img[4, 5]
+        assert second.x_true[4 * 16 + 5] != first.x_true[4 * 16 + 5]
+        op = second.operator(second.y_true)
+        assert op.apply(img.ravel()).tobytes() == second.d_true.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        prob, _ = build_2d("a", 0)
+        image, y, size, psf_size, boundary = BUILD_2D["a"]
+        pairs = (problems._noiseless_builtin(image, size, PsfParams(*y),
+                                             psf_size, boundary),
+                 problems._noiseless_1d(64, 2.0))
+        for a in (*pairs[0], *pairs[1]):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert prob.x_true.flags.writeable and prob.d_true.flags.writeable

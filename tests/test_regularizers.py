@@ -207,3 +207,19 @@ class TestNullSpaces:
         # space; the Kronecker sum pairs differences of different pixels
         dense = derivative_2d(order, 8).dense()
         assert dense.shape[1] - np.linalg.matrix_rank(dense) == dim
+
+
+class TestAsRegularizer:
+    def test_nested_list_matrix(self):
+        # a list used to raise AttributeError: no attribute 'shape'
+        L = as_regularizer([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]], 3)
+        assert (L.q, L.n) == (2, 3)
+        np.testing.assert_array_equal(L.apply(np.array([1.0, 3.0, 6.0])),
+                                      [-2.0, -3.0])
+
+    @pytest.mark.parametrize("mat", [np.ones(3), np.ones((1, 3, 3)),
+                                     sparse.coo_array(np.ones(3))])
+    def test_rejects_matrix_not_2d(self, mat):
+        # a 1-D array used to fail unpacking its shape
+        with pytest.raises(ValueError, match=r"must be 2-D, got shape \("):
+            as_regularizer(mat, 3)

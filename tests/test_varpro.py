@@ -81,6 +81,12 @@ class TestRre:
         with pytest.raises(ValueError):
             rre(np.ones(3), np.zeros(3))
 
+    def test_sizes_differ_rejected(self):
+        # numpy used to raise its broadcast error
+        with pytest.raises(ValueError, match="v has 3 entries, but v_true "
+                                             "has 4"):
+            rre(np.ones(3), np.ones(4))
+
 
 class TestConvergenceRow:
     def test_fields(self):
@@ -124,6 +130,15 @@ class TestTikSolve:
         d[2] = bad
         with pytest.raises(ValueError, match="data d must be finite"):
             tik_solve(np.eye(5), as_regularizer(None, 5), 0.25, d)
+
+    @pytest.mark.parametrize("gsvd", [False, True])
+    def test_rejects_data_of_wrong_length(self, gsvd):
+        # numpy used to raise a matmul core-dimension error
+        G = np.eye(4)
+        pair = thin_gsvd(G, np.eye(4)) if gsvd else None
+        with pytest.raises(ValueError, match=r"length 4, the rows of G; got "
+                                             r"shape \(3,\)"):
+            tik_solve(G, None, 0.25, np.ones(3), pair)
 
     def test_zero_lambda_is_least_squares(self):
         rng = np.random.default_rng(0)
@@ -684,6 +699,17 @@ class TestVarproConfig:
         cfg = VarproConfig(y0=np.array([2.5]), variant=variant,
                            regularizer=first_derivative_1d(32))
         with pytest.raises(ValueError, match="data d must be finite"):
+            lp_varpro_solve(prob, cfg)
+
+    @pytest.mark.parametrize("variant", ["reduced", "full"])
+    def test_rejects_data_of_wrong_length(self, variant):
+        # full used to fail in numpy with a matmul core-dimension error
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        prob.d = prob.d[:30]
+        cfg = VarproConfig(y0=np.array([2.5]), variant=variant,
+                           regularizer=first_derivative_1d(32))
+        with pytest.raises(ValueError, match=r"length 32, the rows of G; "
+                                             r"got shape \(30,\)"):
             lp_varpro_solve(prob, cfg)
 
     @pytest.mark.parametrize("variant", ["reduced", "full"])
