@@ -13,10 +13,10 @@ c, s2 and U^T d, and ``StackGsvd.solve`` is one triangular solve.
 
 ``select_eta`` scans a fixed log grid of eta once and refines the grid
 minimum by a bracketed root of the analytic slope d log V / d log eta. The
-dense route of the outer solver factors the full pair {G, L} once per outer
-step, the MMGKS solver its projected pair (R_G, R_L) once per inner
-iteration; each hands its factorization to ``select_eta`` and to
-``StackGsvd.solve`` (the dense route also to the outer Jacobians).
+dense route of the outer step factors the full pair {G, L} once per outer
+step and hands it to ``select_eta``, ``StackGsvd.solve`` and the full or
+half Jacobian, then drops it when the step returns; the MMGKS solver factors
+its projected pair (R_G, R_L) once per inner iteration for the first two.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class StackGsvd:
     spectra, and ``l_mat`` is the L the pair was given, not a copy. Q_L =
     L R^-1 is never formed; ``apply_q_l`` applies it to a vector. A G with
     m < n rows gives an m x m ``u`` and an n x m ``w``: the other n - m
-    directions have c = 0 and enter no regularized solution, but ``solve``
-    and ``solve_z`` need m >= n.
+    directions have c = 0 and enter no regularized solution. ``solve``
+    holds for any m, as MMGKS needs when R_G has no row left; ``solve_z``
+    needs m >= n.
     """
 
     u: np.ndarray

@@ -65,8 +65,8 @@ def _is_count(value):
 
 def majorant_weights(u, p, epsilon):
     """Elementwise weights (u_i^2 + eps^2)^(p/2 - 1) of the quadratic majorant."""
-    if p <= 1 and epsilon <= 0:
-        raise ValueError("epsilon > 0 is required for p <= 1")
+    if p < 2 and epsilon <= 0:
+        raise ValueError("epsilon > 0 is required for p < 2")
     u = np.asarray(u, dtype=float)
     if p == 2:
         return np.ones_like(u)
@@ -105,12 +105,12 @@ def golub_kahan(G: ParamOperator, d, ell, out=None):
     vectors are reorthogonalized against all earlier ones, which the
     column-major buffers ``out`` = (U, V), or new ones, keep contiguous.
 
-    Returns (U, B, V, breakdown), U (``G.rep_size`` x (k+1)) and V (n x k,
+    Returns (U, B, V), U (``G.rep_size`` x (k+1)) and V (n x k,
     orthonormal) views of the buffers and B ((k+1) x k) lower bidiagonal,
     with G V = U B.
     On breakdown (an alpha or beta at most eps times the largest so far, a
-    scale of G, not of d) k < ell and breakdown is True; a zero last column
-    of U, left by a breakdown, meets the zero last row of B.
+    scale of G, not of d) k < ell, and k = 0 when d = 0 or G^T d = 0; a
+    zero last column of U, left by a breakdown, meets the zero last row of B.
     """
     d = np.asarray(d, dtype=float)
     if not 1 <= ell <= min(G.m, G.n):
@@ -123,11 +123,10 @@ def golub_kahan(G: ParamOperator, d, ell, out=None):
 
     beta = np.linalg.norm(d)
     if beta == 0.0:
-        return np.zeros((G.rep_size, 1)), np.zeros((1, 0)), vs[:, :0], True
+        return np.zeros((G.rep_size, 1)), np.zeros((1, 0)), vs[:, :0]
     us[:, 0] = d / beta
     betas[0] = beta
     k = 0
-    breakdown = False
     for i in range(ell):
         v = G.adjoint_apply(us[:, i])
         if i > 0:
@@ -136,7 +135,6 @@ def golub_kahan(G: ParamOperator, d, ell, out=None):
         alpha = np.linalg.norm(v)
         scale = max(scale, alpha)
         if alpha <= eps * scale:
-            breakdown = True
             break
         vs[:, i] = v / alpha
         alphas[i] = alpha
@@ -148,13 +146,12 @@ def golub_kahan(G: ParamOperator, d, ell, out=None):
         scale = max(scale, beta)
         if beta <= eps * scale:
             us[:, i + 1] = 0.0
-            breakdown = True
             break
         us[:, i + 1] = u / beta
         betas[i + 1] = beta
 
     B = np.eye(k + 1, k) * alphas[:k] + np.eye(k + 1, k, -1) * betas[1:k + 1]
-    return us[:, :k + 1], B, vs[:, :k], breakdown
+    return us[:, :k + 1], B, vs[:, :k]
 
 
 def gks_buffers(G: ParamOperator, L: Regularizer, cfg: MmgksConfig):
@@ -315,7 +312,7 @@ class GksState:
             self._grows = self.r_l is not None
 
 
-def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
+def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState | None:
     """Seed the subspace in ``buffers`` with ell Golub-Kahan steps on (G, d).
 
     G V = U B holds for the bidiagonalization, so the cached G V is U B, and
@@ -323,13 +320,14 @@ def init_gks(G: ParamOperator, d, L: Regularizer, buffers) -> GksState:
     those of the small (k+1) x (k+1) matrix [B, ||d|| e_1]. The first step
     gives ||G^T d|| = ||d|| alpha_1. d enters in range coordinates (one
     transform on the periodic blur). V, G V and L V fill the ``buffers`` of
-    ``gks_buffers``, with ell + 1 U columns.
+    ``gks_buffers``, with ell + 1 U columns. Returns the ``GksState``, or
+    None when Golub-Kahan stops at its first step (G^T d = 0, d = 0 too).
     """
     d = G.range_rep(d)
-    u, b, v, _ = golub_kahan(G, d, buffers[0].shape[1] - 1, buffers[:2])
+    u, b, v = golub_kahan(G, d, buffers[0].shape[1] - 1, buffers[:2])
     k = v.shape[1]
     if k == 0:
-        raise ValueError("bidiagonalization broke down immediately (zero data?)")
+        return None
     np.matmul(u, b, out=buffers[2][:, :k])
     for j in range(k):
         buffers[3][:, j] = L.apply(v[:, j])
@@ -400,8 +398,8 @@ class MmgksConfig:
             raise ValueError("p must lie in (0, 2]")
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and nonnegative")
-        if self.p <= 1 and self.epsilon == 0:
-            raise ValueError("epsilon > 0 is required for p <= 1")
+        if self.p < 2 and self.epsilon == 0:
+            raise ValueError("epsilon > 0 is required for p < 2")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError("tol must be finite and nonnegative")
         if not (_is_count(self.subspace_dim) and _is_count(self.max_iters)):
@@ -444,12 +442,10 @@ def mmgks_solve(G, L, d, config: MmgksConfig | None = None, buffers=None):
     cfg = config or MmgksConfig()
     L = as_regularizer(L, G.n)
     eps = 0.0 if cfg.p == 2 else cfg.epsilon
-
-    if np.linalg.norm(d) == 0.0:
+    state = init_gks(G, d, L, buffers or gks_buffers(G, L, cfg))
+    if state is None:                  # G^T d = 0: x = 0 is the minimizer
         return MmgksResult(x=np.zeros(G.n), objectives=[], etas=[],
                            iterations=0, converged=True, subspace_dim=0)
-
-    state = init_gks(G, d, L, buffers or gks_buffers(G, L, cfg))
     grad_scale = state.gtd_norm
     z = np.zeros(0)
     u = np.zeros(L.q)                  # L x at x = 0

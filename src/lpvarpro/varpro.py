@@ -1,15 +1,16 @@
 """Outer variable-projection solver for separable inverse problems.
 
 ``lp_varpro_solve`` is the one outer loop over the blur parameters y, for
-every p, with lambda fixed or chosen by GCV (``lam=None``): each outer step
-eliminates x by one inner solve at the operator G(y) built when y was
-accepted (the majorize-minimize subspace solver, or a dense Tikhonov solve
-at p = 2 under the full and half Jacobians), then takes a Gauss-Newton step
-on the projected residual of the reweighted pair.
+every p, with lambda fixed or chosen by GCV (``lam=None``). Each outer step
+is one call of ``_step`` at the operator G(y) built when y was accepted: it
+eliminates x by one inner solve (the majorize-minimize subspace solver, or
+a dense Tikhonov solve at p = 2 under the full and half Jacobians) and
+returns x, eta and the Gauss-Newton system of the projected residual of the
+reweighted pair, which the loop solves for the step in y.
 
 The projected-residual Jacobian comes in three variants (full, half,
 reduced). Full and half differentiate the thin GSVD of the reweighted pair
-that the step holds, with matrix-vector products and one diagonal inverse.
+that ``_step`` holds, with matrix-vector products and one diagonal inverse.
 At p = 2 that pair is {G, L}, and its GSVD also gives the inner solve: the
 MMGKS projected step on the full pair, with eta from ``gcv.select_eta``
 (lam=None) and x from ``StackGsvd.solve``. The reduced Jacobian reads no
@@ -19,7 +20,7 @@ dense matrix, so it always runs MMGKS.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -212,25 +213,26 @@ class VarproConfig:
         # MmgksConfig checks p, epsilon and inner_tol
         self.mmgks_config()
 
-    def mmgks_config(self, eta=None):
-        return MmgksConfig(p=self.p, epsilon=self.epsilon,
-                           max_iters=self.inner_iters, tol=self.inner_tol,
-                           eta=eta)
+    def mmgks_config(self):
+        """Settings of every inner solve, checked before a fixed lam sets
+        their eta = lam * epsilon**(p - 2)."""
+        cfg = MmgksConfig(p=self.p, epsilon=self.epsilon,
+                          max_iters=self.inner_iters, tol=self.inner_tol)
+        return cfg if self.lam is None else replace(
+            cfg, eta=float(self.lam) * self.epsilon ** (self.p - 2.0))
 
 
-def _inner_solve(op, L, l_dense, d, cfg: VarproConfig, buffers):
-    """Solve for x at G = ``op`` and form the stacked residual there.
+def _step(op, L, l_dense, d, variant, mm_cfg, buffers):
+    """Solve for x at G = ``op``; return ``(x, eta, jac, rhs, phi)``.
 
-    The dense route, taken when ``buffers`` is None, reads ``l_dense``, the
-    dense L; MMGKS fills ``buffers``.
-    Returns ``(x, eta, gsvd, r_data, f_hat, sqrt_w)``: eta is the weight of
-    the solve, gsvd the thin GSVD of {G, L} on the dense route, which the
-    step's full or half Jacobian reuses (else None), r_data = G x - d,
-    sqrt_w the square roots of the majorant weights at x and f_hat the
-    stacked residual [r_data; sqrt(eta) sqrt_w L x] of the reweighted pair.
+    The dense route, taken when ``buffers`` is None, factors {G, L} with
+    ``l_dense``, the dense L; MMGKS, set by ``mm_cfg``, fills ``buffers``.
+    eta is the weight of the solve, the Gauss-Newton step solves jac s = rhs
+    by least squares, and phi = ||f_hat||^2 of the stacked residual f_hat =
+    [G x - d; sqrt(eta) W^(1/2) L x], W the majorant weights at x. Full and
+    half read the thin GSVD of {G, W^(1/2) L}, which dies with the step.
     """
-    eta = (None if cfg.lam is None
-           else float(cfg.lam) * cfg.epsilon ** (cfg.p - 2.0))
+    eta = mm_cfg.eta
     if buffers is None:
         gsvd = thin_gsvd(op.dense(), l_dense)
         if eta is None:
@@ -238,16 +240,24 @@ def _inner_solve(op, L, l_dense, d, cfg: VarproConfig, buffers):
         x = tik_solve(op, L, eta, d, gsvd)
     else:
         gsvd = None
-        res = mmgks_solve(op, L, d, cfg.mmgks_config(eta=eta), buffers)
+        res = mmgks_solve(op, L, d, mm_cfg, buffers)
         x = res.x
-        if eta is None:
-            eta = res.etas[-1]
+        if eta is None:     # GCV picks none if x = 0 solves (G^T d = 0)
+            eta = res.etas[-1] if res.etas else np.nan
     u = L.apply(x)
     # at p = 2 the weights are 1 whatever epsilon is
-    sqrt_w = np.sqrt(majorant_weights(u, cfg.p, cfg.epsilon))
+    sqrt_w = np.sqrt(majorant_weights(u, mm_cfg.p, mm_cfg.epsilon))
     r_data = op.apply(x) - d
     f_hat = np.concatenate([r_data, np.sqrt(eta) * (sqrt_w * u)])
-    return x, eta, gsvd, r_data, f_hat, sqrt_w
+    phi = float(f_hat @ f_hat)
+    if variant is JacobianVariant.REDUCED:
+        return x, eta, jacobian_reduced(op, x), -r_data, phi
+    # the dense route runs at p = 2, where W = I and {G, L} is the pair
+    if gsvd is None:
+        gsvd = thin_gsvd(op.dense(), sqrt_w[:, None] * l_dense)
+    if variant is JacobianVariant.FULL:
+        return x, eta, jacobian_full(op, x, eta, gsvd, r_data), f_hat, phi
+    return x, eta, jacobian_half(op, x, eta, gsvd), f_hat, phi
 
 
 def _truth(problem):
@@ -273,8 +283,8 @@ def lp_varpro_solve(problem, config: VarproConfig):
     :class:`SolverError` with the partial record when every halving leaves
     it, or when a step's Jacobian or residual is not finite. One set of GKS
     buffers, allocated here, serves every inner solve (all G have one shape).
-    One factorization and one operator are alive per step: a step's are
-    released once its Jacobian is formed, before the next pair is factored.
+    One factorization and one operator are alive per step: a step's
+    factorization dies with ``_step``, its operator before the next build.
     """
     cfg = config
     d = _finite_data(problem.d).ravel()
@@ -296,36 +306,24 @@ def lp_varpro_solve(problem, config: VarproConfig):
     # GSVD of {G, L} serves the inner solve too
     l_dense = None if reduced else L.dense()
     dense = not reduced and cfg.p == 2.0 and cfg.inner == "auto"
-    buffers = None if dense else gks_buffers(op, L, cfg.mmgks_config())
+    mm_cfg = cfg.mmgks_config()
+    buffers = None if dense else gks_buffers(op, L, mm_cfg)
     record = RunRecord()
     record.ys.append(y.copy())
 
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        x, eta, gsvd, r_data, f_hat, sqrt_w = _inner_solve(
-            op, L, l_dense, d, cfg, buffers)
-
-        if reduced:
-            jac, rhs = jacobian_reduced(op, x), -r_data
-        else:
-            # a GSVD from the inner solve exists only at p = 2, where the
-            # weights are exactly 1 and the weighted pair is {G, L} itself
-            if gsvd is None:
-                gsvd = thin_gsvd(op.dense(), sqrt_w[:, None] * l_dense)
-            if cfg.variant is JacobianVariant.FULL:
-                jac = jacobian_full(op, x, eta, gsvd, r_data)
-            else:
-                jac = jacobian_half(op, x, eta, gsvd)
-            rhs = f_hat
-        gsvd = op = None        # before the next pair is factored
-        if not (np.isfinite(jac).all() and np.isfinite(rhs).all()):
+        x, eta, jac, rhs, phi = _step(op, L, l_dense, d, cfg.variant,
+                                      mm_cfg, buffers)
+        op = None               # before the next pair is built
+        # rhs is part of f_hat, so a finite phi = ||f_hat||^2 covers it
+        if not (np.isfinite(jac).all() and np.isfinite(phi)):
             raise SolverError(f"non-finite Jacobian or residual at iteration "
                               f"{it}", record)
         step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
         grad_norm = float(np.linalg.norm(jac.T @ rhs))
 
         # the operator built to check y + step serves the next outer step
-        phi0 = float(f_hat @ f_hat)
         halvings = 0
         while (op_new := _operator_at(problem, y + step)) is None:
             if halvings >= MAX_HALVINGS:
@@ -336,7 +334,7 @@ def lp_varpro_solve(problem, config: VarproConfig):
             halvings += 1
 
         y, op = y + step, op_new
-        record.add_iteration(it, x, y, phi0, grad_norm, eta,
+        record.add_iteration(it, x, y, phi, grad_norm, eta,
                              time.perf_counter() - t0, x_true, y_true)
         if np.linalg.norm(step) <= cfg.step_tol * max(np.linalg.norm(y), 1e-30):
             record.stop_reason = "step tolerance"

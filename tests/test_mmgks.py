@@ -167,8 +167,10 @@ class TestMajorantWeights:
                                    [0.2], rtol=1e-14)
 
     def test_requires_epsilon_for_small_p(self):
-        with pytest.raises(ValueError):
-            majorant_weights(np.array([1.0]), 0.8, 0.0)
+        # at 1 < p < 2 too: the weight 0^(p/2 - 1) of u = 0 is inf
+        for p in (0.8, 1.5):
+            with pytest.raises(ValueError):
+                majorant_weights(np.array([0.0]), p, 0.0)
 
 
 class TestObjectiveValue:
@@ -212,7 +214,7 @@ class TestGolubKahan:
         rng = np.random.default_rng(2)
         G = rng.standard_normal((12, 8))
         d = rng.standard_normal(12)
-        _, _, v, _ = golub_kahan(MatrixOperator(G), d, 1)
+        _, _, v = golub_kahan(MatrixOperator(G), d, 1)
         expected = G.T @ d / np.linalg.norm(G.T @ d)
         np.testing.assert_allclose(np.abs(v[:, 0]), np.abs(expected),
                                    rtol=1e-12)
@@ -221,8 +223,8 @@ class TestGolubKahan:
         rng = np.random.default_rng(3)
         G = rng.standard_normal((30, 20))
         d = rng.standard_normal(30)
-        u, b, v, breakdown = golub_kahan(MatrixOperator(G), d, 5)
-        assert not breakdown
+        u, b, v = golub_kahan(MatrixOperator(G), d, 5)
+        assert v.shape[1] == 5
         resid = np.linalg.norm(G @ v - u @ b)
         assert resid <= 1e-10 * np.linalg.norm(G)
         np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-12)
@@ -248,8 +250,7 @@ class TestGolubKahan:
         # rank-1 G: the second bidiagonalization step must break down
         G = np.outer(np.arange(1.0, 7.0), np.ones(5))
         d = np.arange(1.0, 7.0)
-        _, _, v, breakdown = golub_kahan(MatrixOperator(G), d, 4)
-        assert breakdown
+        _, _, v = golub_kahan(MatrixOperator(G), d, 4)
         assert v.shape[1] < 4
 
 
@@ -1236,6 +1237,18 @@ class TestMmgksSolve:
         assert res.iterations == 0 and res.converged and res.subspace_dim == 0
         np.testing.assert_array_equal(res.x, np.zeros(6))
 
+    @pytest.mark.parametrize("eta", [None, 0.1])
+    def test_data_orthogonal_to_range_returns_zero(self, eta):
+        # G^T d = 0 with d != 0: Golub-Kahan stops at its first step, and
+        # x = 0 minimizes ||G x||^2 + ||d||^2 + lam phi(L x); this used to
+        # raise "bidiagonalization broke down immediately"
+        G = MatrixOperator(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        res = mmgks_solve(G, None, np.array([0.0, 1.0]),
+                          MmgksConfig(p=1.0, eta=eta))
+        assert res.iterations == 0 and res.converged and res.subspace_dim == 0
+        assert res.etas == [] and res.objectives == []
+        np.testing.assert_array_equal(res.x, np.zeros(2))
+
     @pytest.mark.parametrize("wrap", [False, True])
     def test_rejects_regularizer_of_wrong_width(self, wrap):
         # a 47 x 48 L on 64 unknowns used to fail inside a matrix product
@@ -1248,10 +1261,11 @@ class TestMmgksSolve:
 
     def test_config_validation(self):
         # a NaN or negative tol never converged, and a NaN epsilon at p = 1
-        # ended in a failed SVD
+        # ended in a failed SVD, as did epsilon = 0 at p = 1.5
         for kwargs in ({"p": 2.5}, {"p": 0.9, "epsilon": 0.0},
-                       {"tol": np.nan}, {"tol": -1.0},
-                       {"p": 1.0, "epsilon": np.nan}, {"subspace_dim": 2.5},
+                       {"p": 1.5, "epsilon": 0.0}, {"tol": np.nan},
+                       {"tol": -1.0}, {"p": 1.0, "epsilon": np.nan},
+                       {"subspace_dim": 2.5},
                        {"max_iters": 3.5}, {"max_iters": np.nan},
                        {"subspace_dim": np.inf}):
             with pytest.raises(ValueError):

@@ -149,14 +149,21 @@ class TestTikSolve:
         np.testing.assert_allclose(x, expected, rtol=1e-11)
 
     def test_matches_dense_normal_equations_1d(self):
+        # the blur at n = 64, and a short 3 x 6 G, whose u is 3 x 3: solve
+        # holds for any number of rows, as MMGKS needs when R_G has no row
+        # left (6e-14 relative here, against the oracle's own roundoff)
         prob = make_1d_problem(n=64, sigma_true=2.0, level=0.01, seed=0)
-        g = prob.operator(prob.y_true).dense()
-        L = MatrixRegularizer(first_derivative_1d(64))
-        lam = 3e-3
-        x = tik_solve(g, L, lam, prob.d)
-        ld = L.dense()
-        expected = np.linalg.solve(g.T @ g + lam * ld.T @ ld, g.T @ prob.d)
-        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+        rng = np.random.default_rng(5)
+        for g, d, tol in ((prob.operator(prob.y_true).dense(), prob.d, 1e-8),
+                          (rng.standard_normal((3, 6)),
+                           rng.standard_normal(3), 1e-12)):
+            L = MatrixRegularizer(first_derivative_1d(g.shape[1]))
+            lam = 3e-3
+            x = tik_solve(g, L, lam, d)
+            ld = L.dense()
+            expected = np.linalg.solve(g.T @ g + lam * ld.T @ ld, g.T @ d)
+            assert np.linalg.norm(x - expected) <= tol * np.linalg.norm(
+                expected)
 
     def test_gks_route_agrees_with_dense(self):
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=1)
@@ -464,7 +471,7 @@ class TestGenVarpro:
         _, _, plain = lp_varpro_solve(prob, cfg)
         asked, solves = [], []
         operator_orig = prob.operator
-        inner_orig = varpro._inner_solve
+        step_orig = varpro._step
 
         def refusing(y):
             asked.append(y.copy())
@@ -474,10 +481,10 @@ class TestGenVarpro:
 
         def counting(*args):
             solves.append(1)
-            return inner_orig(*args)
+            return step_orig(*args)
 
         monkeypatch.setattr(prob, "operator", refusing)
-        monkeypatch.setattr(varpro, "_inner_solve", counting)
+        monkeypatch.setattr(varpro, "_step", counting)
         _, _, record = lp_varpro_solve(prob, cfg)
         # y0, three trials of step 1 and the first trial of step 2
         assert len(asked) == 1 + 3 + 1
@@ -670,10 +677,12 @@ class TestVarproConfig:
         {"p": 0.5, "epsilon": -1e-2}, {"lam": np.inf}, {"step_tol": np.nan},
         {"inner_tol": np.nan}, {"inner_tol": -1.0},
         {"p": 1.0, "epsilon": np.nan}, {"max_iters": 2.5},
-        {"inner_iters": 2.5}, {"max_iters": np.nan}, {"inner_iters": np.inf}])
+        {"inner_iters": 2.5}, {"max_iters": np.nan}, {"inner_iters": np.inf},
+        {"p": 1.5, "epsilon": 0.0}, {"p": 1.5, "epsilon": 0.0, "lam": 1e-3}])
     def test_rejects_settings_the_solver_cannot_use(self, kwargs):
         # each of these used to construct, then failed or gave no answer
-        # at the first step or inner solve
+        # at the first step or inner solve (1 < p < 2 at epsilon = 0: an
+        # infinite majorant weight at x = 0, or 0.0 ** -0.5 with a fixed lam)
         with pytest.raises(ValueError):
             VarproConfig(y0=np.array([2.5]), **kwargs)
 
@@ -868,17 +877,35 @@ class TestEngineWork:
             lp_varpro_solve(prob, cfg)
         assert len(err.value.record.rows) == 1
 
+    def test_gcv_with_no_eta_raises_with_record(self):
+        # d != 0 in the null space of C^T: MMGKS returns x = 0 without an
+        # iteration, so GCV picks no eta; this used to end in an IndexError
+        c = np.vstack([np.eye(4), np.zeros((4, 4))])
+        prob = _ScalarFamilyProblem(c, 2.0, np.ones(4))
+        prob.d = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+        cfg = VarproConfig(y0=np.array([1.5]), max_iters=3)
+        with pytest.raises(SolverError,
+                           match="non-finite.*iteration 1") as err:
+            lp_varpro_solve(prob, cfg)
+        assert err.value.record.rows == []
+        # a fixed lambda needs no choice: x = 0 and a zero step in y
+        x, y, record = lp_varpro_solve(
+            prob, dataclasses.replace(cfg, lam=1e-3))
+        np.testing.assert_array_equal(x, np.zeros(4))
+        np.testing.assert_array_equal(y, cfg.y0)
+        assert record.stop_reason == "step tolerance"
+
     def test_extra_parameters_of_1d_family_refused(self, monkeypatch):
         # the 1D family has one parameter; a longer y0 used to run with the
         # one-column step broadcast onto every entry
         calls = []
-        inner_orig = varpro._inner_solve
+        step_orig = varpro._step
 
         def counting(*args):
             calls.append(1)
-            return inner_orig(*args)
+            return step_orig(*args)
 
-        monkeypatch.setattr(varpro, "_inner_solve", counting)
+        monkeypatch.setattr(varpro, "_step", counting)
         prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
         cfg = VarproConfig(y0=np.array([2.5, 1.0]), max_iters=2)
         with pytest.raises(ValueError, match="length 1"):
@@ -1023,3 +1050,33 @@ class TestDenseRouteMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * n * n * 8
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_no_factorization_outlives_its_step(self, monkeypatch, p):
+        # every StackGsvd that the FULL step factors, the pair of the dense
+        # route at p = 2 and the weighted pair after MMGKS at p = 1.5, is
+        # dead when the next G is built
+        prob = make_1d_problem(n=32, sigma_true=2.0, level=0.01, seed=0)
+        refs, checked = [], []
+        gsvd_orig, operator_orig = varpro.thin_gsvd, prob.operator
+
+        def recording(*args):
+            gsvd = gsvd_orig(*args)
+            refs.append(weakref.ref(gsvd))
+            return gsvd
+
+        def building(y):
+            checked.append(len(refs))
+            assert all(ref() is None for ref in refs)
+            return operator_orig(y)
+
+        monkeypatch.setattr(varpro, "thin_gsvd", recording)
+        monkeypatch.setattr(prob, "operator", building)
+        cfg = VarproConfig(y0=np.array([2.5]), variant="full", p=p,
+                           regularizer=first_derivative_1d(32), max_iters=3,
+                           lam=1e-3)
+        _, _, record = lp_varpro_solve(prob, cfg)
+        # one factorization a step, each dead at the builds after it (a
+        # halved step builds twice)
+        assert len(record.rows) == len(refs) == 3
+        assert checked[0] == 0 and checked[-1] == 3
