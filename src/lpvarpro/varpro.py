@@ -316,6 +316,9 @@ def lp_varpro_solve(problem, config: VarproConfig):
         x, eta, jac, rhs, phi = _step(op, L, l_dense, d, cfg.variant,
                                       mm_cfg, buffers)
         op = None               # before the next pair is built
+        if np.isnan(eta):
+            raise SolverError(f"GCV chose no eta: G^T d = 0, so x = 0 "
+                              f"solves, at iteration {it}", record)
         # rhs is part of f_hat, so a finite phi = ||f_hat||^2 covers it
         if not (np.isfinite(jac).all() and np.isfinite(phi)):
             raise SolverError(f"non-finite Jacobian or residual at iteration "

@@ -167,10 +167,12 @@ class TestMajorantWeights:
                                    [0.2], rtol=1e-14)
 
     def test_requires_epsilon_for_small_p(self):
-        # at 1 < p < 2 too: the weight 0^(p/2 - 1) of u = 0 is inf
+        # at 1 < p < 2 too: the weight 0^(p/2 - 1) of u = 0 is inf; the
+        # check refuses epsilon = 0 whatever u is
         for p in (0.8, 1.5):
-            with pytest.raises(ValueError):
-                majorant_weights(np.array([0.0]), p, 0.0)
+            for u in ([1.0], [0.0]):
+                with pytest.raises(ValueError):
+                    majorant_weights(np.array(u), p, 0.0)
 
 
 class TestObjectiveValue:

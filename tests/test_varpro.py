@@ -877,15 +877,17 @@ class TestEngineWork:
             lp_varpro_solve(prob, cfg)
         assert len(err.value.record.rows) == 1
 
-    def test_gcv_with_no_eta_raises_with_record(self):
+    @pytest.mark.parametrize("variant", list(JacobianVariant))
+    def test_gcv_with_no_eta_raises_with_record(self, variant):
         # d != 0 in the null space of C^T: MMGKS returns x = 0 without an
         # iteration, so GCV picks no eta; this used to end in an IndexError
         c = np.vstack([np.eye(4), np.zeros((4, 4))])
         prob = _ScalarFamilyProblem(c, 2.0, np.ones(4))
         prob.d = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
-        cfg = VarproConfig(y0=np.array([1.5]), max_iters=3)
+        cfg = VarproConfig(y0=np.array([1.5]), max_iters=3, variant=variant,
+                           inner="gks")
         with pytest.raises(SolverError,
-                           match="non-finite.*iteration 1") as err:
+                           match="GCV chose no eta.*iteration 1") as err:
             lp_varpro_solve(prob, cfg)
         assert err.value.record.rows == []
         # a fixed lambda needs no choice: x = 0 and a zero step in y
