@@ -5,7 +5,7 @@ regularization-parameter selection) with an outer variable-projection
 Gauss-Newton loop over the forward-operator parameters, and ships 1D and 2D
 Gaussian-blur test problems to drive them. The names below are the user
 workflow: a regularizer is passed as a factory result or a raw matrix, or as
-None for the identity. The building blocks, the regularizer classes among
+None for the identity. The building blocks, the regularizer class among
 them, stay importable from their modules.
 """
 

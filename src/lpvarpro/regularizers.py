@@ -1,18 +1,21 @@
 """Regularization operators L on flattened (row-major) vectors.
 
-Two classes give the forward and adjoint actions and a dense assembly.
-:class:`MatrixRegularizer` applies an explicit matrix: the factories
-``first_derivative_1d``, ``second_derivative_1d`` and ``framelet_analysis_2d``
-(a linear B-spline tight frame, W^T W = I) return sparse ones, and
-``as_regularizer(None, n)`` wraps the sparse identity.
-:class:`KroneckerSumRegularizer` applies ``derivative_2d`` by image slices:
-a matrix would add 40% or more to the build time of a 2D problem.
+One class, :class:`MatrixRegularizer`, applies every L: the sparse matrices
+of ``first_derivative_1d``, ``second_derivative_1d``, ``derivative_2d`` and
+``framelet_analysis_2d`` (a linear B-spline tight frame, W^T W = I), the
+identity of ``as_regularizer(None, n)`` or a caller's matrix. ``derivative_2d``
+keeps its last matrix, read-only: a build costs more than the rest of a 2D
+problem's setup.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import sparse
+
+from .operators import _whole_number
 
 
 class Regularizer:
@@ -41,13 +44,15 @@ class MatrixRegularizer(Regularizer):
             raise ValueError(f"a regularizer matrix must be 2-D, got shape "
                              f"{mat.shape}")
         self.mat = mat
+        # a CSR transpose sums as mat.T @ u does, in about half the time
+        self._mat_t = mat.T.tocsr() if sparse.issparse(mat) else mat.T
         self.q, self.n = mat.shape
 
     def apply(self, x):
         return np.asarray(self.mat @ np.asarray(x, dtype=float)).ravel()
 
     def adjoint_apply(self, u):
-        return np.asarray(self.mat.T @ np.asarray(u, dtype=float)).ravel()
+        return np.asarray(self._mat_t @ np.asarray(u, dtype=float)).ravel()
 
     def dense(self):
         return self.mat.toarray() if sparse.issparse(self.mat) else np.asarray(self.mat)
@@ -55,6 +60,7 @@ class MatrixRegularizer(Regularizer):
 
 def first_derivative_1d(n):
     """Bidiagonal (n-1) x n forward-difference matrix with rows [1, -1]."""
+    n = _whole_number(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     data = np.ones(n - 1)
@@ -64,6 +70,7 @@ def first_derivative_1d(n):
 
 def second_derivative_1d(n):
     """Tridiagonal (n-2) x n matrix with rows [-1, 2, -1]."""
+    n = _whole_number(n, "n")
     if n < 3:
         raise ValueError("n must be at least 3")
     ones = np.ones(n - 2)
@@ -71,62 +78,25 @@ def second_derivative_1d(n):
                               shape=(n - 2, n)).tocsr()
 
 
-def _add_term(out, c, x):
-    """out += c x in place, as out -+ |c| x; |c| = 1 takes no product."""
-    y = x if abs(c) == 1.0 else abs(c) * x
-    (np.add if c > 0 else np.subtract)(out, y, out=out)
-
-
-class KroneckerSumRegularizer(Regularizer):
-    """Matrix-free action of D (x) I + I (x) D on flattened n x n images.
-
-    D ((n-k) x n) has the 1D stencil ``coef`` on each row. D @ X plus
-    X @ D^T, each read row-major, sums shifted slices of X from zero in the
-    order of the sparse products with D and D^T, which it equals bit for
-    bit. The terms number their rows differently, so a row adds a vertical
-    difference at one pixel to a horizontal one at another: this is not a
-    discrete gradient. At n = 8 its null space has dimension 8 (k = 1) or 16.
-    """
-
-    def __init__(self, coef, n):
-        self.n1 = int(n)
-        self.coef = tuple(coef)
-        self.rows = self.n1 + 1 - len(self.coef)
-        self.n = self.n1 * self.n1
-        self.q = self.rows * self.n1
-
-    def apply(self, x):
-        X, r = np.asarray(x, dtype=float).reshape(self.n1, self.n1), self.rows
-        down, across = np.zeros((r, self.n1)), np.zeros((self.n1, r))
-        for t, c in enumerate(self.coef):
-            _add_term(down, c, X[t:t + r])
-            _add_term(across, c, X[:, t:t + r])
-        return down.ravel() + across.ravel()
-
-    def adjoint_apply(self, u):
-        u, r = np.asarray(u, dtype=float), self.rows
-        down, across = np.zeros((2, self.n1, self.n1))
-        # D^T adds the terms of an output row from the last coefficient on
-        for t, c in reversed(list(enumerate(self.coef))):
-            _add_term(down[t:t + r], c, u.reshape(r, self.n1))
-            _add_term(across[:, t:t + r], c, u.reshape(self.n1, r))
-        return down.ravel() + across.ravel()
-
-    def dense(self):
-        eye = np.eye(self.n1)
-        d = sum(c * eye[t:t + self.rows] for t, c in enumerate(self.coef))
-        return np.kron(d, eye) + np.kron(eye, d)
-
-
+@functools.lru_cache(maxsize=1)
 def derivative_2d(order, n):
-    """Kronecker sum of the 1D difference of ``order`` 1 or 2 on n x n images.
+    """Read-only CSR Kronecker sum D (x) I + I (x) D on n x n images.
 
-    It annihilates constant (order 1) or affine (order 2) images, but it is
-    not a derivative operator; see :class:`KroneckerSumRegularizer`.
+    D is the 1D difference of ``order`` 1 or 2. The sum annihilates constant
+    (order 1) or affine (order 2) images, but it is not a gradient: the terms
+    number their rows differently, so a row adds a vertical difference at one
+    pixel to a horizontal one at another. At n = 8 its null space has
+    dimension 8 (order 1) or 16.
     """
+    n = _whole_number(n, "n")
     if n < 3 or order not in (1, 2):
         raise ValueError("order must be 1 or 2, and n at least 3")
-    return KroneckerSumRegularizer({1: (1, -1), 2: (-1, 2, -1)}[order], n)
+    d = (first_derivative_1d if order == 1 else second_derivative_1d)(n)
+    eye = sparse.eye_array(n)
+    mat = (sparse.kron(d, eye) + sparse.kron(eye, d)).tocsr()
+    for part in (mat.data, mat.indices, mat.indptr):
+        part.setflags(write=False)
+    return mat
 
 
 def framelet_filters_1d(n):
@@ -136,6 +106,7 @@ def framelet_filters_1d(n):
     boundaries (x_{-1} = x_0, x_n = x_{n-1}), which makes
     W0^T W0 + W1^T W1 + W2^T W2 = I hold exactly.
     """
+    n = _whole_number(n, "n")
     if n < 3:
         raise ValueError("n must be at least 3")
     filters = []
@@ -164,6 +135,7 @@ def framelet_analysis_2d(n):
 
 def as_regularizer(L, n):
     """Coerce a Regularizer, matrix or None (identity) to width ``n``."""
+    n = _whole_number(n, "n")
     if L is None:
         return MatrixRegularizer(sparse.eye_array(n, format="csr"))
     if not isinstance(L, Regularizer):

@@ -248,6 +248,13 @@ class TestGolubKahan:
         np.testing.assert_allclose(state.dhat, q_g.T @ d, rtol=0,
                                    atol=1e-12 * np.linalg.norm(d))
 
+    @pytest.mark.parametrize("ell", [0, 9])
+    def test_rejects_subspace_dimension_out_of_range(self, ell):
+        rng = np.random.default_rng(4)
+        G = MatrixOperator(rng.standard_normal((12, 8)))
+        with pytest.raises(ValueError, match="1 <= ell <= min"):
+            golub_kahan(G, rng.standard_normal(12), ell)
+
     def test_breakdown_flagged(self):
         # rank-1 G: the second bidiagonalization step must break down
         G = np.outer(np.arange(1.0, 7.0), np.ones(5))
@@ -716,6 +723,18 @@ class TestExpandSubspace:
         z = projected_solution(state, eta)
         grew = expand(state, z, eta, None, L)
         assert not grew
+
+    def test_declines_when_the_basis_spans_the_space(self):
+        # the gradient -G^T d at z = 0 is far from zero, but V spans R^4, so
+        # Gram-Schmidt leaves nothing of it: the second stall exit
+        rng = np.random.default_rng(10)
+        G = MatrixOperator(rng.standard_normal((4, 4)))
+        L = as_regularizer(None, 4)
+        state = seeded(G, rng.standard_normal(4), 4, L, capacity=5)
+        assert state.k == 4
+        assert not expand_subspace(state, 1.0, None, L, state.gtd_norm,
+                                   np.zeros(4), np.zeros(4))
+        assert state.k == 4
 
     def test_new_direction_orthogonal(self):
         rng = np.random.default_rng(8)

@@ -129,12 +129,15 @@ class TestToeplitz1d:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             build_toeplitz_1d(2.0, 1)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            GaussianBlur1D(2.0, 1)
 
     def test_whole_sizes(self):
         # 10.5 used to build a 10-point operator, and psf_size 9.5 a 9 x 9 PSF
         assert GaussianBlur1D(2.0, 10.0).n == 10
-        with pytest.raises(ValueError, match="n must be a whole number"):
-            GaussianBlur1D(2.0, 10.5)
+        for n in (10.5, None):
+            with pytest.raises(ValueError, match="n must be a whole number"):
+                GaussianBlur1D(2.0, n)
         with pytest.raises(ValueError, match="psf_size must be a whole"):
             GaussianPsfBlur2D(PsfParams(2.0, 1.5, 0.5), (16, 16), 9.5)
 
@@ -170,6 +173,8 @@ class TestPsfParams:
             PsfParams(1.0, 1.0, 1.5)   # delta = 1 - 5.06 < 0
         p = PsfParams(1.5, 2.0, 1.0)
         assert p.delta == pytest.approx(1.5**2 * 2.0**2 - 1.0)
+        with pytest.raises(ValueError, match="must have length 3"):
+            PsfParams.from_array([1.5, 2.0, 1.0, 0.5])
 
     @pytest.mark.parametrize("params", [
         (np.inf, 1.0, 0.0), (1.0, 1.0, np.inf), (1e200, 1.0, 0.5),
@@ -372,6 +377,12 @@ class TestAdjointConsistency:
     def test_toeplitz_1d(self):
         rng = np.random.default_rng(0)
         assert _adjoint_gap(GaussianBlur1D(2.0, 40), rng) <= 1e-10
+
+    def test_toeplitz_1d_has_one_parameter(self):
+        op = GaussianBlur1D(2.0, 8)
+        for action in (op.derivative_apply, op.derivative_adjoint_apply):
+            with pytest.raises(IndexError, match="parameter index"):
+                action(1, np.ones(8))
 
     @pytest.mark.parametrize("bc", BOUNDARIES)
     def test_psf_2d_all_boundaries(self, bc):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,27 @@ class TestBlindDeconvProblem:
         prob = make_blind_deconv_problem(img, (1.5, 2.0, 1.0), 0.0, 0,
                                          psf_size=7)
         assert prob.x_true.min() >= 0.0 and prob.x_true.max() <= 1.0
+        # a constant image inside [0, 1] is kept; outside, it has no range
+        # to rescale
+        prob = make_blind_deconv_problem(np.full((8, 8), 0.5),
+                                         (1.5, 2.0, 1.0), 0.0, 0, psf_size=7)
+        assert np.all(prob.x_true == 0.5)
+        with pytest.raises(ValueError, match="constant image cannot be"):
+            make_blind_deconv_problem(np.full((8, 8), 2.0), (1.5, 2.0, 1.0),
+                                      0.0, 0, psf_size=7)
+
+    def test_boundary_by_name(self):
+        by_name, by_enum = (
+            make_blind_deconv_problem("satellite", (2.0, 1.5, 0.5), 0.01, 0,
+                                      boundary, psf_size=7, size=16)
+            for boundary in ("reflexive", ConvBoundary.REFLEXIVE))
+        assert by_name.boundary is ConvBoundary.REFLEXIVE
+        assert by_name.d.tobytes() == by_enum.d.tobytes()
+
+    def test_unknown_family(self):
+        prob = replace(make_1d_problem(32, 2.0, 0.01, 0), family="other")
+        with pytest.raises(ValueError, match="unknown problem family 'other'"):
+            prob.operator(prob.y_true)
 
 
 def synthesized_1d(n, sigma, level, seed):

@@ -29,7 +29,8 @@ def regularizer(kind, n):
         return as_regularizer(second_derivative_1d(n), n)
     if kind == "framelet":
         return as_regularizer(framelet_analysis_2d(n), n * n)
-    return derivative_2d({"kron1": 1, "kron2": 2}[kind], n)
+    return as_regularizer(derivative_2d({"kron1": 1, "kron2": 2}[kind], n),
+                          n * n)
 
 
 def assert_adjoint(forward, adjoint, x, u):

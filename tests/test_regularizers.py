@@ -66,53 +66,52 @@ class TestSecondDerivative1d:
 
 class TestDerivative2d:
     def test_annihilates_constant_image(self):
-        L = derivative_2d(1, 6)
+        L = as_regularizer(derivative_2d(1, 6), 36)
         np.testing.assert_array_equal(L.apply(np.full(36, 2.2)),
                                       np.zeros(L.q))
 
     def test_matches_dense_kronecker_sum(self):
         rng = np.random.default_rng(0)
+        eye = np.eye(8)
         for order in (1, 2):
-            L = derivative_2d(order, 8)
-            dense = L.dense()
+            L = as_regularizer(derivative_2d(order, 8), 64)
+            d = (first_derivative_1d if order == 1
+                 else second_derivative_1d)(8).toarray()
+            dense = np.kron(d, eye) + np.kron(eye, d)
+            np.testing.assert_array_equal(L.dense(), dense)
             x = rng.standard_normal(64)
             np.testing.assert_allclose(L.apply(x), dense @ x, atol=1e-12)
             u = rng.standard_normal(L.q)
             np.testing.assert_allclose(L.adjoint_apply(u), dense.T @ u,
                                        atol=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 16, 64])
+    @pytest.mark.parametrize("n", [3, 16])
     @pytest.mark.parametrize("order", [1, 2])
-    def test_slices_equal_the_sparse_products_bytewise(self, order, n):
-        # the oracle is the action by the sparse 1D difference D and its
-        # transpose, which the operator held before it applied slices; the
-        # inputs carry signed zeros, whose sums must come out the same
-        rng = np.random.default_rng(order * n)
-        L = derivative_2d(order, n)
-        assert not any(sparse.issparse(a) for a in vars(L).values())
+    def test_cached_read_only_csr_kronecker_sum(self, order, n):
+        # the matrix is kept for the next call, so an edit in place would
+        # change every later problem that asks for it
+        mat = derivative_2d(order, n)
         d = (first_derivative_1d if order == 1 else second_derivative_1d)(n)
-        x = rng.standard_normal(n * n)
-        u = rng.standard_normal(L.q)
-        x[::5], x[1::7], u[::3], u[1::4] = 0.0, -0.0, 0.0, -0.0
-        X, dt = x.reshape(n, n), d.T
-        ref_apply = (d @ X).ravel() + (d @ X.T).T.ravel()
-        ref_adjoint = ((dt @ u.reshape(-1, n)).ravel()
-                       + (dt @ u.reshape(n, -1).T).T.ravel())
-        assert L.apply(x).tobytes() == ref_apply.tobytes()
-        assert L.adjoint_apply(u).tobytes() == ref_adjoint.tobytes()
-        gap = abs(L.apply(x) @ u - x @ L.adjoint_apply(u))
-        assert gap <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(u)
-        if n <= 16:
-            eye = sparse.eye_array(n)
-            np.testing.assert_array_equal(
-                L.dense(), (sparse.kron(d, eye) + sparse.kron(eye, d)).toarray())
+        eye = sparse.eye_array(n)
+        ref = sparse.kron(d, eye) + sparse.kron(eye, d)
+        assert sparse.issparse(mat) and mat.format == "csr"
+        assert mat.shape == ref.shape and (mat != ref).nnz == 0
+        assert derivative_2d(order, n) is mat
+        before = mat.toarray()
+        for edit in (lambda: mat.data.__setitem__(0, 5.0),
+                     lambda: mat.__imul__(2.0),
+                     lambda: mat.__setitem__((0, 0), 5.0),
+                     lambda: mat.indices.__setitem__(0, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                edit()
+        np.testing.assert_array_equal(derivative_2d(order, n).toarray(),
+                                      before)
 
     def test_vertical_edge_localized(self):
         n = 8
         img = np.zeros((n, n))
         img[:, 4:] = 1.0
-        L = derivative_2d(1, n)
-        out = L.apply(img.ravel())
+        out = derivative_2d(1, n) @ img.ravel()
         # the row-difference part is zero; the column-difference part is
         # supported only at the edge column
         row_part = (first_derivative_1d(n) @ img).ravel()
@@ -173,8 +172,8 @@ class TestFramelet2d:
 class TestAdjointConsistency:
     @pytest.mark.parametrize("make", [
         lambda: as_regularizer(None, 30),
-        lambda: derivative_2d(1, 7),
-        lambda: derivative_2d(2, 7),
+        lambda: as_regularizer(derivative_2d(1, 7), 7 * 7),
+        lambda: as_regularizer(derivative_2d(2, 7), 7 * 7),
         lambda: as_regularizer(framelet_analysis_2d(7), 7 * 7),
     ])
     def test_inner_product_identity(self, make):
@@ -189,23 +188,21 @@ class TestAdjointConsistency:
 
 class TestNullSpaces:
     def test_constants_in_null_of_first_derivative(self):
-        L = derivative_2d(1, 9)
-        assert np.all(L.apply(np.full(81, 1.23)) == 0.0)
+        assert np.all(derivative_2d(1, 9) @ np.full(81, 1.23) == 0.0)
 
     def test_affine_images_in_null_of_second_derivative(self):
         n = 9
         ii, jj = np.meshgrid(np.arange(n, dtype=float),
                              np.arange(n, dtype=float), indexing="ij")
         img = 0.5 * ii + 0.25 * jj + 2.0
-        L = derivative_2d(2, n)
-        np.testing.assert_allclose(L.apply(img.ravel()), np.zeros(L.q),
-                                   atol=1e-13)
+        np.testing.assert_allclose(derivative_2d(2, n) @ img.ravel(),
+                                   np.zeros(n * (n - 2)), atol=1e-13)
 
     @pytest.mark.parametrize("order, dim", [(1, 8), (2, 16)])
     def test_kronecker_sum_null_space_dimension(self, order, dim):
         # a discrete gradient has only the constant images in its null
         # space; the Kronecker sum pairs differences of different pixels
-        dense = derivative_2d(order, 8).dense()
+        dense = derivative_2d(order, 8).toarray()
         assert dense.shape[1] - np.linalg.matrix_rank(dense) == dim
 
 
@@ -223,3 +220,39 @@ class TestAsRegularizer:
         # a 1-D array used to fail unpacking its shape
         with pytest.raises(ValueError, match=r"must be 2-D, got shape \("):
             as_regularizer(mat, 3)
+
+
+# each factory by name; the identity is the one that as_regularizer wraps
+FACTORIES = {"identity": lambda n: as_regularizer(None, n).mat,
+             "first": first_derivative_1d, "second": second_derivative_1d,
+             "framelet": framelet_analysis_2d,
+             "kron1": lambda n: derivative_2d(1, n),
+             "kron2": lambda n: derivative_2d(2, n)}
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("identity", 5), ("identity", 40), ("first", 5), ("first", 40),
+    ("second", 5), ("second", 40), ("framelet", 3), ("framelet", 9),
+    ("kron1", 16), ("kron1", 64), ("kron2", 16), ("kron2", 64)])
+def test_adjoint_equals_the_transpose_product_bytewise(kind, n):
+    # the adjoint multiplies by a CSR copy of the transpose; both sum each
+    # output over the rows of the matrix in ascending order, signed zeros
+    # of u included
+    mat = FACTORIES[kind](n)
+    L = as_regularizer(mat, mat.shape[1])
+    u = np.random.default_rng(n).standard_normal(L.q)
+    u[::3], u[1::4] = 0.0, -0.0
+    assert L.adjoint_apply(u).tobytes() == (mat.T @ u).tobytes()
+
+
+@pytest.mark.parametrize("kind, n", [("first", 10), ("second", 10),
+                                     ("framelet", 8), ("kron1", 8),
+                                     ("identity", 4)])
+def test_sizes_must_be_whole_numbers(kind, n):
+    # 8.5 used to build an 8 x 8 operator, and 10.0 failed inside scipy
+    make = FACTORIES[kind]
+    with pytest.raises(ValueError, match=rf"n must be a whole number, got "
+                                         rf"{n}\.5"):
+        make(n + 0.5)
+    whole, as_float = make(n), make(float(n))
+    assert whole.shape == as_float.shape and (whole != as_float).nnz == 0
