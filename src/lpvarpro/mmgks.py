@@ -17,9 +17,10 @@ orthogonalized by one classical Gram-Schmidt pass, and by a second only
 when the first removed more than 1 - 1/sqrt(2) of its norm ("twice is
 enough"). R_G, with R_G^T R_G = (G V)^T G V, and R_L at unit weights
 (p = 2, passed as None) grow by one product per column (``_grow_factor``);
-other weights refactor R_L by LAPACK dgeqrt. The projected pair is factored
-by ``gcv.thin_gsvd``. x = V z is formed once, after the loop. One set of
-``gks_buffers`` serves all inner solves of an outer one.
+other weights refactor R_L by ``gcv._r_factor``, the QR kernel that also
+factors the stacked projected pair in ``gcv.thin_gsvd``. x = V z is formed
+once, after the loop. One set of ``gks_buffers`` serves all inner solves of
+an outer one.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
-from .gcv import GcvConfig, StackGsvd, _check_info, select_eta, thin_gsvd
+from .gcv import GcvConfig, StackGsvd, _r_factor, select_eta, thin_gsvd
 from .operators import MatrixOperator, ParamOperator
 from .regularizers import Regularizer, as_regularizer
 
@@ -167,25 +168,6 @@ def gks_buffers(G: ParamOperator, L: Regularizer, cfg: MmgksConfig):
     ends = np.cumsum([r * c for r, c in shapes])
     parts = np.split(np.frombuffer(mmap.mmap(-1, 8 * ends[-1])), ends[:-1])
     return tuple(p.reshape(c, r).T for p, (r, c) in zip(parts, shapes))
-
-
-# block size of the compact-WY QR; 4 is fastest on 4032 x 10..40 factors
-_QR_BLOCK = 4
-
-
-def _r_factor(a):
-    """Triangular factor R (min(q, k) x k) of the column-major float64 a.
-
-    One blocked Householder QR (LAPACK dgeqrt) overwrites ``a`` in place;
-    at the widths of the subspace (k < 128) it runs level-3 BLAS where
-    dgeqrf would take its unblocked level-2 path. A factor with no rows skips
-    LAPACK, which rejects lda = 0.
-    """
-    qr, info = a, 0
-    if a.shape[0]:
-        qr, _, info = dgeqrt(min(_QR_BLOCK, *a.shape), a, overwrite_a=1)
-    _check_info("dgeqrt", info)
-    return np.triu(qr[:min(a.shape)])
 
 
 def _factor_with_data(a):

@@ -26,9 +26,10 @@ def dense_projected_gcv(r_g, r_l, dhat, eta):
 
 
 def quotient(gsvd, dhat, eta):
-    """The GCV quotient at a scalar eta through ``parts``; inf at 0/0."""
-    num, denom = _GcvQuotient(gsvd, dhat).parts(np.array([eta]))
-    return float(num[0] / denom[0]) if denom[0] != 0.0 else np.inf
+    """The GCV quotient at a scalar eta through ``curve`` on an array, as
+    the grid scan calls it; inf where it is not finite, as at 0/0."""
+    value = _GcvQuotient(gsvd, dhat).curve(np.array([eta]))[0][0]
+    return float(value) if np.isfinite(value) else np.inf
 
 
 def random_pair(rng, k):
@@ -324,8 +325,8 @@ class TestGcvValue:
             for eta, rtol in ((1e-2, 1e-10), (1e-1, 1e-10), (1.0, 1e-10),
                               (50.0, 1e-10), (1e-6, 1e-8)):
                 dense = dense_projected_gcv(g, r_l, data, eta)
-                _, at_slope = _GcvQuotient(gsvd, data).slope(np.log(eta))
-                for mine in (quotient(gsvd, data, eta), at_slope):
+                at_scalar, _ = _GcvQuotient(gsvd, data).curve(eta)
+                for mine in (quotient(gsvd, data, eta), at_scalar):
                     assert abs(mine - dense) <= rtol * abs(dense)
         # select_eta minimizes the same tall quotient
         gsvd = thin_gsvd(tall_g, r_l)
@@ -362,7 +363,7 @@ class TestGcvValue:
         # the slope is 0/0, which raises no warning
         gsvd = thin_gsvd(np.eye(4), np.zeros((4, 4)))
         assert quotient(gsvd, np.ones(4), 1.0) == np.inf
-        assert not np.isfinite(_GcvQuotient(gsvd, np.ones(4)).slope(0.0)[0])
+        assert not np.isfinite(_GcvQuotient(gsvd, np.ones(4)).curve(1.0)[1])
 
     @pytest.mark.parametrize("k", [2, 7, 25])
     def test_slope_matches_central_differences(self, k):
@@ -381,7 +382,7 @@ class TestGcvValue:
                 log_v = np.log([quotient(gsvd, data, np.exp(log_eta + t))
                                 for t in steps])
                 assert np.isfinite(log_v).all()
-                assert q.slope(log_eta)[0] == pytest.approx(
+                assert q.curve(np.exp(log_eta))[1] == pytest.approx(
                     weights @ log_v, rel=1e-6, abs=1e-9)
 
 
@@ -470,16 +471,18 @@ class TestSelectEta:
                                                 * GcvConfig.grid_max))
 
     def test_refinement_next_to_vanished_denominator(self):
-        # below eta ~ 2e-10 every filter rounds to 1 and the quotient is 0/0;
-        # the grid minimum (index 30) lies next to that region, so one end of
-        # the bracket next to it (index 29) has a 0/0 slope
+        # below eta ~ 2e-10 the filters sum to k in rounding and the quotient
+        # is not finite; the grid minimum (index 30) lies next to that region,
+        # so one end of the bracket next to it (index 29) has a slope that is
+        # not finite (-inf there: one f is 1 - eps, so k - sum f is 0 while
+        # sum f g is not)
         gsvd = thin_gsvd(np.diag([1.0, 1.1, 1.14]),
                          np.diag([4.8e-4, 5.1e-4, 7e-4]))
         dhat = np.array([0.34, 0.42, 0.37])
         vals = [quotient(gsvd, dhat, eta) for eta in ETA_GRID]
         assert int(np.argmin(vals)) == 30 and vals[29] == np.inf
-        slope_29, _ = _GcvQuotient(gsvd, dhat).slope(np.log(ETA_GRID[29]))
-        assert np.isnan(slope_29)
+        _, slope_29 = _GcvQuotient(gsvd, dhat).curve(ETA_GRID[29])
+        assert not np.isfinite(slope_29)
         sel = select_eta(gsvd, dhat)
         assert not sel.degenerate
         assert np.isfinite(sel.value) and sel.value <= vals[30]
@@ -519,7 +522,8 @@ class TestSelectEta:
 
     def test_root_above_grid_minimum_is_not_taken(self, monkeypatch):
         # only roundoff puts a slope root above the grid minimum; V doubled
-        # at every slope evaluation stands in for it
+        # at every evaluation of the refinement, which passes a scalar eta,
+        # stands in for it
         rng = np.random.default_rng(8)
         r_g, r_l = random_pair(rng, 6)
         gsvd = thin_gsvd(r_g, r_l)
@@ -528,36 +532,37 @@ class TestSelectEta:
         vals = [quotient(gsvd, dhat, eta) for eta in ETA_GRID]
         i = int(np.argmin(vals))
         assert root.eta not in ETA_GRID and root.value <= vals[i]
-        slope = _GcvQuotient.slope
+        curve = _GcvQuotient.curve
 
-        def doubled(self, log_eta):
-            grad, value = slope(self, log_eta)
-            return grad, 2.0 * value
+        def doubled(self, eta):
+            value, grad = curve(self, eta)
+            return (value if np.ndim(eta) else 2.0 * value), grad
 
-        monkeypatch.setattr(_GcvQuotient, "slope", doubled)
+        monkeypatch.setattr(_GcvQuotient, "curve", doubled)
         grid = select_eta(gsvd, dhat)
         assert grid.eta == ETA_GRID[i] and not grid.degenerate
         assert grid.value == pytest.approx(vals[i], rel=1e-14)
 
     def test_one_grid_scan_and_few_slopes(self, monkeypatch):
-        counts = {"parts": 0, "slope": 0}
-        for name in counts:
-            orig = getattr(_GcvQuotient, name)
+        # one curve call on the whole grid, then one per refinement step
+        calls = []
+        curve = _GcvQuotient.curve
 
-            def counting(self, arg, name=name, orig=orig):
-                counts[name] += 1
-                return orig(self, arg)
+        def counting(self, eta):
+            calls.append(np.size(eta))
+            return curve(self, eta)
 
-            monkeypatch.setattr(_GcvQuotient, name, counting)
+        monkeypatch.setattr(_GcvQuotient, "curve", counting)
         rng = np.random.default_rng(5)
-        slopes = []
+        steps = []
         for k in range(2, 41):
             r_g, r_l = random_pair(rng, k)
-            counts.update(parts=0, slope=0)
+            calls.clear()
             select_eta(thin_gsvd(r_g, r_l), rng.standard_normal(k))
-            assert counts["parts"] == 1 and counts["slope"] <= 12
-            slopes.append(counts["slope"])
-        assert max(slopes) > 2
+            assert calls[0] == ETA_GRID.size
+            assert len(calls) <= 13 and set(calls[1:]) <= {1}
+            steps.append(len(calls) - 1)
+        assert max(steps) > 2
 
     def test_grid_is_a_read_only_constant(self):
         assert ETA_GRID[0] == GcvConfig.grid_min

@@ -111,15 +111,16 @@ def count_data_refactors(monkeypatch, d):
 
 
 def count_dgeqrt(monkeypatch):
-    """Count the blocked Householder QRs of mmgks in a one-element list."""
+    """Count the blocked Householder QRs, the one QR kernel of the package
+    (``gcv._r_factor``), in a one-element list."""
     calls = [0]
-    dgeqrt_orig = mmgks.dgeqrt
+    dgeqrt_orig = gcv.dgeqrt
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return dgeqrt_orig(*args, **kwargs)
 
-    monkeypatch.setattr(mmgks, "dgeqrt", counting)
+    monkeypatch.setattr(gcv, "dgeqrt", counting)
     return calls
 
 
@@ -433,8 +434,9 @@ class TestGksStateBuffers:
             assert expand(state, z, 0.1, None, L)
             state.set_weights(None)
         assert state.k == 9
-        # the factor of the first call took the appended columns
-        assert calls == [1]
+        # the factor of the first call took the appended columns; the other
+        # five QRs factor the stacked pairs of projected_solution
+        assert calls == [1 + 5]
         assert state.r_l.shape == (9, 9)
         np.testing.assert_array_equal(state.r_l, np.triu(state.r_l))
         assert_gram_matches(state.r_l, state.lv, 1e-13)
@@ -533,11 +535,13 @@ class TestGksStateBuffers:
 
 
 class TestTallKernels:
-    @pytest.mark.parametrize("shape", [(0, 3), (2, 5), (4032, 1), (4032, 40)])
+    # block 4 up to 64 columns, block 32 above
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 5), (4032, 1), (4032, 40),
+                                       (300, 65), (1023, 512)])
     def test_r_factor_matches_numpy_qr(self, shape):
         a = np.random.default_rng(16).standard_normal(shape)
         ref = np.linalg.qr(a, mode="r")
-        r = mmgks._r_factor(np.asfortranarray(a))
+        r = gcv._r_factor(np.asfortranarray(a))
         assert r.shape == ref.shape
         np.testing.assert_allclose(np.abs(r), np.abs(ref), rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max(initial=1))
@@ -684,9 +688,9 @@ class TestTallKernels:
                                    atol=1e-12)
 
     def test_thin_qrs_run_no_numpy_qr(self, monkeypatch):
-        # the seed in init_gks and R_L at unit weights run the blocked
-        # dgeqrt, the stacked pair dgeqrf in place, and none of them
-        # overwrites the products it factors
+        # the seed in init_gks, R_L at unit weights and the stacked pair run
+        # the blocked dgeqrt, and none of them overwrites the products it
+        # factors
         rng = np.random.default_rng(18)
         G = MatrixOperator(rng.standard_normal((25, 18)))
         L = MatrixRegularizer(first_derivative_1d(18))
@@ -1066,11 +1070,12 @@ class TestMmgksSolve:
                                             r_l_factors):
         # the seed factors [B, ||d|| e_1] once, by the blocked kernel; unit
         # weights (p = 2) factor R_L once and grow it from L V, other
-        # weights refactor R_L once per iteration. A GaussianBlur1D is used
-        # as it is, and the objective reads the cached products, so no
+        # weights refactor R_L once per iteration, and every iteration
+        # factors its stacked pair [R_G; R_L]. A GaussianBlur1D is used as
+        # it is, and the objective reads the cached products, so no
         # operator is wrapped
         calls = Counter()
-        dgeqrt_orig = mmgks.dgeqrt
+        dgeqrt_orig = gcv.dgeqrt
 
         def counting_dgeqrt(*args, **kwargs):
             calls["dgeqrt"] += 1
@@ -1081,7 +1086,7 @@ class TestMmgksSolve:
                 calls["MatrixOperator"] += 1
                 super().__init__(a)
 
-        monkeypatch.setattr(mmgks, "dgeqrt", counting_dgeqrt)
+        monkeypatch.setattr(gcv, "dgeqrt", counting_dgeqrt)
         monkeypatch.setattr(mmgks, "MatrixOperator", CountingMatrixOperator)
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=8)
         cfg = MmgksConfig(p=p, epsilon=1e-2, subspace_dim=5, max_iters=6,
@@ -1090,27 +1095,28 @@ class TestMmgksSolve:
                           MatrixRegularizer(first_derivative_1d(48)), prob.d,
                           cfg)
         assert res.iterations == 6
-        assert calls == Counter(dgeqrt=1 + r_l_factors)
+        assert calls == Counter(dgeqrt=1 + r_l_factors + res.iterations)
 
     def test_householder_runs_only_on_the_stacks(self, monkeypatch):
-        # a p = 2 solve runs dgeqrf only on the stacked pairs [R_G; R_L];
-        # the seed [B, ||d|| e_1] and L V go to the blocked dgeqrt
+        # a p = 2 solve runs the one QR kernel on the seed [B, ||d|| e_1],
+        # on L V once, and on one stacked pair [R_G; R_L] per iteration
         shapes = []
-        householder_orig = gcv._householder
+        r_factor_orig = gcv._r_factor
 
         def recording(a):
             shapes.append(a.shape)
-            return householder_orig(a)
+            return r_factor_orig(a)
 
-        monkeypatch.setattr(gcv, "_householder", recording)
+        monkeypatch.setattr(gcv, "_r_factor", recording)
+        monkeypatch.setattr(mmgks, "_r_factor", recording)
         prob = make_1d_problem(n=48, sigma_true=2.0, level=0.01, seed=11)
         ell = 5
+        L = MatrixRegularizer(first_derivative_1d(48))
         cfg = MmgksConfig(p=2.0, subspace_dim=ell, max_iters=6, tol=1e-16)
-        res = mmgks_solve(prob.operator(prob.y_true),
-                          MatrixRegularizer(first_derivative_1d(48)), prob.d,
-                          cfg)
+        res = mmgks_solve(prob.operator(prob.y_true), L, prob.d, cfg)
         assert res.iterations == 6
-        assert shapes == [(2 * k, k) for k in range(ell, ell + 6)]
+        stacks = [(2 * k, k) for k in range(ell, ell + 6)]
+        assert shapes == [(ell + 1, ell + 1), (L.q, ell)] + stacks
 
     @pytest.mark.parametrize("family", ["1d", "psf2d"])
     def test_grown_factor_matches_refactoring_every_iteration(
